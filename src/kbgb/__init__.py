@@ -18,17 +18,18 @@ from .correspondence import (
     rules_to_basis,
     verify_algebra_iso,
 )
-from .limits import (
+from .completion import (
     CompletionLimits,
+    CompletionResult,
     LimitExceeded,
+    PassRecord,
     ReductionBudgetExceeded,
 )
 from .ncpoly import (
     QQ,
     Basis,
-    BuchbergerResult,
+    ClosureViolation,
     NcPolynomial,
-    PolyPassRecord,
     PrimeField,
     RationalField,
     ReductionStep,
@@ -57,13 +58,10 @@ from .rewriting import (
     MONOID,
     SEMIGROUP,
     CriticalPair,
-    KnuthBendixResult,
-    PassRecord,
     RewriteSystem,
     Rule,
     critical_pairs,
     enumerate_normal_forms,
-    interreduce,
     is_irreducible,
     is_locally_confluent,
     kb_pass,
@@ -79,7 +77,6 @@ from .words import (
     MonomialOrder,
     OverlapMatch,
     Word,
-    concat,
     find_matches,
     find_subword_occurrences,
 )

@@ -1,19 +1,21 @@
 """Command-line frontend.
 
 Subcommands: complete, lockstep, nf, equal, iso-check. Exit codes are a
-fixed partition: 0 success, 1 input error, 2 resource limit, 3 divergence.
+fixed partition: 0 success, 1 input error, 2 resource limit, 3 divergence
+or a failed engine check (a reduction budget or the two-term closure).
 Output is byte-identical across runs for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import correspondence, ncpoly, rewriting
-from .limits import CompletionLimits
-from .ncpoly import field_from_name, render_poly
+from .completion import CompletionLimits, ReductionBudgetExceeded, trace_lines
+from .ncpoly import ClosureViolation, field_from_name, render_poly
 from .presentation import ParseError, parse_poly_terms, parse_presentation
 from .words import AlphabetMismatch
 
@@ -97,41 +99,36 @@ def _lockstep_system(args, pf):
     return pf.system()
 
 
-def _warn_incomplete(reason) -> None:
-    sys.stderr.write(
-        f"warning: completion hit a limit (reason={reason}); "
-        "normal forms may not be unique\n"
-    )
+def _complete(args, pf, warn=True):
+    """Complete the file's basis (alg) or rule set (sgp, mon) under the
+    command-line limits; with ``warn``, say on stderr when a limit tripped."""
+    limits = _limits(args)
+    if pf.mode == "alg":
+        result = ncpoly.buchberger(pf.basis(_field(args, pf)), limits)
+    else:
+        result = rewriting.knuth_bendix(pf.system(), limits)
+    if warn and not result.complete:
+        sys.stderr.write(
+            f"warning: completion hit a limit (reason={result.limit_reason}); "
+            "normal forms may not be unique\n"
+        )
+    return result
 
 
 def cmd_complete(args) -> int:
     pf = _load(args)
-    limits = _limits(args)
-    lines = []
+    result = _complete(args, pf, warn=False)
+    final = result.state
     if pf.mode == "alg":
-        basis = pf.basis(_field(args, pf))
-        result = ncpoly.buchberger(basis, limits)
-        lines.extend(ncpoly.trace_lines(result.trace, basis.order))
-        if result.complete:
-            lines.append(f"status: complete passes={len(result.trace)}")
-        else:
-            lines.append(
-                f"status: limit-exceeded reason={result.limit_reason} passes={len(result.trace)}"
-            )
-        for poly in result.basis.polys:
-            lines.append(f"poly: {render_poly(poly, basis.order)}")
+        line = functools.partial(ncpoly.record_line, order=final.order)
+        members = [f"poly: {render_poly(poly, final.order)}" for poly in final.polys]
     else:
-        system = pf.system()
-        result = rewriting.knuth_bendix(system, limits)
-        lines.extend(rewriting.trace_lines(result.trace))
-        if result.complete:
-            lines.append(f"status: complete passes={len(result.trace)}")
-        else:
-            lines.append(
-                f"status: limit-exceeded reason={result.limit_reason} passes={len(result.trace)}"
-            )
-        for rule in result.system.rules:
-            lines.append(f"rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}")
+        line = rewriting.pair_line
+        members = [f"rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in final.rules]
+    lines = trace_lines(result.trace, line)
+    status = "complete" if result.complete else f"limit-exceeded reason={result.limit_reason}"
+    lines.append(f"status: {status} passes={len(result.trace)}")
+    lines.extend(members)
     _emit(lines, args)
     return EXIT_OK if result.complete else EXIT_LIMIT
 
@@ -150,45 +147,26 @@ def cmd_lockstep(args) -> int:
 
 def cmd_nf(args) -> int:
     pf = _load(args)
-    limits = _limits(args)
+    final = _complete(args, pf).state
     if pf.mode == "alg":
-        basis = pf.basis(_field(args, pf))
-        result = ncpoly.buchberger(basis, limits)
-        if not result.complete:
-            _warn_incomplete(result.limit_reason)
         terms = parse_poly_terms(0, pf.alphabet, args.word)
-        poly = ncpoly.NcPolynomial(result.basis.field, terms)
-        nf = ncpoly.poly_normal_form(result.basis, poly)
-        _emit([render_poly(nf, basis.order)], args)
+        poly = ncpoly.NcPolynomial(final.field, terms)
+        line = render_poly(ncpoly.poly_normal_form(final, poly), final.order)
     else:
-        system = pf.system()
-        result = rewriting.knuth_bendix(system, limits)
-        if not result.complete:
-            _warn_incomplete(result.limit_reason)
-        word = pf.alphabet.parse_word(args.word)
-        _emit([rewriting.normal_form(result.system, word).dotted()], args)
+        line = rewriting.normal_form(final, pf.alphabet.parse_word(args.word)).dotted()
+    _emit([line], args)
     return EXIT_OK
 
 
 def cmd_equal(args) -> int:
     pf = _load(args)
-    limits = _limits(args)
+    final = _complete(args, pf).state
+    w1 = pf.alphabet.parse_word(args.word1)
+    w2 = pf.alphabet.parse_word(args.word2)
     if pf.mode == "alg":
-        basis = pf.basis(_field(args, pf))
-        result = ncpoly.buchberger(basis, limits)
-        if not result.complete:
-            _warn_incomplete(result.limit_reason)
-        w1 = pf.alphabet.parse_word(args.word1)
-        w2 = pf.alphabet.parse_word(args.word2)
-        equal = ncpoly.monomials_equal_mod_ideal(result.basis, w1, w2)
+        equal = ncpoly.monomials_equal_mod_ideal(final, w1, w2)
     else:
-        system = pf.system()
-        result = rewriting.knuth_bendix(system, limits)
-        if not result.complete:
-            _warn_incomplete(result.limit_reason)
-        w1 = pf.alphabet.parse_word(args.word1)
-        w2 = pf.alphabet.parse_word(args.word2)
-        equal = rewriting.words_equal(result.system, w1, w2)
+        equal = rewriting.words_equal(final, w1, w2)
     _emit(["EQUAL" if equal else "DISTINCT"], args)
     return EXIT_OK
 
@@ -221,6 +199,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except (ReductionBudgetExceeded, ClosureViolation) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

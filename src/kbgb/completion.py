@@ -1,0 +1,121 @@
+"""The completion loop both engines share, with its limits and budget errors.
+
+Knuth-Bendix completion and the noncommutative Buchberger algorithm differ
+only in how a pass examines its input; the install policy, the caps and
+the loop to the fixed point live here once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+DEFAULT_STEP_BUDGET = 1_000_000
+
+
+class ReductionBudgetExceeded(RuntimeError):
+    """Reduction failed to reach a fixed point within the step budget.
+
+    Reduction along an admissible well-founded order always terminates, so
+    tripping this signals a broken ordering, not a long input.
+    """
+
+
+class LimitExceeded(Exception):
+    """A completion resource limit tripped.
+
+    Carries the pass that was being examined (critical pairs for the
+    rewriting engine, S-polynomial records for the polynomial engine) so a
+    caller can report the truncation point.
+    """
+
+    def __init__(self, reason: str, partial=()):
+        super().__init__(reason)
+        self.reason = reason
+        self.partial = tuple(partial)
+
+
+@dataclass(frozen=True)
+class CompletionLimits:
+    """Caps that keep completion finite; completion need not terminate.
+
+    ``max_passes`` may be zero (run nothing, report the limit); the other
+    two caps must be positive.
+    """
+
+    max_passes: int = 50
+    max_rules: int = 10_000
+    max_word_length: int = 256
+
+    def __post_init__(self):
+        if self.max_passes < 0:
+            raise ValueError("max_passes must be nonnegative")
+        if self.max_rules <= 0 or self.max_word_length <= 0:
+            raise ValueError("max_rules and max_word_length must be positive")
+
+
+def fresh_members(existing, candidates, words, limits, records) -> list:
+    """The new members of a pass: candidates (None where a record
+    resolved) deduplicated in examination order against the input.
+
+    Raises LimitExceeded with the pass's records when a member has a word
+    (from ``words(member)``) over ``max_word_length``, else when the total
+    would exceed ``max_rules``.
+    """
+    fresh = []
+    seen = set(existing)
+    for member in candidates:
+        if member is not None and member not in seen:
+            seen.add(member)
+            fresh.append(member)
+    if limits is not None:
+        for member in fresh:
+            if any(len(w) > limits.max_word_length for w in words(member)):
+                raise LimitExceeded("max_word_length", records)
+        if len(existing) + len(fresh) > limits.max_rules:
+            raise LimitExceeded("max_rules", records)
+    return fresh
+
+
+def run_pass(one_pass, state, limits):
+    """(next state, records, limit reason or None); a tripped cap leaves
+    the state as it was."""
+    try:
+        nxt, records = one_pass(state, limits)
+    except LimitExceeded as exc:
+        return state, exc.partial, exc.reason
+    return nxt, tuple(records), None
+
+
+@dataclass(frozen=True)
+class PassRecord:
+    index: int  # 1-based
+    records: tuple  # critical pairs or S-polynomial records, in examination order
+    state: object  # rule set or basis after the pass (unchanged if a limit tripped)
+
+
+@dataclass(frozen=True)
+class CompletionResult:
+    complete: bool  # fixed point reached: the rule set is confluent, the basis Groebner
+    state: object  # final rule set or basis
+    trace: tuple
+    limit_reason: str | None = None
+
+
+def complete(state, one_pass, limits: CompletionLimits) -> CompletionResult:
+    """Iterate ``one_pass(state, limits)`` until a pass installs nothing
+    (it then returns a state equal to its input) or a limit trips."""
+    trace = []
+    for index in range(1, limits.max_passes + 1):
+        nxt, records, reason = run_pass(one_pass, state, limits)
+        trace.append(PassRecord(index, records, nxt))
+        if reason is not None:
+            return CompletionResult(False, state, tuple(trace), reason)
+        if nxt == state:
+            return CompletionResult(True, nxt, tuple(trace))
+        state = nxt
+    return CompletionResult(False, state, tuple(trace), "max_passes")
+
+
+def trace_lines(trace, line) -> list:
+    """One ``line(pass_index, record)`` per record, pass by pass."""
+    return [line(record.index, rec) for record in trace for rec in record.records]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .limits import CompletionLimits, LimitExceeded
+from .completion import CompletionLimits, run_pass
 from .ncpoly import (
     Basis,
     NcPolynomial,
@@ -34,13 +34,13 @@ from .rewriting import (
     SEMIGROUP,
     RewriteSystem,
     Rule,
+    bounded_words,
     enumerate_normal_forms,
     is_irreducible,
     kb_pass,
     normal_form,
     pair_line,
 )
-from .words import Word
 
 VERDICT_CORRESPONDS = "Corresponds"
 VERDICT_DIVERGENCE = "Divergence"
@@ -185,20 +185,13 @@ def lockstep_complete(
         )
 
     for index in range(1, limits.max_passes + 1):
-        kb_limit = gb_limit = None
-        try:
-            next_system, pairs = kb_pass(cur_system, limits)
-        except LimitExceeded as exc:
-            kb_limit, pairs, next_system = exc.reason, exc.partial, cur_system
-        try:
-            next_basis, records = buchberger_pass(cur_basis, limits)
-        except LimitExceeded as exc:
-            gb_limit, records, next_basis = exc.reason, exc.partial, cur_basis
+        next_system, pairs, kb_limit = run_pass(kb_pass, cur_system, limits)
+        next_basis, records, gb_limit = run_pass(buchberger_pass, cur_basis, limits)
         sources_ok, pairs_ok, sets_ok, detail = _check_pass(
             pairs, records, next_system, next_basis, field
         )
         passes.append(
-            LockstepPass(index, tuple(pairs), tuple(records), next_system, next_basis,
+            LockstepPass(index, pairs, records, next_system, next_basis,
                          sources_ok, pairs_ok, sets_ok)
         )
         system_fixed = next_system.rules == cur_system.rules
@@ -277,16 +270,6 @@ class IsoCheckReport:
     detail: str | None = None
 
 
-def _bounded_words(system: RewriteSystem, bound: int) -> list:
-    start = 0 if system.mode == MONOID else 1
-    size = len(system.alphabet)
-    out = []
-    for n in range(start, bound + 1):
-        for letters in itertools.product(range(size), repeat=n):
-            out.append(Word(system.alphabet, letters))
-    return out
-
-
 def verify_algebra_iso(
     system: RewriteSystem,
     field,
@@ -324,7 +307,7 @@ def verify_algebra_iso(
     def fail(detail):
         return IsoCheckReport(bound, field.name, counts, "Fail", detail)
 
-    universe = _bounded_words(complete, bound)
+    universe = list(bounded_words(complete, bound))
     nf_rules = {}
     nf_ideal = {}
     for w in universe:

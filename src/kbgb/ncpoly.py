@@ -19,11 +19,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .limits import (
+from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
-    LimitExceeded,
+    CompletionResult,
     ReductionBudgetExceeded,
+    complete,
+    fresh_members,
 )
 from .words import (
     Alphabet,
@@ -32,7 +34,7 @@ from .words import (
     MonomialOrder,
     OverlapMatch,
     Word,
-    find_matches,
+    overlaps,
 )
 
 
@@ -485,17 +487,18 @@ def s_polynomials(basis: Basis) -> list:
     the superposition monomial, built from the monic members' tails.
     """
     records = []
-    lms = basis.leading_monomials()
     tails = [_tail(p, basis.order) for p in basis.polys]
     empty = Word(basis.alphabet)
-    for i in range(len(basis.polys)):
-        for j in range(len(basis.polys)):
-            for match in find_matches(lms[i], lms[j], include_identity=(i != j)):
-                raw = _raw_spoly(tails[i], tails[j], match, empty)
-                reduced = poly_normal_form(basis, raw)
-                new = None if reduced.is_zero() else make_monic(reduced, basis.order)
-                records.append(SPolyRecord(i, j, match, raw, reduced, new))
+    for i, j, match in overlaps(basis.leading_monomials()):
+        raw = _raw_spoly(tails[i], tails[j], match, empty)
+        reduced = poly_normal_form(basis, raw)
+        new = None if reduced.is_zero() else make_monic(reduced, basis.order)
+        records.append(SPolyRecord(i, j, match, raw, reduced, new))
     return records
+
+
+class ClosureViolation(RuntimeError):
+    """An S-polynomial of two-term unit-coefficient members left that shape."""
 
 
 def is_pm_binomial(poly: NcPolynomial, field) -> bool:
@@ -517,53 +520,15 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits | None = None):
         for rec in records:
             for poly in (rec.raw, rec.reduced):
                 if not is_pm_binomial(poly, basis.field):
-                    raise RuntimeError(f"two-term closure violated by {poly!r}")
-    fresh = []
-    seen = set(basis.polys)
-    for rec in records:
-        poly = rec.new_poly
-        if poly is not None and poly not in seen:
-            seen.add(poly)
-            fresh.append(poly)
-    if limits is not None:
-        for poly in fresh:
-            if any(len(w) > limits.max_word_length for w in poly.terms):
-                raise LimitExceeded("max_word_length", records)
-        if len(basis.polys) + len(fresh) > limits.max_rules:
-            raise LimitExceeded("max_rules", records)
+                    raise ClosureViolation(f"two-term closure violated by {poly!r}")
+    fresh = fresh_members(basis.polys, [rec.new_poly for rec in records],
+                          lambda poly: poly.terms, limits, records)
     return basis.with_polys(fresh), records
 
 
-@dataclass(frozen=True)
-class PolyPassRecord:
-    index: int  # 1-based
-    records: tuple
-    basis: Basis  # basis after the pass (unchanged if a limit tripped)
-
-
-@dataclass(frozen=True)
-class BuchbergerResult:
-    complete: bool  # fixpoint reached: the basis is a Groebner basis
-    basis: Basis
-    trace: tuple
-    limit_reason: str | None = None
-
-
-def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> BuchbergerResult:
+def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:
     """Iterate buchberger_pass to the fixed point or to a resource limit."""
-    records = []
-    current = basis
-    for index in range(1, limits.max_passes + 1):
-        try:
-            nxt, recs = buchberger_pass(current, limits)
-        except LimitExceeded as exc:
-            records.append(PolyPassRecord(index, exc.partial, current))
-            return BuchbergerResult(False, current, tuple(records), exc.reason)
-        records.append(PolyPassRecord(index, tuple(recs), nxt))
-        if nxt.polys == current.polys:
-            return BuchbergerResult(True, nxt, tuple(records))
-        current = nxt
-    return BuchbergerResult(False, current, tuple(records), "max_passes")
+    return complete(basis, buchberger_pass, limits)
 
 
 def monomials_equal_mod_ideal(basis: Basis, m1: Word, m2: Word) -> bool:
@@ -609,11 +574,3 @@ def record_line(pass_index: int, rec: SPolyRecord, order: MonomialOrder) -> str:
         f"pass={pass_index} polys=({rec.poly1},{rec.poly2}) kind={rec.match.kind.value} "
         f"raw=({render_poly(rec.raw, order)}) reduced=({render_poly(rec.reduced, order)}) disp={disp}"
     )
-
-
-def trace_lines(trace, order: MonomialOrder) -> list:
-    lines = []
-    for record in trace:
-        for rec in record.records:
-            lines.append(record_line(record.index, rec, order))
-    return lines

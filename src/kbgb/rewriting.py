@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .limits import (
+from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
-    LimitExceeded,
+    CompletionResult,
     ReductionBudgetExceeded,
+    complete,
+    fresh_members,
 )
 from .words import (
     Alphabet,
@@ -25,7 +27,7 @@ from .words import (
     MonomialOrder,
     OverlapMatch,
     Word,
-    find_matches,
+    overlaps,
 )
 
 SEMIGROUP = "semigroup"
@@ -167,27 +169,21 @@ def _raw_pair(rule1: Rule, rule2: Rule, match: OverlapMatch):
 
 
 def critical_pairs(system: RewriteSystem) -> list:
-    """Every critical pair of every ordered rule pair, reduced against the system.
-
-    Two rules with identical left sides meet in the boundary containment
-    with empty witnesses; a rule never forms that degenerate match with
-    itself.
-    """
+    """Every critical pair of every ordered rule pair, reduced against the
+    system, in the examination order of words.overlaps."""
     pairs = []
     rules = system.rules
-    for i, r1 in enumerate(rules):
-        for j, r2 in enumerate(rules):
-            for match in find_matches(r1.lhs, r2.lhs, include_identity=(i != j)):
-                raw = _raw_pair(r1, r2, match)
-                c1 = normal_form(system, raw[0])
-                c2 = normal_form(system, raw[1])
-                if c1 == c2:
-                    new_rule = None
-                elif system.order.greater(c1, c2):
-                    new_rule = Rule(c1, c2)
-                else:
-                    new_rule = Rule(c2, c1)
-                pairs.append(CriticalPair(i, j, match, raw, (c1, c2), new_rule))
+    for i, j, match in overlaps([rule.lhs for rule in rules]):
+        raw = _raw_pair(rules[i], rules[j], match)
+        c1 = normal_form(system, raw[0])
+        c2 = normal_form(system, raw[1])
+        if c1 == c2:
+            new_rule = None
+        elif system.order.greater(c1, c2):
+            new_rule = Rule(c1, c2)
+        else:
+            new_rule = Rule(c2, c1)
+        pairs.append(CriticalPair(i, j, match, raw, (c1, c2), new_rule))
     return pairs
 
 
@@ -199,57 +195,28 @@ def kb_pass(system: RewriteSystem, limits: CompletionLimits | None = None):
     the result would break a cap.
     """
     pairs = critical_pairs(system)
-    fresh = []
-    seen = set(system.rules)
-    for cp in pairs:
-        rule = cp.new_rule
-        if rule is not None and rule not in seen:
-            seen.add(rule)
-            fresh.append(rule)
-    if limits is not None:
-        for rule in fresh:
-            if max(len(rule.lhs), len(rule.rhs)) > limits.max_word_length:
-                raise LimitExceeded("max_word_length", pairs)
-        if len(system.rules) + len(fresh) > limits.max_rules:
-            raise LimitExceeded("max_rules", pairs)
+    fresh = fresh_members(system.rules, [cp.new_rule for cp in pairs],
+                          lambda rule: (rule.lhs, rule.rhs), limits, pairs)
     return system.with_rules(fresh), pairs
 
 
-@dataclass(frozen=True)
-class PassRecord:
-    index: int  # 1-based
-    pairs: tuple
-    system: RewriteSystem  # system after the pass (unchanged if a limit tripped)
-
-
-@dataclass(frozen=True)
-class KnuthBendixResult:
-    complete: bool
-    system: RewriteSystem
-    trace: tuple
-    limit_reason: str | None = None
-
-
-def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLimits()) -> KnuthBendixResult:
+def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:
     """Iterate kb_pass to the fixed point or to a resource limit."""
-    records = []
-    current = system
-    for index in range(1, limits.max_passes + 1):
-        try:
-            nxt, pairs = kb_pass(current, limits)
-        except LimitExceeded as exc:
-            records.append(PassRecord(index, exc.partial, current))
-            return KnuthBendixResult(False, current, tuple(records), exc.reason)
-        records.append(PassRecord(index, tuple(pairs), nxt))
-        if nxt.rules == current.rules:
-            return KnuthBendixResult(True, nxt, tuple(records))
-        current = nxt
-    return KnuthBendixResult(False, current, tuple(records), "max_passes")
+    return complete(system, kb_pass, limits)
 
 
 def words_equal(system: RewriteSystem, w1: Word, w2: Word) -> bool:
     """Decide w1 = w2 in the presented semigroup; needs a complete system."""
     return normal_form(system, w1) == normal_form(system, w2)
+
+
+def bounded_words(system: RewriteSystem, max_len: int):
+    """Every word of length up to max_len, by length and then letter index;
+    the empty word is included in monoid mode only."""
+    size = len(system.alphabet)
+    for n in range(0 if system.mode == MONOID else 1, max_len + 1):
+        for letters in itertools.product(range(size), repeat=n):
+            yield Word._raw(system.alphabet, letters)
 
 
 def enumerate_normal_forms(system: RewriteSystem, max_len: int) -> list:
@@ -258,14 +225,7 @@ def enumerate_normal_forms(system: RewriteSystem, max_len: int) -> list:
     Monoid mode includes the empty word; these are canonical
     representatives of the presented elements of bounded length.
     """
-    lengths = range(0 if system.mode == MONOID else 1, max_len + 1)
-    size = len(system.alphabet)
-    out = []
-    for n in lengths:
-        for letters in itertools.product(range(size), repeat=n):
-            w = Word(system.alphabet, letters)
-            if reduce_once(system, w) is None:
-                out.append(w)
+    out = [w for w in bounded_words(system, max_len) if reduce_once(system, w) is None]
     out.sort(key=system.order.key)
     return out
 
@@ -273,28 +233,6 @@ def enumerate_normal_forms(system: RewriteSystem, max_len: int) -> list:
 def is_locally_confluent(system: RewriteSystem) -> bool:
     """True when every critical pair resolves."""
     return all(cp.resolved for cp in critical_pairs(system))
-
-
-def interreduce(system: RewriteSystem) -> RewriteSystem:
-    """One simplification sweep: drop rules whose left side another rule
-    reduces, and normalize every right side.
-
-    Cosmetic post-processing only; the completion passes never call it.
-    """
-    kept = []
-    for i, rule in enumerate(system.rules):
-        others = RewriteSystem(
-            system.alphabet,
-            system.order,
-            tuple(r for j, r in enumerate(system.rules) if j != i),
-            system.mode,
-        )
-        if reduce_once(others, rule.lhs) is not None:
-            continue
-        candidate = Rule(rule.lhs, normal_form(system, rule.rhs))
-        if candidate not in kept:
-            kept.append(candidate)
-    return RewriteSystem(system.alphabet, system.order, tuple(kept), system.mode)
 
 
 def pair_line(pass_index: int, cp: CriticalPair) -> str:
@@ -306,11 +244,3 @@ def pair_line(pass_index: int, cp: CriticalPair) -> str:
         f"pass={pass_index} rules=({cp.rule1},{cp.rule2}) kind={cp.match.kind.value} "
         f"raw={raw} reduced={reduced} disp={disp}"
     )
-
-
-def trace_lines(trace) -> list:
-    lines = []
-    for record in trace:
-        for cp in record.pairs:
-            lines.append(pair_line(record.index, cp))
-    return lines

@@ -67,9 +67,6 @@ class Alphabet:
         """Build a word from generator names."""
         return Word(self, tuple(self.index(n) for n in names))
 
-    def empty_word(self) -> "Word":
-        return Word(self, ())
-
     def parse_word(self, text: str) -> "Word":
         """Parse ``"b.a"`` (dotted), ``"ba"`` (single-char alphabets), or ``"1"``."""
         if text == "1":
@@ -165,11 +162,6 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.display()!r})"
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    """Concatenation in the free monoid; both words must share the alphabet."""
-    return w1 * w2
 
 
 class MonomialOrder:
@@ -335,6 +327,20 @@ def find_matches(l1: Word, l2: Word, *, include_identity: bool = False) -> list:
     if len(l1) == 0 or len(l2) == 0:
         raise ValueError("left-hand sides must be nonempty")
     return list(_find_matches_cached(l1, l2, include_identity))
+
+
+def overlaps(lhss):
+    """Every match of every ordered pair of left sides, as (i, j, match).
+
+    This is the examination order of a completion pass in both engines:
+    first index, then second index, then find_matches order. Two distinct
+    left sides that coincide meet in the boundary containment; a left side
+    never forms that degenerate match with itself.
+    """
+    for i, l1 in enumerate(lhss):
+        for j, l2 in enumerate(lhss):
+            for match in find_matches(l1, l2, include_identity=(i != j)):
+                yield i, j, match
 
 
 @functools.lru_cache(maxsize=65536)

@@ -69,7 +69,7 @@ def complete_instances(corpus_files):
         system = _load_system(path)
         result = knuth_bendix(system, LIMITS)
         if result.complete:
-            out.append((path, system, result.system))
+            out.append((path, system, result.state))
     assert len(out) >= 8
     return out
 

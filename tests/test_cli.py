@@ -1,9 +1,12 @@
 """Command-line surface: outputs, exit codes, warnings, trace files."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
+
+from kbgb import ncpoly, rewriting
 
 from helpers import run_cli
 
@@ -220,6 +223,31 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(["lockstep", pres(BASIC), "--field", "F6"])
         assert code == 1
         assert "not prime" in err
+
+    def test_reduction_budget_is_exit_three(self, pres, monkeypatch):
+        real = rewriting.normal_form
+        monkeypatch.setattr(
+            rewriting, "normal_form", lambda system, word, max_steps=1: real(system, word, max_steps)
+        )
+        code, out, err = run_cli(["nf", pres(BASIC), "b.a.b.a"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: no fixed point within 1 steps\n"
+
+    def test_closure_violation_is_exit_three(self, pres, monkeypatch):
+        real = ncpoly.s_polynomials
+
+        def widened(basis):
+            first, *rest = real(basis)
+            extra = ncpoly.NcPolynomial.monomial(basis.field, first.match.superposition)
+            return [dataclasses.replace(first, raw=first.raw + extra), *rest]
+
+        monkeypatch.setattr(ncpoly, "s_polynomials", widened)
+        text = ALG_BINOMIAL.replace("b.a - a.b", "a.b.a - b")
+        code, out, err = run_cli(["complete", pres(text)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: two-term closure violated by ")
 
 
 class TestDeterminism:

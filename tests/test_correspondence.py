@@ -130,8 +130,8 @@ class TestLockstep:
         gb = buchberger(rules_to_basis(system, QQ))
         assert kb.complete and gb.complete
         assert len(report.passes) == len(kb.trace) == len(gb.trace)
-        assert report.system.rules == kb.system.rules
-        assert report.basis.polys == gb.basis.polys
+        assert report.system.rules == kb.state.rules
+        assert report.basis.polys == gb.state.polys
 
     def test_identical_truncation(self):
         system = make_system(["aba->b"])
@@ -166,8 +166,8 @@ class TestLockstep:
         assert completed.complete
         w = alpha.parse_word
         # a.b -> b.b.b -> b, so a.b and b share a class
-        assert normal_form(completed.system, w("a.b")) == normal_form(completed.system, w("b"))
-        assert normal_form(completed.system, w("a.a")) == w("b.b")
+        assert normal_form(completed.state, w("a.b")) == normal_form(completed.state, w("b"))
+        assert normal_form(completed.state, w("a.a")) == w("b.b")
 
     def test_monoid_lockstep(self):
         system = make_system(["aa->1"], mode=MONOID, letters="a")
@@ -274,7 +274,7 @@ class TestIsoCheck:
             assert report.verdict == "Pass"
             blocks = {}
             for word in all_words(system.alphabet, 4):
-                blocks.setdefault(normal_form(completed.system, word), []).append(word)
+                blocks.setdefault(normal_form(completed.state, word), []).append(word)
             ours = frozenset(frozenset(b) for b in blocks.values())
             assert ours == congruence_partition(system, 4)
         assert checked >= 5

@@ -1,0 +1,107 @@
+"""Golden CLI output: exit codes and output digests pinned across commits.
+
+The manifest ``golden_cli.json`` records, for every invocation below, the
+exit code and the sha256 of stdout and stderr. The invocations cover all
+five subcommands on the named corpus files, once with the acceptance
+limits and once with a cap that trips, plus inline presentations that
+reach the alg, mon and wtlex branches and a system with two rules sharing
+a left side. Regenerate the manifest (only when an output change is
+intended) with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from kbgb import parse_presentation
+
+from helpers import run_cli
+
+CORPUS_DIR = Path(__file__).parent / "corpus"
+MANIFEST = Path(__file__).parent / "golden_cli.json"
+
+# the acceptance limits (conftest.CORPUS_LIMITS), and caps that trip on
+# several inputs: max_rules on most of them, max_word_length on wtlex
+FLAG_SETS = {
+    "limits": ["--max-passes", "6", "--max-rules", "48", "--max-word-len", "40"],
+    "tight": ["--max-passes", "6", "--max-rules", "2", "--max-word-len", "3"],
+}
+
+INLINE = {
+    "alg_general": (
+        "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  a.b - a.a - b\n",
+        [["complete"], ["nf", "a.b.b + 2*a"], ["equal", "a.b", "a.a.b"]],
+    ),
+    "alg_binomial_f3": (
+        "mode: alg\nfield: F3\nalphabet: a b\norder: shortlex a < b\n"
+        "polys:\n  a.b.a - b\n",
+        [["complete"], ["lockstep"], ["nf", "b.a.b.a - a"], ["equal", "b.b.a", "a.b.b"],
+         ["iso-check", "-L", "3"]],
+    ),
+    "mon_s3": (
+        "mode: mon\nalphabet: a b\norder: shortlex a < b\n"
+        "rules:\n  a.a -> 1\n  b.b.b -> 1\n  b.a.b.a -> 1\n",
+        [["complete"], ["lockstep"], ["nf", "b.a.b.b.a"], ["equal", "a.b.a", "b.b"],
+         ["iso-check", "-L", "3"]],
+    ),
+    "wtlex": (
+        "mode: sgp\nalphabet: a b\norder: wtlex a=1 b=2\nprecedence: a < b\n"
+        "rules:\n  a.a.a -> b.a\n",
+        [["complete"], ["lockstep"], ["nf", "a.a.a.a.a"], ["equal", "a.a.a.a", "b.a.a"],
+         ["iso-check", "-L", "3"]],
+    ),
+    "shared_lhs": (
+        "mode: sgp\nalphabet: a b c\norder: shortlex a < b < c\nrules:\n  c -> b\n  c -> a\n",
+        [["complete"], ["lockstep"], ["nf", "c.b.c"], ["equal", "c", "a"],
+         ["iso-check", "-L", "2"]],
+    ),
+}
+
+
+def _corpus_commands(path):
+    symbol = parse_presentation(path.read_text()).alphabet.symbols[0]
+    sample = f"{symbol}.{symbol}"
+    return [["complete"], ["lockstep"], ["nf", sample], ["equal", sample, symbol],
+            ["iso-check", "-L", "3"]]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_outputs(workdir):
+    """Run every invocation in-process: {key: [exit code, stdout sha, stderr sha]}."""
+    cases = []
+    for path in sorted(CORPUS_DIR.glob("*.pres")):
+        cases.append((path.name, path, _corpus_commands(path)))
+    for name, (text, commands) in INLINE.items():
+        path = Path(workdir) / f"{name}.pres"
+        path.write_text(text)
+        cases.append((name, path, commands))
+    out = {}
+    for name, path, commands in cases:
+        for command in commands:
+            for label, flags in FLAG_SETS.items():
+                code, stdout, stderr = run_cli([command[0], str(path), *command[1:], *flags])
+                key = " ".join([command[0], name, *command[1:], label])
+                out[key] = [code, _digest(stdout), _digest(stderr)]
+    return out
+
+
+def test_cli_output_matches_golden_manifest(tmp_path):
+    expected = json.loads(MANIFEST.read_text())
+    actual = golden_outputs(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        outputs = golden_outputs(workdir)
+    MANIFEST.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(outputs)} entries to {MANIFEST}\n")

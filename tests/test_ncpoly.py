@@ -239,10 +239,10 @@ class TestBuchberger:
         assert result.complete and len(result.trace) == 1
 
         result = buchberger(binomial_basis(["aa->a"]))
-        assert result.complete and len(result.basis.polys) == 1
+        assert result.complete and len(result.state.polys) == 1
 
         result = buchberger(Basis(AB, ORDER, QQ, ()))
-        assert result.complete and result.basis.polys == ()
+        assert result.complete and result.state.polys == ()
 
     def test_limits(self):
         with pytest.raises(LimitExceeded):
@@ -252,7 +252,7 @@ class TestBuchberger:
 
     def test_monomials_equal_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))
-        G = result.basis
+        G = result.state
         assert monomials_equal_mod_ideal(G, w("ab"), w("ba"))
         assert not monomials_equal_mod_ideal(G, w("a"), w("b"))
         assert monomials_equal_mod_ideal(G, w("bab"), w("bab"))
@@ -287,7 +287,7 @@ class TestBuchberger:
                 continue
             checked += 1
             rule_sets = {
-                name: tuple(r.render() for r in basis_to_rules(res.basis).rules)
+                name: tuple(r.render() for r in basis_to_rules(res.state).rules)
                 for name, res in results.items()
             }
             assert len(set(rule_sets.values())) == 1

@@ -15,7 +15,6 @@ from kbgb import (
     Word,
     critical_pairs,
     enumerate_normal_forms,
-    interreduce,
     is_locally_confluent,
     kb_pass,
     knuth_bendix,
@@ -23,7 +22,8 @@ from kbgb import (
     reduce_once,
     words_equal,
 )
-from kbgb.rewriting import pair_line, trace_lines
+from kbgb.completion import trace_lines
+from kbgb.rewriting import pair_line
 
 from helpers import make_system, random_system
 from oracles import all_words, congruence_partition, one_step_reducts, reduction_endpoints
@@ -208,14 +208,14 @@ class TestKnuthBendix:
     def test_examples(self):
         result = knuth_bendix(BA_AB)
         assert result.complete and len(result.trace) == 1
-        assert result.system.rules == BA_AB.rules
+        assert result.state.rules == BA_AB.rules
 
         result = knuth_bendix(AA_A)
-        assert result.complete and result.system.rules == AA_A.rules
+        assert result.complete and result.state.rules == AA_A.rules
 
         empty = make_system([])
         result = knuth_bendix(empty)
-        assert result.complete and result.system.rules == ()
+        assert result.complete and result.state.rules == ()
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ class TestKnuthBendix:
     def test_aba_completes_in_two_passes(self):
         result = knuth_bendix(ABA_B)
         assert result.complete and len(result.trace) == 2
-        assert [r.render() for r in result.system.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
+        assert [r.render() for r in result.state.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
 
     def test_complete_systems_are_locally_confluent(self):
         for system in (BA_AB, AA_A):
@@ -248,8 +248,8 @@ class TestKnuthBendix:
             result = knuth_bendix(start)
             assert result.complete
             memo = {}
-            for word in all_words(result.system.alphabet, 6):
-                endpoints = reduction_endpoints(result.system, word, memo)
+            for word in all_words(result.state.alphabet, 6):
+                endpoints = reduction_endpoints(result.state, word, memo)
                 assert len(endpoints) == 1
 
 
@@ -263,7 +263,7 @@ class TestWordProblem:
         for start in (BA_AB, AA_A, ABA_B):
             result = knuth_bendix(start)
             assert result.complete
-            system = result.system
+            system = result.state
             blocks = {}
             for word in all_words(system.alphabet, 5):
                 blocks.setdefault(normal_form(system, word), []).append(word)
@@ -287,20 +287,8 @@ class TestEnumerateNormalForms:
         system = make_system(["aa->"], mode=MONOID, letters="a")
         result = knuth_bendix(system)
         assert result.complete
-        forms = enumerate_normal_forms(result.system, 3)
+        forms = enumerate_normal_forms(result.state, 3)
         assert [f.display() for f in forms] == ["1", "a"]
-
-
-class TestInterreduce:
-    def test_drops_reducible_lhs_and_normalizes_rhs(self):
-        system = make_system(["bb->b", "cb->bb"], letters="abc")
-        reduced = interreduce(system)
-        assert [r.render() for r in reduced.rules] == ["b.b->b", "c.b->b"]
-
-    def test_subsumed_rule_dropped(self):
-        system = make_system(["aa->a", "aaa->a"])
-        reduced = interreduce(system)
-        assert [r.render() for r in reduced.rules] == ["a.a->a"]
 
 
 class TestTraceFormat:
@@ -313,8 +301,8 @@ class TestTraceFormat:
 
     def test_resolved_line_and_determinism(self):
         result = knuth_bendix(ABA_B)
-        lines = trace_lines(result.trace)
-        assert lines == trace_lines(knuth_bendix(ABA_B).trace)
+        lines = trace_lines(result.trace, pair_line)
+        assert lines == trace_lines(knuth_bendix(ABA_B).trace, pair_line)
         assert any(line.endswith("disp=Resolved") for line in lines)
 
 
@@ -328,7 +316,7 @@ class TestRandomizedCompletionSoundness:
             if not result.complete:
                 continue
             checked += 1
-            system = result.system
+            system = result.state
             blocks = {}
             for word in all_words(system.alphabet, 4):
                 blocks.setdefault(normal_form(system, word), []).append(word)

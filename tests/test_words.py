@@ -12,7 +12,6 @@ from kbgb import (
     MatchKind,
     MonomialOrder,
     Word,
-    concat,
     find_matches,
     find_subword_occurrences,
 )
@@ -57,15 +56,15 @@ class TestAlphabet:
 
 class TestConcat:
     def test_examples(self):
-        assert concat(w("ab"), w("ba")) == w("abba")
-        assert concat(w("a"), w("1")) == w("a")
-        assert concat(w("ba"), w("b")) == w("bab")
+        assert w("ab") * w("ba") == w("abba")
+        assert w("a") * w("1") == w("a")
+        assert w("ba") * w("b") == w("bab")
 
     def test_alphabet_mismatch(self):
         other = Alphabet("ab")
-        assert concat(w("a"), other.parse_word("b")) == w("ab")  # equal alphabets are fine
+        assert w("a") * other.parse_word("b") == w("ab")  # equal alphabets are fine
         with pytest.raises(AlphabetMismatch):
-            concat(w("a"), Alphabet("abc").parse_word("b"))
+            w("a") * Alphabet("abc").parse_word("b")
 
 
 class TestCompare:
@@ -136,7 +135,7 @@ class TestSubwordOccurrences:
     @given(words_ab, nonempty_ab)
     def test_reconstruction(self, word, factor):
         for u, v in find_subword_occurrences(word, factor):
-            assert concat(u, concat(factor, v)) == word
+            assert u * (factor * v) == word
 
 
 class TestFindMatches:
