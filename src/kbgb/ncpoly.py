@@ -8,7 +8,9 @@ polynomial.
 
 The reduction policy mirrors the string engine exactly: reduce the
 greatest reducible monomial, inside it the leftmost occurrence, and at a
-tied position the lowest basis index. On bases of two-term polynomials the
+tied position the lowest basis index. Each basis builds one
+words.RedexIndex over its leading monomials and finds every redex through
+it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
 """
 
@@ -33,6 +35,7 @@ from .words import (
     MatchKind,
     MonomialOrder,
     OverlapMatch,
+    RedexIndex,
     Word,
     overlaps,
 )
@@ -348,11 +351,7 @@ class Basis:
             seen.add(poly)
             lms.append(lm)
         object.__setattr__(self, "_lms", tuple(lms))
-        # leading monomials bucketed by first letter, index order preserved
-        buckets = {}
-        for index, lm in enumerate(lms):
-            buckets.setdefault(lm.letters[0], []).append((index, lm.letters))
-        object.__setattr__(self, "_lm_buckets", {k: tuple(v) for k, v in buckets.items()})
+        object.__setattr__(self, "_index", RedexIndex(lm.letters for lm in lms))
 
     def with_polys(self, extra) -> "Basis":
         return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
@@ -372,16 +371,12 @@ class ReductionStep:
 
 
 def _find_step(basis: Basis, poly: NcPolynomial) -> ReductionStep | None:
-    order = basis.order
-    buckets = basis._lm_buckets
-    for word in sorted(poly.terms, key=order.key, reverse=True):
-        wl = word.letters
-        n = len(wl)
-        for pos in range(n):
-            for index, lm in buckets.get(wl[pos], ()):
-                span = len(lm)
-                if pos + span <= n and wl[pos : pos + span] == lm:
-                    return ReductionStep(poly.terms[word], word[:pos], index, word[pos + span :])
+    find = basis._index.find
+    for word in sorted(poly.terms, key=basis.order.key, reverse=True):
+        hit = find(word.letters)
+        if hit is not None:
+            pos, index, end = hit
+            return ReductionStep(poly.terms[word], word[:pos], index, word[end:])
     return None
 
 

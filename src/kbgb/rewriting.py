@@ -1,7 +1,9 @@
 """String rewriting systems, completion passes, and the word problem.
 
 Reduction is deterministic: the leftmost redex wins, and at a given
-position the lowest-index rule wins. A completion pass computes every
+position the lowest-index rule wins. Each system builds one
+words.RedexIndex over its left sides and finds every redex through it,
+under that same policy. A completion pass computes every
 critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run.
@@ -26,6 +28,7 @@ from .words import (
     MatchKind,
     MonomialOrder,
     OverlapMatch,
+    RedexIndex,
     Word,
     overlaps,
 )
@@ -76,14 +79,7 @@ class RewriteSystem:
             if rule in seen:
                 raise ValueError(f"duplicate rule: {rule.render()}")
             seen.add(rule)
-        # rules bucketed by the first letter of the left side; the bucket
-        # order preserves rule indices, so redex selection is unchanged
-        buckets = {}
-        for rule in self.rules:
-            buckets.setdefault(rule.lhs.letters[0], []).append(
-                (rule.lhs.letters, rule.rhs.letters)
-            )
-        object.__setattr__(self, "_buckets", {k: tuple(v) for k, v in buckets.items()})
+        object.__setattr__(self, "_index", RedexIndex(r.lhs.letters for r in self.rules))
         object.__setattr__(
             self, "_max_lhs", max((len(r.lhs) for r in self.rules), default=1)
         )
@@ -94,14 +90,11 @@ class RewriteSystem:
 
 def _rewrite_at(system, wl, start):
     """Leftmost rewrite at a position >= start: (new letters, position)."""
-    buckets = system._buckets
-    n = len(wl)
-    for pos in range(start, n):
-        for lhs, rhs in buckets.get(wl[pos], ()):
-            span = len(lhs)
-            if pos + span <= n and wl[pos : pos + span] == lhs:
-                return wl[:pos] + rhs + wl[pos + span :], pos
-    return None, -1
+    hit = system._index.find(wl, start)
+    if hit is None:
+        return None, -1
+    pos, index, end = hit
+    return wl[:pos] + system.rules[index].rhs.letters + wl[end:], pos
 
 
 def reduce_once(system: RewriteSystem, word: Word):

@@ -2,9 +2,9 @@
 
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words stored as index sequences,
-shortlex and weighted-shortlex orderings, subword search, and the four
-configurations in which two left-hand sides can share ground on a common
-superposition word.
+shortlex and weighted-shortlex orderings, subword search, the redex index
+both engines search, and the four configurations in which two left-hand
+sides can share ground on a common superposition word.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class MonomialOrder:
     SHORTLEX = "shortlex"
     WTLEX = "wtlex"
 
-    __slots__ = ("kind", "alphabet", "precedence", "weights", "_rank")
+    __slots__ = ("kind", "alphabet", "precedence", "weights", "_rank", "_ranks_are_letters")
 
     def __init__(self, kind, alphabet, precedence=None, weights=None):
         if kind not in (self.SHORTLEX, self.WTLEX):
@@ -208,6 +208,8 @@ class MonomialOrder:
         self.precedence = precedence
         self.weights = weights
         self._rank = tuple(rank)
+        # shortlex in alphabet order: the rank tuple of a word is its letters
+        self._ranks_are_letters = kind == self.SHORTLEX and precedence == alphabet.symbols
 
     @classmethod
     def shortlex(cls, alphabet, precedence=None):
@@ -219,6 +221,8 @@ class MonomialOrder:
 
     def key(self, word: Word):
         """Sort key; tuples compare exactly as the order does."""
+        if self._ranks_are_letters:
+            return (len(word.letters), word.letters)
         ranks = tuple(self._rank[ix] for ix in word.letters)
         if self.kind == self.SHORTLEX:
             return (len(word.letters), ranks)
@@ -261,6 +265,57 @@ class MonomialOrder:
             f"{name}={self.weights[self.alphabet.index(name)]}" for name in self.precedence
         )
         return f"MonomialOrder.wtlex({weights})"
+
+
+_END = -1  # trie node key of the lowest pattern index ending there; letters are >= 0
+
+
+class RedexIndex:
+    """Trie over letter tuples, for redex search in both engines.
+
+    The patterns are the rule left sides or the basis leading monomials, in
+    index order. Nodes are plain dicts from letter to child; the key _END
+    holds the lowest index of a pattern that ends at the node. This is the
+    trie of the index automaton in Sims, Computation with Finitely Presented
+    Groups (CUP 1994), without failure transitions: the walk restarts at
+    each start, so the redex policy "leftmost start, then lowest index"
+    holds exactly even when one pattern contains another.
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self, patterns):
+        root = {}
+        for index, letters in enumerate(patterns):
+            if not letters:
+                raise ValueError("patterns must be nonempty")
+            node = root
+            for letter in letters:
+                node = node.setdefault(letter, {})
+            node.setdefault(_END, index)
+        self._root = root
+
+    def find(self, letters, start=0):
+        """(pos, index, end) of the leftmost pattern occurrence at or after
+        start, with the lowest index among the patterns occurring there:
+        letters[pos:end] is pattern number index. None if nothing occurs."""
+        root = self._root
+        n = len(letters)
+        for pos in range(start, n):
+            node = root.get(letters[pos])
+            best = None
+            at = pos
+            while node is not None:
+                at += 1
+                index = node.get(_END)
+                if index is not None and (best is None or index < best):
+                    best, end = index, at
+                if at == n:
+                    break
+                node = node.get(letters[at])
+            if best is not None:
+                return pos, best, end
+        return None
 
 
 def find_subword_occurrences(word: Word, factor: Word) -> list:

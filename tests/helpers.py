@@ -4,11 +4,13 @@ import contextlib
 import io
 
 from kbgb import (
+    MONOID,
     Alphabet,
     MonomialOrder,
     RewriteSystem,
     Rule,
     SEMIGROUP,
+    Word,
 )
 from kbgb.cli import main as cli_main
 
@@ -66,6 +68,65 @@ def random_system(rng, letters=None, mode=SEMIGROUP, max_rules=4, max_side=4):
     rules = random_oriented_rules(rng, alpha, order, max_rules, max_side,
                                   allow_empty_rhs=(mode != SEMIGROUP))
     return RewriteSystem(alpha, order, rules, mode)
+
+
+def random_redex_system(rng):
+    """Monoid system whose left sides nest and repeat, under a shuffled
+    shortlex precedence (never the alphabet order on three letters).
+
+    Rules are drawn in order: a free left side, a proper prefix of an
+    earlier one (nested at a higher index), an extension of an earlier one
+    (nested at a lower index), or a repeat of an earlier one with another
+    right side. Right sides are shorter than left sides, so every rule is
+    oriented under any precedence.
+    """
+    letters = rng.choice(["ab", "abc"])
+    alpha = make_alphabet(letters)
+    precedence = list(letters)
+    rng.shuffle(precedence)
+    if len(letters) == 3 and precedence == list(letters):
+        precedence.reverse()
+    order = MonomialOrder.shortlex(alpha, precedence)
+
+    def draw(lo, hi):
+        return tuple(rng.randrange(len(letters)) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    target = rng.randint(3, 7)
+    for _ in range(60):
+        if len(rules) == target:
+            break
+        kind = rng.choice(["free", "prefix", "extend", "repeat"]) if rules else "free"
+        base = rng.choice(rules).lhs.letters if rules else ()
+        if kind == "prefix" and len(base) > 1:
+            lhs = base[: rng.randint(1, len(base) - 1)]
+        elif kind == "extend":
+            lhs = base + draw(1, 2)
+        elif kind == "repeat":
+            lhs = base
+        else:
+            lhs = draw(2, 4)
+        rule = Rule(Word(alpha, lhs), Word(alpha, draw(0, len(lhs) - 1)))
+        if rule not in rules:
+            rules.append(rule)
+    return RewriteSystem(alpha, order, tuple(rules), MONOID)
+
+
+def redex_features(system):
+    """Which of the shapes random_redex_system aims for this system has."""
+    lhss = [rule.lhs.letters for rule in system.rules]
+    found = set()
+    for i, first in enumerate(lhss):
+        for second in lhss[i + 1:]:
+            if first == second:
+                found.add("duplicate")
+            elif second[: len(first)] == first:
+                found.add("prefix at lower index")
+            elif first[: len(second)] == second:
+                found.add("prefix at higher index")
+    if system.order.precedence != system.alphabet.symbols:
+        found.add("shuffled precedence")
+    return found
 
 
 def run_cli(argv):

@@ -103,6 +103,47 @@ def one_step_reducts(system, word):
     return out
 
 
+def leftmost_redex(lhss, letters):
+    """(pos, index) of the redex the engines' policy picks: the leftmost
+    start, and at it the lowest index; None when no left side occurs.
+    Plain scan over positions, then over every left side in index order."""
+    for pos in range(len(letters)):
+        for index, lhs in enumerate(lhss):
+            if tuple(letters[pos : pos + len(lhs)]) == tuple(lhs):
+                return pos, index
+    return None
+
+
+def reference_reduce_once(system, word):
+    """The one-step reduct under the leftmost, then lowest-index policy."""
+    lhss = [rule.lhs.letters for rule in system.rules]
+    hit = leftmost_redex(lhss, word.letters)
+    if hit is None:
+        return None
+    pos, index = hit
+    rule = system.rules[index]
+    return Word(system.alphabet, word.letters[:pos] + rule.rhs.letters
+                + word.letters[pos + len(rule.lhs.letters):])
+
+
+def shortlex_key(alphabet, precedence):
+    """Sort key of shortlex under a precedence list of generator names."""
+    rank = {alphabet.symbols.index(name): pos for pos, name in enumerate(precedence)}
+    return lambda word: (len(word.letters), [rank[ix] for ix in word.letters])
+
+
+def reference_step(lhss, poly, key):
+    """(coeff, left letters, index, right letters) of the first reduction
+    step: the greatest reducible monomial under key, then leftmost_redex."""
+    for word in sorted(poly.terms, key=key, reverse=True):
+        hit = leftmost_redex(lhss, word.letters)
+        if hit is not None:
+            pos, index = hit
+            end = pos + len(lhss[index])
+            return poly.terms[word], word.letters[:pos], index, word.letters[end:]
+    return None
+
+
 def reduction_endpoints(system, word, memo=None):
     """All irreducible words reachable by any maximal reduction sequence."""
     if memo is None:

@@ -305,6 +305,34 @@ class TestIsoCheck:
         assert report.verdict == "Fail"
         assert "equality disagreement" in report.detail
 
+    # b.a.b left unreduced splits a class; b.b sent to a.a merges two
+    @pytest.mark.parametrize("skewed_word, image", [("b.a.b", "b.a.b"), ("b.b", "a.a")])
+    def test_disagreement_names_first_pair_of_pairwise_scan(self, monkeypatch, skewed_word, image):
+        import kbgb.correspondence as corr
+
+        system = make_system(["ba->ab"])
+        skewed = system.alphabet.parse_word(skewed_word)
+
+        def rule_nf(system, word, max_steps=0):
+            if word == skewed:
+                return system.alphabet.parse_word(image)
+            return normal_form(system, word)
+
+        monkeypatch.setattr(corr, "normal_form", rule_nf)
+        report = verify_algebra_iso(system, QQ, 3)
+        basis = rules_to_basis(system, QQ)
+        universe = list(all_words(system.alphabet, 3))
+        first = next(
+            (w1, w2)
+            for i, w1 in enumerate(universe)
+            for w2 in universe[i + 1:]
+            if (rule_nf(system, w1) == rule_nf(system, w2))
+            != (poly_normal_form(basis, NcPolynomial.monomial(QQ, w1))
+                == poly_normal_form(basis, NcPolynomial.monomial(QQ, w2)))
+        )
+        assert report.verdict == "Fail"
+        assert report.detail == f"equality disagreement on ({first[0].dotted()},{first[1].dotted()})"
+
     def test_iso_report_lines(self):
         report = verify_algebra_iso(make_system(["ba->ab"]), QQ, 3)
         lines = iso_report_lines(report)

@@ -4,8 +4,10 @@ The manifest ``golden_cli.json`` records, for every invocation below, the
 exit code and the sha256 of stdout and stderr. The invocations cover all
 five subcommands on the named corpus files, once with the acceptance
 limits and once with a cap that trips, plus inline presentations that
-reach the alg, mon and wtlex branches and a system with two rules sharing
-a left side. Regenerate the manifest (only when an output change is
+reach the alg, mon and wtlex branches, shortlex orders whose precedence
+is not the alphabet order, and a system with two rules sharing a left
+side. The explode relation also runs once under its own flags, to pin
+reduction against 57 rules with nested left sides. Regenerate the manifest (only when an output change is
 intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -59,6 +61,34 @@ INLINE = {
         [["complete"], ["lockstep"], ["nf", "c.b.c"], ["equal", "c", "a"],
          ["iso-check", "-L", "2"]],
     ),
+    "shortlex_b_lt_a": (
+        "mode: mon\nalphabet: a b\norder: shortlex b < a\n"
+        "rules:\n  a.b.a -> b.b\n  b.b.b -> 1\n",
+        [["complete"], ["lockstep"], ["nf", "a.b.a.b.a.a"], ["equal", "a.b.a.b", "b.b.b.a"],
+         ["iso-check", "-L", "3"]],
+    ),
+    "shortlex_shuffled3": (
+        "mode: sgp\nalphabet: a b c\norder: shortlex c < a < b\n"
+        "rules:\n  b.a -> a.b\n  b.c -> c.b\n  a.c.a -> c\n",
+        [["complete"], ["lockstep"], ["nf", "b.a.c.b.a.a"], ["equal", "a.c.a.b", "c.b"],
+         ["iso-check", "-L", "3"]],
+    ),
+    "alg_shuffled3": (
+        "mode: alg\nalphabet: a b c\norder: shortlex b < c < a\n"
+        "polys:\n  a.b - b.a - c\n  c.a - a.c\n",
+        [["complete"], ["nf", "a.b.a + 2*c.a.b"], ["equal", "a.b.c", "b.a.c"]],
+    ),
+}
+
+EXPLODE = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a.b -> b.a\n"
+
+# run once each with exactly these arguments: four passes reach 57 rules
+OWN_FLAGS = {
+    "explode": (
+        EXPLODE,
+        [["lockstep", "--max-passes", "4"], ["complete", "--max-passes", "4"],
+         ["nf", "a.b.b.a.b.a.b.a.a.b.a.b.b.a", "--max-passes", "4"]],
+    ),
 }
 
 
@@ -83,12 +113,22 @@ def golden_outputs(workdir):
         path.write_text(text)
         cases.append((name, path, commands))
     out = {}
+
+    def record(key, argv):
+        code, stdout, stderr = run_cli(argv)
+        out[key] = [code, _digest(stdout), _digest(stderr)]
+
     for name, path, commands in cases:
         for command in commands:
             for label, flags in FLAG_SETS.items():
-                code, stdout, stderr = run_cli([command[0], str(path), *command[1:], *flags])
-                key = " ".join([command[0], name, *command[1:], label])
-                out[key] = [code, _digest(stdout), _digest(stderr)]
+                record(" ".join([command[0], name, *command[1:], label]),
+                       [command[0], str(path), *command[1:], *flags])
+    for name, (text, commands) in OWN_FLAGS.items():
+        path = Path(workdir) / f"{name}.pres"
+        path.write_text(text)
+        for command in commands:
+            record(" ".join([command[0], name, *command[1:]]),
+                   [command[0], str(path), *command[1:]])
     return out
 
 

@@ -33,8 +33,8 @@ from kbgb import (
 )
 from kbgb.ncpoly import record_line
 
-from helpers import make_system, random_system
-from oracles import all_words
+from helpers import make_system, random_redex_system, random_system, redex_features
+from oracles import all_words, reference_step, shortlex_key
 
 AB = Alphabet("ab")
 ORDER = MonomialOrder.shortlex(AB)
@@ -181,6 +181,33 @@ class TestReduction:
         p = poly(QQ, ("bba", 1), ("ba", 1))
         stepped = poly_reduce_once(basis, p)
         assert stepped == poly(QQ, ("bab", 1), ("ba", 1))
+
+    def test_first_step_matches_reference_redex_policy(self):
+        rng = random.Random(31)
+        features = set()
+        for _ in range(60):
+            system = random_redex_system(rng)
+            features |= redex_features(system)
+            alpha = system.alphabet
+            basis = rules_to_basis(system, QQ)
+            lhss = [rule.lhs.letters for rule in system.rules]
+            key = shortlex_key(alpha, system.order.precedence)
+            words = list(all_words(alpha, 5, min_len=0))
+            for _ in range(30):
+                p = NcPolynomial(QQ, [(rng.choice(words), rng.randint(-3, 3)) for _ in range(3)])
+                expected = reference_step(lhss, p, key)
+                _, steps = reduce_with_steps(basis, p)
+                once = poly_reduce_once(basis, p)
+                if expected is None:
+                    assert steps == () and once is None
+                    continue
+                first = steps[0]
+                assert (first.coeff, first.left.letters, first.index, first.right.letters) == expected
+                coeff, left, index, right = expected
+                product = (NcPolynomial.monomial(QQ, Word(alpha, left)) * basis.polys[index]
+                           * NcPolynomial.monomial(QQ, Word(alpha, right)))
+                assert once == p - product.scaled(coeff)
+        assert len(features) == 4
 
 
 class TestSPolynomials:

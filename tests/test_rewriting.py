@@ -25,8 +25,14 @@ from kbgb import (
 from kbgb.completion import trace_lines
 from kbgb.rewriting import pair_line
 
-from helpers import make_system, random_system
-from oracles import all_words, congruence_partition, one_step_reducts, reduction_endpoints
+from helpers import make_system, random_redex_system, random_system, redex_features
+from oracles import (
+    all_words,
+    congruence_partition,
+    one_step_reducts,
+    reduction_endpoints,
+    reference_reduce_once,
+)
 
 BA_AB = make_system(["ba->ab"])
 AA_A = make_system(["aa->a"])
@@ -84,6 +90,16 @@ class TestReduceOnce:
                     assert reducts == []
                 else:
                     assert got in reducts
+
+    def test_matches_reference_redex_policy(self):
+        rng = random.Random(29)
+        features = set()
+        for _ in range(80):
+            system = random_redex_system(rng)
+            features |= redex_features(system)
+            for word in all_words(system.alphabet, 6, min_len=0):
+                assert reduce_once(system, word) == reference_reduce_once(system, word)
+        assert len(features) == 4
 
 
 class TestNormalForm:

@@ -15,8 +15,9 @@ from kbgb import (
     find_matches,
     find_subword_occurrences,
 )
+from kbgb.words import RedexIndex
 
-from oracles import exhaustive_matches, match_set
+from oracles import all_words, exhaustive_matches, leftmost_redex, match_set, shortlex_key
 
 AB = Alphabet("ab")
 SHORTLEX = MonomialOrder.shortlex(AB)
@@ -94,6 +95,15 @@ class TestCompare:
         with pytest.raises(AlphabetMismatch):
             SHORTLEX.compare(w("a"), Alphabet("abc").parse_word("a"))
 
+    @pytest.mark.parametrize("precedence", ["abc", "cab", "bca"])
+    def test_shortlex_key_sorts_like_reference(self, precedence):
+        alpha = Alphabet("abc")
+        order = MonomialOrder.shortlex(alpha, tuple(precedence))
+        sample = list(all_words(alpha, 3, min_len=0))
+        random.Random(3).shuffle(sample)
+        reference = shortlex_key(alpha, tuple(precedence))
+        assert sorted(sample, key=order.key) == sorted(sample, key=reference)
+
     @given(words_ab, words_ab)
     def test_total(self, w1, w2):
         cmp = SHORTLEX.compare(w1, w2)
@@ -118,6 +128,34 @@ class TestCompare:
         wt = MonomialOrder.weighted_shortlex(AB, {"a": 2, "b": 1})
         if wt.greater(w1, w2):
             assert wt.greater(left * w1 * right, left * w2 * right)
+
+
+class TestRedexIndex:
+    def test_leftmost_start_then_lowest_index(self):
+        index = RedexIndex([(1, 0), (1,), (1, 0)])  # ba, b, ba
+        assert index.find((0, 1, 0)) == (1, 0, 3)
+        assert index.find((0, 1, 1)) == (1, 1, 2)
+        assert index.find((0, 1, 0), 2) is None
+        assert RedexIndex([]).find((0, 1)) is None
+
+    def test_rejects_empty_pattern(self):
+        with pytest.raises(ValueError):
+            RedexIndex([(0,), ()])
+
+    def test_matches_reference_scan_from_every_start(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            lhss = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 6))]
+            index = RedexIndex(lhss)
+            for word in all_words(AB, 6):
+                letters = word.letters
+                for start in range(len(letters) + 1):
+                    hit = leftmost_redex(lhss, letters[start:])
+                    if hit is not None:
+                        pos, i = hit
+                        hit = (start + pos, i, start + pos + len(lhss[i]))
+                    assert index.find(letters, start) == hit
 
 
 class TestSubwordOccurrences:
