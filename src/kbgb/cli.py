@@ -16,8 +16,7 @@ from pathlib import Path
 from . import correspondence, ncpoly, rewriting
 from .completion import CompletionLimits, ReductionBudgetExceeded, trace_lines
 from .ncpoly import ClosureViolation, field_from_name, render_poly
-from .presentation import ParseError, parse_poly_terms, parse_presentation
-from .words import AlphabetMismatch
+from .presentation import parse_poly_terms, parse_presentation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -81,7 +80,14 @@ def _load(args):
 
 
 def _field(args, pf):
-    return field_from_name(args.field or pf.field_name or "Q")
+    return args.field if args.field is not None else pf.field()
+
+
+def _word(pf, text):
+    word = pf.alphabet.parse_word(text)
+    if pf.mode == "sgp" and len(word) == 0:
+        raise ValueError("empty word needs mon mode")
+    return word
 
 
 def _emit(lines, args) -> None:
@@ -153,7 +159,7 @@ def cmd_nf(args) -> int:
         poly = ncpoly.NcPolynomial(final.field, terms)
         line = render_poly(ncpoly.poly_normal_form(final, poly), final.order)
     else:
-        line = rewriting.normal_form(final, pf.alphabet.parse_word(args.word)).dotted()
+        line = rewriting.normal_form(final, _word(pf, args.word)).dotted()
     _emit([line], args)
     return EXIT_OK
 
@@ -161,8 +167,8 @@ def cmd_nf(args) -> int:
 def cmd_equal(args) -> int:
     pf = _load(args)
     final = _complete(args, pf).state
-    w1 = pf.alphabet.parse_word(args.word1)
-    w2 = pf.alphabet.parse_word(args.word2)
+    w1 = _word(pf, args.word1)
+    w2 = _word(pf, args.word2)
     if pf.mode == "alg":
         equal = ncpoly.monomials_equal_mod_ideal(final, w1, w2)
     else:
@@ -189,14 +195,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved before dispatch, so a bad --field fails every command
+        if args.field is not None:
+            args.field = field_from_name(args.field)
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except (ValueError, AlphabetMismatch, ZeroDivisionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # ParseError and AlphabetMismatch are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (ReductionBudgetExceeded, ClosureViolation) as exc:

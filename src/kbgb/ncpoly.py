@@ -32,7 +32,6 @@ from .completion import (
 from .words import (
     Alphabet,
     AlphabetMismatch,
-    MatchKind,
     MonomialOrder,
     OverlapMatch,
     RedexIndex,
@@ -458,37 +457,20 @@ class SPolyRecord:
         return self.new_poly is None
 
 
-def _tail(poly: NcPolynomial, order: MonomialOrder) -> NcPolynomial:
-    # monic f = lm - tail; for a two-term l - r the tail is the monomial r
-    word, coeff = leading_monomial(poly, order)
-    return NcPolynomial.monomial(poly.field, word, coeff) - poly
-
-
-def _raw_spoly(t1: NcPolynomial, t2: NcPolynomial, match: OverlapMatch, empty: Word) -> NcPolynomial:
-    kind = match.kind
-    if kind is MatchKind.CONTAINMENT_12:
-        return t2.sandwich(match.u2, match.v2) - t1
-    if kind is MatchKind.CONTAINMENT_21:
-        return t2 - t1.sandwich(match.u1, match.v1)
-    if kind is MatchKind.SUFFIX_PREFIX:
-        return t2.sandwich(match.u2, empty) - t1.sandwich(empty, match.v1)
-    return t2.sandwich(empty, match.v2) - t1.sandwich(match.u1, empty)
-
-
 def s_polynomials(basis: Basis) -> list:
     """Every S-polynomial of every ordered pair, reduced against the basis.
 
-    The raw S-polynomial is the difference of the two one-step reducts of
-    the superposition monomial, built from the monic members' tails.
+    A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, and the raw
+    S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
+    superposition cancels, leaving the difference of its two one-step
+    reducts.
     """
     records = []
-    tails = [_tail(p, basis.order) for p in basis.polys]
-    empty = Word(basis.alphabet)
-    for i, j, match in overlaps(basis.leading_monomials()):
-        raw = _raw_spoly(tails[i], tails[j], match, empty)
+    for i, j, m in overlaps(basis.leading_monomials()):
+        raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         reduced = poly_normal_form(basis, raw)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
-        records.append(SPolyRecord(i, j, match, raw, reduced, new))
+        records.append(SPolyRecord(i, j, m, raw, reduced, new))
     return records
 
 
@@ -532,17 +514,10 @@ def monomials_equal_mod_ideal(basis: Basis, m1: Word, m2: Word) -> bool:
     return poly_normal_form(basis, diff).is_zero()
 
 
-def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
-    """Deterministic text form, terms in decreasing monomial order.
-
-    Unit coefficients are omitted, negatives fold into the separator, the
-    empty monomial prints as a bare scalar, e.g. ``b.a - a.b``.
-    """
-    if poly.is_zero():
-        return "0"
-    field = poly.field
+def _render_terms(terms, field) -> str:
+    """(word, coeff) pairs as polynomial text, in the order given."""
     parts = []
-    for word, coeff in poly.sorted_terms(order):
+    for word, coeff in terms:
         negative = field.is_negative(coeff)
         magnitude = field.magnitude_str(coeff)
         if len(word) == 0:
@@ -556,6 +531,17 @@ def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
         else:
             parts.append(f" - {body}" if negative else f" + {body}")
     return "".join(parts)
+
+
+def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
+    """Deterministic text form, terms in decreasing monomial order.
+
+    Unit coefficients are omitted, negatives fold into the separator, the
+    empty monomial prints as a bare scalar, e.g. ``b.a - a.b``.
+    """
+    if poly.is_zero():
+        return "0"
+    return _render_terms(poly.sorted_terms(order), poly.field)
 
 
 def record_line(pass_index: int, rec: SPolyRecord, order: MonomialOrder) -> str:

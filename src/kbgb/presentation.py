@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import Basis, NcPolynomial, field_from_name, make_monic
+from .ncpoly import QQ, Basis, NcPolynomial, _render_terms, field_from_name, make_monic
 from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
@@ -279,28 +279,6 @@ def parse_presentation(text: str) -> PresentationFile:
     return PresentationFile(mode, alphabet, order, field_name, tuple(rules), tuple(polys_raw))
 
 
-def _render_raw_coeff(coeff: Fraction) -> str:
-    return str(-coeff if coeff < 0 else coeff)
-
-
-def _render_raw_poly(terms) -> str:
-    parts = []
-    for word, coeff in terms:
-        negative = coeff < 0
-        magnitude = _render_raw_coeff(coeff)
-        if len(word) == 0:
-            body = magnitude
-        elif magnitude == "1":
-            body = word.dotted()
-        else:
-            body = f"{magnitude}*{word.dotted()}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
-    return "".join(parts)
-
-
 def render_presentation(pf: PresentationFile) -> str:
     """Canonical text for a parsed presentation; reparses to an equal value."""
     lines = [f"mode: {pf.mode}"]
@@ -319,7 +297,7 @@ def render_presentation(pf: PresentationFile) -> str:
     if pf.mode == "alg":
         lines.append("polys:")
         for terms in pf.polys_raw:
-            lines.append(f"  {_render_raw_poly(terms)}")
+            lines.append(f"  {_render_terms(terms, QQ)}")
     else:
         lines.append("rules:")
         for lhs, rhs in pf.rules:

@@ -25,7 +25,6 @@ from .completion import (
 from .words import (
     Alphabet,
     AlphabetMismatch,
-    MatchKind,
     MonomialOrder,
     OverlapMatch,
     RedexIndex,
@@ -150,24 +149,14 @@ class CriticalPair:
         return self.new_rule is None
 
 
-def _raw_pair(rule1: Rule, rule2: Rule, match: OverlapMatch):
-    kind = match.kind
-    if kind is MatchKind.CONTAINMENT_12:
-        return rule1.rhs, match.u2 * rule2.rhs * match.v2
-    if kind is MatchKind.CONTAINMENT_21:
-        return match.u1 * rule1.rhs * match.v1, rule2.rhs
-    if kind is MatchKind.SUFFIX_PREFIX:
-        return rule1.rhs * match.v1, match.u2 * rule2.rhs
-    return match.u1 * rule1.rhs, rule2.rhs * match.v2
-
-
 def critical_pairs(system: RewriteSystem) -> list:
     """Every critical pair of every ordered rule pair, reduced against the
-    system, in the examination order of words.overlaps."""
+    system, in the examination order of words.overlaps. A match is one word
+    u1.l1.v1 = u2.l2.v2, and its raw critical pair is (u1.r1.v1, u2.r2.v2)."""
     pairs = []
     rules = system.rules
-    for i, j, match in overlaps([rule.lhs for rule in rules]):
-        raw = _raw_pair(rules[i], rules[j], match)
+    for i, j, m in overlaps([rule.lhs for rule in rules]):
+        raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
         c1 = normal_form(system, raw[0])
         c2 = normal_form(system, raw[1])
         if c1 == c2:
@@ -176,7 +165,7 @@ def critical_pairs(system: RewriteSystem) -> list:
             new_rule = Rule(c1, c2)
         else:
             new_rule = Rule(c2, c1)
-        pairs.append(CriticalPair(i, j, match, raw, (c1, c2), new_rule))
+        pairs.append(CriticalPair(i, j, m, raw, (c1, c2), new_rule))
     return pairs
 
 

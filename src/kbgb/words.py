@@ -350,8 +350,10 @@ _KIND_RANK = {kind: i for i, kind in enumerate(MatchKind)}
 class OverlapMatch:
     """One configuration of two left-hand sides, with its context witnesses.
 
-    Witnesses not used by the configuration are the empty word. The
-    superposition is the smallest word on which both sides apply.
+    In every configuration u1.l1.v1 = superposition = u2.l2.v2; the
+    witnesses a configuration does not use are the empty word, so the
+    kind only labels which ones are empty. The superposition is the
+    smallest word on which both sides apply.
     """
 
     kind: MatchKind

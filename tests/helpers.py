@@ -3,14 +3,20 @@
 import contextlib
 import io
 
+from fractions import Fraction
+
 from kbgb import (
     MONOID,
+    QQ,
     Alphabet,
+    Basis,
     MonomialOrder,
+    NcPolynomial,
     RewriteSystem,
     Rule,
     SEMIGROUP,
     Word,
+    make_monic,
 )
 from kbgb.cli import main as cli_main
 
@@ -110,6 +116,27 @@ def random_redex_system(rng):
         if rule not in rules:
             rules.append(rule)
     return RewriteSystem(alpha, order, tuple(rules), MONOID)
+
+
+def random_general_basis(rng):
+    """Basis over QQ of three monic three-term members with rational coefficients
+    (monomials of length up to 3, the empty one included) under a shuffled
+    shortlex precedence."""
+    letters = rng.choice(["ab", "abc"])
+    alpha = make_alphabet(letters)
+    precedence = list(letters)
+    rng.shuffle(precedence)
+    order = MonomialOrder.shortlex(alpha, precedence)
+    polys = []
+    while len(polys) < 3:
+        words = set()
+        while len(words) < 3:
+            words.add(Word(alpha, [rng.randrange(len(letters)) for _ in range(rng.randint(0, 3))]))
+        coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in words]
+        poly = make_monic(NcPolynomial(QQ, zip(sorted(words, key=order.key), coeffs)), order)
+        if poly not in polys:
+            polys.append(poly)
+    return Basis(alpha, order, QQ, tuple(polys))
 
 
 def redex_features(system):

@@ -219,10 +219,28 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "oriented" in err
 
-    def test_bad_field_flag(self, pres):
-        code, _, err = run_cli(["lockstep", pres(BASIC), "--field", "F6"])
+    @pytest.mark.parametrize("command", [
+        ["complete"], ["lockstep"], ["nf", "b.a"], ["equal", "a", "b"], ["iso-check"],
+    ], ids=lambda command: command[0])
+    def test_bad_field_flag(self, pres, command):
+        code, out, err = run_cli([command[0], pres(BASIC), *command[1:], "--field", "F6"])
         assert code == 1
-        assert "not prime" in err
+        assert out == ""
+        assert err == "error: modulus is not prime: 6\n"
+
+    @pytest.mark.parametrize("command", [["nf", "1"], ["equal", "1", "a"], ["equal", "a", "1"]],
+                             ids=["nf", "equal-first", "equal-second"])
+    def test_empty_word_rejected_in_sgp_mode(self, pres, command):
+        code, out, err = run_cli([command[0], pres(BASIC), *command[1:]])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "empty word" in err
+
+    @pytest.mark.parametrize("text", [BASIC.replace("mode: sgp", "mode: mon"), ALG_BINOMIAL],
+                             ids=["mon", "alg"])
+    def test_empty_word_accepted_in_mon_and_alg_modes(self, pres, text):
+        assert run_cli(["nf", pres(text), "1"]) == (0, "1\n", "")
+        assert run_cli(["equal", pres(text), "1", "a"]) == (0, "DISTINCT\n", "")
 
     def test_reduction_budget_is_exit_three(self, pres, monkeypatch):
         real = rewriting.normal_form

@@ -33,7 +33,13 @@ from kbgb import (
 )
 from kbgb.ncpoly import record_line
 
-from helpers import make_system, random_redex_system, random_system, redex_features
+from helpers import (
+    make_system,
+    random_general_basis,
+    random_redex_system,
+    random_system,
+    redex_features,
+)
 from oracles import all_words, reference_step, shortlex_key
 
 AB = Alphabet("ab")
@@ -245,6 +251,28 @@ class TestSPolynomials:
                 first = NcPolynomial.monomial(QQ, cp.raw[0])
                 second = NcPolynomial.monomial(QQ, cp.raw[1])
                 assert rec.raw == second - first
+
+    def test_raw_is_difference_of_sandwiched_members(self):
+        # definitional oracle on general bases: raw = u1.f1.v1 - u2.f2.v2,
+        # built from products with monomials; the superposition cancels
+        rng = random.Random(47)
+        shapes = set()
+        for _ in range(40):
+            basis = random_general_basis(rng)
+            precedence = basis.order.precedence
+            for rec in s_polynomials(basis):
+                m = rec.match
+
+                def product(left, member, right):
+                    return (NcPolynomial.monomial(QQ, left) * basis.polys[member]
+                            * NcPolynomial.monomial(QQ, right))
+
+                assert rec.raw == product(m.u1, rec.poly1, m.v1) - product(m.u2, rec.poly2, m.v2)
+                assert m.superposition not in rec.raw.terms
+                shapes.add((m.kind, precedence != basis.alphabet.symbols,
+                            any(c.denominator != 1 for c in rec.raw.terms.values())))
+        assert {kind for kind, _, _ in shapes} == set(MatchKind)
+        assert (True, True) in {(shuffled, fractional) for _, shuffled, fractional in shapes}
 
 
 class TestBuchberger:
