@@ -153,22 +153,26 @@ def cmd_lockstep(args) -> int:
 
 def cmd_nf(args) -> int:
     pf = _load(args)
+    # the query is parsed before completion, so a bad one fails at once
+    if pf.mode == "alg":
+        terms = parse_poly_terms(None, pf.alphabet, args.word)
+        query = ncpoly.NcPolynomial(_field(args, pf), terms)
+    else:
+        query = _word(pf, args.word)
     final = _complete(args, pf).state
     if pf.mode == "alg":
-        terms = parse_poly_terms(0, pf.alphabet, args.word)
-        poly = ncpoly.NcPolynomial(final.field, terms)
-        line = render_poly(ncpoly.poly_normal_form(final, poly), final.order)
+        line = render_poly(ncpoly.poly_normal_form(final, query), final.order)
     else:
-        line = rewriting.normal_form(final, _word(pf, args.word)).dotted()
+        line = rewriting.normal_form(final, query).dotted()
     _emit([line], args)
     return EXIT_OK
 
 
 def cmd_equal(args) -> int:
     pf = _load(args)
-    final = _complete(args, pf).state
     w1 = _word(pf, args.word1)
     w2 = _word(pf, args.word2)
+    final = _complete(args, pf).state
     if pf.mode == "alg":
         equal = ncpoly.monomials_equal_mod_ideal(final, w1, w2)
     else:

@@ -12,6 +12,12 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
+
+Reduction is linear in exact arithmetic: a step replaces the greatest
+reducible monomial m by a combination of smaller monomials that depends
+on m alone, so the normal form of c1.m1 + ... + ck.mk is c1.nf(m1) + ... +
+ck.nf(mk). A completion pass uses this to reduce each distinct monomial
+of its S-polynomials once.
 """
 
 from __future__ import annotations
@@ -464,11 +470,34 @@ def s_polynomials(basis: Basis) -> list:
     S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
     superposition cancels, leaving the difference of its two one-step
     reducts.
+
+    The reduced S-polynomial is the sum of c . nf(m) over the raw terms
+    c . m, and each distinct monomial m is reduced once per call. This is
+    exact in any field because poly_normal_form is linear. A step replaces
+    the greatest reducible monomial m of p by a combination r(m) of smaller
+    monomials that depends on m alone, and m never reappears. By induction
+    on the reducible monomials of p along the order, nf(p) = N(p) for the
+    linear map N with N(m) = m when m is irreducible and N(m) = N(r(m))
+    otherwise. Each monomial is reduced under its own step budget, not the
+    S-polynomial as a whole. The memo lives only for this call.
     """
+    field = basis.field
+    nfs = {}
     records = []
     for i, j, m in overlaps(basis.leading_monomials()):
         raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
-        reduced = poly_normal_form(basis, raw)
+        data = {}
+        for word, coeff in raw.terms.items():
+            nf = nfs.get(word)
+            if nf is None:
+                nf = nfs[word] = poly_normal_form(basis, NcPolynomial.monomial(field, word))
+            for target, c in nf.terms.items():
+                s = field.add(data.get(target, field.zero), field.mul(coeff, c))
+                if s == field.zero:
+                    data.pop(target, None)
+                else:
+                    data[target] = s
+        reduced = NcPolynomial._raw(field, data)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
         records.append(SPolyRecord(i, j, m, raw, reduced, new))
     return records

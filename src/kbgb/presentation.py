@@ -35,10 +35,11 @@ _NUMBER = re.compile(r"\d+(?:/\d+)?\Z")
 
 
 class ParseError(ValueError):
-    """Input rejected, with the offending line number."""
+    """Input rejected, with the offending line number (None for text that
+    does not come from a file, such as a command-line argument)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -106,7 +107,7 @@ def _parse_word(line: int, alphabet: Alphabet, text: str) -> Word:
         raise ParseError(line, str(exc)) from None
 
 
-def parse_poly_terms(line: int, alphabet: Alphabet, text: str) -> tuple:
+def parse_poly_terms(line: int | None, alphabet: Alphabet, text: str) -> tuple:
     """Signed term list as ((Word, Fraction), ...), in source order."""
     padded = text.replace("*", " ").replace("+", " + ").replace("-", " - ")
     tokens = padded.split()

@@ -6,7 +6,9 @@ words.RedexIndex over its left sides and finds every redex through it,
 under that same policy. A completion pass computes every
 critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
-rules are never removed or rewritten mid-run.
+rules are never removed or rewritten mid-run. Because the system is fixed
+for the pass, a normal form depends on the word alone, and the pass reduces
+each distinct raw word once.
 """
 
 from __future__ import annotations
@@ -152,13 +154,25 @@ class CriticalPair:
 def critical_pairs(system: RewriteSystem) -> list:
     """Every critical pair of every ordered rule pair, reduced against the
     system, in the examination order of words.overlaps. A match is one word
-    u1.l1.v1 = u2.l2.v2, and its raw critical pair is (u1.r1.v1, u2.r2.v2)."""
+    u1.l1.v1 = u2.l2.v2, and its raw critical pair is (u1.r1.v1, u2.r2.v2).
+
+    Each distinct raw word is reduced once per call: normal_form is a
+    function of the word and the fixed input system, so later pairs reuse
+    the first result. The memo lives only for this call."""
     pairs = []
     rules = system.rules
+    nfs = {}
+
+    def reduce(word):
+        nf = nfs.get(word)
+        if nf is None:
+            nf = nfs[word] = normal_form(system, word)
+        return nf
+
     for i, j, m in overlaps([rule.lhs for rule in rules]):
         raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
-        c1 = normal_form(system, raw[0])
-        c2 = normal_form(system, raw[1])
+        c1 = reduce(raw[0])
+        c2 = reduce(raw[1])
         if c1 == c2:
             new_rule = None
         elif system.order.greater(c1, c2):

@@ -118,10 +118,12 @@ def random_redex_system(rng):
     return RewriteSystem(alpha, order, tuple(rules), MONOID)
 
 
-def random_general_basis(rng):
-    """Basis over QQ of three monic three-term members with rational coefficients
+def random_general_basis(rng, field=QQ):
+    """Basis of three monic three-term members with rational coefficients
     (monomials of length up to 3, the empty one included) under a shuffled
-    shortlex precedence."""
+    shortlex precedence. Over a prime field the coefficients are taken mod
+    p, and a member with a coefficient that vanishes or cannot be taken mod p
+    is drawn again; over QQ nothing is redrawn."""
     letters = rng.choice(["ab", "abc"])
     alpha = make_alphabet(letters)
     precedence = list(letters)
@@ -133,10 +135,16 @@ def random_general_basis(rng):
         while len(words) < 3:
             words.add(Word(alpha, [rng.randrange(len(letters)) for _ in range(rng.randint(0, 3))]))
         coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in words]
-        poly = make_monic(NcPolynomial(QQ, zip(sorted(words, key=order.key), coeffs)), order)
+        try:
+            poly = NcPolynomial(field, zip(sorted(words, key=order.key), coeffs))
+        except ZeroDivisionError:
+            continue
+        if len(poly.terms) < 3:
+            continue
+        poly = make_monic(poly, order)
         if poly not in polys:
             polys.append(poly)
-    return Basis(alpha, order, QQ, tuple(polys))
+    return Basis(alpha, order, field, tuple(polys))
 
 
 def redex_features(system):

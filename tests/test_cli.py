@@ -242,6 +242,17 @@ class TestErrorsAndExitCodes:
         assert run_cli(["nf", pres(text), "1"]) == (0, "1\n", "")
         assert run_cli(["equal", pres(text), "1", "a"]) == (0, "DISTINCT\n", "")
 
+    @pytest.mark.parametrize("text, command, message", [
+        (ABA_B, ["nf", "1"], "empty word needs mon mode"),
+        (ABA_B, ["equal", "a", "1"], "empty word needs mon mode"),
+        (ALG_GENERAL, ["nf", "a*b"], "malformed term near 'a b'"),
+    ], ids=["nf", "equal", "alg-nf"])
+    def test_bad_query_fails_before_completion(self, pres, text, command, message):
+        # --max-passes 0 trips the completion limit, so its warning would
+        # come first if the query were parsed after completion
+        code, out, err = run_cli([command[0], pres(text), *command[1:], "--max-passes", "0"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_reduction_budget_is_exit_three(self, pres, monkeypatch):
         real = rewriting.normal_form
         monkeypatch.setattr(

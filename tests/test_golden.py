@@ -5,8 +5,9 @@ exit code and the sha256 of stdout and stderr. The invocations cover all
 five subcommands on the named corpus files, once with the acceptance
 limits and once with a cap that trips, plus inline presentations that
 reach the alg, mon and wtlex branches, shortlex orders whose precedence
-is not the alphabet order, and a system with two rules sharing a left
-side. The explode relation also runs once under its own flags, to pin
+is not the alphabet order, a system with two rules sharing a left side,
+and an alg basis of three-term members with non-unit coefficients that
+completes in 4 passes over Q and 3 over F3. The explode relation also runs once under its own flags, to pin
 reduction against 57 rules with nested left sides. Regenerate the manifest (only when an output change is
 intended) with
 
@@ -77,6 +78,12 @@ INLINE = {
         "mode: alg\nalphabet: a b c\norder: shortlex b < c < a\n"
         "polys:\n  a.b - b.a - c\n  c.a - a.c\n",
         [["complete"], ["nf", "a.b.a + 2*c.a.b"], ["equal", "a.b.c", "b.a.c"]],
+    ),
+    "alg_three_term": (
+        "mode: alg\nalphabet: a b\norder: shortlex a < b\n"
+        "polys:\n  2*b.a - a.b + 5*a\n  b.b - 2*a.b + 1/2\n",
+        [["complete"], ["complete", "--field", "F3"], ["nf", "b.b.a.b + 3*b.a.a - a"],
+         ["nf", "b.b.a.b + 3*b.a.a - a", "--field", "F3"]],
     ),
 }
 

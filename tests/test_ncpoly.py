@@ -18,11 +18,14 @@ from kbgb import (
     Word,
     buchberger,
     buchberger_pass,
+    critical_pairs,
     field_from_name,
     is_pm_binomial,
+    knuth_bendix,
     leading_monomial,
     make_monic,
     monomials_equal_mod_ideal,
+    normal_form,
     poly_normal_form,
     poly_reduce_once,
     reduce_with_steps,
@@ -32,6 +35,7 @@ from kbgb import (
     s_polynomials,
 )
 from kbgb.ncpoly import record_line
+from kbgb.rewriting import bounded_words
 
 from helpers import (
     make_system,
@@ -238,8 +242,6 @@ class TestSPolynomials:
         assert s_polynomials(binomial_basis(["ba->ab"])) == []
 
     def test_raw_is_difference_of_pair_sides(self):
-        from kbgb import critical_pairs
-
         rng = random.Random(41)
         for _ in range(40):
             system = random_system(rng, letters="ab", max_rules=3, max_side=3)
@@ -273,6 +275,39 @@ class TestSPolynomials:
                             any(c.denominator != 1 for c in rec.raw.terms.values())))
         assert {kind for kind, _, _ in shapes} == set(MatchKind)
         assert (True, True) in {(shuffled, fractional) for _, shuffled, fractional in shapes}
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_reduced_is_normal_form_of_raw(self, field):
+        # s_polynomials reduces each distinct monomial once and sums c . nf(m);
+        # poly_normal_form is linear, so that equals reducing raw whole
+        rng = random.Random(53)
+        repeats = changed = 0
+        for _ in range(40):
+            basis = random_general_basis(rng, field)
+            records = s_polynomials(basis)
+            for rec in records:
+                assert rec.reduced == poly_normal_form(basis, rec.raw)
+                changed += rec.reduced != rec.raw
+            monomials = [m for rec in records for m in rec.raw.terms]
+            repeats += len(monomials) - len(set(monomials))
+        assert repeats and changed
+
+    def test_reductions_leave_system_and_basis_unchanged(self):
+        # the per-pass memos live for one call; one kept on a long-lived
+        # system or basis would grow with every query against it
+        system = knuth_bendix(make_system(["abab->ba"]), CompletionLimits(max_passes=3)).state
+        basis = random_general_basis(random.Random(61))
+        before = [dict(vars(system)), dict(vars(basis))]
+        for _ in range(2):
+            critical_pairs(system)
+            s_polynomials(basis)
+            for word in bounded_words(system, 5):
+                normal_form(system, word)
+                monomial = Word(basis.alphabet, word.letters)
+                poly_normal_form(basis, NcPolynomial.monomial(basis.field, monomial))
+        for state, snapshot in zip((system, basis), before):
+            assert vars(state).keys() == snapshot.keys()
+            assert all(vars(state)[key] is value for key, value in snapshot.items())
 
 
 class TestBuchberger:

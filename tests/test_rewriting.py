@@ -198,6 +198,20 @@ class TestCriticalPairs:
                 if pair.new_rule is not None:
                     assert system.order.greater(pair.new_rule.lhs, pair.new_rule.rhs)
 
+    def test_reduced_is_normal_form_of_raw(self):
+        # critical_pairs reduces each distinct raw word once per call
+        rng = random.Random(59)
+        repeats = changed = 0
+        for _ in range(60):
+            system = random_redex_system(rng)
+            pairs = critical_pairs(system)
+            for cp in pairs:
+                assert cp.reduced == (normal_form(system, cp.raw[0]), normal_form(system, cp.raw[1]))
+                changed += cp.reduced != cp.raw
+            words = [word for cp in pairs for word in cp.raw]
+            repeats += len(words) - len(set(words))
+        assert repeats and changed
+
 
 class TestKbPass:
     def test_examples(self):
