@@ -42,7 +42,6 @@ from .ncpoly import (
     make_monic,
     monomials_equal_mod_ideal,
     poly_normal_form,
-    poly_reduce_once,
     reduce_with_steps,
     render_poly,
     replay_steps,
@@ -52,7 +51,6 @@ from .presentation import (
     ParseError,
     PresentationFile,
     parse_presentation,
-    render_presentation,
 )
 from .rewriting import (
     MONOID,
@@ -61,7 +59,6 @@ from .rewriting import (
     RewriteSystem,
     Rule,
     critical_pairs,
-    enumerate_normal_forms,
     is_irreducible,
     is_locally_confluent,
     kb_pass,

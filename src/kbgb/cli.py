@@ -32,11 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = CompletionLimits()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="presentation file")
-    common.add_argument("--max-passes", type=int, default=50, metavar="N")
-    common.add_argument("--max-rules", type=int, default=10_000, metavar="N")
-    common.add_argument("--max-word-len", type=int, default=256, metavar="N")
+    common.add_argument("--max-passes", type=int, default=defaults.max_passes, metavar="N")
+    common.add_argument("--max-rules", type=int, default=defaults.max_rules, metavar="N")
+    common.add_argument("--max-word-len", type=int, default=defaults.max_word_length,
+                        metavar="N")
     common.add_argument("--field", default=None, metavar="Q|F<p>",
                         help="coefficient field (overrides the file)")
     common.add_argument("--trace", default=None, metavar="PATH",
@@ -188,9 +190,9 @@ def cmd_iso_check(args) -> int:
         system, _field(args, pf), args.length, _limits(args)
     )
     _emit(correspondence.iso_report_lines(report), args)
-    if report.verdict == "Pass":
+    if report.verdict == correspondence.VERDICT_PASS:
         return EXIT_OK
-    if report.verdict == "Inconclusive":
+    if report.verdict == correspondence.VERDICT_INCONCLUSIVE:
         return EXIT_LIMIT
     return EXIT_DIVERGENCE
 

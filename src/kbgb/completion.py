@@ -2,7 +2,9 @@
 
 Knuth-Bendix completion and the noncommutative Buchberger algorithm differ
 only in how a pass examines its input; the install policy, the caps and
-the loop to the fixed point live here once.
+the loop to the fixed point live here once. ``passes`` is that loop: a
+stream of one record per pass, which ``complete`` runs to its end and the
+lockstep driver (``correspondence``) zips across both engines.
 """
 
 from __future__ import annotations
@@ -76,21 +78,13 @@ def fresh_members(existing, candidates, words, limits, records) -> list:
     return fresh
 
 
-def run_pass(one_pass, state, limits):
-    """(next state, records, limit reason or None); a tripped cap leaves
-    the state as it was."""
-    try:
-        nxt, records = one_pass(state, limits)
-    except LimitExceeded as exc:
-        return state, exc.partial, exc.reason
-    return nxt, tuple(records), None
-
-
 @dataclass(frozen=True)
 class PassRecord:
     index: int  # 1-based
     records: tuple  # critical pairs or S-polynomial records, in examination order
     state: object  # rule set or basis after the pass (unchanged if a limit tripped)
+    limit_reason: str | None = None  # the cap that tripped inside the pass
+    fixed: bool = False  # the pass installed nothing
 
 
 @dataclass(frozen=True)
@@ -101,19 +95,33 @@ class CompletionResult:
     limit_reason: str | None = None
 
 
-def complete(state, one_pass, limits: CompletionLimits) -> CompletionResult:
-    """Iterate ``one_pass(state, limits)`` until a pass installs nothing
-    (it then returns a state equal to its input) or a limit trips."""
-    trace = []
+def passes(state, one_pass, limits: CompletionLimits):
+    """One PassRecord per ``one_pass(state, limits)``, lazily.
+
+    The stream ends after the pass that installs nothing (``fixed``), the
+    pass in which a cap trips (``limit_reason``; its state is the input
+    left as it was), or pass ``max_passes``, whichever comes first.
+    """
     for index in range(1, limits.max_passes + 1):
-        nxt, records, reason = run_pass(one_pass, state, limits)
-        trace.append(PassRecord(index, records, nxt))
-        if reason is not None:
-            return CompletionResult(False, state, tuple(trace), reason)
-        if nxt == state:
-            return CompletionResult(True, nxt, tuple(trace))
+        try:
+            nxt, records = one_pass(state, limits)
+        except LimitExceeded as exc:
+            yield PassRecord(index, exc.partial, state, exc.reason)
+            return
+        fixed = nxt == state
+        yield PassRecord(index, tuple(records), nxt, fixed=fixed)
+        if fixed:
+            return
         state = nxt
-    return CompletionResult(False, state, tuple(trace), "max_passes")
+
+
+def complete(state, one_pass, limits: CompletionLimits) -> CompletionResult:
+    """Run ``passes`` to its end: complete at a fixed point, else the
+    tripped cap or ``max_passes``."""
+    trace = tuple(passes(state, one_pass, limits))
+    last = trace[-1] if trace else PassRecord(0, (), state)
+    reason = None if last.fixed else last.limit_reason or "max_passes"
+    return CompletionResult(last.fixed, last.state, trace, reason)
 
 
 def trace_lines(trace, line) -> list:

@@ -1,10 +1,11 @@
 """Lockstep execution of the two completion engines.
 
 A rule set R translates to the basis F of two-term polynomials l - r, one
-per rule. Running string completion and polynomial completion side by side
-checks, pass by pass, that overlaps align with matches one for one, that a
-pair resolves exactly when its S-polynomial reduces to zero, that an
-unresolved pair's oriented sides reappear as the monic reduced
+per rule. The driver zips the two engines' pass streams
+(completion.passes), so when completion stops is decided in one place,
+and checks, pass by pass, that overlaps align with matches one for one,
+that a pair resolves exactly when its S-polynomial reduces to zero, that
+an unresolved pair's oriented sides reappear as the monic reduced
 S-polynomial, and that the next basis is exactly the translation of the
 next rule set. Any failure is reported as a divergence verdict, never
 papered over.
@@ -12,7 +13,9 @@ papered over.
 The truncated isomorphism check compares the two engines' canonical forms
 on every word up to a length bound: equal words stay equal, every class
 holds exactly one irreducible word, and canonical forms multiply the way
-the words do. It verifies a finite fragment only and says so.
+the words do. Each bounded word is reduced once per engine, and every
+check reads those two tables. It verifies a finite fragment only and says
+so.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .completion import CompletionLimits, run_pass
+from .completion import CompletionLimits, passes
 from .ncpoly import (
     Basis,
     NcPolynomial,
@@ -35,8 +38,6 @@ from .rewriting import (
     RewriteSystem,
     Rule,
     bounded_words,
-    enumerate_normal_forms,
-    is_irreducible,
     kb_pass,
     normal_form,
     pair_line,
@@ -45,6 +46,10 @@ from .rewriting import (
 VERDICT_CORRESPONDS = "Corresponds"
 VERDICT_DIVERGENCE = "Divergence"
 VERDICT_LIMIT = "LimitExceeded"
+# verdicts of the truncated isomorphism check
+VERDICT_PASS = "Pass"
+VERDICT_FAIL = "Fail"
+VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
 class NonBinomialError(ValueError):
@@ -164,19 +169,18 @@ def lockstep_complete(
 ) -> CorrespondenceReport:
     """Run both engines in alternation and verify every pass.
 
-    Stops at the mutual fixed point (Corresponds), at the first failed
-    check (Divergence), or when both engines trip the same resource limit
-    at the same pass (LimitExceeded). A one-sided limit or fixed point is
-    itself a divergence.
+    Zips the two engines' pass streams. Stops at the mutual fixed point
+    (Corresponds), at the first failed check (Divergence), or when both
+    engines trip the same resource limit at the same pass (LimitExceeded).
+    A one-sided limit or fixed point is itself a divergence.
     """
-    basis = rules_to_basis(system, field)
-    passes = []
-    cur_system, cur_basis = system, basis
+    checked = []
+    cur_system, cur_basis = system, rules_to_basis(system, field)
 
     def report(verdict, detail=None, divergence_pass=None, limit_reason=None):
         return CorrespondenceReport(
             verdict,
-            tuple(passes),
+            tuple(checked),
             cur_system,
             cur_basis,
             detail,
@@ -184,36 +188,34 @@ def lockstep_complete(
             limit_reason,
         )
 
-    for index in range(1, limits.max_passes + 1):
-        next_system, pairs, kb_limit = run_pass(kb_pass, cur_system, limits)
-        next_basis, records, gb_limit = run_pass(buchberger_pass, cur_basis, limits)
+    for kb, gb in zip(passes(cur_system, kb_pass, limits),
+                      passes(cur_basis, buchberger_pass, limits)):
+        cur_system, cur_basis = kb.state, gb.state
         sources_ok, pairs_ok, sets_ok, detail = _check_pass(
-            pairs, records, next_system, next_basis, field
+            kb.records, gb.records, cur_system, cur_basis, field
         )
-        passes.append(
-            LockstepPass(index, pairs, records, next_system, next_basis,
+        checked.append(
+            LockstepPass(kb.index, kb.records, gb.records, cur_system, cur_basis,
                          sources_ok, pairs_ok, sets_ok)
         )
-        system_fixed = next_system.rules == cur_system.rules
-        basis_fixed = next_basis.polys == cur_basis.polys
-        cur_system, cur_basis = next_system, next_basis
         if not (sources_ok and pairs_ok and sets_ok):
-            return report(VERDICT_DIVERGENCE, detail, index)
-        if kb_limit or gb_limit:
-            if kb_limit == gb_limit:
-                return report(VERDICT_LIMIT, limit_reason=kb_limit)
+            return report(VERDICT_DIVERGENCE, detail, kb.index)
+        if kb.limit_reason or gb.limit_reason:
+            if kb.limit_reason == gb.limit_reason:
+                return report(VERDICT_LIMIT, limit_reason=kb.limit_reason)
             return report(
                 VERDICT_DIVERGENCE,
-                f"one-sided resource limit: rewriting={kb_limit} polynomials={gb_limit}",
-                index,
+                f"one-sided resource limit: rewriting={kb.limit_reason} "
+                f"polynomials={gb.limit_reason}",
+                kb.index,
             )
-        if system_fixed != basis_fixed:
+        if kb.fixed != gb.fixed:
             return report(
                 VERDICT_DIVERGENCE,
-                f"fixed point on one side only: rewriting={system_fixed} polynomials={basis_fixed}",
-                index,
+                f"fixed point on one side only: rewriting={kb.fixed} polynomials={gb.fixed}",
+                kb.index,
             )
-        if system_fixed:
+        if kb.fixed:
             return report(VERDICT_CORRESPONDS)
     return report(VERDICT_LIMIT, limit_reason="max_passes")
 
@@ -294,24 +296,25 @@ def verify_algebra_iso(
             + (f" reason={lock.limit_reason}" if lock.limit_reason else "")
             + (f" detail={lock.detail}" if lock.detail else "")
         )
-        return IsoCheckReport(bound, field.name, (), "Inconclusive", detail)
+        return IsoCheckReport(bound, field.name, (), VERDICT_INCONCLUSIVE, detail)
     complete, groebner = lock.system, lock.basis
     order = complete.order
 
-    forms = enumerate_normal_forms(complete, bound)
+    # one reduction per bounded word under each engine; a word is
+    # irreducible exactly when it is its own normal form
+    universe = list(bounded_words(complete, bound))
+    nf_rules = {w: normal_form(complete, w) for w in universe}
+    forms = sorted((w for w in universe if nf_rules[w] == w), key=order.key)
     start = 0 if complete.mode == MONOID else 1
     counts = tuple(
         (n, sum(1 for w in forms if len(w) == n)) for n in range(start, bound + 1)
     )
 
     def fail(detail):
-        return IsoCheckReport(bound, field.name, counts, "Fail", detail)
+        return IsoCheckReport(bound, field.name, counts, VERDICT_FAIL, detail)
 
-    universe = list(bounded_words(complete, bound))
-    nf_rules = {}
     nf_ideal = {}
     for w in universe:
-        nf_rules[w] = normal_form(complete, w)
         image = poly_normal_form(groebner, NcPolynomial.monomial(field, w))
         if len(image.terms) != 1:
             return fail(f"monomial image is not a monomial: {w.dotted()}")
@@ -340,31 +343,32 @@ def verify_algebra_iso(
     for w in universe:
         blocks.setdefault(nf_rules[w], []).append(w)
     for rep, members in sorted(blocks.items(), key=lambda kv: order.key(kv[0])):
-        irreducible = [w for w in members if is_irreducible(complete, w)]
+        irreducible = [w for w in members if nf_rules[w] == w]
         if len(irreducible) != 1:
             return fail(
                 f"class of {rep.dotted()} holds {len(irreducible)} irreducible "
                 f"words within length {bound}"
             )
 
-    # (c) canonical forms multiply like the words they represent
+    # (c) canonical forms multiply like the words they represent; every
+    # product within the bound is in both tables
     for n1 in forms:
         for n2 in forms:
             if len(n1) + len(n2) > bound:
                 continue
             product = n1 * n2
-            if normal_form(complete, product) != nf_ideal[product]:
+            if nf_rules[product] != nf_ideal[product]:
                 return fail(f"multiplicativity fails on {n1.dotted()} * {n2.dotted()}")
 
-    return IsoCheckReport(bound, field.name, counts, "Pass")
+    return IsoCheckReport(bound, field.name, counts, VERDICT_PASS)
 
 
 def iso_report_lines(report: IsoCheckReport) -> list:
     lines = [f"iso: bound={report.bound} field={report.field_name}"]
     for length, count in report.counts:
         lines.append(f"normal-forms: len={length} count={count}")
-    if report.verdict == "Pass":
-        lines.append("VERDICT: Pass")
+    if report.verdict == VERDICT_PASS:
+        lines.append(f"VERDICT: {VERDICT_PASS}")
     else:
         lines.append(f"VERDICT: {report.verdict} detail={report.detail}")
     return lines

@@ -408,14 +408,6 @@ def _apply_step(basis: Basis, poly: NcPolynomial, step: ReductionStep) -> NcPoly
     return NcPolynomial._raw(field, data)
 
 
-def poly_reduce_once(basis: Basis, poly: NcPolynomial) -> NcPolynomial | None:
-    """One reduction step on the greatest reducible monomial, or None."""
-    step = _find_step(basis, poly)
-    if step is None:
-        return None
-    return _apply_step(basis, poly, step)
-
-
 def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET):
     """Normal form plus the replay record of every replacement made.
 
@@ -434,8 +426,8 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
 
 
 def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
-    """Fixed point of poly_reduce_once; no result monomial contains a
-    leading monomial of the basis."""
+    """Reduce to a fixed point, the greatest reducible monomial first; no
+    result monomial contains a leading monomial of the basis."""
     return reduce_with_steps(basis, poly, max_steps)[0]
 
 
@@ -543,10 +535,17 @@ def monomials_equal_mod_ideal(basis: Basis, m1: Word, m2: Word) -> bool:
     return poly_normal_form(basis, diff).is_zero()
 
 
-def _render_terms(terms, field) -> str:
-    """(word, coeff) pairs as polynomial text, in the order given."""
+def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
+    """Deterministic text form, terms in decreasing monomial order.
+
+    Unit coefficients are omitted, negatives fold into the separator, the
+    empty monomial prints as a bare scalar, e.g. ``b.a - a.b``.
+    """
+    if poly.is_zero():
+        return "0"
+    field = poly.field
     parts = []
-    for word, coeff in terms:
+    for word, coeff in poly.sorted_terms(order):
         negative = field.is_negative(coeff)
         magnitude = field.magnitude_str(coeff)
         if len(word) == 0:
@@ -560,17 +559,6 @@ def _render_terms(terms, field) -> str:
         else:
             parts.append(f" - {body}" if negative else f" + {body}")
     return "".join(parts)
-
-
-def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
-    """Deterministic text form, terms in decreasing monomial order.
-
-    Unit coefficients are omitted, negatives fold into the separator, the
-    empty monomial prints as a bare scalar, e.g. ``b.a - a.b``.
-    """
-    if poly.is_zero():
-        return "0"
-    return _render_terms(poly.sorted_terms(order), poly.field)
 
 
 def record_line(pass_index: int, rec: SPolyRecord, order: MonomialOrder) -> str:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import QQ, Basis, NcPolynomial, _render_terms, field_from_name, make_monic
+from .ncpoly import Basis, NcPolynomial, field_from_name, make_monic
 from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
@@ -278,29 +278,3 @@ def parse_presentation(text: str) -> PresentationFile:
             polys_raw.append(terms)
 
     return PresentationFile(mode, alphabet, order, field_name, tuple(rules), tuple(polys_raw))
-
-
-def render_presentation(pf: PresentationFile) -> str:
-    """Canonical text for a parsed presentation; reparses to an equal value."""
-    lines = [f"mode: {pf.mode}"]
-    if pf.field_name is not None:
-        lines.append(f"field: {pf.field_name}")
-    lines.append("alphabet: " + " ".join(pf.alphabet.symbols))
-    if pf.order.kind == MonomialOrder.SHORTLEX:
-        lines.append("order: shortlex " + " < ".join(pf.order.precedence))
-    else:
-        weights = " ".join(
-            f"{name}={pf.order.weights[pf.alphabet.index(name)]}"
-            for name in pf.alphabet.symbols
-        )
-        lines.append(f"order: wtlex {weights}")
-        lines.append("precedence: " + " < ".join(pf.order.precedence))
-    if pf.mode == "alg":
-        lines.append("polys:")
-        for terms in pf.polys_raw:
-            lines.append(f"  {_render_terms(terms, QQ)}")
-    else:
-        lines.append("rules:")
-        for lhs, rhs in pf.rules:
-            lines.append(f"  {lhs.dotted()} -> {rhs.dotted()}")
-    return "\n".join(lines) + "\n"

@@ -215,17 +215,6 @@ def bounded_words(system: RewriteSystem, max_len: int):
             yield Word._raw(system.alphabet, letters)
 
 
-def enumerate_normal_forms(system: RewriteSystem, max_len: int) -> list:
-    """All irreducible words up to max_len, sorted by the system's order.
-
-    Monoid mode includes the empty word; these are canonical
-    representatives of the presented elements of bounded length.
-    """
-    out = [w for w in bounded_words(system, max_len) if reduce_once(system, w) is None]
-    out.sort(key=system.order.key)
-    return out
-
-
 def is_locally_confluent(system: RewriteSystem) -> bool:
     """True when every critical pair resolves."""
     return all(cp.resolved for cp in critical_pairs(system))

@@ -136,13 +136,6 @@ class Word:
     def names(self):
         return tuple(self.alphabet.symbols[ix] for ix in self.letters)
 
-    def startswith(self, prefix: "Word") -> bool:
-        return self.letters[: len(prefix.letters)] == prefix.letters
-
-    def endswith(self, suffix: "Word") -> bool:
-        n = len(suffix.letters)
-        return n == 0 or self.letters[-n:] == suffix.letters
-
     def dotted(self) -> str:
         """Canonical text form: names joined with '.', empty word as '1'."""
         if not self.letters:
@@ -242,9 +235,6 @@ class MonomialOrder:
 
     def greater(self, w1: Word, w2: Word) -> bool:
         return self.compare(w1, w2) > 0
-
-    def sort(self, words) -> list:
-        return sorted(words, key=self.key)
 
     def __eq__(self, other):
         return (

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from kbgb import CompletionLimits, knuth_bendix, parse_presentation, render_presentation
+from kbgb import CompletionLimits, knuth_bendix, parse_presentation
 from kbgb.presentation import PresentationFile
 
-from helpers import random_system
+from helpers import random_system, render_presentation
 from oracles import ClosureBudgetExceeded, congruence_partition
 
 CORPUS_DIR = Path(__file__).parent / "corpus"

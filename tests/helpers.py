@@ -17,8 +17,45 @@ from kbgb import (
     SEMIGROUP,
     Word,
     make_monic,
+    render_poly,
 )
 from kbgb.cli import main as cli_main
+
+
+def render_presentation(pf):
+    """Canonical text for a parsed presentation; reparses to an equal value.
+
+    Polynomial terms keep their source order and coefficients.
+    """
+    lines = [f"mode: {pf.mode}"]
+    if pf.field_name is not None:
+        lines.append(f"field: {pf.field_name}")
+    lines.append("alphabet: " + " ".join(pf.alphabet.symbols))
+    if pf.order.kind == MonomialOrder.SHORTLEX:
+        lines.append("order: shortlex " + " < ".join(pf.order.precedence))
+    else:
+        weights = " ".join(
+            f"{name}={pf.order.weights[pf.alphabet.index(name)]}"
+            for name in pf.alphabet.symbols
+        )
+        lines.append(f"order: wtlex {weights}")
+        lines.append("precedence: " + " < ".join(pf.order.precedence))
+    if pf.mode == "alg":
+        lines.append("polys:")
+        for terms in pf.polys_raw:
+            # one term at a time through render_poly, joined in source order
+            text = ""
+            for word, coeff in terms:
+                term = render_poly(NcPolynomial._raw(QQ, {word: coeff}), pf.order)
+                if text:
+                    term = f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+                text += term
+            lines.append(f"  {text}")
+    else:
+        lines.append("rules:")
+        for lhs, rhs in pf.rules:
+            lines.append(f"  {lhs.dotted()} -> {rhs.dotted()}")
+    return "\n".join(lines) + "\n"
 
 
 def make_alphabet(letters="ab"):

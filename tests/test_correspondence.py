@@ -1,5 +1,6 @@
 """Lockstep correspondence of the two engines and the truncated iso check."""
 
+import dataclasses
 import random
 import pytest
 
@@ -9,6 +10,7 @@ from kbgb import (
     Alphabet,
     Basis,
     CompletionLimits,
+    LimitExceeded,
     MonomialOrder,
     NcPolynomial,
     NonBinomialError,
@@ -20,6 +22,7 @@ from kbgb import (
     lockstep_complete,
     normal_form,
     poly_normal_form,
+    render_poly,
     rules_to_basis,
     verify_algebra_iso,
 )
@@ -207,6 +210,81 @@ class TestLockstep:
         assert report.divergence_pass == 1
         assert "disposition mismatch" in report.detail
 
+    # each change(state, next state, records) misreports one pass of one
+    # engine on a.b.a -> b, which completes in two passes
+    @staticmethod
+    def _wrong_content(state, nxt, records):
+        return nxt, [dataclasses.replace(rec, new_poly=state.polys[0])
+                     if rec.new_poly is not None else rec for rec in records]
+
+    @staticmethod
+    def _dropped_record(state, nxt, records):
+        return nxt, records[:-1]
+
+    @staticmethod
+    def _nothing_installed(state, nxt, records):
+        return state, records
+
+    @staticmethod
+    def _rules_cap(state, nxt, records):
+        raise LimitExceeded("max_rules", records)
+
+    @staticmethod
+    def _reversed_members(state, nxt, records):
+        # the same set in another order: the translation check holds, but
+        # the state differs from the pass's input
+        field = "polys" if hasattr(nxt, "polys") else "rules"
+        return dataclasses.replace(nxt, **{field: getattr(nxt, field)[::-1]}), records
+
+    ABA_RULES = ["a.b.a->b", "b.b.a->a.b.b"]
+    ABA_POLYS = ["a.b.a - b", "b.b.a - a.b.b"]
+
+    @pytest.mark.parametrize("engine, at, change, pass_index, detail, rules, polys", [
+        ("buchberger_pass", 1, "_wrong_content", 1,
+         "content mismatch at rules=(0,0) kind=SuffixPrefix: rule b.b.a->a.b.b",
+         ABA_RULES, ABA_POLYS),
+        ("buchberger_pass", 1, "_dropped_record", 1,
+         "sources differ: overlaps-only=[(0, 0, 'PrefixSuffix', (2, 0, 0, 2))] matches-only=[]",
+         ABA_RULES, ABA_POLYS),
+        ("buchberger_pass", 1, "_nothing_installed", 1,
+         "next basis is not the translation of the next rule set",
+         ABA_RULES, ABA_POLYS[:1]),
+        ("buchberger_pass", 2, "_rules_cap", 2,
+         "one-sided resource limit: rewriting=None polynomials=max_rules",
+         ABA_RULES, ABA_POLYS),
+        ("kb_pass", 2, "_rules_cap", 2,
+         "one-sided resource limit: rewriting=max_rules polynomials=None",
+         ABA_RULES, ABA_POLYS),
+        ("buchberger_pass", 2, "_reversed_members", 2,
+         "fixed point on one side only: rewriting=True polynomials=False",
+         ABA_RULES, ABA_POLYS[::-1]),
+        ("kb_pass", 2, "_reversed_members", 2,
+         "fixed point on one side only: rewriting=False polynomials=True",
+         ABA_RULES[::-1], ABA_POLYS),
+    ], ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed"])
+    def test_every_divergence_branch(self, monkeypatch, engine, at, change, pass_index,
+                                     detail, rules, polys):
+        import kbgb.correspondence as corr
+
+        real = getattr(corr, engine)
+        calls = []
+
+        def misbehaving(state, limits=None):
+            calls.append(state)
+            nxt, records = real(state, limits)
+            if len(calls) == at:
+                return getattr(self, change)(state, nxt, records)
+            return nxt, records
+
+        monkeypatch.setattr(corr, engine, misbehaving)
+        report = lockstep_complete(make_system(["aba->b"]), QQ)
+        assert report.verdict == "Divergence"
+        assert report.divergence_pass == pass_index
+        assert report.detail == detail
+        assert report_lines(report)[-1] == f"VERDICT: Divergence pass={pass_index} detail={detail}"
+        assert [rule.render() for rule in report.system.rules] == rules
+        assert [render_poly(p, report.basis.order) for p in report.basis.polys] == polys
+
     def test_report_lines_shape(self):
         report = lockstep_complete(make_system(["aba->b"]), QQ)
         lines = report_lines(report)
@@ -248,11 +326,23 @@ class TestIsoCheck:
         assert report.verdict == "Pass"
         assert report.counts == ((1, 2), (2, 4))
 
+    # irreducible words per length: a,b / aa,ab,bb; a; a / aa
+    @pytest.mark.parametrize("rules, letters, bound, counts", [
+        (["ba->ab"], "ab", 2, ((1, 2), (2, 3))),
+        (["aa->a"], "a", 3, ((1, 1), (2, 0), (3, 0))),
+        ([], "a", 2, ((1, 1), (2, 1))),
+    ], ids=["commuting", "idempotent", "free"])
+    def test_normal_form_counts(self, rules, letters, bound, counts):
+        report = verify_algebra_iso(make_system(rules, letters=letters), QQ, bound)
+        assert report.verdict == "Pass"
+        assert report.counts == counts
+
     def test_monoid_counts_include_empty_word(self):
+        # the empty word and a are the only normal forms
         system = make_system(["aa->"], mode=MONOID, letters="a")
         report = verify_algebra_iso(system, QQ, 3)
         assert report.verdict == "Pass"
-        assert report.counts[0] == (0, 1)
+        assert report.counts == ((0, 1), (1, 1), (2, 0), (3, 0))
 
     def test_inconclusive_on_limits(self):
         report = verify_algebra_iso(make_system(["aba->b"]), QQ, 3,

@@ -27,7 +27,6 @@ from kbgb import (
     monomials_equal_mod_ideal,
     normal_form,
     poly_normal_form,
-    poly_reduce_once,
     reduce_with_steps,
     render_poly,
     replay_steps,
@@ -60,6 +59,12 @@ def poly(field, *pairs):
 
 def binomial_basis(rule_texts, field=QQ, letters="ab"):
     return rules_to_basis(make_system(rule_texts, letters=letters), field)
+
+
+def reduce_once(basis, p):
+    """p after the first recorded reduction step, or None if p is reduced."""
+    _, steps = reduce_with_steps(basis, p)
+    return p - replay_steps(basis, steps[:1]) if steps else None
 
 
 class TestFields:
@@ -144,11 +149,11 @@ class TestLeadingMonomialAndMonic:
 class TestReduction:
     def test_examples(self):
         basis = binomial_basis(["ba->ab"])
-        assert poly_reduce_once(basis, poly(QQ, ("ba", 1), ("b", 1))) == \
+        assert reduce_once(basis, poly(QQ, ("ba", 1), ("b", 1))) == \
             poly(QQ, ("ab", 1), ("b", 1))
-        assert poly_reduce_once(basis, poly(QQ, ("ab", 1), ("b", 1))) is None
+        assert reduce_once(basis, poly(QQ, ("ab", 1), ("b", 1))) is None
         basis2 = binomial_basis(["aa->a"])
-        assert poly_reduce_once(basis2, poly(QQ, ("aa", 1), ("a", -1))).is_zero()
+        assert reduce_once(basis2, poly(QQ, ("aa", 1), ("a", -1))).is_zero()
 
     def test_normal_form_examples(self):
         basis = binomial_basis(["ba->ab"])
@@ -189,7 +194,7 @@ class TestReduction:
     def test_greatest_monomial_reduced_first(self):
         basis = binomial_basis(["ba->ab"])
         p = poly(QQ, ("bba", 1), ("ba", 1))
-        stepped = poly_reduce_once(basis, p)
+        stepped = reduce_once(basis, p)
         assert stepped == poly(QQ, ("bab", 1), ("ba", 1))
 
     def test_first_step_matches_reference_redex_policy(self):
@@ -207,7 +212,7 @@ class TestReduction:
                 p = NcPolynomial(QQ, [(rng.choice(words), rng.randint(-3, 3)) for _ in range(3)])
                 expected = reference_step(lhss, p, key)
                 _, steps = reduce_with_steps(basis, p)
-                once = poly_reduce_once(basis, p)
+                once = reduce_once(basis, p)
                 if expected is None:
                     assert steps == () and once is None
                     continue
@@ -335,10 +340,28 @@ class TestBuchberger:
         assert result.complete and result.state.polys == ()
 
     def test_limits(self):
+        basis = binomial_basis(["aba->b"])
         with pytest.raises(LimitExceeded):
-            buchberger_pass(binomial_basis(["aba->b"]), CompletionLimits(max_rules=1))
-        result = buchberger(binomial_basis(["aba->b"]), CompletionLimits(max_passes=1))
+            buchberger_pass(basis, CompletionLimits(max_rules=1))
+        result = buchberger(basis, CompletionLimits(max_passes=1))
         assert not result.complete and result.limit_reason == "max_passes"
+        (only,) = result.trace
+        assert (only.limit_reason, only.fixed) == (None, False)
+        assert len(only.state.polys) == 2 and result.state == only.state
+
+        result = buchberger(basis, CompletionLimits(max_passes=0))
+        assert result.limit_reason == "max_passes" and result.trace == ()
+        assert result.state == basis
+
+        result = buchberger(basis, CompletionLimits(max_rules=1))
+        assert result.limit_reason == "max_rules"
+        (only,) = result.trace
+        assert (only.limit_reason, only.fixed) == ("max_rules", False)
+        assert only.state == basis == result.state  # nothing was installed
+
+        result = buchberger(basis)
+        assert result.complete and result.limit_reason is None
+        assert [(p.limit_reason, p.fixed) for p in result.trace] == [(None, False), (None, True)]
 
     def test_monomials_equal_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))

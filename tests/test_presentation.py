@@ -11,9 +11,10 @@ from kbgb import (
     ParseError,
     PrimeField,
     parse_presentation,
-    render_presentation,
 )
 from kbgb.presentation import parse_poly_terms
+
+from helpers import render_presentation
 
 BASIC = """\
 mode: sgp

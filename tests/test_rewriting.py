@@ -14,7 +14,6 @@ from kbgb import (
     Rule,
     Word,
     critical_pairs,
-    enumerate_normal_forms,
     is_locally_confluent,
     kb_pass,
     knuth_bendix,
@@ -23,7 +22,7 @@ from kbgb import (
     words_equal,
 )
 from kbgb.completion import trace_lines
-from kbgb.rewriting import pair_line
+from kbgb.rewriting import bounded_words, pair_line
 
 from helpers import make_system, random_redex_system, random_system, redex_features
 from oracles import (
@@ -266,6 +265,23 @@ class TestKnuthBendix:
         result = knuth_bendix(ABA_B)
         assert result.complete and len(result.trace) == 2
         assert [r.render() for r in result.state.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
+        # only the last pass is a fixed point; no cap tripped
+        assert [(p.limit_reason, p.fixed) for p in result.trace] == [(None, False), (None, True)]
+        assert result.trace[-1].state == result.state
+
+    def test_tripped_cap_ends_the_trace(self):
+        result = knuth_bendix(ABA_B, CompletionLimits(max_rules=1))
+        assert not result.complete and result.limit_reason == "max_rules"
+        (only,) = result.trace
+        assert (only.limit_reason, only.fixed) == ("max_rules", False)
+        assert only.state == ABA_B == result.state  # nothing was installed
+        assert len(only.records) == 2
+
+        result = knuth_bendix(ABA_B, CompletionLimits(max_passes=1))
+        assert result.limit_reason == "max_passes"
+        (only,) = result.trace
+        assert (only.limit_reason, only.fixed) == (None, False)
+        assert len(only.state.rules) == 2 and result.state == only.state
 
     def test_complete_systems_are_locally_confluent(self):
         for system in (BA_AB, AA_A):
@@ -303,21 +319,12 @@ class TestWordProblem:
 
 
 class TestEnumerateNormalForms:
-    def test_examples(self):
-        forms = enumerate_normal_forms(BA_AB, 2)
-        assert [f.display() for f in forms] == ["a", "b", "aa", "ab", "bb"]
-
-        single = make_system(["aa->a"], letters="a")
-        assert [f.display() for f in enumerate_normal_forms(single, 3)] == ["a"]
-
-        free = make_system([], letters="a")
-        assert [f.display() for f in enumerate_normal_forms(free, 2)] == ["a", "aa"]
-
     def test_monoid_includes_empty_word(self):
         system = make_system(["aa->"], mode=MONOID, letters="a")
         result = knuth_bendix(system)
         assert result.complete
-        forms = enumerate_normal_forms(result.state, 3)
+        forms = [w for w in bounded_words(result.state, 3)
+                 if normal_form(result.state, w) == w]
         assert [f.display() for f in forms] == ["1", "a"]
 
 
