@@ -336,19 +336,14 @@ def verify_algebra_iso(
             if (nf_rules[w1] == nf_rules[w2]) != (nf_ideal[w1] == nf_ideal[w2]):
                 return fail(f"equality disagreement on ({w1.dotted()},{w2.dotted()})")
 
-    # (b) each bounded class holds exactly one irreducible word; under an
-    # order where canonical forms can outgrow the bound (possible with
-    # weights) this reports the truncation honestly rather than passing
-    blocks = {}
-    for w in universe:
-        blocks.setdefault(nf_rules[w], []).append(w)
-    for rep, members in sorted(blocks.items(), key=lambda kv: order.key(kv[0])):
-        irreducible = [w for w in members if nf_rules[w] == w]
-        if len(irreducible) != 1:
-            return fail(
-                f"class of {rep.dotted()} holds {len(irreducible)} irreducible "
-                f"words within length {bound}"
-            )
+    # (b) each bounded class holds exactly one irreducible word; a member w
+    # of the class of rep is irreducible exactly when w == nf_rules[w] ==
+    # rep, so the class holds one when rep is its own table entry and none
+    # otherwise. Under an order where canonical forms can outgrow the bound
+    # (possible with weights) this reports the truncation honestly
+    for rep in sorted(set(nf_rules.values()), key=order.key):
+        if nf_rules.get(rep) != rep:
+            return fail(f"class of {rep.dotted()} holds 0 irreducible words within length {bound}")
 
     # (c) canonical forms multiply like the words they represent; every
     # product within the bound is in both tables

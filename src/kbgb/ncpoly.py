@@ -12,6 +12,8 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
+reduce_with_steps is the one reduction loop, and every sum of terms, in
+arithmetic, reduction and S-polynomials alike, goes through _add_term.
 
 Reduction is linear in exact arithmetic: a step replaces the greatest
 reducible monomial m by a combination of smaller monomials that depends
@@ -64,9 +66,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a
@@ -129,9 +128,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -170,6 +166,18 @@ def field_from_name(name: str):
     raise ValueError(f"unknown field: {name!r} (expected Q or F<p>)")
 
 
+def _add_term(field, data, word, c):
+    """Add the nonzero scalar c at word in the term dict data, dropping the
+    term if it cancels; a new term is stored with no field addition."""
+    old = data.get(word)
+    if old is not None:
+        c = field.add(old, c)
+        if c == field.zero:
+            del data[word]
+            return
+    data[word] = c
+
+
 class NcPolynomial:
     """Finite map from monomials to nonzero scalars; immutable by contract."""
 
@@ -182,10 +190,8 @@ class NcPolynomial:
             if not isinstance(word, Word):
                 raise TypeError(f"monomial must be a Word: {word!r}")
             c = field.coerce(coeff)
-            if word in data:
-                c = field.add(data.pop(word), c)
             if c != field.zero:
-                data[word] = c
+                _add_term(field, data, word, c)
         alphabets = {w.alphabet for w in data}
         if len(alphabets) > 1:
             raise AlphabetMismatch("polynomial mixes alphabets")
@@ -237,11 +243,7 @@ class NcPolynomial:
         f = self.field
         data = dict(self.terms)
         for word, coeff in other.terms.items():
-            s = f.add(data.get(word, f.zero), coeff)
-            if s == f.zero:
-                data.pop(word, None)
-            else:
-                data[word] = s
+            _add_term(f, data, word, coeff)
         return NcPolynomial._raw(f, data)
 
     def __neg__(self):
@@ -249,7 +251,12 @@ class NcPolynomial:
         return NcPolynomial._raw(f, {w: f.neg(c) for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        f = self.field
+        data = dict(self.terms)
+        for word, coeff in other.terms.items():
+            _add_term(f, data, word, f.neg(coeff))
+        return NcPolynomial._raw(f, data)
 
     def __mul__(self, other):
         self._check(other)
@@ -257,12 +264,7 @@ class NcPolynomial:
         data = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = f.add(data.get(w, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    data.pop(w, None)
-                else:
-                    data[w] = s
+                _add_term(f, data, w1 * w2, f.mul(c1, c2))
         return NcPolynomial._raw(f, data)
 
     def scaled(self, coeff) -> "NcPolynomial":
@@ -375,53 +377,40 @@ class ReductionStep:
     right: Word
 
 
-def _find_step(basis: Basis, poly: NcPolynomial) -> ReductionStep | None:
-    find = basis._index.find
-    for word in sorted(poly.terms, key=basis.order.key, reverse=True):
-        hit = find(word.letters)
-        if hit is not None:
-            pos, index, end = hit
-            return ReductionStep(poly.terms[word], word[:pos], index, word[end:])
-    return None
-
-
-def _apply_step(basis: Basis, poly: NcPolynomial, step: ReductionStep) -> NcPolynomial:
-    # p - k.left.f.right, merged in place: the reduced monomial cancels
-    # exactly because f is monic and k is its coefficient in p
-    field = basis.field
-    member = basis.polys[step.index]
-    lm = basis._lms[step.index]
-    alphabet = step.left.alphabet
-    lo, hi = step.left.letters, step.right.letters
-    data = dict(poly.terms)
-    del data[Word._raw(alphabet, lo + lm.letters + hi)]
-    coeff = step.coeff
-    for word, c in member.terms.items():
-        if word == lm:
-            continue
-        target = Word._raw(alphabet, lo + word.letters + hi)
-        s = field.sub(data.get(target, field.zero), field.mul(coeff, c))
-        if s == field.zero:
-            data.pop(target, None)
-        else:
-            data[target] = s
-    return NcPolynomial._raw(field, data)
-
-
 def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET):
     """Normal form plus the replay record of every replacement made.
+
+    The one reduction loop, over one mutable term dict. Each step sorts the
+    terms greatest first and searches them in turn until one holds a redex;
+    that term k.m, with m = left.lm(f).right, is popped, and -k.left.t.right
+    is added for every tail term t of the member f (f is monic, so m
+    cancels exactly). Raises ReductionBudgetExceeded after max_steps steps
+    without a further search.
 
     The recorded steps witness membership: p - nf(p) equals the sum of
     coeff . left . f . right over the steps (see replay_steps).
     """
+    field = basis.field
+    find = basis._index.find
+    key = basis.order.key
+    data = dict(poly.terms)
     steps = []
-    current = poly
     for _ in range(max_steps):
-        step = _find_step(basis, current)
-        if step is None:
-            return current, tuple(steps)
-        steps.append(step)
-        current = _apply_step(basis, current, step)
+        for word in sorted(data, key=key, reverse=True):
+            hit = find(word.letters)
+            if hit is not None:
+                break
+        else:
+            return NcPolynomial._raw(field, data), tuple(steps)
+        pos, index, end = hit
+        coeff = data.pop(word)
+        left, right = word[:pos], word[end:]
+        steps.append(ReductionStep(coeff, left, index, right))
+        lm, neg = basis._lms[index], field.neg(coeff)
+        for tail, c in basis.polys[index].terms.items():
+            if tail != lm:
+                target = Word._raw(word.alphabet, left.letters + tail.letters + right.letters)
+                _add_term(field, data, target, field.mul(neg, c))
     raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
 
 
@@ -482,13 +471,9 @@ def s_polynomials(basis: Basis) -> list:
         for word, coeff in raw.terms.items():
             nf = nfs.get(word)
             if nf is None:
-                nf = nfs[word] = poly_normal_form(basis, NcPolynomial.monomial(field, word))
+                nf = nfs[word] = poly_normal_form(basis, NcPolynomial._raw(field, {word: field.one}))
             for target, c in nf.terms.items():
-                s = field.add(data.get(target, field.zero), field.mul(coeff, c))
-                if s == field.zero:
-                    data.pop(target, None)
-                else:
-                    data[target] = s
+                _add_term(field, data, target, field.mul(coeff, c))
         reduced = NcPolynomial._raw(field, data)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
         records.append(SPolyRecord(i, j, m, raw, reduced, new))

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import Basis, NcPolynomial, field_from_name, make_monic
+from .ncpoly import QQ, Basis, NcPolynomial, field_from_name, make_monic, render_poly
 from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
@@ -73,13 +73,20 @@ class PresentationFile:
         return field_from_name(self.field_name or "Q")
 
     def basis(self, field=None) -> Basis:
-        """Basis over the requested field; members are normalized monic."""
+        """Basis over the requested field; members are normalized monic.
+        A member that vanishes over that field is rejected by number."""
         if self.mode != "alg":
             raise ValueError("only an alg presentation carries polynomials")
         field = field if field is not None else self.field()
         polys = []
-        for terms in self.polys_raw:
-            poly = make_monic(NcPolynomial(field, terms), self.order)
+        for n, terms in enumerate(self.polys_raw, 1):
+            poly = NcPolynomial(field, terms)
+            if poly.is_zero():
+                # parsing rejects a zero member over the file's own field;
+                # this one vanishes only over the field asked for
+                source = render_poly(NcPolynomial(QQ, terms), self.order)
+                raise ValueError(f"polynomial {n} ({source}) is zero over {field.name}")
+            poly = make_monic(poly, self.order)
             if poly not in polys:
                 polys.append(poly)
         return Basis(self.alphabet, self.order, field, tuple(polys))

@@ -144,6 +144,39 @@ def reference_step(lhss, poly, key):
     return None
 
 
+def reference_reduce(members, field, key, terms):
+    """Full greatest-first reduction of a plain dict from words to scalars.
+
+    members are the basis as plain dicts, each monic under key. Each step
+    takes the greatest monomial with a redex under leftmost_redex and
+    subtracts coeff . left . member . right, term by term through the
+    field's add, mul and neg. Returns (steps, normal form) with every step
+    as (coeff, left letters, index, right letters).
+    """
+    lms = [max(member, key=key) for member in members]
+    lhss = [lm.letters for lm in lms]
+    data = dict(terms)
+    steps = []
+    while True:
+        for word in sorted(data, key=key, reverse=True):
+            hit = leftmost_redex(lhss, word.letters)
+            if hit is not None:
+                break
+        else:
+            return steps, data
+        pos, index = hit
+        left, right = word.letters[:pos], word.letters[pos + len(lhss[index]):]
+        coeff = data[word]
+        steps.append((coeff, left, index, right))
+        for monomial, c in members[index].items():
+            target = Word(word.alphabet, left + monomial.letters + right)
+            s = field.add(data.get(target, field.zero), field.neg(field.mul(coeff, c)))
+            if s == field.zero:
+                data.pop(target, None)
+            else:
+                data[target] = s
+
+
 def reduction_endpoints(system, word, memo=None):
     """All irreducible words reachable by any maximal reduction sequence."""
     if memo is None:

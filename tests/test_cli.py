@@ -198,6 +198,18 @@ class TestIsoCheck:
         assert code == 0
         assert out.rstrip().endswith("VERDICT: Pass")
 
+    @pytest.mark.parametrize("bound, rep", [("1", "b.b"), ("2", "b.b.b")])
+    def test_class_without_irreducible_word_fails(self, pres, bound, rep):
+        # a weighs more than b.b, so the normal form of a is longer than a
+        # and falls outside the bound: check (b) names the first such class
+        text = ("mode: sgp\nalphabet: a b\norder: wtlex a=3 b=1\n"
+                "precedence: b < a\nrules:\n  a -> b.b\n")
+        code, out, _ = run_cli(["iso-check", pres(text), "-L", bound])
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            f"VERDICT: Fail detail=class of {rep} holds 0 irreducible words within length {bound}"
+        )
+
 
 class TestErrorsAndExitCodes:
     def test_parse_error_is_exit_one(self, pres):
@@ -227,6 +239,14 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: modulus is not prime: 6\n"
+
+    @pytest.mark.parametrize("command", [
+        ["complete"], ["lockstep"], ["nf", "b.a"], ["equal", "a", "b"], ["iso-check"],
+    ], ids=lambda command: command[0])
+    def test_member_vanishing_over_field_flag(self, pres, command):
+        text = ALG_BINOMIAL.replace("b.a - a.b", "b.a - a.b\n  3*a")
+        code, out, err = run_cli([command[0], pres(text), *command[1:], "--field", "F3"])
+        assert (code, out, err) == (1, "", "error: polynomial 2 (3*a) is zero over F3\n")
 
     @pytest.mark.parametrize("command", [["nf", "1"], ["equal", "1", "a"], ["equal", "a", "1"]],
                              ids=["nf", "equal-first", "equal-second"])

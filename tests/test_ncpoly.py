@@ -15,6 +15,7 @@ from kbgb import (
     MonomialOrder,
     NcPolynomial,
     PrimeField,
+    ReductionBudgetExceeded,
     Word,
     buchberger,
     buchberger_pass,
@@ -43,7 +44,7 @@ from helpers import (
     random_system,
     redex_features,
 )
-from oracles import all_words, reference_step, shortlex_key
+from oracles import all_words, reference_reduce, reference_step, shortlex_key
 
 AB = Alphabet("ab")
 ORDER = MonomialOrder.shortlex(AB)
@@ -223,6 +224,58 @@ class TestReduction:
                            * NcPolynomial.monomial(QQ, Word(alpha, right)))
                 assert once == p - product.scaled(coeff)
         assert len(features) == 4
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @pytest.mark.parametrize("kind", ["general", "redex"])
+    def test_whole_reduction_matches_reference(self, field, kind):
+        # every step and the normal form, against a plain-dict reduction
+        # that shares no reduction code with the engine
+        rng = random.Random(71)
+        total_steps = 0
+        for _ in range(40):
+            if kind == "general":
+                basis = random_general_basis(rng, field)
+            else:
+                basis = rules_to_basis(random_redex_system(rng), field)
+            alpha = basis.alphabet
+            key = shortlex_key(alpha, basis.order.precedence)
+            members = [dict(p.terms) for p in basis.polys]
+            words = list(all_words(alpha, 6, min_len=0))
+            for _ in range(20):
+                terms = [(rng.choice(words), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                      rng.randint(1, 2)))
+                         for _ in range(rng.randint(1, 5))]
+                p = NcPolynomial(field, terms)
+                expected_steps, expected_nf = reference_reduce(members, field, key, p.terms)
+                nf, steps = reduce_with_steps(basis, p)
+                assert [(s.coeff, s.left.letters, s.index, s.right.letters)
+                        for s in steps] == expected_steps
+                assert nf.terms == expected_nf
+                total_steps += len(steps)
+        assert total_steps > 2000
+
+    def test_budget_boundary(self):
+        # a reduction that needs exactly k steps raises at max_steps=k and
+        # returns at k+1, in both engines
+        rng = random.Random(73)
+        for _ in range(20):
+            system = random_redex_system(rng)
+            basis = rules_to_basis(system, QQ)
+            key = shortlex_key(system.alphabet, system.order.precedence)
+            members = [dict(p.terms) for p in basis.polys]
+            for word in rng.sample(list(all_words(system.alphabet, 6)), 10):
+                p = NcPolynomial.monomial(QQ, word)
+                k = len(reference_reduce(members, QQ, key, p.terms)[0])
+                nf, steps = reduce_with_steps(basis, p, k + 1)
+                assert len(steps) == k
+                assert poly_normal_form(basis, p, k + 1) == nf
+                (image,) = nf.terms
+                assert normal_form(system, word, k + 1) == image
+                for run in (lambda: reduce_with_steps(basis, p, k),
+                            lambda: poly_normal_form(basis, p, k),
+                            lambda: normal_form(system, word, k)):
+                    with pytest.raises(ReductionBudgetExceeded, match=f"within {k} steps"):
+                        run()
 
 
 class TestSPolynomials:
