@@ -22,6 +22,7 @@ from .completion import (
     CompletionLimits,
     CompletionResult,
     LimitExceeded,
+    PairRecord,
     PassRecord,
     ReductionBudgetExceeded,
 )
@@ -33,7 +34,6 @@ from .ncpoly import (
     PrimeField,
     RationalField,
     ReductionStep,
-    SPolyRecord,
     buchberger,
     buchberger_pass,
     field_from_name,
@@ -55,7 +55,6 @@ from .presentation import (
 from .rewriting import (
     MONOID,
     SEMIGROUP,
-    CriticalPair,
     RewriteSystem,
     Rule,
     critical_pairs,

@@ -2,7 +2,10 @@
 
 Knuth-Bendix completion and the noncommutative Buchberger algorithm differ
 only in how a pass examines its input; the install policy, the caps and
-the loop to the fixed point live here once. ``passes`` is that loop: a
+the loop to the fixed point live here once, and so does ``PairRecord``,
+what either engine records of one examined pair. Both engines emit their
+records in the examination order of ``words.overlaps``, so the records of
+one pass align one for one across engines. ``passes`` is the loop: a
 stream of one record per pass, which ``complete`` runs to its end and the
 lockstep driver (``correspondence``) zips across both engines.
 """
@@ -10,6 +13,8 @@ lockstep driver (``correspondence``) zips across both engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .words import OverlapMatch
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -25,8 +30,7 @@ class ReductionBudgetExceeded(RuntimeError):
 class LimitExceeded(Exception):
     """A completion resource limit tripped.
 
-    Carries the pass that was being examined (critical pairs for the
-    rewriting engine, S-polynomial records for the polynomial engine) so a
+    Carries the pair records of the pass that was being examined so a
     caller can report the truncation point.
     """
 
@@ -55,9 +59,27 @@ class CompletionLimits:
             raise ValueError("max_rules and max_word_length must be positive")
 
 
-def fresh_members(existing, candidates, words, limits, records) -> list:
-    """The new members of a pass: candidates (None where a record
-    resolved) deduplicated in examination order against the input.
+@dataclass(frozen=True)
+class PairRecord:
+    """One examined pair of members, from one match of their left sides.
+
+    ``raw`` and ``reduced`` are the critical pair's two words (rewriting)
+    or the S-polynomial (polynomials), before and after reduction. ``new``
+    is the member the pair adds, the oriented rule or the monic reduced
+    S-polynomial, or None when the pair resolved.
+    """
+
+    first: int
+    second: int
+    match: OverlapMatch
+    raw: object
+    reduced: object
+    new: object
+
+
+def fresh_members(existing, records, words, limits: CompletionLimits) -> list:
+    """The new members of a pass: each record's ``new`` (skipping resolved
+    pairs), deduplicated in examination order against the input.
 
     Raises LimitExceeded with the pass's records when a member has a word
     (from ``words(member)``) over ``max_word_length``, else when the total
@@ -65,23 +87,22 @@ def fresh_members(existing, candidates, words, limits, records) -> list:
     """
     fresh = []
     seen = set(existing)
-    for member in candidates:
-        if member is not None and member not in seen:
-            seen.add(member)
-            fresh.append(member)
-    if limits is not None:
-        for member in fresh:
-            if any(len(w) > limits.max_word_length for w in words(member)):
-                raise LimitExceeded("max_word_length", records)
-        if len(existing) + len(fresh) > limits.max_rules:
-            raise LimitExceeded("max_rules", records)
+    for rec in records:
+        if rec.new is not None and rec.new not in seen:
+            seen.add(rec.new)
+            fresh.append(rec.new)
+    for member in fresh:
+        if any(len(w) > limits.max_word_length for w in words(member)):
+            raise LimitExceeded("max_word_length", records)
+    if len(existing) + len(fresh) > limits.max_rules:
+        raise LimitExceeded("max_rules", records)
     return fresh
 
 
 @dataclass(frozen=True)
 class PassRecord:
     index: int  # 1-based
-    records: tuple  # critical pairs or S-polynomial records, in examination order
+    records: tuple  # PairRecords, in examination order
     state: object  # rule set or basis after the pass (unchanged if a limit tripped)
     limit_reason: str | None = None  # the cap that tripped inside the pass
     fixed: bool = False  # the pass installed nothing

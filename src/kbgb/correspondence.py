@@ -2,13 +2,15 @@
 
 A rule set R translates to the basis F of two-term polynomials l - r, one
 per rule. The driver zips the two engines' pass streams
-(completion.passes), so when completion stops is decided in one place,
-and checks, pass by pass, that overlaps align with matches one for one,
-that a pair resolves exactly when its S-polynomial reduces to zero, that
-an unresolved pair's oriented sides reappear as the monic reduced
-S-polynomial, and that the next basis is exactly the translation of the
-next rule set. Any failure is reported as a divergence verdict, never
-papered over.
+(completion.passes), so when completion stops is decided in one place.
+Both engines record each examined pair as one completion.PairRecord, in
+the same examination order, so a pass's two record lists are compared
+position by position: the i-th overlap must be the i-th match, the pair
+resolves exactly when the S-polynomial reduces to zero, and an unresolved
+pair's oriented sides reappear as the monic reduced S-polynomial. Last,
+the next basis must be exactly the translation of the next rule set. Any
+failure, a reordered pass included, is reported as a divergence verdict,
+never papered over.
 
 The truncated isomorphism check compares the two engines' canonical forms
 on every word up to a length bound: equal words stay equal, every class
@@ -97,11 +99,9 @@ class LockstepPass:
     """One synchronized pass with its three correspondence checks."""
 
     index: int  # 1-based
-    pairs: tuple
-    records: tuple
-    system: RewriteSystem  # rule set after the pass
-    basis: Basis  # basis after the pass
-    sources_ok: bool  # overlaps and matches name the same sources
+    pairs: tuple  # the rewriting engine's PairRecords
+    records: tuple  # the polynomial engine's PairRecords
+    sources_ok: bool  # overlaps and matches name the same sources, in order
     pairs_ok: bool  # dispositions and contents align pairwise
     sets_ok: bool  # next basis = translation of next rule set
 
@@ -121,37 +121,28 @@ class CorrespondenceReport:
     limit_reason: str | None = None
 
 
-def _source_key(first: int, second: int, match) -> tuple:
-    return (first, second, match.kind.value, match.witness_lengths())
+def _source_key(rec) -> tuple:
+    return (rec.first, rec.second, rec.match.kind.value, rec.match.witness_lengths())
 
 
 def _check_pass(pairs, records, next_system, next_basis, field):
     """The three per-pass checks; returns (sources, pairs, sets, detail)."""
-    pair_keys = sorted(_source_key(cp.rule1, cp.rule2, cp.match) for cp in pairs)
-    record_keys = sorted(_source_key(rec.poly1, rec.poly2, rec.match) for rec in records)
+    pair_keys = [_source_key(cp) for cp in pairs]
+    record_keys = [_source_key(rec) for rec in records]
     sources_ok = pair_keys == record_keys
-    pairs_ok = True
+    pairs_ok = sources_ok
     detail = None
     if sources_ok:
-        by_key = {_source_key(rec.poly1, rec.poly2, rec.match): rec for rec in records}
-        for cp in pairs:
-            rec = by_key[_source_key(cp.rule1, cp.rule2, cp.match)]
-            if cp.resolved != rec.reduced_to_zero:
-                pairs_ok = False
-                detail = (
-                    f"disposition mismatch at rules=({cp.rule1},{cp.rule2}) "
-                    f"kind={cp.match.kind.value}"
-                )
-                break
-            if not cp.resolved and rec.new_poly != rule_binomial(cp.new_rule, field):
-                pairs_ok = False
-                detail = (
-                    f"content mismatch at rules=({cp.rule1},{cp.rule2}) "
-                    f"kind={cp.match.kind.value}: rule {cp.new_rule.render()}"
-                )
-                break
+        for cp, rec in zip(pairs, records):
+            disposition_ok = (cp.new is None) == (rec.new is None)
+            if disposition_ok and (cp.new is None or rec.new == rule_binomial(cp.new, field)):
+                continue
+            pairs_ok = False
+            where = f"rules=({cp.first},{cp.second}) kind={cp.match.kind.value}"
+            detail = (f"disposition mismatch at {where}" if not disposition_ok
+                      else f"content mismatch at {where}: rule {cp.new.render()}")
+            break
     else:
-        pairs_ok = False
         only_pairs = [k for k in pair_keys if k not in record_keys]
         only_records = [k for k in record_keys if k not in pair_keys]
         detail = f"sources differ: overlaps-only={only_pairs} matches-only={only_records}"
@@ -195,8 +186,7 @@ def lockstep_complete(
             kb.records, gb.records, cur_system, cur_basis, field
         )
         checked.append(
-            LockstepPass(kb.index, kb.records, gb.records, cur_system, cur_basis,
-                         sources_ok, pairs_ok, sets_ok)
+            LockstepPass(kb.index, kb.records, gb.records, sources_ok, pairs_ok, sets_ok)
         )
         if not (sources_ok and pairs_ok and sets_ok):
             return report(VERDICT_DIVERGENCE, detail, kb.index)

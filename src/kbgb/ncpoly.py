@@ -24,7 +24,6 @@ of its S-polynomials once.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
     CompletionResult,
+    PairRecord,
     ReductionBudgetExceeded,
     complete,
     fresh_members,
@@ -41,7 +41,6 @@ from .words import (
     Alphabet,
     AlphabetMismatch,
     MonomialOrder,
-    OverlapMatch,
     RedexIndex,
     Word,
     overlaps,
@@ -97,8 +96,21 @@ class RationalField:
 QQ = RationalField()
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < 2**64; the prime bases up
+    to 37 make it exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in bases)
+
+
 class PrimeField:
-    """Integers mod p for a prime p, residues kept canonical in 0..p-1."""
+    """Integers mod p for a prime p < 2**64, residues kept canonical in 0..p-1."""
 
     __slots__ = ("p", "name")
 
@@ -108,7 +120,9 @@ class PrimeField:
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"modulus must be an integer >= 2: {p!r}")
-        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if p >= 2**64:
+            raise ValueError(f"modulus must be below 2**64: {p}")
+        if not _is_prime(p):
             raise ValueError(f"modulus is not prime: {p}")
         self.p = p
         self.name = f"F{p}"
@@ -428,24 +442,10 @@ def replay_steps(basis: Basis, steps) -> NcPolynomial:
     return total
 
 
-@dataclass(frozen=True)
-class SPolyRecord:
-    """An S-polynomial from one match, raw and fully reduced."""
-
-    poly1: int
-    poly2: int
-    match: OverlapMatch
-    raw: NcPolynomial
-    reduced: NcPolynomial
-    new_poly: NcPolynomial | None  # None when the S-polynomial reduced to zero
-
-    @property
-    def reduced_to_zero(self) -> bool:
-        return self.new_poly is None
-
-
 def s_polynomials(basis: Basis) -> list:
-    """Every S-polynomial of every ordered pair, reduced against the basis.
+    """A PairRecord for the S-polynomial of every match of every ordered
+    pair, reduced against the basis, in the examination order of
+    words.overlaps.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, and the raw
     S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
@@ -476,7 +476,7 @@ def s_polynomials(basis: Basis) -> list:
                 _add_term(field, data, target, field.mul(coeff, c))
         reduced = NcPolynomial._raw(field, data)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
-        records.append(SPolyRecord(i, j, m, raw, reduced, new))
+        records.append(PairRecord(i, j, m, raw, reduced, new))
     return records
 
 
@@ -490,7 +490,7 @@ def is_pm_binomial(poly: NcPolynomial, field) -> bool:
     return len(poly.terms) <= 2 and all(c in allowed for c in poly.terms.values())
 
 
-def buchberger_pass(basis: Basis, limits: CompletionLimits | None = None):
+def buchberger_pass(basis: Basis, limits: CompletionLimits):
     """One completion pass: (next basis, S-polynomial records).
 
     Reductions use the input basis only; monic survivors land as a batch,
@@ -504,8 +504,7 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits | None = None):
             for poly in (rec.raw, rec.reduced):
                 if not is_pm_binomial(poly, basis.field):
                     raise ClosureViolation(f"two-term closure violated by {poly!r}")
-    fresh = fresh_members(basis.polys, [rec.new_poly for rec in records],
-                          lambda poly: poly.terms, limits, records)
+    fresh = fresh_members(basis.polys, records, lambda poly: poly.terms, limits)
     return basis.with_polys(fresh), records
 
 
@@ -546,14 +545,10 @@ def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
     return "".join(parts)
 
 
-def record_line(pass_index: int, rec: SPolyRecord, order: MonomialOrder) -> str:
+def record_line(pass_index: int, rec: PairRecord, order: MonomialOrder) -> str:
     """One trace record; mirrors the rewriting trace with poly fields."""
-    disp = (
-        "ReducedToZero"
-        if rec.new_poly is None
-        else f"Added:({render_poly(rec.new_poly, order)})"
-    )
+    disp = "ReducedToZero" if rec.new is None else f"Added:({render_poly(rec.new, order)})"
     return (
-        f"pass={pass_index} polys=({rec.poly1},{rec.poly2}) kind={rec.match.kind.value} "
+        f"pass={pass_index} polys=({rec.first},{rec.second}) kind={rec.match.kind.value} "
         f"raw=({render_poly(rec.raw, order)}) reduced=({render_poly(rec.reduced, order)}) disp={disp}"
     )

@@ -74,18 +74,23 @@ class PresentationFile:
 
     def basis(self, field=None) -> Basis:
         """Basis over the requested field; members are normalized monic.
-        A member that vanishes over that field is rejected by number."""
+        A member that vanishes over that field, or has a coefficient whose
+        denominator does, is rejected by number."""
         if self.mode != "alg":
             raise ValueError("only an alg presentation carries polynomials")
         field = field if field is not None else self.field()
         polys = []
         for n, terms in enumerate(self.polys_raw, 1):
-            poly = NcPolynomial(field, terms)
-            if poly.is_zero():
-                # parsing rejects a zero member over the file's own field;
-                # this one vanishes only over the field asked for
+            # parsing rejects these over the file's own field; they fail
+            # only over the field asked for
+            try:
+                poly = NcPolynomial(field, terms)
+                problem = f" is zero over {field.name}" if poly.is_zero() else None
+            except ZeroDivisionError as exc:
+                problem = f": {exc}"
+            if problem:
                 source = render_poly(NcPolynomial(QQ, terms), self.order)
-                raise ValueError(f"polynomial {n} ({source}) is zero over {field.name}")
+                raise ValueError(f"polynomial {n} ({source}){problem}")
             poly = make_monic(poly, self.order)
             if poly not in polys:
                 polys.append(poly)

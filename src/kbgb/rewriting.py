@@ -20,6 +20,7 @@ from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
     CompletionResult,
+    PairRecord,
     ReductionBudgetExceeded,
     complete,
     fresh_members,
@@ -28,7 +29,6 @@ from .words import (
     Alphabet,
     AlphabetMismatch,
     MonomialOrder,
-    OverlapMatch,
     RedexIndex,
     Word,
     overlaps,
@@ -135,26 +135,11 @@ def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP
     raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    """The two reducts of a superposition word, raw and fully reduced."""
-
-    rule1: int
-    rule2: int
-    match: OverlapMatch
-    raw: tuple
-    reduced: tuple
-    new_rule: Rule | None  # None when the pair resolved
-
-    @property
-    def resolved(self) -> bool:
-        return self.new_rule is None
-
-
 def critical_pairs(system: RewriteSystem) -> list:
-    """Every critical pair of every ordered rule pair, reduced against the
-    system, in the examination order of words.overlaps. A match is one word
-    u1.l1.v1 = u2.l2.v2, and its raw critical pair is (u1.r1.v1, u2.r2.v2).
+    """A PairRecord for every critical pair of every ordered rule pair,
+    reduced against the system, in the examination order of words.overlaps.
+    A match is one word u1.l1.v1 = u2.l2.v2, and its raw critical pair is
+    (u1.r1.v1, u2.r2.v2).
 
     Each distinct raw word is reduced once per call: normal_form is a
     function of the word and the fixed input system, so later pairs reuse
@@ -174,16 +159,16 @@ def critical_pairs(system: RewriteSystem) -> list:
         c1 = reduce(raw[0])
         c2 = reduce(raw[1])
         if c1 == c2:
-            new_rule = None
+            new = None
         elif system.order.greater(c1, c2):
-            new_rule = Rule(c1, c2)
+            new = Rule(c1, c2)
         else:
-            new_rule = Rule(c2, c1)
-        pairs.append(CriticalPair(i, j, m, raw, (c1, c2), new_rule))
+            new = Rule(c2, c1)
+        pairs.append(PairRecord(i, j, m, raw, (c1, c2), new))
     return pairs
 
 
-def kb_pass(system: RewriteSystem, limits: CompletionLimits | None = None):
+def kb_pass(system: RewriteSystem, limits: CompletionLimits):
     """One completion pass: (next system, critical pairs examined).
 
     Reductions use the input system only; new rules land as a batch at the
@@ -191,8 +176,7 @@ def kb_pass(system: RewriteSystem, limits: CompletionLimits | None = None):
     the result would break a cap.
     """
     pairs = critical_pairs(system)
-    fresh = fresh_members(system.rules, [cp.new_rule for cp in pairs],
-                          lambda rule: (rule.lhs, rule.rhs), limits, pairs)
+    fresh = fresh_members(system.rules, pairs, lambda rule: (rule.lhs, rule.rhs), limits)
     return system.with_rules(fresh), pairs
 
 
@@ -217,15 +201,15 @@ def bounded_words(system: RewriteSystem, max_len: int):
 
 def is_locally_confluent(system: RewriteSystem) -> bool:
     """True when every critical pair resolves."""
-    return all(cp.resolved for cp in critical_pairs(system))
+    return all(cp.new is None for cp in critical_pairs(system))
 
 
-def pair_line(pass_index: int, cp: CriticalPair) -> str:
+def pair_line(pass_index: int, cp: PairRecord) -> str:
     """One trace record; bit-exact across runs."""
     raw = f"({cp.raw[0].dotted()},{cp.raw[1].dotted()})"
     reduced = f"({cp.reduced[0].dotted()},{cp.reduced[1].dotted()})"
-    disp = "Resolved" if cp.new_rule is None else f"Added:{cp.new_rule.render()}"
+    disp = "Resolved" if cp.new is None else f"Added:{cp.new.render()}"
     return (
-        f"pass={pass_index} rules=({cp.rule1},{cp.rule2}) kind={cp.match.kind.value} "
+        f"pass={pass_index} rules=({cp.first},{cp.second}) kind={cp.match.kind.value} "
         f"raw={raw} reduced={reduced} disp={disp}"
     )

@@ -248,6 +248,30 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli([command[0], pres(text), *command[1:], "--field", "F3"])
         assert (code, out, err) == (1, "", "error: polynomial 2 (3*a) is zero over F3\n")
 
+    @pytest.mark.parametrize("command", [
+        ["complete"], ["lockstep"], ["nf", "b.a"], ["equal", "a", "b"], ["iso-check"],
+    ], ids=lambda command: command[0])
+    def test_member_denominator_vanishing_over_field_flag(self, pres, command):
+        text = ALG_BINOMIAL.replace("b.a - a.b", "1/3*a - b")
+        code, out, err = run_cli([command[0], pres(text), *command[1:], "--field", "F3"])
+        assert (code, out, err) == (
+            1, "", "error: polynomial 1 (-b + 1/3*a): denominator of 1/3 vanishes mod 3\n"
+        )
+
+    @pytest.mark.parametrize("field, code, message", [
+        ("F1000000000000000003", 0, ""),
+        ("F1000000016000000063", 1, "modulus is not prime: 1000000016000000063"),
+        ("F18446744073709551629", 1, "modulus must be below 2**64: 18446744073709551629"),
+    ], ids=["prime", "composite", "too-large"])
+    def test_large_field_modulus(self, pres, field, code, message):
+        # decided in bounded time, from the flag and from a field: line alike
+        flag_code, _, flag_err = run_cli(["complete", pres(ABA_B), "--field", field])
+        text = ABA_B.replace("mode: sgp", f"mode: sgp\nfield: {field}")
+        line_code, _, line_err = run_cli(["complete", pres(text)])
+        assert (flag_code, line_code) == (code, code)
+        assert flag_err == (f"error: {message}\n" if message else "")
+        assert line_err == (f"error: line 2: {message}\n" if message else "")
+
     @pytest.mark.parametrize("command", [["nf", "1"], ["equal", "1", "a"], ["equal", "a", "1"]],
                              ids=["nf", "equal-first", "equal-second"])
     def test_empty_word_rejected_in_sgp_mode(self, pres, command):

@@ -111,8 +111,8 @@ class TestLockstep:
         report = lockstep_complete(make_system(["aa->a"]), QQ)
         assert report.verdict == "Corresponds"
         (only,) = report.passes
-        assert all(cp.resolved for cp in only.pairs)
-        assert all(rec.reduced_to_zero for rec in only.records)
+        assert all(cp.new is None for cp in only.pairs)
+        assert all(rec.new is None for rec in only.records)
 
     def test_growing_run(self):
         system = make_system(["aba->b"])
@@ -177,8 +177,8 @@ class TestLockstep:
         report = lockstep_complete(system, QQ)
         assert report.verdict == "Corresponds"
         (only,) = report.passes
-        assert all(cp.resolved for cp in only.pairs)
-        assert all(rec.reduced_to_zero for rec in only.records)
+        assert all(cp.new is None for cp in only.pairs)
+        assert all(rec.new is None for rec in only.records)
 
     def test_random_corpus_always_corresponds(self):
         rng = random.Random(59)
@@ -214,12 +214,18 @@ class TestLockstep:
     # engine on a.b.a -> b, which completes in two passes
     @staticmethod
     def _wrong_content(state, nxt, records):
-        return nxt, [dataclasses.replace(rec, new_poly=state.polys[0])
-                     if rec.new_poly is not None else rec for rec in records]
+        return nxt, [dataclasses.replace(rec, new=state.polys[0])
+                     if rec.new is not None else rec for rec in records]
 
     @staticmethod
     def _dropped_record(state, nxt, records):
         return nxt, records[:-1]
+
+    @staticmethod
+    def _reversed_records(state, nxt, records):
+        # the same records in another order: the sets agree, the
+        # examination order does not
+        return nxt, records[::-1]
 
     @staticmethod
     def _nothing_installed(state, nxt, records):
@@ -261,7 +267,11 @@ class TestLockstep:
         ("kb_pass", 2, "_reversed_members", 2,
          "fixed point on one side only: rewriting=False polynomials=True",
          ABA_RULES[::-1], ABA_POLYS),
-    ], ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed"])
+        ("buchberger_pass", 1, "_reversed_records", 1,
+         "sources differ: overlaps-only=[] matches-only=[]",
+         ABA_RULES, ABA_POLYS),
+    ], ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed",
+            "order"])
     def test_every_divergence_branch(self, monkeypatch, engine, at, change, pass_index,
                                      detail, rules, polys):
         import kbgb.correspondence as corr

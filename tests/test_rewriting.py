@@ -145,7 +145,7 @@ class TestCriticalPairs:
         sp = pairs[0]
         assert sp.raw == (w("bba", ABA_B), w("abb", ABA_B))
         assert sp.reduced == sp.raw
-        assert sp.new_rule == Rule(w("bba", ABA_B), w("abb", ABA_B))
+        assert sp.new == Rule(w("bba", ABA_B), w("abb", ABA_B))
 
     def test_resolved_example(self):
         # the single-letter self overlap of aa appears in both symmetric kinds
@@ -157,7 +157,7 @@ class TestCriticalPairs:
         for pair in pairs:
             assert pair.raw == (w("aa", AA_A), w("aa", AA_A))
             assert pair.reduced == (w("a", AA_A), w("a", AA_A))
-            assert pair.resolved
+            assert pair.new is None
 
     def test_no_overlap_example(self):
         assert critical_pairs(BA_AB) == []
@@ -169,7 +169,7 @@ class TestCriticalPairs:
             p for p in pairs
             if p.match.kind is MatchKind.CONTAINMENT_12 and p.match.witness_lengths() == (0, 0, 0, 0)
         ]
-        assert {(p.rule1, p.rule2) for p in boundary} == {(0, 1), (1, 0)}
+        assert {(p.first, p.second) for p in boundary} == {(0, 1), (1, 0)}
         raw = {p.raw for p in boundary}
         assert raw == {(w("a"), w("b")), (w("b"), w("a"))}
 
@@ -181,8 +181,8 @@ class TestCriticalPairs:
             system = random_system(rng)
             for cp in critical_pairs(system):
                 m = cp.match
-                r1 = system.rules[cp.rule1]
-                r2 = system.rules[cp.rule2]
+                r1 = system.rules[cp.first]
+                r2 = system.rules[cp.second]
                 assert m.u1 * r1.lhs * m.v1 == m.superposition
                 assert m.u2 * r2.lhs * m.v2 == m.superposition
                 assert cp.raw == (m.u1 * r1.rhs * m.v1, m.u2 * r2.rhs * m.v2)
@@ -194,8 +194,8 @@ class TestCriticalPairs:
             for pair in critical_pairs(system):
                 for side in pair.reduced:
                     assert reduce_once(system, side) is None
-                if pair.new_rule is not None:
-                    assert system.order.greater(pair.new_rule.lhs, pair.new_rule.rhs)
+                if pair.new is not None:
+                    assert system.order.greater(pair.new.lhs, pair.new.rhs)
 
     def test_reduced_is_normal_form_of_raw(self):
         # critical_pairs reduces each distinct raw word once per call
@@ -214,11 +214,11 @@ class TestCriticalPairs:
 
 class TestKbPass:
     def test_examples(self):
-        nxt, pairs = kb_pass(BA_AB)
+        nxt, pairs = kb_pass(BA_AB, CompletionLimits())
         assert nxt.rules == BA_AB.rules and pairs == []
-        nxt, pairs = kb_pass(AA_A)
-        assert nxt.rules == AA_A.rules and pairs and all(p.resolved for p in pairs)
-        nxt, pairs = kb_pass(ABA_B)
+        nxt, pairs = kb_pass(AA_A, CompletionLimits())
+        assert nxt.rules == AA_A.rules and pairs and all(p.new is None for p in pairs)
+        nxt, pairs = kb_pass(ABA_B, CompletionLimits())
         assert [r.render() for r in nxt.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
 
     def test_max_rules_limit(self):
