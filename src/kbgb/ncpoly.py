@@ -2,9 +2,9 @@
 
 Monomials are free-monoid words; a polynomial is a finite scalar
 combination with no stored zeros. Coefficients are plain Python values
-(fractions.Fraction over the rationals, canonical residues over a prime
-field) interpreted through a small field object carried by every
-polynomial.
+(over the rationals an int when integral and a fractions.Fraction
+otherwise, canonical residues over a prime field) interpreted through a
+small field object carried by every polynomial.
 
 The reduction policy mirrors the string engine exactly: reduce the
 greatest reducible monomial, inside it the leftmost occurrence, and at a
@@ -12,7 +12,8 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
-reduce_with_steps is the one reduction loop, and every sum of terms, in
+reduce_with_steps is the one reduction loop: it pops monomials greatest
+first from a heap and searches each one once. Every sum of terms, in
 arithmetic, reduction and S-polynomials alike, goes through _add_term.
 
 Reduction is linear in exact arithmetic: a step replaces the greatest
@@ -27,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .completion import (
     DEFAULT_STEP_BUDGET,
@@ -48,34 +50,35 @@ from .words import (
 
 
 class RationalField:
-    """Arbitrary-precision rationals; Fraction keeps them in lowest terms."""
+    """Arbitrary-precision rationals: an integral value is held as an int,
+    any other as a Fraction in lowest terms. An int and the equal Fraction
+    agree in str, == and hash, so output does not depend on the choice."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, (Fraction, str)):
+            return _int_if_integral(Fraction(value))
         raise TypeError(f"cannot use {value!r} as a rational scalar")
 
     def add(self, a, b):
-        return a + b
+        return _int_if_integral(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _int_if_integral(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # 1 / a would give a float for an int a
+        return _int_if_integral(Fraction(1, a))
 
     def is_negative(self, a) -> bool:
         return a < 0
@@ -91,6 +94,13 @@ class RationalField:
 
     def __repr__(self):
         return "RationalField()"
+
+
+def _int_if_integral(q):
+    """The int equal to q when q is an integral Fraction; q otherwise."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 QQ = RationalField()
@@ -354,6 +364,7 @@ class Basis:
             raise AlphabetMismatch("order and basis alphabets differ")
         seen = set()
         lms = []
+        neg_tails = []
         for poly in self.polys:
             if not isinstance(poly, NcPolynomial) or poly.is_zero():
                 raise ValueError("basis members must be nonzero polynomials")
@@ -371,8 +382,12 @@ class Basis:
                 raise ValueError(f"duplicate basis member: {poly!r}")
             seen.add(poly)
             lms.append(lm)
+            neg_tails.append(tuple((w.letters, self.field.neg(c))
+                                   for w, c in poly.terms.items() if w != lm))
         object.__setattr__(self, "_lms", tuple(lms))
         object.__setattr__(self, "_index", RedexIndex(lm.letters for lm in lms))
+        # per member, (letters, -c) for every term c.w but the leading one
+        object.__setattr__(self, "_neg_tails", tuple(neg_tails))
 
     def with_polys(self, extra) -> "Basis":
         return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
@@ -391,15 +406,32 @@ class ReductionStep:
     right: Word
 
 
+class _Greatest:
+    """Heap entry for one monomial. heapq pops its least entry, and a
+    greater monomial ranks lower here, so the heap pops the greatest."""
+
+    __slots__ = ("key", "word")
+
+    def __init__(self, key, word):
+        self.key = key
+        self.word = word
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
 def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET):
     """Normal form plus the replay record of every replacement made.
 
-    The one reduction loop, over one mutable term dict. Each step sorts the
-    terms greatest first and searches them in turn until one holds a redex;
-    that term k.m, with m = left.lm(f).right, is popped, and -k.left.t.right
-    is added for every tail term t of the member f (f is monic, so m
-    cancels exactly). Raises ReductionBudgetExceeded after max_steps steps
-    without a further search.
+    The one reduction loop, over one mutable term dict and a max-heap of its
+    monomials under the order (Monagan and Pearce, CASC 2007). Each step
+    pops monomials until one holds a redex, skipping any whose term has
+    cancelled. A monomial with no redex is final, since a step only adds
+    monomials below the one it reduces. The reducible term k.m, with m =
+    left.lm(f).right, leaves the dict, and k.left.t.right is added for every
+    negated tail term t of the member f (f is monic, so m cancels exactly).
+    A monomial enters the heap once, when it first appears. Raises
+    ReductionBudgetExceeded after max_steps steps without a further search.
 
     The recorded steps witness membership: p - nf(p) equals the sum of
     coeff . left . f . right over the steps (see replay_steps).
@@ -408,23 +440,29 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
     find = basis._index.find
     key = basis.order.key
     data = dict(poly.terms)
+    heap = [_Greatest(key(word), word) for word in data]
+    heapify(heap)
+    queued = set(data)
     steps = []
     for _ in range(max_steps):
-        for word in sorted(data, key=key, reverse=True):
-            hit = find(word.letters)
-            if hit is not None:
-                break
-        else:
+        hit = None
+        while hit is None and heap:
+            word = heappop(heap).word
+            if word in data:
+                hit = find(word.letters)
+        if hit is None:
             return NcPolynomial._raw(field, data), tuple(steps)
         pos, index, end = hit
         coeff = data.pop(word)
-        left, right = word[:pos], word[end:]
-        steps.append(ReductionStep(coeff, left, index, right))
-        lm, neg = basis._lms[index], field.neg(coeff)
-        for tail, c in basis.polys[index].terms.items():
-            if tail != lm:
-                target = Word._raw(word.alphabet, left.letters + tail.letters + right.letters)
-                _add_term(field, data, target, field.mul(neg, c))
+        alphabet, letters = word.alphabet, word.letters
+        lo, hi = letters[:pos], letters[end:]
+        steps.append(ReductionStep(coeff, Word._raw(alphabet, lo), index, Word._raw(alphabet, hi)))
+        for tail, c in basis._neg_tails[index]:
+            target = Word._raw(alphabet, lo + tail + hi)
+            _add_term(field, data, target, field.mul(coeff, c))
+            if target not in queued:
+                queued.add(target)
+                heappush(heap, _Greatest(key(target), target))
     raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
 
 
@@ -484,10 +522,10 @@ class ClosureViolation(RuntimeError):
     """An S-polynomial of two-term unit-coefficient members left that shape."""
 
 
-def is_pm_binomial(poly: NcPolynomial, field) -> bool:
-    """At most two terms, every coefficient 1 or -1 in the field."""
-    allowed = {field.one, field.neg(field.one)}
-    return len(poly.terms) <= 2 and all(c in allowed for c in poly.terms.values())
+def is_pm_binomial(poly: NcPolynomial, units) -> bool:
+    """At most two terms, every coefficient in units, the set {1, -1} of
+    the polynomial's field."""
+    return len(poly.terms) <= 2 and all(c in units for c in poly.terms.values())
 
 
 def buchberger_pass(basis: Basis, limits: CompletionLimits):
@@ -499,10 +537,11 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits):
     replaces one term with another); a violation is an engine bug.
     """
     records = s_polynomials(basis)
-    if all(is_pm_binomial(p, basis.field) for p in basis.polys):
+    units = {basis.field.one, basis.field.neg(basis.field.one)}
+    if all(is_pm_binomial(p, units) for p in basis.polys):
         for rec in records:
             for poly in (rec.raw, rec.reduced):
-                if not is_pm_binomial(poly, basis.field):
+                if not is_pm_binomial(poly, units):
                     raise ClosureViolation(f"two-term closure violated by {poly!r}")
     fresh = fresh_members(basis.polys, records, lambda poly: poly.terms, limits)
     return basis.with_polys(fresh), records

@@ -134,7 +134,10 @@ def parse_poly_terms(line: int | None, alphabet: Alphabet, text: str) -> tuple:
         if not pending:
             raise ParseError(line, "malformed polynomial: empty term")
         if _NUMBER.fullmatch(pending[0]):
-            coeff = Fraction(pending[0])
+            try:
+                coeff = Fraction(pending[0])
+            except ZeroDivisionError:
+                raise ParseError(line, f"coefficient {pending[0]} has a zero denominator") from None
             rest = pending[1:]
         else:
             coeff = Fraction(1)

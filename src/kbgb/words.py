@@ -133,22 +133,20 @@ class Word:
             return Word._raw(self.alphabet, self.letters[item])
         return self.letters[item]
 
-    def names(self):
-        return tuple(self.alphabet.symbols[ix] for ix in self.letters)
-
     def dotted(self) -> str:
         """Canonical text form: names joined with '.', empty word as '1'."""
         if not self.letters:
             return "1"
-        return ".".join(self.names())
+        symbols = self.alphabet.symbols
+        return ".".join([symbols[ix] for ix in self.letters])
 
     def display(self) -> str:
         """Compact form: dots only when some generator name is multi-character."""
         if not self.letters:
             return "1"
-        if any(len(s) > 1 for s in self.alphabet.symbols):
-            return ".".join(self.names())
-        return "".join(self.names())
+        symbols = self.alphabet.symbols
+        sep = "." if any(len(s) > 1 for s in symbols) else ""
+        return sep.join([symbols[ix] for ix in self.letters])
 
     def __str__(self):
         return self.display()

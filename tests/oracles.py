@@ -150,20 +150,23 @@ def reference_reduce(members, field, key, terms):
     members are the basis as plain dicts, each monic under key. Each step
     takes the greatest monomial with a redex under leftmost_redex and
     subtracts coeff . left . member . right, term by term through the
-    field's add, mul and neg. Returns (steps, normal form) with every step
-    as (coeff, left letters, index, right letters).
+    field's add, mul and neg. Returns (steps, normal form, recreated) with
+    every step as (coeff, left letters, index, right letters); recreated is
+    the set of monomials whose term cancelled at one step and reappeared at
+    a later one.
     """
     lms = [max(member, key=key) for member in members]
     lhss = [lm.letters for lm in lms]
     data = dict(terms)
     steps = []
+    cancelled, recreated = set(), set()
     while True:
         for word in sorted(data, key=key, reverse=True):
             hit = leftmost_redex(lhss, word.letters)
             if hit is not None:
                 break
         else:
-            return steps, data
+            return steps, data, recreated
         pos, index = hit
         left, right = word.letters[:pos], word.letters[pos + len(lhss[index]):]
         coeff = data[word]
@@ -173,8 +176,12 @@ def reference_reduce(members, field, key, terms):
             s = field.add(data.get(target, field.zero), field.neg(field.mul(coeff, c)))
             if s == field.zero:
                 data.pop(target, None)
-            else:
-                data[target] = s
+                if target != word:  # the reduced monomial leaves by design
+                    cancelled.add(target)
+                continue
+            if target in cancelled and target not in data:
+                recreated.add(target)
+            data[target] = s
 
 
 def reduction_endpoints(system, word, memo=None):

@@ -217,6 +217,11 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    def test_zero_denominator_is_parse_error(self, pres):
+        text = ALG_GENERAL.replace("a.b - a.a - b", "1/0*a - b")
+        code, out, err = run_cli(["complete", pres(text)])
+        assert (code, out, err) == (1, "", "error: line 5: coefficient 1/0 has a zero denominator\n")
+
     def test_missing_file(self):
         code, _, err = run_cli(["complete", "/nonexistent/x.pres"])
         assert code == 1
@@ -290,7 +295,8 @@ class TestErrorsAndExitCodes:
         (ABA_B, ["nf", "1"], "empty word needs mon mode"),
         (ABA_B, ["equal", "a", "1"], "empty word needs mon mode"),
         (ALG_GENERAL, ["nf", "a*b"], "malformed term near 'a b'"),
-    ], ids=["nf", "equal", "alg-nf"])
+        (ALG_GENERAL, ["nf", "1/0*a"], "coefficient 1/0 has a zero denominator"),
+    ], ids=["nf", "equal", "alg-nf", "alg-nf-zero-denominator"])
     def test_bad_query_fails_before_completion(self, pres, text, command, message):
         # --max-passes 0 trips the completion limit, so its warning would
         # come first if the query were parsed after completion

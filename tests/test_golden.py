@@ -8,8 +8,10 @@ reach the alg, mon and wtlex branches, shortlex orders whose precedence
 is not the alphabet order, a system with two rules sharing a left side,
 and an alg basis of three-term members with non-unit coefficients that
 completes in 4 passes over Q and 3 over F3. The explode relation also runs once under its own flags, to pin
-reduction against 57 rules with nested left sides. Regenerate the manifest (only when an output change is
-intended) with
+reduction against 57 rules with nested left sides, and so does the one-member alg basis
+2*a.b.a.b - 5*b.a + 1/2*a, whose third pass reaches members of up to 68 terms, to pin
+reduction of many-term polynomials with non-integral coefficients over Q and F5. Regenerate the
+manifest (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -88,6 +90,8 @@ INLINE = {
 }
 
 EXPLODE = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a.b -> b.a\n"
+ALG_EXPLODE = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  2*a.b.a.b - 5*b.a + 1/2*a\n"
+ALG_EXPLODE_QUERY = "b.a.b.a.b.a.b.b.a.b.a + 3*a.b.b.a.b.a.b - b"
 
 # run once each with exactly these arguments: four passes reach 57 rules
 OWN_FLAGS = {
@@ -95,6 +99,12 @@ OWN_FLAGS = {
         EXPLODE,
         [["lockstep", "--max-passes", "4"], ["complete", "--max-passes", "4"],
          ["nf", "a.b.b.a.b.a.b.a.a.b.a.b.b.a", "--max-passes", "4"]],
+    ),
+    "alg_explode": (
+        ALG_EXPLODE,
+        [["complete", "--max-passes", "3"], ["complete", "--max-passes", "3", "--field", "F5"],
+         ["nf", ALG_EXPLODE_QUERY, "--max-passes", "3"],
+         ["nf", ALG_EXPLODE_QUERY, "--max-passes", "3", "--field", "F5"]],
     ),
 }
 

@@ -109,6 +109,38 @@ class TestFields:
             if a != field.zero:
                 assert field.mul(a, field.inv(a)) == field.one
 
+    def test_rationals_are_ints_exactly_when_integral(self):
+        # every result equals plain Fraction arithmetic, and is an int
+        # exactly when it is integral
+        values = [0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+                  Fraction(-5, 4), Fraction(7, 6)]
+
+        def canonical(result, expected):
+            return result == expected and (type(result) is int) == (expected.denominator == 1)
+
+        for a in values:
+            fa = Fraction(a)
+            assert canonical(QQ.neg(a), -fa)
+            assert canonical(QQ.coerce(a), fa) and canonical(QQ.coerce(str(fa)), fa)
+            if a != 0:
+                assert canonical(QQ.inv(a), 1 / fa)
+            for b in values:
+                assert canonical(QQ.add(a, b), fa + Fraction(b))
+                assert canonical(QQ.mul(a, b), fa * Fraction(b))
+        for text in ("4/2", "-6/3", "0/5"):
+            assert canonical(QQ.coerce(text), Fraction(text))
+            assert canonical(QQ.coerce(Fraction(text)), Fraction(text))
+        assert QQ.zero == 0 and QQ.one == 1
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.coerce(True)) is int
+
+    def test_rational_inverse_of_int_is_exact(self):
+        assert QQ.inv(2) == Fraction(1, 2)
+        assert not isinstance(QQ.inv(2), float)
+        assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
 
 class TestPolynomialArithmetic:
     def test_zero_pruning_and_merge(self):
@@ -248,13 +280,43 @@ class TestReduction:
                                                       rng.randint(1, 2)))
                          for _ in range(rng.randint(1, 5))]
                 p = NcPolynomial(field, terms)
-                expected_steps, expected_nf = reference_reduce(members, field, key, p.terms)
+                expected_steps, expected_nf, _ = reference_reduce(members, field, key, p.terms)
                 nf, steps = reduce_with_steps(basis, p)
                 assert [(s.coeff, s.left.letters, s.index, s.right.letters)
                         for s in steps] == expected_steps
                 assert nf.terms == expected_nf
                 total_steps += len(steps)
         assert total_steps > 2000
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_many_term_reduction_matches_reference(self, field):
+        # 20-60-term polynomials over words up to length 8: many steps per
+        # reduction, terms that cancel and are created again, and monomials
+        # searched that stay in the normal form
+        rng = random.Random(79)
+        recreated = 0
+        for _ in range(6):
+            basis = random_general_basis(rng, field)
+            alpha = basis.alphabet
+            key = shortlex_key(alpha, basis.order.precedence)
+            members = [dict(p.terms) for p in basis.polys]
+            for _ in range(3):
+                size = rng.randint(20, 60)
+                words = set()
+                while len(words) < size:
+                    words.add(Word(alpha, [rng.randrange(len(alpha))
+                                           for _ in range(rng.randint(0, 8))]))
+                # numerators and denominators prime to 3, so no term vanishes over F3
+                p = NcPolynomial(field, [(word, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)))
+                                         for word in words])
+                assert len(p.terms) == size
+                expected_steps, expected_nf, again = reference_reduce(members, field, key, p.terms)
+                nf, steps = reduce_with_steps(basis, p)
+                assert [(s.coeff, s.left.letters, s.index, s.right.letters)
+                        for s in steps] == expected_steps
+                assert nf.terms == expected_nf
+                recreated += len(again)
+        assert recreated > 0
 
     def test_budget_boundary(self):
         # a reduction that needs exactly k steps raises at max_steps=k and
@@ -431,11 +493,12 @@ class TestBuchberger:
             system = random_system(rng, letters="ab", max_rules=3, max_side=3)
             for field in (QQ, PrimeField(3)):
                 basis = rules_to_basis(system, field)
+                units = {field.one, field.neg(field.one)}
                 result = buchberger(basis, CompletionLimits(max_passes=5, max_rules=40, max_word_length=24))
                 for record in result.trace:
                     for rec in record.records:
-                        assert is_pm_binomial(rec.raw, field)
-                        assert is_pm_binomial(rec.reduced, field)
+                        assert is_pm_binomial(rec.raw, units)
+                        assert is_pm_binomial(rec.reduced, units)
 
     def test_field_independence_of_binomial_completion(self):
         from kbgb import basis_to_rules
