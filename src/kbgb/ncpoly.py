@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .completion import (
     DEFAULT_STEP_BUDGET,
@@ -396,8 +397,7 @@ class Basis:
         return self._lms
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One replacement p -> p - coeff . left . f[index] . right."""
 
     coeff: object

@@ -4,7 +4,9 @@ Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words stored as index sequences,
 shortlex and weighted-shortlex orderings, subword search, the redex index
 both engines search, and the four configurations in which two left-hand
-sides can share ground on a common superposition word.
+sides can share ground on a common superposition word. Overlap detection
+walks the trie of the left sides to find the pairs that can overlap, and
+searches only those.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Alphabet:
         return name in self._index
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return other is self or (isinstance(other, Alphabet) and self.symbols == other.symbols)
 
     def __hash__(self):
         return hash(self.symbols)
@@ -69,6 +71,8 @@ class Alphabet:
 
     def parse_word(self, text: str) -> "Word":
         """Parse ``"b.a"`` (dotted), ``"ba"`` (single-char alphabets), or ``"1"``."""
+        if not text:
+            raise ValueError("empty word; write the empty word as '1'")
         if text == "1":
             return Word(self, ())
         if "." in text:
@@ -115,7 +119,7 @@ class Word:
         return (
             isinstance(other, Word)
             and self.letters == other.letters
-            and self.alphabet == other.alphabet
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __hash__(self):
@@ -255,32 +259,37 @@ class MonomialOrder:
         return f"MonomialOrder.wtlex({weights})"
 
 
-_END = -1  # trie node key of the lowest pattern index ending there; letters are >= 0
+# trie node keys besides the letters (>= 0), holding ascending pattern indices:
+# of the patterns ending at the node; passing through or ending at it. Not -2:
+# hash(-2) == hash(-1), and the collision slows every lookup of _END in find.
+_END, _BELOW = -1, -3
 
 
 class RedexIndex:
-    """Trie over letter tuples, for redex search in both engines.
+    """Trie over letter tuples, for redex search and overlap detection in both engines.
 
     The patterns are the rule left sides or the basis leading monomials, in
-    index order. Nodes are plain dicts from letter to child; the key _END
-    holds the lowest index of a pattern that ends at the node. This is the
-    trie of the index automaton in Sims, Computation with Finitely Presented
-    Groups (CUP 1994), without failure transitions: the walk restarts at
-    each start, so the redex policy "leftmost start, then lowest index"
-    holds exactly even when one pattern contains another.
+    index order. Nodes are plain dicts from letter to child, plus the keys
+    _END and _BELOW. This is the trie of the index automaton in Sims,
+    Computation with Finitely Presented Groups (CUP 1994), without failure
+    transitions: the walk restarts at each start, so the redex policy
+    "leftmost start, then lowest index" holds exactly even when one pattern
+    contains another.
     """
 
-    __slots__ = ("_root",)
+    __slots__ = ("_root", "_patterns")
 
     def __init__(self, patterns):
         root = {}
+        self._patterns = patterns = tuple(patterns)
         for index, letters in enumerate(patterns):
             if not letters:
                 raise ValueError("patterns must be nonempty")
             node = root
             for letter in letters:
                 node = node.setdefault(letter, {})
-            node.setdefault(_END, index)
+                node.setdefault(_BELOW, []).append(index)
+            node.setdefault(_END, []).append(index)
         self._root = root
 
     def find(self, letters, start=0):
@@ -295,15 +304,40 @@ class RedexIndex:
             at = pos
             while node is not None:
                 at += 1
-                index = node.get(_END)
-                if index is not None and (best is None or index < best):
-                    best, end = index, at
+                ends = node.get(_END)
+                if ends is not None and (best is None or ends[0] < best):
+                    best, end = ends[0], at
                 if at == n:
                     break
                 node = node.get(letters[at])
             if best is not None:
                 return pos, best, end
         return None
+
+    def overlap_candidates(self):
+        """Row i lists, ascending, every j such that pattern i or j is a factor
+        of the other or a suffix of one begins the other. The walks from the
+        starts of pattern i meet every pattern inside it and, where a walk uses
+        up a suffix, the patterns below it; symmetry adds the rest."""
+        root = self._root
+        rows = [set() for _ in self._patterns]
+        for i, letters in enumerate(self._patterns):
+            row = rows[i]
+            n = len(letters)
+            for start in range(n):
+                node = root.get(letters[start])
+                at = start + 1
+                while node is not None:
+                    row.update(node.get(_END, ()))
+                    if at == n:
+                        row.update(node[_BELOW])
+                        break
+                    node = node.get(letters[at])
+                    at += 1
+        for i, row in enumerate(rows):
+            for j in list(row):
+                rows[j].add(i)
+        return [sorted(row) for row in rows]
 
 
 def find_subword_occurrences(word: Word, factor: Word) -> list:
@@ -380,12 +414,20 @@ def overlaps(lhss):
     This is the examination order of a completion pass in both engines:
     first index, then second index, then find_matches order. Two distinct
     left sides that coincide meet in the boundary containment; a left side
-    never forms that degenerate match with itself.
+    never forms that degenerate match with itself. Only the pairs that
+    RedexIndex.overlap_candidates names are searched; no other pair matches.
     """
+    candidates = _overlap_candidates(tuple(lhs.letters for lhs in lhss))
     for i, l1 in enumerate(lhss):
-        for j, l2 in enumerate(lhss):
-            for match in find_matches(l1, l2, include_identity=(i != j)):
+        for j in candidates[i]:
+            for match in find_matches(l1, lhss[j], include_identity=(i != j)):
                 yield i, j, match
+
+
+@functools.lru_cache(maxsize=2)
+def _overlap_candidates(patterns):
+    # the lockstep's two engines walk the same left sides in each pass
+    return RedexIndex(patterns).overlap_candidates()
 
 
 @functools.lru_cache(maxsize=65536)

@@ -90,6 +90,23 @@ def candidate_matches(l1, l2):
     return out
 
 
+def reference_overlaps(lhss):
+    """{(i, j): match set} for every ordered pair of left sides with a
+    match, in row-major order: candidate_matches of the pair, plus the
+    identity containment when i != j and the two left sides coincide.
+    Every one of the n * n pairs is tried."""
+    out = {}
+    for i, l1 in enumerate(lhss):
+        for j, l2 in enumerate(lhss):
+            found = candidate_matches(l1, l2)
+            if i != j and l1 == l2:
+                empty = Word(l1.alphabet)
+                found.add(match_tuple("Containment12", empty, empty, empty, empty))
+            if found:
+                out[(i, j)] = found
+    return out
+
+
 def one_step_reducts(system, word):
     """Every single-step rewrite of the word, over all positions and rules."""
     out = []

@@ -26,6 +26,8 @@ rules:
   a.b.a -> b
 """
 
+MON = BASIC.replace("mode: sgp", "mode: mon")
+
 ALG_BINOMIAL = """\
 mode: alg
 field: Q
@@ -222,6 +224,12 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli(["complete", pres(text)])
         assert (code, out, err) == (1, "", "error: line 5: coefficient 1/0 has a zero denominator\n")
 
+    def test_missing_right_side_is_parse_error(self, pres):
+        # the empty word is written 1; a blank side is not read as it
+        text = BASIC.replace("mode: sgp", "mode: mon").replace("b.a -> a.b", "a.a ->")
+        code, out, err = run_cli(["complete", pres(text)])
+        assert (code, out, err) == (1, "", "error: line 5: empty word; write the empty word as '1'\n")
+
     def test_missing_file(self):
         code, _, err = run_cli(["complete", "/nonexistent/x.pres"])
         assert code == 1
@@ -296,7 +304,9 @@ class TestErrorsAndExitCodes:
         (ABA_B, ["equal", "a", "1"], "empty word needs mon mode"),
         (ALG_GENERAL, ["nf", "a*b"], "malformed term near 'a b'"),
         (ALG_GENERAL, ["nf", "1/0*a"], "coefficient 1/0 has a zero denominator"),
-    ], ids=["nf", "equal", "alg-nf", "alg-nf-zero-denominator"])
+        (MON, ["nf", ""], "empty word; write the empty word as '1'"),
+        (MON, ["equal", "a", ""], "empty word; write the empty word as '1'"),
+    ], ids=["nf", "equal", "alg-nf", "alg-nf-zero-denominator", "nf-blank", "equal-blank"])
     def test_bad_query_fails_before_completion(self, pres, text, command, message):
         # --max-passes 0 trips the completion limit, so its warning would
         # come first if the query were parsed after completion

@@ -10,7 +10,10 @@ and an alg basis of three-term members with non-unit coefficients that
 completes in 4 passes over Q and 3 over F3. The explode relation also runs once under its own flags, to pin
 reduction against 57 rules with nested left sides, and so does the one-member alg basis
 2*a.b.a.b - 5*b.a + 1/2*a, whose third pass reaches members of up to 68 terms, to pin
-reduction of many-term polynomials with non-integral coefficients over Q and F5. Regenerate the
+reduction of many-term polynomials with non-integral coefficients over Q and F5, and so does
+the chain system b.b -> a.a, b.a.a.c -> a.c.c, which adds two rules a pass with left sides
+of up to 27 letters after 12 passes, to pin overlap detection where most pairs of left sides
+do not overlap. Regenerate the
 manifest (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -92,6 +95,7 @@ INLINE = {
 EXPLODE = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a.b -> b.a\n"
 ALG_EXPLODE = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  2*a.b.a.b - 5*b.a + 1/2*a\n"
 ALG_EXPLODE_QUERY = "b.a.b.a.b.a.b.b.a.b.a + 3*a.b.b.a.b.a.b - b"
+CHAIN = "mode: sgp\nalphabet: a b c\norder: shortlex a < b < c\nrules:\n  b.b -> a.a\n  b.a.a.c -> a.c.c\n"
 
 # run once each with exactly these arguments: four passes reach 57 rules
 OWN_FLAGS = {
@@ -105,6 +109,10 @@ OWN_FLAGS = {
         [["complete", "--max-passes", "3"], ["complete", "--max-passes", "3", "--field", "F5"],
          ["nf", ALG_EXPLODE_QUERY, "--max-passes", "3"],
          ["nf", ALG_EXPLODE_QUERY, "--max-passes", "3", "--field", "F5"]],
+    ),
+    "chain": (
+        CHAIN,
+        [["lockstep", "--max-passes", "12"], ["complete", "--max-passes", "12"]],
     ),
 }
 

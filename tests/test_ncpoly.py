@@ -16,6 +16,7 @@ from kbgb import (
     NcPolynomial,
     PrimeField,
     ReductionBudgetExceeded,
+    ReductionStep,
     Word,
     buchberger,
     buchberger_pass,
@@ -189,6 +190,14 @@ class TestReduction:
         assert reduce_once(basis, poly(QQ, ("ab", 1), ("b", 1))) is None
         basis2 = binomial_basis(["aa->a"])
         assert reduce_once(basis2, poly(QQ, ("aa", 1), ("a", -1))).is_zero()
+
+    def test_step_record_fields_equality_and_repr(self):
+        _, steps = reduce_with_steps(binomial_basis(["ba->ab"]), poly(QQ, ("bba", 3)))
+        assert steps[0] == ReductionStep(3, w("b"), 0, w("1"))
+        assert steps[0] != ReductionStep(3, w("1"), 0, w("b"))
+        assert repr(steps[0]) == "ReductionStep(coeff=3, left=Word('b'), index=0, right=Word('1'))"
+        with pytest.raises(AttributeError):
+            steps[0].coeff = 1
 
     def test_normal_form_examples(self):
         basis = binomial_basis(["ba->ab"])

@@ -15,9 +15,17 @@ from kbgb import (
     find_matches,
     find_subword_occurrences,
 )
-from kbgb.words import RedexIndex
+from kbgb.words import RedexIndex, overlaps
 
-from oracles import all_words, exhaustive_matches, leftmost_redex, match_set, shortlex_key
+from helpers import random_redex_system, redex_features
+from oracles import (
+    all_words,
+    exhaustive_matches,
+    leftmost_redex,
+    match_set,
+    reference_overlaps,
+    shortlex_key,
+)
 
 AB = Alphabet("ab")
 SHORTLEX = MonomialOrder.shortlex(AB)
@@ -138,6 +146,13 @@ class TestRedexIndex:
         assert index.find((0, 1, 0), 2) is None
         assert RedexIndex([]).find((0, 1)) is None
 
+    def test_overlap_candidates(self):
+        # aab and acb share letters, but neither is a factor of the other and
+        # no suffix of one begins the other; ab, ba, abab and a second ab all meet
+        assert RedexIndex([(0, 0, 1), (0, 2, 1)]).overlap_candidates() == [[0], [1]]
+        rows = RedexIndex([(0, 1), (1, 0), (0, 1, 0, 1), (0, 1)]).overlap_candidates()
+        assert rows == [[0, 1, 2, 3]] * 4
+
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
             RedexIndex([(0,), ()])
@@ -241,3 +256,32 @@ class TestFindMatches:
             if m.kind is MatchKind.PREFIX_SUFFIX
         }
         assert forward == mirrored
+
+
+class TestOverlaps:
+    def test_matches_every_pair_reference(self):
+        # nested, repeated and self-overlapping left sides under shuffled
+        # precedences; the reference tries all n * n ordered pairs
+        rng = random.Random(29)
+        features = set()
+        pruned = 0
+        for _ in range(120):
+            system = random_redex_system(rng)
+            features |= redex_features(system)
+            lhss = [rule.lhs for rule in system.rules]
+            stream = list(overlaps(lhss))
+            pairs = [(i, j) for i, j, _ in stream]
+            assert pairs == sorted(pairs)  # row-major, j ascending
+            got = {}
+            for i, j, m in stream:
+                got.setdefault((i, j), []).append(m)
+            expected = reference_overlaps(lhss)
+            assert list(got) == list(expected)  # no pair with a match is missing
+            assert {key: match_set(found) for key, found in got.items()} == expected
+            identity = {key for key, found in got.items()
+                        if any(m.witness_lengths() == (0, 0, 0, 0) for m in found)}
+            assert identity == {(i, j) for i, l1 in enumerate(lhss)
+                                for j, l2 in enumerate(lhss) if i != j and l1 == l2}
+            pruned += len(lhss) ** 2 - len(got)
+        assert {"duplicate", "prefix at lower index", "prefix at higher index"} <= features
+        assert pruned > 0
