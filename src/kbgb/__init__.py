@@ -15,6 +15,7 @@ from .correspondence import (
     NonBinomialError,
     basis_to_rules,
     lockstep_complete,
+    lockstep_passes,
     rules_to_basis,
     verify_algebra_iso,
 )

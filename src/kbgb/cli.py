@@ -4,17 +4,22 @@ Subcommands: complete, lockstep, nf, equal, iso-check. Exit codes are a
 fixed partition: 0 success, 1 input error, 2 resource limit, 3 divergence
 or a failed engine check (a reduction budget or the two-term closure).
 Output is byte-identical across runs for identical inputs and flags.
+
+``complete`` and ``lockstep`` print each pass as it ends and hold only the
+last one, so a run that ends in exit 3 keeps the passes that finished; a
+closed stdout (``| head``) ends the run with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
-from . import correspondence, ncpoly, rewriting
-from .completion import CompletionLimits, ReductionBudgetExceeded, trace_lines
+from . import completion, correspondence, ncpoly, rewriting
+from .completion import CompletionLimits, ReductionBudgetExceeded
 from .ncpoly import ClosureViolation, field_from_name, render_poly
 from .presentation import parse_poly_terms, parse_presentation
 
@@ -43,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient field (overrides the file)")
     common.add_argument("--trace", default=None, metavar="PATH",
                         help="also write the trace/report to a file")
+    common.set_defaults(traced=False)  # set once _emit has created the trace file
 
     parser = _Parser(prog="kbgb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -93,10 +99,16 @@ def _word(pf, text):
 
 
 def _emit(lines, args) -> None:
-    text = "\n".join(lines) + "\n" if lines else ""
+    """Write lines to stdout and the --trace file (made by the first block), and flush."""
+    if not lines:
+        return
+    text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
+    sys.stdout.flush()
     if args.trace:
-        Path(args.trace).write_text(text)
+        with open(args.trace, "a" if args.traced else "w") as trace:
+            trace.write(text)
+        args.traced = True
 
 
 def _lockstep_system(args, pf):
@@ -107,15 +119,15 @@ def _lockstep_system(args, pf):
     return pf.system()
 
 
-def _complete(args, pf, warn=True):
+def _complete(args, pf):
     """Complete the file's basis (alg) or rule set (sgp, mon) under the
-    command-line limits; with ``warn``, say on stderr when a limit tripped."""
+    command-line limits; say on stderr when a limit tripped."""
     limits = _limits(args)
     if pf.mode == "alg":
         result = ncpoly.buchberger(pf.basis(_field(args, pf)), limits)
     else:
         result = rewriting.knuth_bendix(pf.system(), limits)
-    if warn and not result.complete:
+    if not result.complete:
         sys.stderr.write(
             f"warning: completion hit a limit (reason={result.limit_reason}); "
             "normal forms may not be unique\n"
@@ -125,30 +137,37 @@ def _complete(args, pf, warn=True):
 
 def cmd_complete(args) -> int:
     pf = _load(args)
-    result = _complete(args, pf, warn=False)
-    final = result.state
     if pf.mode == "alg":
-        line = functools.partial(ncpoly.record_line, order=final.order)
+        start, one_pass = pf.basis(_field(args, pf)), ncpoly.buchberger_pass
+        line = functools.partial(ncpoly.record_line, order=start.order)
+    else:
+        start, one_pass, line = pf.system(), rewriting.kb_pass, rewriting.pair_line
+    last = completion.PassRecord(0, (), start)
+    for last in completion.passes(start, one_pass, _limits(args)):
+        _emit([line(last.index, rec) for rec in last.records], args)
+    final = last.state
+    if pf.mode == "alg":
         members = [f"poly: {render_poly(poly, final.order)}" for poly in final.polys]
     else:
-        line = rewriting.pair_line
         members = [f"rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in final.rules]
-    lines = trace_lines(result.trace, line)
-    status = "complete" if result.complete else f"limit-exceeded reason={result.limit_reason}"
-    lines.append(f"status: {status} passes={len(result.trace)}")
-    lines.extend(members)
-    _emit(lines, args)
-    return EXIT_OK if result.complete else EXIT_LIMIT
+    # the stream ends at a fixed point, a tripped cap, or pass max_passes
+    reason = last.limit_reason or "max_passes"
+    status = "complete" if last.fixed else f"limit-exceeded reason={reason}"
+    _emit([f"status: {status} passes={last.index}", *members], args)
+    return EXIT_OK if last.fixed else EXIT_LIMIT
 
 
 def cmd_lockstep(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
-    report = correspondence.lockstep_complete(system, _field(args, pf), _limits(args))
-    _emit(correspondence.report_lines(report), args)
-    if report.verdict == correspondence.VERDICT_CORRESPONDS:
+    field = _field(args, pf)
+    last = correspondence.lockstep_start(system, field)
+    for last in correspondence.lockstep_passes(system, field, _limits(args)):
+        _emit(correspondence.pass_lines(last, system.order), args)
+    _emit(correspondence.verdict_lines(last), args)
+    if last.verdict == correspondence.VERDICT_CORRESPONDS:
         return EXIT_OK
-    if report.verdict == correspondence.VERDICT_LIMIT:
+    if last.verdict == correspondence.VERDICT_LIMIT:
         return EXIT_LIMIT
     return EXIT_DIVERGENCE
 
@@ -186,10 +205,12 @@ def cmd_equal(args) -> int:
 def cmd_iso_check(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
-    report = correspondence.verify_algebra_iso(
-        system, _field(args, pf), args.length, _limits(args)
-    )
-    _emit(correspondence.iso_report_lines(report), args)
+    field = _field(args, pf)
+    if args.length < 1:  # before the first line is written
+        raise ValueError("bound must be positive")
+    _emit([correspondence.iso_header(args.length, field.name)], args)
+    report = correspondence.verify_algebra_iso(system, field, args.length, _limits(args))
+    _emit(correspondence.iso_report_lines(report)[1:], args)
     if report.verdict == correspondence.VERDICT_PASS:
         return EXIT_OK
     if report.verdict == correspondence.VERDICT_INCONCLUSIVE:
@@ -208,6 +229,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         # ParseError and AlphabetMismatch are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # the reader is gone: point stdout at /dev/null, or the flush at
+            # interpreter exit fails again on what is still buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
     except (ReductionBudgetExceeded, ClosureViolation) as exc:
         sys.stderr.write(f"error: {exc}\n")

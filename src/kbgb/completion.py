@@ -6,8 +6,9 @@ the loop to the fixed point live here once, and so does ``PairRecord``,
 what either engine records of one examined pair. Both engines emit their
 records in the examination order of ``words.overlaps``, so the records of
 one pass align one for one across engines. ``passes`` is the loop: a
-stream of one record per pass, which ``complete`` runs to its end and the
-lockstep driver (``correspondence``) zips across both engines.
+stream of one record per pass, which ``complete`` runs to its end holding
+only the last pass, and the lockstep driver (``correspondence``) zips
+across both engines.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class PassRecord:
 class CompletionResult:
     complete: bool  # fixed point reached: the rule set is confluent, the basis Groebner
     state: object  # final rule set or basis
-    trace: tuple
+    last: PassRecord  # the last pass; index 0 and no records when none ran
+    passes: int  # how many passes ran
     limit_reason: str | None = None
 
 
@@ -137,14 +139,10 @@ def passes(state, one_pass, limits: CompletionLimits):
 
 
 def complete(state, one_pass, limits: CompletionLimits) -> CompletionResult:
-    """Run ``passes`` to its end: complete at a fixed point, else the
-    tripped cap or ``max_passes``."""
-    trace = tuple(passes(state, one_pass, limits))
-    last = trace[-1] if trace else PassRecord(0, (), state)
+    """Run ``passes`` to its end, holding one pass at a time: complete at a
+    fixed point, else the tripped cap or ``max_passes``."""
+    last = PassRecord(0, (), state)
+    for last in passes(state, one_pass, limits):
+        pass
     reason = None if last.fixed else last.limit_reason or "max_passes"
-    return CompletionResult(last.fixed, last.state, trace, reason)
-
-
-def trace_lines(trace, line) -> list:
-    """One ``line(pass_index, record)`` per record, pass by pass."""
-    return [line(record.index, rec) for record in trace for rec in record.records]
+    return CompletionResult(last.fixed, last.state, last, last.index, reason)

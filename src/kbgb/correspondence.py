@@ -2,7 +2,8 @@
 
 A rule set R translates to the basis F of two-term polynomials l - r, one
 per rule. The driver zips the two engines' pass streams
-(completion.passes), so when completion stops is decided in one place.
+(completion.passes), so when completion stops is decided in one place,
+and is itself a stream of checked passes (lockstep_passes).
 Both engines record each examined pair as one completion.PairRecord, in
 the same examination order, so a pass's two record lists are compared
 position by position: the i-th overlap must be the i-th match, the pair
@@ -96,7 +97,8 @@ def basis_to_rules(basis: Basis, mode: str | None = None) -> RewriteSystem:
 
 @dataclass(frozen=True)
 class LockstepPass:
-    """One synchronized pass with its three correspondence checks."""
+    """One synchronized pass with its three correspondence checks; the
+    last pass of a run also carries the run's verdict."""
 
     index: int  # 1-based
     pairs: tuple  # the rewriting engine's PairRecords
@@ -104,6 +106,11 @@ class LockstepPass:
     sources_ok: bool  # overlaps and matches name the same sources, in order
     pairs_ok: bool  # dispositions and contents align pairwise
     sets_ok: bool  # next basis = translation of next rule set
+    system: RewriteSystem  # rule set after the pass (unchanged if a limit tripped)
+    basis: Basis  # basis after the pass
+    verdict: str | None = None  # set on the last pass only
+    detail: str | None = None
+    limit_reason: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -125,13 +132,15 @@ def _source_key(rec) -> tuple:
     return (rec.first, rec.second, rec.match.kind.value, rec.match.witness_lengths())
 
 
-def _check_pass(pairs, records, next_system, next_basis, field):
-    """The three per-pass checks; returns (sources, pairs, sets, detail)."""
+def _check_pass(kb, gb, field, max_passes) -> LockstepPass:
+    """One pass of each engine with the three checks, and the run's
+    verdict when the run ends at this pass."""
+    pairs, records = kb.records, gb.records
     pair_keys = [_source_key(cp) for cp in pairs]
     record_keys = [_source_key(rec) for rec in records]
     sources_ok = pair_keys == record_keys
     pairs_ok = sources_ok
-    detail = None
+    detail = verdict = reason = None
     if sources_ok:
         for cp, rec in zip(pairs, records):
             disposition_ok = (cp.new is None) == (rec.new is None)
@@ -146,104 +155,89 @@ def _check_pass(pairs, records, next_system, next_basis, field):
         only_pairs = [k for k in pair_keys if k not in record_keys]
         only_records = [k for k in record_keys if k not in pair_keys]
         detail = f"sources differ: overlaps-only={only_pairs} matches-only={only_records}"
-    wanted = {rule_binomial(rule, field) for rule in next_system.rules}
-    sets_ok = set(next_basis.polys) == wanted
+    wanted = {rule_binomial(rule, field) for rule in kb.state.rules}
+    sets_ok = set(gb.state.polys) == wanted
     if not sets_ok and detail is None:
         detail = "next basis is not the translation of the next rule set"
-    return sources_ok, pairs_ok, sets_ok, detail
-
-
-def lockstep_complete(
-    system: RewriteSystem,
-    field,
-    limits: CompletionLimits = CompletionLimits(),
-) -> CorrespondenceReport:
-    """Run both engines in alternation and verify every pass.
-
-    Zips the two engines' pass streams. Stops at the mutual fixed point
-    (Corresponds), at the first failed check (Divergence), or when both
-    engines trip the same resource limit at the same pass (LimitExceeded).
-    A one-sided limit or fixed point is itself a divergence.
-    """
-    checked = []
-    cur_system, cur_basis = system, rules_to_basis(system, field)
-
-    def report(verdict, detail=None, divergence_pass=None, limit_reason=None):
-        return CorrespondenceReport(
-            verdict,
-            tuple(checked),
-            cur_system,
-            cur_basis,
-            detail,
-            divergence_pass,
-            limit_reason,
-        )
-
-    for kb, gb in zip(passes(cur_system, kb_pass, limits),
-                      passes(cur_basis, buchberger_pass, limits)):
-        cur_system, cur_basis = kb.state, gb.state
-        sources_ok, pairs_ok, sets_ok, detail = _check_pass(
-            kb.records, gb.records, cur_system, cur_basis, field
-        )
-        checked.append(
-            LockstepPass(kb.index, kb.records, gb.records, sources_ok, pairs_ok, sets_ok)
-        )
-        if not (sources_ok and pairs_ok and sets_ok):
-            return report(VERDICT_DIVERGENCE, detail, kb.index)
-        if kb.limit_reason or gb.limit_reason:
-            if kb.limit_reason == gb.limit_reason:
-                return report(VERDICT_LIMIT, limit_reason=kb.limit_reason)
-            return report(
-                VERDICT_DIVERGENCE,
+    if detail is not None:
+        verdict = VERDICT_DIVERGENCE
+    elif kb.limit_reason or gb.limit_reason:
+        if kb.limit_reason == gb.limit_reason:
+            verdict, reason = VERDICT_LIMIT, kb.limit_reason
+        else:
+            verdict, detail = VERDICT_DIVERGENCE, (
                 f"one-sided resource limit: rewriting={kb.limit_reason} "
-                f"polynomials={gb.limit_reason}",
-                kb.index,
-            )
-        if kb.fixed != gb.fixed:
-            return report(
-                VERDICT_DIVERGENCE,
-                f"fixed point on one side only: rewriting={kb.fixed} polynomials={gb.fixed}",
-                kb.index,
-            )
-        if kb.fixed:
-            return report(VERDICT_CORRESPONDS)
-    return report(VERDICT_LIMIT, limit_reason="max_passes")
+                f"polynomials={gb.limit_reason}")
+    elif kb.fixed != gb.fixed:
+        verdict, detail = VERDICT_DIVERGENCE, (
+            f"fixed point on one side only: rewriting={kb.fixed} polynomials={gb.fixed}")
+    elif kb.fixed:
+        verdict = VERDICT_CORRESPONDS
+    elif kb.index == max_passes:
+        verdict, reason = VERDICT_LIMIT, "max_passes"
+    return LockstepPass(kb.index, pairs, records, sources_ok, pairs_ok, sets_ok,
+                        kb.state, gb.state, verdict, detail, reason)
 
 
-def report_lines(report: CorrespondenceReport) -> list:
-    """Serialized report: both engines' trace lines interleaved per pass,
-    per-pass check summaries, final sets, and one VERDICT line."""
-    order = report.system.order
+def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = CompletionLimits()):
+    """Run both engines in alternation and yield each pass once checked.
 
-    def flag(ok):
-        return "ok" if ok else "FAIL"
+    Zips the two engines' pass streams. Ends at the mutual fixed point
+    (Corresponds), at the first failed check (Divergence), or when both
+    engines trip the same resource limit at the same pass (LimitExceeded);
+    the last pass carries that verdict. A one-sided limit or fixed point
+    is itself a divergence. Yields nothing when ``max_passes`` is 0.
+    """
+    for kb, gb in zip(passes(system, kb_pass, limits),
+                      passes(rules_to_basis(system, field), buchberger_pass, limits)):
+        checked = _check_pass(kb, gb, field, limits.max_passes)
+        yield checked
+        if checked.verdict:
+            return
 
+
+def lockstep_start(system: RewriteSystem, field) -> LockstepPass:
+    """Pass 0: the input sets, and the verdict of a run that stops before
+    pass 1 (``max_passes`` 0)."""
+    return LockstepPass(0, (), (), True, True, True, system, rules_to_basis(system, field),
+                        VERDICT_LIMIT, limit_reason="max_passes")
+
+
+def lockstep_complete(system: RewriteSystem, field,
+                      limits: CompletionLimits = CompletionLimits()) -> CorrespondenceReport:
+    """Every checked pass of ``lockstep_passes``, and the verdict of the last."""
+    checked = tuple(lockstep_passes(system, field, limits))
+    last = checked[-1] if checked else lockstep_start(system, field)
+    divergence_pass = last.index if last.verdict == VERDICT_DIVERGENCE else None
+    return CorrespondenceReport(last.verdict, checked, last.system, last.basis,
+                                last.detail, divergence_pass, last.limit_reason)
+
+
+def pass_lines(p: LockstepPass, order) -> list:
+    """Both engines' trace lines of one pass, then its check summary."""
+    flag = {True: "ok", False: "FAIL"}
+    lines = [pair_line(p.index, cp) for cp in p.pairs]
+    lines.extend(record_line(p.index, rec, order) for rec in p.records)
+    lines.append(f"pass={p.index} checks: sources={flag[p.sources_ok]} "
+                 f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
+    return lines
+
+
+def verdict_lines(last: LockstepPass) -> list:
+    """What follows the passes, from the last one (``lockstep_start`` when
+    none ran): limit lines, final sets, one VERDICT line."""
     lines = []
-    for p in report.passes:
-        for cp in p.pairs:
-            lines.append(pair_line(p.index, cp))
-        for rec in p.records:
-            lines.append(record_line(p.index, rec, order))
-        lines.append(
-            f"pass={p.index} checks: sources={flag(p.sources_ok)} "
-            f"pairs={flag(p.pairs_ok)} sets={flag(p.sets_ok)}"
-        )
-    if report.verdict == VERDICT_LIMIT:
-        last = report.passes[-1].index if report.passes else 0
-        lines.append(f"limit: engine=rewriting pass={last} reason={report.limit_reason}")
-        lines.append(f"limit: engine=ncpoly pass={last} reason={report.limit_reason}")
-    for rule in report.system.rules:
-        lines.append(f"final rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}")
-    for poly in report.basis.polys:
-        lines.append(f"final poly: {render_poly(poly, order)}")
-    if report.verdict == VERDICT_CORRESPONDS:
+    if last.verdict == VERDICT_LIMIT:
+        lines.append(f"limit: engine=rewriting pass={last.index} reason={last.limit_reason}")
+        lines.append(f"limit: engine=ncpoly pass={last.index} reason={last.limit_reason}")
+    lines += [f"final rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in last.system.rules]
+    lines += [f"final poly: {render_poly(poly, last.system.order)}" for poly in last.basis.polys]
+    if last.verdict == VERDICT_CORRESPONDS:
         lines.append("VERDICT: Corresponds")
-    elif report.verdict == VERDICT_LIMIT:
-        lines.append(f"VERDICT: LimitExceeded reason={report.limit_reason}")
+    elif last.verdict == VERDICT_LIMIT:
+        lines.append(f"VERDICT: LimitExceeded reason={last.limit_reason}")
     else:
-        lines.append(
-            f"VERDICT: Divergence pass={report.divergence_pass} detail={report.detail}"
-        )
+        lines.append(f"VERDICT: Divergence pass={last.index} detail={last.detail}")
     return lines
 
 
@@ -279,7 +273,9 @@ def verify_algebra_iso(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    lock = lockstep_complete(system, field, limits)
+    lock = lockstep_start(system, field)
+    for lock in lockstep_passes(system, field, limits):  # the last carries the verdict
+        pass
     if lock.verdict != VERDICT_CORRESPONDS:
         detail = (
             f"completion unavailable: {lock.verdict}"
@@ -348,8 +344,13 @@ def verify_algebra_iso(
     return IsoCheckReport(bound, field.name, counts, VERDICT_PASS)
 
 
+def iso_header(bound: int, field_name: str) -> str:
+    """The first line of an iso-check report, known before the check runs."""
+    return f"iso: bound={bound} field={field_name}"
+
+
 def iso_report_lines(report: IsoCheckReport) -> list:
-    lines = [f"iso: bound={report.bound} field={report.field_name}"]
+    lines = [iso_header(report.bound, report.field_name)]
     for length, count in report.counts:
         lines.append(f"normal-forms: len={length} count={count}")
     if report.verdict == VERDICT_PASS:

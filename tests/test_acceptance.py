@@ -38,6 +38,8 @@ LIMIT_FLAGS = [
     "--max-rules", str(LIMITS.max_rules),
     "--max-word-len", str(LIMITS.max_word_length),
 ]
+# caps that trip on most corpus files (tests/test_golden.py "tight")
+TIGHT_FLAGS = ["--max-passes", "6", "--max-rules", "2", "--max-word-len", "3"]
 F3 = PrimeField(3)
 
 
@@ -169,6 +171,7 @@ def test_criterion_6_binomial_closure(corpus_files):
 def test_criterion_7_determinism(corpus_files, tmp_path):
     with criterion(7, "byte-identical reruns"):
         named = [p for p in corpus_files if not p.name.startswith("random_")]
+        exits = set()
         for index, path in enumerate(corpus_files):
             commands = [["complete", str(path), *LIMIT_FLAGS],
                         ["lockstep", str(path), *LIMIT_FLAGS]]
@@ -180,11 +183,22 @@ def test_criterion_7_determinism(corpus_files, tmp_path):
                     ["equal", str(path), sample, symbol, *LIMIT_FLAGS],
                     ["iso-check", str(path), "-L", "3", *LIMIT_FLAGS],
                 ]
-            for argv in commands:
-                trace = tmp_path / f"{index}_{argv[0]}.trace"
+            # capped runs end in exit 2 on most files; the trace file
+            # streams alongside stdout on those too
+            commands += [["complete", str(path), *TIGHT_FLAGS],
+                         ["lockstep", str(path), *TIGHT_FLAGS]]
+            for number, argv in enumerate(commands):
+                trace = tmp_path / f"{index}_{number}_{argv[0]}.trace"
                 full = argv + ["--trace", str(trace)]
                 first = run_cli(full)
                 blob1 = trace.read_bytes()
+                assert blob1 == first[1].encode(), (path.name, argv)
+                exits.add(first[0])
                 second = run_cli(full)
                 assert first == second, (path.name, argv[0])
                 assert blob1 == trace.read_bytes(), (path.name, argv[0])
+            # an input error prints nothing and creates no trace file
+            trace = tmp_path / f"{index}_input_error.trace"
+            code, out, _ = run_cli(["iso-check", str(path), "-L", "0", "--trace", str(trace)])
+            assert (code, out, trace.exists()) == (1, "", False), path.name
+        assert {0, 2} <= exits

@@ -1,12 +1,17 @@
 """Command-line surface: outputs, exit codes, warnings, trace files."""
 
+import contextlib
 import dataclasses
+import io
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from kbgb import ncpoly, rewriting
+from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting, words
+from kbgb.cli import main as cli_main
 
 from helpers import run_cli
 
@@ -43,6 +48,17 @@ alphabet: a b
 order: shortlex a < b
 polys:
   a.b - a.a - b
+"""
+
+
+# two rules a pass, 82 after 40 passes; the pair records of a pass grow with it
+CHAIN = """\
+mode: sgp
+alphabet: a b c
+order: shortlex a < b < c
+rules:
+  b.b -> a.a
+  b.a.a.c -> a.c.c
 """
 
 
@@ -199,6 +215,15 @@ class TestIsoCheck:
         code, out, _ = run_cli(["iso-check", pres(ALG_BINOMIAL), "-L", "3"])
         assert code == 0
         assert out.rstrip().endswith("VERDICT: Pass")
+
+    def test_header_precedes_completion(self, pres, monkeypatch):
+        def failing(*args):
+            raise ReductionBudgetExceeded("no fixed point within 1 steps")
+
+        monkeypatch.setattr(correspondence, "lockstep_passes", failing)
+        code, out, err = run_cli(["iso-check", pres(BASIC), "-L", "3"])
+        assert (code, out, err) == (3, "iso: bound=3 field=Q\n",
+                                    "error: no fixed point within 1 steps\n")
 
     @pytest.mark.parametrize("bound, rep", [("1", "b.b"), ("2", "b.b.b")])
     def test_class_without_irreducible_word_fails(self, pres, bound, rep):
@@ -363,3 +388,83 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert blob1 == trace.read_bytes()
+
+
+class TestStreaming:
+    @staticmethod
+    def _first_pass(path, command):
+        # pass 1's lines, as a one-pass run prints them before its closing lines
+        _, out, _ = run_cli([command, path, "--max-passes", "1"])
+        return "".join(line for line in out.splitlines(keepends=True)
+                       if line.startswith("pass=1 "))
+
+    @pytest.mark.parametrize("command, module", [
+        ("lockstep", correspondence), ("complete", rewriting),
+    ], ids=["lockstep", "complete"])
+    def test_finished_passes_survive_an_engine_error(self, pres, tmp_path, monkeypatch,
+                                                     command, module):
+        path = pres(ABA_B)  # completes in two passes
+        expected = self._first_pass(path, command)
+        real, calls = module.kb_pass, []
+
+        def failing_second_pass(state, limits):
+            calls.append(state)
+            if len(calls) == 2:
+                raise ReductionBudgetExceeded("no fixed point within 1 steps")
+            return real(state, limits)
+
+        monkeypatch.setattr(module, "kb_pass", failing_second_pass)
+        trace = tmp_path / "out.trace"
+        code, out, err = run_cli([command, path, "--trace", str(trace)])
+        assert (code, out, err) == (3, expected, "error: no fixed point within 1 steps\n")
+        assert out.count("\n") > 1 and trace.read_text() == out
+        if command == "lockstep":
+            assert out.splitlines()[-1] == "pass=1 checks: sources=ok pairs=ok sets=ok"
+
+    def test_closed_stdout_stops_the_run(self, pres, monkeypatch):
+        class ClosedAfterFirstPass(io.StringIO):
+            def write(self, text):
+                if self.getvalue():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        path = pres(CHAIN)
+        expected = self._first_pass(path, "lockstep")
+        real, calls = correspondence.kb_pass, []
+        monkeypatch.setattr(correspondence, "kb_pass",
+                            lambda state, limits: calls.append(state) or real(state, limits))
+        out, err = ClosedAfterFirstPass(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["lockstep", path, "--max-passes", "40"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            1, expected, "error: [Errno 32] Broken pipe\n")
+        assert len(calls) == 2  # the pass whose write failed was the last computed
+
+    def test_closed_pipe_exits_one_without_traceback(self, pres):
+        cmd = [sys.executable, "-m", "kbgb", "lockstep", pres(CHAIN), "--max-passes", "40"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"pass=1 ")
+            proc.stdout.close()  # what head does after its lines
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    def test_lockstep_holds_one_pass(self, pres):
+        path = pres(CHAIN)
+
+        def peak(max_passes):
+            # start from empty match caches, as a new process does
+            words._find_matches_cached.cache_clear()
+            words._overlap_candidates.cache_clear()
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert cli_main(["lockstep", path, "--max-passes", str(max_passes)]) == 2
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # a run that holds every pass to its end peaks at about 5.6 and 26 MB
+        # (ratio 4.6); holding the pass being written and the one being
+        # computed, at about 1.5 and 3.5 MB (ratio 2.3)
+        assert peak(40) < 3.5 * peak(20)

@@ -26,7 +26,7 @@ from kbgb import (
     rules_to_basis,
     verify_algebra_iso,
 )
-from kbgb.correspondence import iso_report_lines, report_lines
+from kbgb.correspondence import iso_report_lines, pass_lines, verdict_lines
 
 from helpers import make_system, random_system
 from oracles import all_words, congruence_partition
@@ -125,14 +125,19 @@ class TestLockstep:
             assert basis_to_rules(report.basis).rules == report.system.rules
 
     def test_passes_align_with_standalone_engines(self):
-        from kbgb import buchberger
+        from kbgb import buchberger, buchberger_pass, kb_pass
+        from kbgb.completion import passes
 
         system = make_system(["aba->b"])
         report = lockstep_complete(system, QQ)
         kb = knuth_bendix(system)
         gb = buchberger(rules_to_basis(system, QQ))
         assert kb.complete and gb.complete
-        assert len(report.passes) == len(kb.trace) == len(gb.trace)
+        kb_trace = tuple(passes(system, kb_pass, CompletionLimits()))
+        gb_trace = tuple(passes(rules_to_basis(system, QQ), buchberger_pass, CompletionLimits()))
+        assert len(report.passes) == len(kb_trace) == len(gb_trace) == kb.passes == gb.passes
+        assert [p.records for p in gb_trace] == [p.records for p in report.passes]
+        assert [p.records for p in kb_trace] == [p.pairs for p in report.passes]
         assert report.system.rules == kb.state.rules
         assert report.basis.polys == gb.state.polys
 
@@ -291,13 +296,15 @@ class TestLockstep:
         assert report.verdict == "Divergence"
         assert report.divergence_pass == pass_index
         assert report.detail == detail
-        assert report_lines(report)[-1] == f"VERDICT: Divergence pass={pass_index} detail={detail}"
+        assert verdict_lines(report.passes[-1])[-1] == \
+            f"VERDICT: Divergence pass={pass_index} detail={detail}"
         assert [rule.render() for rule in report.system.rules] == rules
         assert [render_poly(p, report.basis.order) for p in report.basis.polys] == polys
 
     def test_report_lines_shape(self):
         report = lockstep_complete(make_system(["aba->b"]), QQ)
-        lines = report_lines(report)
+        lines = [line for p in report.passes for line in pass_lines(p, report.system.order)]
+        lines += verdict_lines(report.passes[-1])
         assert lines[-1] == "VERDICT: Corresponds"
         assert any(line.startswith("pass=1 rules=") for line in lines)
         assert any(line.startswith("pass=1 polys=") for line in lines)

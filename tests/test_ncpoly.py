@@ -35,6 +35,7 @@ from kbgb import (
     rules_to_basis,
     s_polynomials,
 )
+from kbgb.completion import passes
 from kbgb.ncpoly import record_line
 from kbgb.rewriting import bounded_words
 
@@ -457,7 +458,7 @@ class TestBuchberger:
 
     def test_completion_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))
-        assert result.complete and len(result.trace) == 1
+        assert result.complete and result.passes == 1
 
         result = buchberger(binomial_basis(["aa->a"]))
         assert result.complete and len(result.state.polys) == 1
@@ -471,23 +472,25 @@ class TestBuchberger:
             buchberger_pass(basis, CompletionLimits(max_rules=1))
         result = buchberger(basis, CompletionLimits(max_passes=1))
         assert not result.complete and result.limit_reason == "max_passes"
-        (only,) = result.trace
+        (only,) = passes(basis, buchberger_pass, CompletionLimits(max_passes=1))
         assert (only.limit_reason, only.fixed) == (None, False)
         assert len(only.state.polys) == 2 and result.state == only.state
 
         result = buchberger(basis, CompletionLimits(max_passes=0))
-        assert result.limit_reason == "max_passes" and result.trace == ()
+        assert result.limit_reason == "max_passes" and result.passes == 0
         assert result.state == basis
 
         result = buchberger(basis, CompletionLimits(max_rules=1))
         assert result.limit_reason == "max_rules"
-        (only,) = result.trace
+        (only,) = passes(basis, buchberger_pass, CompletionLimits(max_rules=1))
         assert (only.limit_reason, only.fixed) == ("max_rules", False)
         assert only.state == basis == result.state  # nothing was installed
 
         result = buchberger(basis)
         assert result.complete and result.limit_reason is None
-        assert [(p.limit_reason, p.fixed) for p in result.trace] == [(None, False), (None, True)]
+        trace = tuple(passes(basis, buchberger_pass, CompletionLimits()))
+        assert [(p.limit_reason, p.fixed) for p in trace] == [(None, False), (None, True)]
+        assert trace[-1] == result.last
 
     def test_monomials_equal_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))
@@ -503,8 +506,8 @@ class TestBuchberger:
             for field in (QQ, PrimeField(3)):
                 basis = rules_to_basis(system, field)
                 units = {field.one, field.neg(field.one)}
-                result = buchberger(basis, CompletionLimits(max_passes=5, max_rules=40, max_word_length=24))
-                for record in result.trace:
+                limits = CompletionLimits(max_passes=5, max_rules=40, max_word_length=24)
+                for record in passes(basis, buchberger_pass, limits):
                     for rec in record.records:
                         assert is_pm_binomial(rec.raw, units)
                         assert is_pm_binomial(rec.reduced, units)
@@ -537,8 +540,8 @@ class TestBuchberger:
         # a three-term member: the machine is not restricted to binomials
         f = poly(QQ, ("ab", 1), ("aa", -1), ("b", -1))
         basis = Basis(AB, ORDER, QQ, (f,))
-        result = buchberger(basis, CompletionLimits(max_passes=3, max_rules=30, max_word_length=12))
-        for record in result.trace:
+        limits = CompletionLimits(max_passes=3, max_rules=30, max_word_length=12)
+        for record in passes(basis, buchberger_pass, limits):
             for rec in record.records:
                 assert (rec.new is None) == rec.reduced.is_zero()
                 if rec.new is not None:

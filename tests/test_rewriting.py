@@ -21,7 +21,7 @@ from kbgb import (
     reduce_once,
     words_equal,
 )
-from kbgb.completion import trace_lines
+from kbgb.completion import passes
 from kbgb.rewriting import bounded_words, pair_line
 
 from helpers import make_system, random_redex_system, random_system, redex_features
@@ -236,7 +236,7 @@ class TestKbPass:
 class TestKnuthBendix:
     def test_examples(self):
         result = knuth_bendix(BA_AB)
-        assert result.complete and len(result.trace) == 1
+        assert result.complete and result.passes == 1
         assert result.state.rules == BA_AB.rules
 
         result = knuth_bendix(AA_A)
@@ -259,27 +259,31 @@ class TestKnuthBendix:
         result = knuth_bendix(ABA_B, CompletionLimits(max_passes=0))
         assert not result.complete
         assert result.limit_reason == "max_passes"
-        assert result.trace == ()
+        assert result.passes == 0 and result.last.records == ()
 
     def test_aba_completes_in_two_passes(self):
         result = knuth_bendix(ABA_B)
-        assert result.complete and len(result.trace) == 2
+        assert result.complete and result.passes == 2
         assert [r.render() for r in result.state.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
         # only the last pass is a fixed point; no cap tripped
-        assert [(p.limit_reason, p.fixed) for p in result.trace] == [(None, False), (None, True)]
-        assert result.trace[-1].state == result.state
+        trace = tuple(passes(ABA_B, kb_pass, CompletionLimits()))
+        assert [(p.limit_reason, p.fixed) for p in trace] == [(None, False), (None, True)]
+        assert trace[-1].state == result.state
+        assert trace[-1] == result.last
 
     def test_tripped_cap_ends_the_trace(self):
-        result = knuth_bendix(ABA_B, CompletionLimits(max_rules=1))
+        limits = CompletionLimits(max_rules=1)
+        result = knuth_bendix(ABA_B, limits)
         assert not result.complete and result.limit_reason == "max_rules"
-        (only,) = result.trace
+        (only,) = passes(ABA_B, kb_pass, limits)
         assert (only.limit_reason, only.fixed) == ("max_rules", False)
         assert only.state == ABA_B == result.state  # nothing was installed
         assert len(only.records) == 2
 
-        result = knuth_bendix(ABA_B, CompletionLimits(max_passes=1))
+        limits = CompletionLimits(max_passes=1)
+        result = knuth_bendix(ABA_B, limits)
         assert result.limit_reason == "max_passes"
-        (only,) = result.trace
+        (only,) = passes(ABA_B, kb_pass, limits)
         assert (only.limit_reason, only.fixed) == (None, False)
         assert len(only.state.rules) == 2 and result.state == only.state
 
@@ -337,9 +341,12 @@ class TestTraceFormat:
         )
 
     def test_resolved_line_and_determinism(self):
-        result = knuth_bendix(ABA_B)
-        lines = trace_lines(result.trace, pair_line)
-        assert lines == trace_lines(knuth_bendix(ABA_B).trace, pair_line)
+        def trace_lines():
+            trace = passes(ABA_B, kb_pass, CompletionLimits())
+            return [pair_line(p.index, rec) for p in trace for rec in p.records]
+
+        lines = trace_lines()
+        assert lines == trace_lines()
         assert any(line.endswith("disp=Resolved") for line in lines)
 
 
