@@ -74,8 +74,6 @@ from .words import (
     MonomialOrder,
     OverlapMatch,
     Word,
-    find_matches,
-    find_subword_occurrences,
 )
 
 __version__ = "0.1.0"

@@ -4,11 +4,11 @@ Knuth-Bendix completion and the noncommutative Buchberger algorithm differ
 only in how a pass examines its input; the install policy, the caps and
 the loop to the fixed point live here once, and so does ``PairRecord``,
 what either engine records of one examined pair. Both engines emit their
-records in the examination order of ``words.overlaps``, so the records of
-one pass align one for one across engines. ``passes`` is the loop: a
-stream of one record per pass, which ``complete`` runs to its end holding
-only the last pass, and the lockstep driver (``correspondence``) zips
-across both engines.
+records in the examination order of ``RedexIndex.overlaps``, so the
+records of one pass align one for one across engines. ``passes`` is the
+loop: a stream of one record per pass, which ``complete`` runs to its end
+holding only the last pass, and the lockstep driver (``correspondence``)
+zips across both engines.
 """
 
 from __future__ import annotations

@@ -152,8 +152,9 @@ def _check_pass(kb, gb, field, max_passes) -> LockstepPass:
                       else f"content mismatch at {where}: rule {cp.new.render()}")
             break
     else:
-        only_pairs = [k for k in pair_keys if k not in record_keys]
-        only_records = [k for k in record_keys if k not in pair_keys]
+        pair_set, record_set = set(pair_keys), set(record_keys)
+        only_pairs = [k for k in pair_keys if k not in record_set]
+        only_records = [k for k in record_keys if k not in pair_set]
         detail = f"sources differ: overlaps-only={only_pairs} matches-only={only_records}"
     wanted = {rule_binomial(rule, field) for rule in kb.state.rules}
     sets_ok = set(gb.state.polys) == wanted

@@ -46,7 +46,6 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
-    overlaps,
 )
 
 
@@ -385,16 +384,12 @@ class Basis:
             lms.append(lm)
             neg_tails.append(tuple((w.letters, self.field.neg(c))
                                    for w, c in poly.terms.items() if w != lm))
-        object.__setattr__(self, "_lms", tuple(lms))
         object.__setattr__(self, "_index", RedexIndex(lm.letters for lm in lms))
         # per member, (letters, -c) for every term c.w but the leading one
         object.__setattr__(self, "_neg_tails", tuple(neg_tails))
 
     def with_polys(self, extra) -> "Basis":
         return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
-
-    def leading_monomials(self) -> tuple:
-        return self._lms
 
 
 class ReductionStep(NamedTuple):
@@ -483,7 +478,7 @@ def replay_steps(basis: Basis, steps) -> NcPolynomial:
 def s_polynomials(basis: Basis) -> list:
     """A PairRecord for the S-polynomial of every match of every ordered
     pair, reduced against the basis, in the examination order of
-    words.overlaps.
+    RedexIndex.overlaps.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, and the raw
     S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
@@ -503,7 +498,7 @@ def s_polynomials(basis: Basis) -> list:
     field = basis.field
     nfs = {}
     records = []
-    for i, j, m in overlaps(basis.leading_monomials()):
+    for i, j, m in basis._index.overlaps(basis.alphabet):
         raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         data = {}
         for word, coeff in raw.terms.items():

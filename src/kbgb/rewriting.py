@@ -31,7 +31,6 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
-    overlaps,
 )
 
 SEMIGROUP = "semigroup"
@@ -137,9 +136,9 @@ def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP
 
 def critical_pairs(system: RewriteSystem) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
-    reduced against the system, in the examination order of words.overlaps.
-    A match is one word u1.l1.v1 = u2.l2.v2, and its raw critical pair is
-    (u1.r1.v1, u2.r2.v2).
+    reduced against the system, in the examination order of
+    RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, and its
+    raw critical pair is (u1.r1.v1, u2.r2.v2).
 
     Each distinct raw word is reduced once per call: normal_form is a
     function of the word and the fixed input system, so later pairs reuse
@@ -154,7 +153,7 @@ def critical_pairs(system: RewriteSystem) -> list:
             nf = nfs[word] = normal_form(system, word)
         return nf
 
-    for i, j, m in overlaps([rule.lhs for rule in rules]):
+    for i, j, m in system._index.overlaps(system.alphabet):
         raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
         c1 = reduce(raw[0])
         c2 = reduce(raw[1])

@@ -2,18 +2,17 @@
 
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words stored as index sequences,
-shortlex and weighted-shortlex orderings, subword search, the redex index
-both engines search, and the four configurations in which two left-hand
-sides can share ground on a common superposition word. Overlap detection
-walks the trie of the left sides to find the pairs that can overlap, and
-searches only those.
+shortlex and weighted-shortlex orderings, the redex index both engines
+search, and the four configurations in which two left-hand sides can share
+ground on a common superposition word. One walk of an engine's redex index
+yields every match of every pair of its left sides; there is no subword
+search and no search of one pair at a time.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AlphabetMismatch(ValueError):
@@ -314,46 +313,66 @@ class RedexIndex:
                 return pos, best, end
         return None
 
-    def overlap_candidates(self):
-        """Row i lists, ascending, every j such that pattern i or j is a factor
-        of the other or a suffix of one begins the other. The walks from the
-        starts of pattern i meet every pattern inside it and, where a walk uses
-        up a suffix, the patterns below it; symmetry adds the rest."""
+    def overlaps(self, alphabet):
+        """Every match of every ordered pair of patterns, as (i, j, match).
+
+        This is the examination order of a completion pass in both engines:
+        first index, then second index, then match kind, then witness
+        lengths. Two distinct patterns that coincide meet in the identity
+        containment, every witness empty; a pattern never forms it with
+        itself. The walks from the starts of pattern p meet every pattern q
+        inside p, one containment of each kind; where a walk from inside p
+        uses up the suffix, every longer pattern below the node begins with
+        it, one overlap of each kind.
+        """
         root = self._root
-        rows = [set() for _ in self._patterns]
-        for i, letters in enumerate(self._patterns):
-            row = rows[i]
+        patterns = self._patterns
+        empty = Word._raw(alphabet, ())
+        found = []
+        for i, letters in enumerate(patterns):
             n = len(letters)
+            p = Word._raw(alphabet, letters)
             for start in range(n):
+                u = None if start else empty  # built on the first match: most walks find none
                 node = root.get(letters[start])
                 at = start + 1
                 while node is not None:
-                    row.update(node.get(_END, ()))
+                    ends = node.get(_END)
+                    if ends is not None and at - start == n:
+                        # every pattern ending here is p or a duplicate of it
+                        for j in ends:
+                            if j != i:
+                                found.append((i, j, 0, 0, 0, 0, 0, OverlapMatch(
+                                    MatchKind.CONTAINMENT_12, empty, empty, empty, empty, p)))
+                    elif ends is not None:
+                        if u is None:
+                            u = Word._raw(alphabet, letters[:start])
+                        v = Word._raw(alphabet, letters[at:])
+                        for j in ends:
+                            found.append((i, j, 0, 0, 0, start, n - at, OverlapMatch(
+                                MatchKind.CONTAINMENT_12, empty, empty, u, v, p)))
+                            found.append((j, i, 1, start, n - at, 0, 0, OverlapMatch(
+                                MatchKind.CONTAINMENT_21, u, v, empty, empty, p)))
                     if at == n:
-                        row.update(node[_BELOW])
+                        if start:
+                            shared = n - start
+                            for j in node[_BELOW]:
+                                rest = patterns[j][shared:]
+                                if rest:
+                                    if u is None:
+                                        u = Word._raw(alphabet, letters[:start])
+                                    v = Word._raw(alphabet, rest)
+                                    sup = Word._raw(alphabet, letters + rest)
+                                    found.append((i, j, 2, 0, len(rest), start, 0, OverlapMatch(
+                                        MatchKind.SUFFIX_PREFIX, empty, v, u, empty, sup)))
+                                    found.append((j, i, 3, start, 0, 0, len(rest), OverlapMatch(
+                                        MatchKind.PREFIX_SUFFIX, u, empty, empty, v, sup)))
                         break
                     node = node.get(letters[at])
                     at += 1
-        for i, row in enumerate(rows):
-            for j in list(row):
-                rows[j].add(i)
-        return [sorted(row) for row in rows]
-
-
-def find_subword_occurrences(word: Word, factor: Word) -> list:
-    """Every factorization word = u.factor.v, ordered by increasing |u|."""
-    if len(factor) == 0:
-        raise ValueError("factor must be nonempty")
-    if word.alphabet != factor.alphabet:
-        raise AlphabetMismatch("subword search across different alphabets")
-    out = []
-    wl, fl = word.letters, factor.letters
-    span = len(fl)
-    for pos in range(len(wl) - span + 1):
-        if wl[pos : pos + span] == fl:
-            out.append((Word._raw(word.alphabet, wl[:pos]),
-                        Word._raw(word.alphabet, wl[pos + span :])))
-    return out
+        # the first seven fields never tie, so no match is ever compared
+        found.sort()
+        return [(entry[0], entry[1], entry[7]) for entry in found]
 
 
 class MatchKind(enum.Enum):
@@ -365,11 +384,7 @@ class MatchKind(enum.Enum):
     PREFIX_SUFFIX = "PrefixSuffix"    # u1.l1 = l2.v2
 
 
-_KIND_RANK = {kind: i for i, kind in enumerate(MatchKind)}
-
-
-@dataclass(frozen=True)
-class OverlapMatch:
+class OverlapMatch(NamedTuple):
     """One configuration of two left-hand sides, with its context witnesses.
 
     In every configuration u1.l1.v1 = superposition = u2.l2.v2; the
@@ -388,70 +403,3 @@ class OverlapMatch:
     def witness_lengths(self):
         return (len(self.u1), len(self.v1), len(self.u2), len(self.v2))
 
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.witness_lengths())
-
-
-def find_matches(l1: Word, l2: Word, *, include_identity: bool = False) -> list:
-    """All proper configurations in which l1 and l2 overlap.
-
-    Shared-segment overlaps must be nonempty and strictly shorter than both
-    inputs. The degenerate coincidence l1 == l2 with every witness empty is
-    excluded unless ``include_identity`` is set; callers pairing two
-    distinct rules that happen to share a left-hand side want it back, and
-    then it is reported once, as a containment of the first kind.
-    """
-    if l1.alphabet != l2.alphabet:
-        raise AlphabetMismatch("matching left-hand sides over different alphabets")
-    if len(l1) == 0 or len(l2) == 0:
-        raise ValueError("left-hand sides must be nonempty")
-    return list(_find_matches_cached(l1, l2, include_identity))
-
-
-def overlaps(lhss):
-    """Every match of every ordered pair of left sides, as (i, j, match).
-
-    This is the examination order of a completion pass in both engines:
-    first index, then second index, then find_matches order. Two distinct
-    left sides that coincide meet in the boundary containment; a left side
-    never forms that degenerate match with itself. Only the pairs that
-    RedexIndex.overlap_candidates names are searched; no other pair matches.
-    """
-    candidates = _overlap_candidates(tuple(lhs.letters for lhs in lhss))
-    for i, l1 in enumerate(lhss):
-        for j in candidates[i]:
-            for match in find_matches(l1, lhss[j], include_identity=(i != j)):
-                yield i, j, match
-
-
-@functools.lru_cache(maxsize=2)
-def _overlap_candidates(patterns):
-    # the lockstep's two engines walk the same left sides in each pass
-    return RedexIndex(patterns).overlap_candidates()
-
-
-@functools.lru_cache(maxsize=65536)
-def _find_matches_cached(l1, l2, include_identity):
-    alpha = l1.alphabet
-    empty = Word(alpha)
-    out = []
-    for u2, v2 in find_subword_occurrences(l1, l2):
-        if len(u2) == 0 and len(v2) == 0 and not include_identity:
-            continue
-        out.append(OverlapMatch(MatchKind.CONTAINMENT_12, empty, empty, u2, v2, l1))
-    for u1, v1 in find_subword_occurrences(l2, l1):
-        if len(u1) == 0 and len(v1) == 0:
-            continue  # full coincidence is only ever reported as Containment12
-        out.append(OverlapMatch(MatchKind.CONTAINMENT_21, u1, v1, empty, empty, l2))
-    n1, n2 = len(l1), len(l2)
-    for shared in range(1, min(n1, n2)):
-        if l1.letters[n1 - shared :] == l2.letters[:shared]:
-            v1 = l2[shared:]
-            u2 = l1[: n1 - shared]
-            out.append(OverlapMatch(MatchKind.SUFFIX_PREFIX, empty, v1, u2, empty, l1 * v1))
-        if l1.letters[:shared] == l2.letters[n2 - shared :]:
-            u1 = l2[: n2 - shared]
-            v2 = l1[shared:]
-            out.append(OverlapMatch(MatchKind.PREFIX_SUFFIX, u1, empty, empty, v2, l2 * v2))
-    out.sort(key=OverlapMatch.sort_key)
-    return tuple(out)

@@ -20,6 +20,7 @@ from kbgb import (
     render_poly,
 )
 from kbgb.cli import main as cli_main
+from kbgb.words import RedexIndex
 
 
 def render_presentation(pf):
@@ -199,6 +200,14 @@ def redex_features(system):
     if system.order.precedence != system.alphabet.symbols:
         found.add("shuffled precedence")
     return found
+
+
+def pair_matches(l1, l2, include_identity=False):
+    """The matches of pair (0, 1) of the left sides [l1, l2], in walk
+    order. The identity containment of two equal sides, every witness
+    empty, is left out unless asked for."""
+    return [m for i, j, m in RedexIndex([l1.letters, l2.letters]).overlaps(l1.alphabet)
+            if (i, j) == (0, 1) and (include_identity or any(m.witness_lengths()))]
 
 
 def run_cli(argv):

@@ -15,14 +15,13 @@ from kbgb import (
     Alphabet,
     PrimeField,
     Word,
-    find_matches,
     knuth_bendix,
     lockstep_complete,
     normal_form,
     parse_presentation,
 )
 
-from helpers import run_cli
+from helpers import pair_matches, run_cli
 from oracles import (
     all_words,
     candidate_matches,
@@ -144,7 +143,7 @@ def test_criterion_5_four_match_exactness():
             size = len(alpha)
             l1 = Word(alpha, [rng.randrange(size) for _ in range(rng.randint(1, 6))])
             l2 = Word(alpha, [rng.randrange(size) for _ in range(rng.randint(1, 6))])
-            assert match_set(find_matches(l1, l2)) == candidate_matches(l1, l2), (
+            assert match_set(pair_matches(l1, l2)) == candidate_matches(l1, l2), (
                 l1.dotted(),
                 l2.dotted(),
             )

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting, words
+from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 
 from helpers import run_cli
@@ -453,9 +453,6 @@ class TestStreaming:
         path = pres(CHAIN)
 
         def peak(max_passes):
-            # start from empty match caches, as a new process does
-            words._find_matches_cached.cache_clear()
-            words._overlap_candidates.cache_clear()
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 tracemalloc.start()
                 try:

@@ -1,7 +1,10 @@
 """Lockstep correspondence of the two engines and the truncated iso check."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
+
 import pytest
 
 from kbgb import (
@@ -198,6 +201,32 @@ class TestLockstep:
                 for p in report.passes:
                     assert p.ok
         assert "Corresponds" in verdicts
+
+    def test_long_lived_process_keeps_no_memo(self):
+        # a process that serves many runs must keep nothing of a run once it
+        # ends: the memory still held after 10 runs on distinct systems does
+        # not grow over 40 more
+        rng = random.Random(61)
+        limits = CompletionLimits(max_passes=3, max_rules=40, max_word_length=24)
+        systems = {}
+        while len(systems) < 50:
+            system = random_system(rng, max_rules=4, max_side=4)
+            systems.setdefault(system.rules, system)
+        systems = list(systems.values())
+
+        def held_after(batch):
+            for system in batch:
+                lockstep_complete(system, QQ, limits)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            first = held_after(systems[:10])
+            more = held_after(systems[10:])
+        finally:
+            tracemalloc.stop()
+        assert more - first < 64 * 1024, (first, more)
 
     def test_divergence_detected_when_one_engine_lies(self, monkeypatch):
         import kbgb.ncpoly as ncpoly_module

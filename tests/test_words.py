@@ -1,4 +1,4 @@
-"""Words, orderings, subword search, and overlap detection."""
+"""Words, orderings, the redex index, and overlap detection."""
 
 import random
 
@@ -12,12 +12,10 @@ from kbgb import (
     MatchKind,
     MonomialOrder,
     Word,
-    find_matches,
-    find_subword_occurrences,
 )
-from kbgb.words import RedexIndex, overlaps
+from kbgb.words import RedexIndex
 
-from helpers import random_redex_system, redex_features
+from helpers import pair_matches, random_redex_system, redex_features
 from oracles import (
     all_words,
     exhaustive_matches,
@@ -147,11 +145,15 @@ class TestRedexIndex:
         assert RedexIndex([]).find((0, 1)) is None
 
     def test_overlap_candidates(self):
+        def pairs(patterns):
+            return {(i, j) for i, j, _ in RedexIndex(patterns).overlaps(Alphabet("abc"))}
+
         # aab and acb share letters, but neither is a factor of the other and
-        # no suffix of one begins the other; ab, ba, abab and a second ab all meet
-        assert RedexIndex([(0, 0, 1), (0, 2, 1)]).overlap_candidates() == [[0], [1]]
-        rows = RedexIndex([(0, 1), (1, 0), (0, 1, 0, 1), (0, 1)]).overlap_candidates()
-        assert rows == [[0, 1, 2, 3]] * 4
+        # no suffix of one begins the other; ab, ba, abab and a second ab all
+        # meet, except ab and ba with themselves
+        assert pairs([(0, 0, 1), (0, 2, 1)]) == set()
+        everything = {(i, j) for i in range(4) for j in range(4)}
+        assert pairs([(0, 1), (1, 0), (0, 1, 0, 1), (0, 1)]) == everything - {(0, 0), (1, 1), (3, 3)}
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
@@ -173,27 +175,9 @@ class TestRedexIndex:
                     assert index.find(letters, start) == hit
 
 
-class TestSubwordOccurrences:
-    def test_examples(self):
-        occ = find_subword_occurrences(w("abab"), w("ab"))
-        assert occ == [(w("1"), w("ab")), (w("ab"), w("1"))]
-        occ = find_subword_occurrences(w("aaa"), w("aa"))
-        assert occ == [(w("1"), w("a")), (w("a"), w("1"))]
-        assert find_subword_occurrences(w("bbb"), w("ab")) == []
-
-    def test_rejects_empty_factor(self):
-        with pytest.raises(ValueError):
-            find_subword_occurrences(w("ab"), w("1"))
-
-    @given(words_ab, nonempty_ab)
-    def test_reconstruction(self, word, factor):
-        for u, v in find_subword_occurrences(word, factor):
-            assert u * (factor * v) == word
-
-
 class TestFindMatches:
     def test_containment_example(self):
-        matches = find_matches(w("abba"), w("bb"))
+        matches = pair_matches(w("abba"), w("bb"))
         assert len(matches) == 1
         m = matches[0]
         assert m.kind is MatchKind.CONTAINMENT_12
@@ -201,7 +185,7 @@ class TestFindMatches:
         assert m.superposition == w("abba")
 
     def test_self_overlap_example(self):
-        matches = find_matches(w("aba"), w("aba"))
+        matches = pair_matches(w("aba"), w("aba"))
         kinds = [(m.kind, m.superposition) for m in matches]
         assert kinds == [
             (MatchKind.SUFFIX_PREFIX, w("ababa")),
@@ -211,11 +195,11 @@ class TestFindMatches:
         assert (sp.v1, sp.u2) == (w("ba"), w("ab"))
 
     def test_no_self_overlap(self):
-        assert find_matches(w("ba"), w("ba")) == []
+        assert pair_matches(w("ba"), w("ba")) == []
 
     def test_identity_containment_is_opt_in(self):
-        assert find_matches(w("ab"), w("ab")) == []
-        matches = find_matches(w("ab"), w("ab"), include_identity=True)
+        assert pair_matches(w("ab"), w("ab")) == []
+        matches = pair_matches(w("ab"), w("ab"), include_identity=True)
         assert [m.kind for m in matches] == [MatchKind.CONTAINMENT_12]
         assert matches[0].witness_lengths() == (0, 0, 0, 0)
 
@@ -224,7 +208,7 @@ class TestFindMatches:
         for _ in range(300):
             l1 = Word(AB, [rng.randrange(2) for _ in range(rng.randint(1, 4))])
             l2 = Word(AB, [rng.randrange(2) for _ in range(rng.randint(1, 4))])
-            for m in find_matches(l1, l2):
+            for m in pair_matches(l1, l2):
                 if m.kind is MatchKind.CONTAINMENT_12:
                     assert m.u2 * l2 * m.v2 == l1 == m.superposition
                 elif m.kind is MatchKind.CONTAINMENT_21:
@@ -238,7 +222,7 @@ class TestFindMatches:
     @given(nonempty_ab, nonempty_ab)
     @settings(max_examples=250, deadline=None)
     def test_matches_exhaustive_oracle(self, l1, l2):
-        assert match_set(find_matches(l1, l2)) == exhaustive_matches(l1, l2)
+        assert match_set(pair_matches(l1, l2)) == exhaustive_matches(l1, l2)
 
     @given(nonempty_ab, nonempty_ab)
     @settings(max_examples=150, deadline=None)
@@ -247,12 +231,12 @@ class TestFindMatches:
         # with u1 = u2 and v2 = v1
         forward = {
             (m.v1.letters, m.u2.letters)
-            for m in find_matches(l1, l2)
+            for m in pair_matches(l1, l2)
             if m.kind is MatchKind.SUFFIX_PREFIX
         }
         mirrored = {
             (m.v2.letters, m.u1.letters)
-            for m in find_matches(l2, l1)
+            for m in pair_matches(l2, l1)
             if m.kind is MatchKind.PREFIX_SUFFIX
         }
         assert forward == mirrored
@@ -269,7 +253,7 @@ class TestOverlaps:
             system = random_redex_system(rng)
             features |= redex_features(system)
             lhss = [rule.lhs for rule in system.rules]
-            stream = list(overlaps(lhss))
+            stream = RedexIndex([lhs.letters for lhs in lhss]).overlaps(system.alphabet)
             pairs = [(i, j) for i, j, _ in stream]
             assert pairs == sorted(pairs)  # row-major, j ascending
             got = {}
