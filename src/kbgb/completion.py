@@ -8,12 +8,15 @@ records in the examination order of ``RedexIndex.overlaps``, so the
 records of one pass align one for one across engines. ``passes`` is the
 loop: a stream of one record per pass, which ``complete`` runs to its end
 holding only the last pass, and the lockstep driver (``correspondence``)
-zips across both engines.
+zips across both engines. Members are only appended, so a pass reuses the
+last pass's matches and raw pairs (``pair_sources``); it reduces every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
+from operator import itemgetter
 
 from .words import OverlapMatch
 
@@ -78,9 +81,21 @@ class PairRecord:
     new: object
 
 
-def fresh_members(existing, records, words, limits: CompletionLimits) -> list:
-    """The new members of a pass: each record's ``new`` (skipping resolved
-    pairs), deduplicated in examination order against the input.
+def pair_sources(state, index):
+    """(first, second, match, raw) of every pair of index.overlaps, in order.
+    A state from next_state carries the last pass's records: they keep
+    match and raw, and the walk yields only the pairs touching newer
+    members, with raw None, after the carried ones of their row."""
+    since, carried = getattr(state, "_carry", (0, ()))
+    old = ((rec.first, rec.second, rec.match, rec.raw) for rec in carried)
+    new = ((i, j, m, None) for i, j, m in index.overlaps(state.alphabet, since))
+    return merge(old, new, key=itemgetter(0))
+
+
+def next_state(existing, records, words, extend, limits: CompletionLimits):
+    """The state a pass builds, extend(new members), carrying the input size
+    and the records, beside its fields, to pair_sources. The new members are
+    each record's ``new``, resolved pairs skipped, deduplicated in order.
 
     Raises LimitExceeded with the pass's records when a member has a word
     (from ``words(member)``) over ``max_word_length``, else when the total
@@ -97,7 +112,9 @@ def fresh_members(existing, records, words, limits: CompletionLimits) -> list:
             raise LimitExceeded("max_word_length", records)
     if len(existing) + len(fresh) > limits.max_rules:
         raise LimitExceeded("max_rules", records)
-    return fresh
+    nxt = extend(fresh)
+    object.__setattr__(nxt, "_carry", (len(existing), records))
+    return nxt
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,12 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
-reduce_with_steps is the one reduction loop: it pops monomials greatest
-first from a heap and searches each one once. Every sum of terms, in
-arithmetic, reduction and S-polynomials alike, goes through _add_term.
-
-Reduction is linear in exact arithmetic: a step replaces the greatest
-reducible monomial m by a combination of smaller monomials that depends
-on m alone, so the normal form of c1.m1 + ... + ck.mk is c1.nf(m1) + ... +
-ck.nf(mk). A completion pass uses this to reduce each distinct monomial
-of its S-polynomials once.
+_reduce is the one reduction loop, recording steps for reduce_with_steps
+only: it pops monomials greatest first from a heap and searches each once.
+Every sum of terms, in arithmetic, reduction and S-polynomials alike, goes
+through _add_term. A completion pass reuses the previous pass's matches
+and raw S-polynomials but reduces every S-polynomial, each distinct
+monomial once (reduction is linear; see s_polynomials).
 """
 
 from __future__ import annotations
@@ -38,7 +35,8 @@ from .completion import (
     PairRecord,
     ReductionBudgetExceeded,
     complete,
-    fresh_members,
+    next_state,
+    pair_sources,
 )
 from .words import (
     Alphabet,
@@ -431,6 +429,12 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
     The recorded steps witness membership: p - nf(p) equals the sum of
     coeff . left . f . right over the steps (see replay_steps).
     """
+    steps = []
+    return _reduce(basis, poly, max_steps, steps), tuple(steps)
+
+
+def _reduce(basis, poly, max_steps, steps):
+    """The normal form; each step is appended to steps unless it is None."""
     field = basis.field
     find = basis._index.find
     key = basis.order.key
@@ -438,7 +442,6 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
     heap = [_Greatest(key(word), word) for word in data]
     heapify(heap)
     queued = set(data)
-    steps = []
     for _ in range(max_steps):
         hit = None
         while hit is None and heap:
@@ -446,12 +449,13 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
             if word in data:
                 hit = find(word.letters)
         if hit is None:
-            return NcPolynomial._raw(field, data), tuple(steps)
+            return NcPolynomial._raw(field, data)
         pos, index, end = hit
         coeff = data.pop(word)
         alphabet, letters = word.alphabet, word.letters
         lo, hi = letters[:pos], letters[end:]
-        steps.append(ReductionStep(coeff, Word._raw(alphabet, lo), index, Word._raw(alphabet, hi)))
+        if steps is not None:
+            steps.append(ReductionStep(coeff, Word._raw(alphabet, lo), index, Word._raw(alphabet, hi)))
         for tail, c in basis._neg_tails[index]:
             target = Word._raw(alphabet, lo + tail + hi)
             _add_term(field, data, target, field.mul(coeff, c))
@@ -464,7 +468,7 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
 def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
     """Reduce to a fixed point, the greatest reducible monomial first; no
     result monomial contains a leading monomial of the basis."""
-    return reduce_with_steps(basis, poly, max_steps)[0]
+    return _reduce(basis, poly, max_steps, None)
 
 
 def replay_steps(basis: Basis, steps) -> NcPolynomial:
@@ -498,8 +502,9 @@ def s_polynomials(basis: Basis) -> list:
     field = basis.field
     nfs = {}
     records = []
-    for i, j, m in basis._index.overlaps(basis.alphabet):
-        raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
+    for i, j, m, raw in pair_sources(basis, basis._index):
+        if raw is None:
+            raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         data = {}
         for word, coeff in raw.terms.items():
             nf = nfs.get(word)
@@ -538,8 +543,8 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits):
             for poly in (rec.raw, rec.reduced):
                 if not is_pm_binomial(poly, units):
                     raise ClosureViolation(f"two-term closure violated by {poly!r}")
-    fresh = fresh_members(basis.polys, records, lambda poly: poly.terms, limits)
-    return basis.with_polys(fresh), records
+    nxt = next_state(basis.polys, records, lambda poly: poly.terms, basis.with_polys, limits)
+    return nxt, records
 
 
 def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:

@@ -8,7 +8,8 @@ critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run. Because the system is fixed
 for the pass, a normal form depends on the word alone, and the pass reduces
-each distinct raw word once.
+each distinct raw word once. A pass reuses the previous pass's matches and
+raw critical pairs but still reduces every pair.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .completion import (
     PairRecord,
     ReductionBudgetExceeded,
     complete,
-    fresh_members,
+    next_state,
+    pair_sources,
 )
 from .words import (
     Alphabet,
@@ -153,8 +155,9 @@ def critical_pairs(system: RewriteSystem) -> list:
             nf = nfs[word] = normal_form(system, word)
         return nf
 
-    for i, j, m in system._index.overlaps(system.alphabet):
-        raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
+    for i, j, m, raw in pair_sources(system, system._index):
+        if raw is None:
+            raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
         c1 = reduce(raw[0])
         c2 = reduce(raw[1])
         if c1 == c2:
@@ -175,8 +178,8 @@ def kb_pass(system: RewriteSystem, limits: CompletionLimits):
     the result would break a cap.
     """
     pairs = critical_pairs(system)
-    fresh = fresh_members(system.rules, pairs, lambda rule: (rule.lhs, rule.rhs), limits)
-    return system.with_rules(fresh), pairs
+    nxt = next_state(system.rules, pairs, lambda rule: (rule.lhs, rule.rhs), system.with_rules, limits)
+    return nxt, pairs
 
 
 def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:

@@ -6,7 +6,8 @@ shortlex and weighted-shortlex orderings, the redex index both engines
 search, and the four configurations in which two left-hand sides can share
 ground on a common superposition word. One walk of an engine's redex index
 yields every match of every pair of its left sides; there is no subword
-search and no search of one pair at a time.
+search and no search of one pair at a time, and a walk can skip the pairs
+of patterns all below a given index.
 """
 
 from __future__ import annotations
@@ -264,6 +265,20 @@ class MonomialOrder:
 _END, _BELOW = -1, -3
 
 
+def _trie(patterns, first=0):
+    """The root of the trie over patterns, numbered from first."""
+    root = {}
+    for index, letters in enumerate(patterns, first):
+        if not letters:
+            raise ValueError("patterns must be nonempty")
+        node = root
+        for letter in letters:
+            node = node.setdefault(letter, {})
+            node.setdefault(_BELOW, []).append(index)
+        node.setdefault(_END, []).append(index)
+    return root
+
+
 class RedexIndex:
     """Trie over letter tuples, for redex search and overlap detection in both engines.
 
@@ -279,17 +294,8 @@ class RedexIndex:
     __slots__ = ("_root", "_patterns")
 
     def __init__(self, patterns):
-        root = {}
         self._patterns = patterns = tuple(patterns)
-        for index, letters in enumerate(patterns):
-            if not letters:
-                raise ValueError("patterns must be nonempty")
-            node = root
-            for letter in letters:
-                node = node.setdefault(letter, {})
-                node.setdefault(_BELOW, []).append(index)
-            node.setdefault(_END, []).append(index)
-        self._root = root
+        self._root = _trie(patterns)
 
     def find(self, letters, start=0):
         """(pos, index, end) of the leftmost pattern occurrence at or after
@@ -313,8 +319,9 @@ class RedexIndex:
                 return pos, best, end
         return None
 
-    def overlaps(self, alphabet):
-        """Every match of every ordered pair of patterns, as (i, j, match).
+    def overlaps(self, alphabet, since=0):
+        """Every match of every ordered pair (i, j) of patterns with i or j
+        at least since (every pair by default), as (i, j, match).
 
         This is the examination order of a completion pass in both engines:
         first index, then second index, then match kind, then witness
@@ -323,13 +330,14 @@ class RedexIndex:
         itself. The walks from the starts of pattern p meet every pattern q
         inside p, one containment of each kind; where a walk from inside p
         uses up the suffix, every longer pattern below the node begins with
-        it, one overlap of each kind.
-        """
-        root = self._root
+        it, one overlap of each kind. The walks of one of its two patterns
+        find each match, so those below since walk a trie of patterns[since:]."""
         patterns = self._patterns
+        newer = _trie(patterns[since:], since) if since else self._root
         empty = Word._raw(alphabet, ())
         found = []
         for i, letters in enumerate(patterns):
+            root = self._root if i >= since else newer
             n = len(letters)
             p = Word._raw(alphabet, letters)
             for start in range(n):

@@ -13,7 +13,9 @@ reduction against 57 rules with nested left sides, and so does the one-member al
 reduction of many-term polynomials with non-integral coefficients over Q and F5, and so does
 the chain system b.b -> a.a, b.a.a.c -> a.c.c, which adds two rules a pass with left sides
 of up to 27 letters after 12 passes, to pin overlap detection where most pairs of left sides
-do not overlap. Regenerate the
+do not overlap. Explode at 5 passes and chain at 40 are the benchmark's own lockstep traces:
+passes that carry the last pass's pairs into the next, 40 of them on chain, and on explode a
+fifth pass of 8,364 pairs, 248 of them carried. Regenerate the
 manifest (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -102,7 +104,8 @@ OWN_FLAGS = {
     "explode": (
         EXPLODE,
         [["lockstep", "--max-passes", "4"], ["complete", "--max-passes", "4"],
-         ["nf", "a.b.b.a.b.a.b.a.a.b.a.b.b.a", "--max-passes", "4"]],
+         ["nf", "a.b.b.a.b.a.b.a.a.b.a.b.b.a", "--max-passes", "4"],
+         ["lockstep", "--max-passes", "5"]],
     ),
     "alg_explode": (
         ALG_EXPLODE,
@@ -112,7 +115,8 @@ OWN_FLAGS = {
     ),
     "chain": (
         CHAIN,
-        [["lockstep", "--max-passes", "12"], ["complete", "--max-passes", "12"]],
+        [["lockstep", "--max-passes", "12"], ["complete", "--max-passes", "12"],
+         ["lockstep", "--max-passes", "40"]],
     ),
 }
 

@@ -269,34 +269,50 @@ class TestReduction:
                 assert once == p - product.scaled(coeff)
         assert len(features) == 4
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
-    @pytest.mark.parametrize("kind", ["general", "redex"])
-    def test_whole_reduction_matches_reference(self, field, kind):
-        # every step and the normal form, against a plain-dict reduction
-        # that shares no reduction code with the engine
+    @staticmethod
+    def whole_reduction_inputs(field, kind):
+        """(basis, polynomial): 20 polynomials on each of 40 bases."""
         rng = random.Random(71)
-        total_steps = 0
         for _ in range(40):
             if kind == "general":
                 basis = random_general_basis(rng, field)
             else:
                 basis = rules_to_basis(random_redex_system(rng), field)
-            alpha = basis.alphabet
-            key = shortlex_key(alpha, basis.order.precedence)
-            members = [dict(p.terms) for p in basis.polys]
-            words = list(all_words(alpha, 6, min_len=0))
+            words = list(all_words(basis.alphabet, 6, min_len=0))
             for _ in range(20):
                 terms = [(rng.choice(words), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
                                                       rng.randint(1, 2)))
                          for _ in range(rng.randint(1, 5))]
-                p = NcPolynomial(field, terms)
-                expected_steps, expected_nf, _ = reference_reduce(members, field, key, p.terms)
-                nf, steps = reduce_with_steps(basis, p)
-                assert [(s.coeff, s.left.letters, s.index, s.right.letters)
-                        for s in steps] == expected_steps
-                assert nf.terms == expected_nf
-                total_steps += len(steps)
+                yield basis, NcPolynomial(field, terms)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @pytest.mark.parametrize("kind", ["general", "redex"])
+    def test_whole_reduction_matches_reference(self, field, kind):
+        # every step and the normal form, against a plain-dict reduction
+        # that shares no reduction code with the engine
+        total_steps = 0
+        for basis, p in self.whole_reduction_inputs(field, kind):
+            key = shortlex_key(basis.alphabet, basis.order.precedence)
+            members = [dict(f.terms) for f in basis.polys]
+            expected_steps, expected_nf, _ = reference_reduce(members, field, key, p.terms)
+            nf, steps = reduce_with_steps(basis, p)
+            assert [(s.coeff, s.left.letters, s.index, s.right.letters)
+                    for s in steps] == expected_steps
+            assert nf.terms == expected_nf
+            total_steps += len(steps)
         assert total_steps > 2000
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @pytest.mark.parametrize("kind", ["general", "redex"])
+    def test_normal_form_is_reduction_without_steps(self, field, kind):
+        # poly_normal_form runs the same loop as reduce_with_steps but
+        # records no steps; the normal forms must not differ
+        changed = 0
+        for basis, p in self.whole_reduction_inputs(field, kind):
+            nf = poly_normal_form(basis, p)
+            assert nf == reduce_with_steps(basis, p)[0]
+            changed += nf != p
+        assert changed > 500
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     def test_many_term_reduction_matches_reference(self, field):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbgb import (
+    MONOID,
     Alphabet,
     AlphabetMismatch,
     MatchKind,
@@ -15,7 +16,7 @@ from kbgb import (
 )
 from kbgb.words import RedexIndex
 
-from helpers import pair_matches, random_redex_system, redex_features
+from helpers import make_system, pair_matches, random_redex_system, redex_features
 from oracles import (
     all_words,
     exhaustive_matches,
@@ -269,3 +270,29 @@ class TestOverlaps:
             pruned += len(lhss) ** 2 - len(got)
         assert {"duplicate", "prefix at lower index", "prefix at higher index"} <= features
         assert pruned > 0
+
+    def test_since_walk_matches_filtered_reference(self):
+        # every boundary k: exactly the reference's pairs with i or j >= k,
+        # in the order of the whole walk; equal left sides meet across the
+        # boundary and above it, in the identity containment
+        rng = random.Random(37)
+        systems = [random_redex_system(rng) for _ in range(80)]
+        systems.append(make_system(["ab->a", "ba->b", "ab->b", "aba->a", "ab->1", "ba->a"],
+                                   mode=MONOID))
+        identity = set()
+        for system in systems:
+            lhss = [rule.lhs for rule in system.rules]
+            index = RedexIndex([lhs.letters for lhs in lhss])
+            whole = index.overlaps(system.alphabet)
+            expected = reference_overlaps(lhss)
+            for k in range(len(lhss) + 1):
+                stream = index.overlaps(system.alphabet, since=k)
+                assert stream == [entry for entry in whole if max(entry[:2]) >= k]
+                got = {}
+                for i, j, m in stream:
+                    got.setdefault((i, j), []).append(m)
+                assert {key: match_set(found) for key, found in got.items()} == \
+                    {key: found for key, found in expected.items() if max(key) >= k}
+                identity |= {("across" if min(i, j) < k else "above")
+                             for i, j, m in stream if m.witness_lengths() == (0, 0, 0, 0)}
+        assert identity == {"across", "above"}
