@@ -9,19 +9,16 @@ correspond at every step.
 """
 
 from .correspondence import (
-    CorrespondenceReport,
     IsoCheckReport,
     LockstepPass,
     NonBinomialError,
     basis_to_rules,
-    lockstep_complete,
     lockstep_passes,
     rules_to_basis,
     verify_algebra_iso,
 )
 from .completion import (
     CompletionLimits,
-    CompletionResult,
     LimitExceeded,
     PairRecord,
     PassRecord,

@@ -127,7 +127,7 @@ def _complete(args, pf):
         result = ncpoly.buchberger(pf.basis(_field(args, pf)), limits)
     else:
         result = rewriting.knuth_bendix(pf.system(), limits)
-    if not result.complete:
+    if not result.fixed:
         sys.stderr.write(
             f"warning: completion hit a limit (reason={result.limit_reason}); "
             "normal forms may not be unique\n"
@@ -142,7 +142,6 @@ def cmd_complete(args) -> int:
         line = functools.partial(ncpoly.record_line, order=start.order)
     else:
         start, one_pass, line = pf.system(), rewriting.kb_pass, rewriting.pair_line
-    last = completion.PassRecord(0, (), start)
     for last in completion.passes(start, one_pass, _limits(args)):
         _emit([line(last.index, rec) for rec in last.records], args)
     final = last.state
@@ -150,9 +149,7 @@ def cmd_complete(args) -> int:
         members = [f"poly: {render_poly(poly, final.order)}" for poly in final.polys]
     else:
         members = [f"rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in final.rules]
-    # the stream ends at a fixed point, a tripped cap, or pass max_passes
-    reason = last.limit_reason or "max_passes"
-    status = "complete" if last.fixed else f"limit-exceeded reason={reason}"
+    status = "complete" if last.fixed else f"limit-exceeded reason={last.limit_reason}"
     _emit([f"status: {status} passes={last.index}", *members], args)
     return EXIT_OK if last.fixed else EXIT_LIMIT
 
@@ -161,7 +158,6 @@ def cmd_lockstep(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
     field = _field(args, pf)
-    last = correspondence.lockstep_start(system, field)
     for last in correspondence.lockstep_passes(system, field, _limits(args)):
         _emit(correspondence.pass_lines(last, system.order), args)
     _emit(correspondence.verdict_lines(last), args)

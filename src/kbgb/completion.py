@@ -8,7 +8,9 @@ records in the examination order of ``RedexIndex.overlaps``, so the
 records of one pass align one for one across engines. ``passes`` is the
 loop: a stream of one record per pass, which ``complete`` runs to its end
 holding only the last pass, and the lockstep driver (``correspondence``)
-zips across both engines. Members are only appended, so a pass reuses the
+zips across both engines. The stream always yields at least one pass, and
+its last pass is the run's result: it says whether the run reached a fixed
+point or which cap ended it. Members are only appended, so a pass reuses the
 last pass's matches and raw pairs (``pair_sources``); it reduces every pair.
 """
 
@@ -119,29 +121,27 @@ def next_state(existing, records, words, extend, limits: CompletionLimits):
 
 @dataclass(frozen=True)
 class PassRecord:
-    index: int  # 1-based
+    """One pass of a run; the last pass of a run is its result."""
+
+    index: int  # 1-based; 0 for a run with max_passes 0
     records: tuple  # PairRecords, in examination order
-    state: object  # rule set or basis after the pass (unchanged if a limit tripped)
-    limit_reason: str | None = None  # the cap that tripped inside the pass
-    fixed: bool = False  # the pass installed nothing
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    complete: bool  # fixed point reached: the rule set is confluent, the basis Groebner
-    state: object  # final rule set or basis
-    last: PassRecord  # the last pass; index 0 and no records when none ran
-    passes: int  # how many passes ran
-    limit_reason: str | None = None
+    state: object  # rule set or basis after the pass (unchanged if a cap tripped inside it)
+    limit_reason: str | None = None  # the cap that ended the run at this pass
+    fixed: bool = False  # the pass installed nothing: the rule set is confluent, the basis Groebner
 
 
 def passes(state, one_pass, limits: CompletionLimits):
-    """One PassRecord per ``one_pass(state, limits)``, lazily.
+    """One PassRecord per ``one_pass(state, limits)``, lazily; the one place
+    where a run's end is decided.
 
     The stream ends after the pass that installs nothing (``fixed``), the
     pass in which a cap trips (``limit_reason``; its state is the input
-    left as it was), or pass ``max_passes``, whichever comes first.
+    left as it was), or pass ``max_passes``, which carries ``limit_reason``
+    "max_passes" unless it is a fixed point. With ``max_passes`` 0 it is
+    pass 0 alone: no records, the input state.
     """
+    if not limits.max_passes:
+        yield PassRecord(0, (), state, "max_passes")
     for index in range(1, limits.max_passes + 1):
         try:
             nxt, records = one_pass(state, limits)
@@ -149,17 +149,16 @@ def passes(state, one_pass, limits: CompletionLimits):
             yield PassRecord(index, exc.partial, state, exc.reason)
             return
         fixed = nxt == state
-        yield PassRecord(index, tuple(records), nxt, fixed=fixed)
+        reason = None if fixed or index < limits.max_passes else "max_passes"
+        yield PassRecord(index, tuple(records), nxt, reason, fixed)
         if fixed:
             return
         state = nxt
 
 
-def complete(state, one_pass, limits: CompletionLimits) -> CompletionResult:
-    """Run ``passes`` to its end, holding one pass at a time: complete at a
-    fixed point, else the tripped cap or ``max_passes``."""
-    last = PassRecord(0, (), state)
+def complete(state, one_pass, limits: CompletionLimits) -> PassRecord:
+    """Run ``passes`` to its end, holding one pass at a time, and return
+    the last pass."""
     for last in passes(state, one_pass, limits):
         pass
-    reason = None if last.fixed else last.limit_reason or "max_passes"
-    return CompletionResult(last.fixed, last.state, last, last.index, reason)
+    return last

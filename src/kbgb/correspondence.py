@@ -3,7 +3,9 @@
 A rule set R translates to the basis F of two-term polynomials l - r, one
 per rule. The driver zips the two engines' pass streams
 (completion.passes), so when completion stops is decided in one place,
-and is itself a stream of checked passes (lockstep_passes).
+and is itself a stream of checked passes (lockstep_passes). Its last pass
+is the run's result and carries the verdict; a run of max_passes 0 is
+pass 0 alone, the input sets.
 Both engines record each examined pair as one completion.PairRecord, in
 the same examination order, so a pass's two record lists are compared
 position by position: the i-th overlap must be the i-th match, the pair
@@ -100,7 +102,7 @@ class LockstepPass:
     """One synchronized pass with its three correspondence checks; the
     last pass of a run also carries the run's verdict."""
 
-    index: int  # 1-based
+    index: int  # 1-based; 0 for a run with max_passes 0
     pairs: tuple  # the rewriting engine's PairRecords
     records: tuple  # the polynomial engine's PairRecords
     sources_ok: bool  # overlaps and matches name the same sources, in order
@@ -117,22 +119,11 @@ class LockstepPass:
         return self.sources_ok and self.pairs_ok and self.sets_ok
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    verdict: str  # Corresponds | Divergence | LimitExceeded
-    passes: tuple
-    system: RewriteSystem  # final rule set
-    basis: Basis  # final basis
-    detail: str | None = None
-    divergence_pass: int | None = None
-    limit_reason: str | None = None
-
-
 def _source_key(rec) -> tuple:
     return (rec.first, rec.second, rec.match.kind.value, rec.match.witness_lengths())
 
 
-def _check_pass(kb, gb, field, max_passes) -> LockstepPass:
+def _check_pass(kb, gb, field) -> LockstepPass:
     """One pass of each engine with the three checks, and the run's
     verdict when the run ends at this pass."""
     pairs, records = kb.records, gb.records
@@ -174,8 +165,6 @@ def _check_pass(kb, gb, field, max_passes) -> LockstepPass:
             f"fixed point on one side only: rewriting={kb.fixed} polynomials={gb.fixed}")
     elif kb.fixed:
         verdict = VERDICT_CORRESPONDS
-    elif kb.index == max_passes:
-        verdict, reason = VERDICT_LIMIT, "max_passes"
     return LockstepPass(kb.index, pairs, records, sources_ok, pairs_ok, sets_ok,
                         kb.state, gb.state, verdict, detail, reason)
 
@@ -185,37 +174,24 @@ def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = Com
 
     Zips the two engines' pass streams. Ends at the mutual fixed point
     (Corresponds), at the first failed check (Divergence), or when both
-    engines trip the same resource limit at the same pass (LimitExceeded);
-    the last pass carries that verdict. A one-sided limit or fixed point
-    is itself a divergence. Yields nothing when ``max_passes`` is 0.
+    engines trip the same resource limit at the same pass (LimitExceeded),
+    ``max_passes`` included; the last pass carries that verdict. A one-sided
+    limit or fixed point is itself a divergence. Yields at least one pass:
+    pass 0 alone, the input sets, when ``max_passes`` is 0.
     """
     for kb, gb in zip(passes(system, kb_pass, limits),
                       passes(rules_to_basis(system, field), buchberger_pass, limits)):
-        checked = _check_pass(kb, gb, field, limits.max_passes)
+        checked = _check_pass(kb, gb, field)
         yield checked
         if checked.verdict:
             return
 
 
-def lockstep_start(system: RewriteSystem, field) -> LockstepPass:
-    """Pass 0: the input sets, and the verdict of a run that stops before
-    pass 1 (``max_passes`` 0)."""
-    return LockstepPass(0, (), (), True, True, True, system, rules_to_basis(system, field),
-                        VERDICT_LIMIT, limit_reason="max_passes")
-
-
-def lockstep_complete(system: RewriteSystem, field,
-                      limits: CompletionLimits = CompletionLimits()) -> CorrespondenceReport:
-    """Every checked pass of ``lockstep_passes``, and the verdict of the last."""
-    checked = tuple(lockstep_passes(system, field, limits))
-    last = checked[-1] if checked else lockstep_start(system, field)
-    divergence_pass = last.index if last.verdict == VERDICT_DIVERGENCE else None
-    return CorrespondenceReport(last.verdict, checked, last.system, last.basis,
-                                last.detail, divergence_pass, last.limit_reason)
-
-
 def pass_lines(p: LockstepPass, order) -> list:
-    """Both engines' trace lines of one pass, then its check summary."""
+    """Both engines' trace lines of one pass, then its check summary; none
+    for pass 0."""
+    if not p.index:
+        return []
     flag = {True: "ok", False: "FAIL"}
     lines = [pair_line(p.index, cp) for cp in p.pairs]
     lines.extend(record_line(p.index, rec, order) for rec in p.records)
@@ -225,8 +201,8 @@ def pass_lines(p: LockstepPass, order) -> list:
 
 
 def verdict_lines(last: LockstepPass) -> list:
-    """What follows the passes, from the last one (``lockstep_start`` when
-    none ran): limit lines, final sets, one VERDICT line."""
+    """What follows the passes, from the last one: limit lines, final sets,
+    one VERDICT line."""
     lines = []
     if last.verdict == VERDICT_LIMIT:
         lines.append(f"limit: engine=rewriting pass={last.index} reason={last.limit_reason}")
@@ -274,7 +250,6 @@ def verify_algebra_iso(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    lock = lockstep_start(system, field)
     for lock in lockstep_passes(system, field, limits):  # the last carries the verdict
         pass
     if lock.verdict != VERDICT_CORRESPONDS:

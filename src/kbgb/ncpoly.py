@@ -31,8 +31,8 @@ from typing import NamedTuple
 from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
-    CompletionResult,
     PairRecord,
+    PassRecord,
     ReductionBudgetExceeded,
     complete,
     next_state,
@@ -547,8 +547,8 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits):
     return nxt, records
 
 
-def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:
-    """Iterate buchberger_pass to the fixed point or to a resource limit."""
+def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> PassRecord:
+    """Iterate buchberger_pass to the fixed point or to a resource limit; the last pass."""
     return complete(basis, buchberger_pass, limits)
 
 

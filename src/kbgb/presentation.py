@@ -121,7 +121,7 @@ def _parse_word(line: int, alphabet: Alphabet, text: str) -> Word:
 
 def parse_poly_terms(line: int | None, alphabet: Alphabet, text: str) -> tuple:
     """Signed term list as ((Word, Fraction), ...), in source order."""
-    padded = text.replace("*", " ").replace("+", " + ").replace("-", " - ")
+    padded = text.replace("*", " * ").replace("+", " + ").replace("-", " - ")
     tokens = padded.split()
     if not tokens:
         raise ParseError(line, "empty polynomial")
@@ -133,17 +133,21 @@ def parse_poly_terms(line: int | None, alphabet: Alphabet, text: str) -> tuple:
     def flush():
         if not pending:
             raise ParseError(line, "malformed polynomial: empty term")
-        if _NUMBER.fullmatch(pending[0]):
+        # a * only joins a coefficient to a monomial, as in 2*a
+        if pending.count("*") > (len(pending) == 3 and pending[1] == "*"):
+            raise ParseError(line, f"malformed term near {' '.join(pending)!r}")
+        factors = [token for token in pending if token != "*"]
+        if _NUMBER.fullmatch(factors[0]):
             try:
-                coeff = Fraction(pending[0])
+                coeff = Fraction(factors[0])
             except ZeroDivisionError:
-                raise ParseError(line, f"coefficient {pending[0]} has a zero denominator") from None
-            rest = pending[1:]
+                raise ParseError(line, f"coefficient {factors[0]} has a zero denominator") from None
+            rest = factors[1:]
         else:
             coeff = Fraction(1)
-            rest = pending
+            rest = factors
         if len(rest) > 1:
-            raise ParseError(line, f"malformed term near {' '.join(pending)!r}")
+            raise ParseError(line, f"malformed term near {' '.join(factors)!r}")
         word = _parse_word(line, alphabet, rest[0]) if rest else Word(alphabet)
         terms.append((word, sign * coeff))
 

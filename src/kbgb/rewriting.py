@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .completion import (
     DEFAULT_STEP_BUDGET,
     CompletionLimits,
-    CompletionResult,
     PairRecord,
+    PassRecord,
     ReductionBudgetExceeded,
     complete,
     next_state,
@@ -182,8 +182,8 @@ def kb_pass(system: RewriteSystem, limits: CompletionLimits):
     return nxt, pairs
 
 
-def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLimits()) -> CompletionResult:
-    """Iterate kb_pass to the fixed point or to a resource limit."""
+def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLimits()) -> PassRecord:
+    """Iterate kb_pass to the fixed point or to a resource limit; the last pass."""
     return complete(system, kb_pass, limits)
 
 

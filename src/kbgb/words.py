@@ -188,12 +188,14 @@ class MonomialOrder:
             if weights is None:
                 raise ValueError("wtlex needs a weight for every generator")
             if hasattr(weights, "keys"):
+                if set(weights.keys()) != set(alphabet.symbols):
+                    raise ValueError("one weight per generator required")
                 weights = tuple(weights[name] for name in alphabet.symbols)
             else:
                 weights = tuple(weights)
             if len(weights) != len(alphabet):
                 raise ValueError("one weight per generator required")
-            if any(not isinstance(w, int) or w <= 0 for w in weights):
+            if any(type(w) is not int or w <= 0 for w in weights):
                 raise ValueError("weights must be positive integers")
         else:
             if weights is not None:

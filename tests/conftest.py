@@ -36,7 +36,7 @@ def _oracle_feasible(system):
     bound; such systems are skipped when drawing the random corpus.
     """
     result = knuth_bendix(system, CORPUS_LIMITS)
-    if not result.complete:
+    if not result.fixed:
         return True  # only complete instances face the closure oracle
     try:
         congruence_partition(system, 5, node_budget=150_000)

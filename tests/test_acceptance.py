@@ -16,7 +16,7 @@ from kbgb import (
     PrimeField,
     Word,
     knuth_bendix,
-    lockstep_complete,
+    lockstep_passes,
     normal_form,
     parse_presentation,
 )
@@ -69,7 +69,7 @@ def complete_instances(corpus_files):
     for path in corpus_files:
         system = _load_system(path)
         result = knuth_bendix(system, LIMITS)
-        if result.complete:
+        if result.fixed:
             out.append((path, system, result.state))
     assert len(out) >= 8
     return out
@@ -155,9 +155,8 @@ def test_criterion_6_binomial_closure(corpus_files):
         for path in corpus_files:
             system = _load_system(path)
             for field in (QQ, F3):
-                report = lockstep_complete(system, field, LIMITS)
                 allowed = {field.one, field.neg(field.one)}
-                for p in report.passes:
+                for p in lockstep_passes(system, field, LIMITS):
                     for rec in p.records:
                         for poly in (rec.raw, rec.reduced):
                             if len(poly.terms) > 2 or not all(

@@ -249,6 +249,12 @@ class TestErrorsAndExitCodes:
         code, out, err = run_cli(["complete", pres(text)])
         assert (code, out, err) == (1, "", "error: line 5: coefficient 1/0 has a zero denominator\n")
 
+    def test_stray_star_is_parse_error(self, pres):
+        # a * joins a coefficient to a monomial; a trailing one is not dropped
+        text = ALG_GENERAL.replace("a.b - a.a - b", "b.a - 2*")
+        code, out, err = run_cli(["complete", pres(text)])
+        assert (code, out, err) == (1, "", "error: line 5: malformed term near '2 *'\n")
+
     def test_missing_right_side_is_parse_error(self, pres):
         # the empty word is written 1; a blank side is not read as it
         text = BASIC.replace("mode: sgp", "mode: mon").replace("b.a -> a.b", "a.a ->")
@@ -331,7 +337,13 @@ class TestErrorsAndExitCodes:
         (ALG_GENERAL, ["nf", "1/0*a"], "coefficient 1/0 has a zero denominator"),
         (MON, ["nf", ""], "empty word; write the empty word as '1'"),
         (MON, ["equal", "a", ""], "empty word; write the empty word as '1'"),
-    ], ids=["nf", "equal", "alg-nf", "alg-nf-zero-denominator", "nf-blank", "equal-blank"])
+        (ALG_GENERAL, ["nf", "2*"], "malformed term near '2 *'"),
+        (ALG_GENERAL, ["nf", "*a"], "malformed term near '* a'"),
+        (ALG_GENERAL, ["nf", "2**a"], "malformed term near '2 * * a'"),
+        (ALG_GENERAL, ["nf", "2*a*"], "malformed term near '2 * a *'"),
+    ], ids=["nf", "equal", "alg-nf", "alg-nf-zero-denominator", "nf-blank", "equal-blank",
+            "alg-nf-trailing-star", "alg-nf-leading-star", "alg-nf-double-star",
+            "alg-nf-star-after-word"])
     def test_bad_query_fails_before_completion(self, pres, text, command, message):
         # --max-passes 0 trips the completion limit, so its warning would
         # come first if the query were parsed after completion

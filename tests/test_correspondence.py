@@ -22,7 +22,7 @@ from kbgb import (
     Rule,
     basis_to_rules,
     knuth_bendix,
-    lockstep_complete,
+    lockstep_passes,
     normal_form,
     poly_normal_form,
     render_poly,
@@ -99,65 +99,64 @@ class TestTranslation:
 
 class TestLockstep:
     def test_immediate_fixpoint(self):
-        report = lockstep_complete(make_system(["ba->ab"]), QQ)
-        assert report.verdict == "Corresponds"
-        assert len(report.passes) == 1
-        assert report.passes[0].pairs == ()
-        assert report.passes[0].records == ()
+        checked = tuple(lockstep_passes(make_system(["ba->ab"]), QQ))
+        assert checked[-1].verdict == "Corresponds"
+        assert len(checked) == 1
+        assert checked[0].pairs == ()
+        assert checked[0].records == ()
 
     def test_empty_system(self):
-        report = lockstep_complete(make_system([]), QQ)
-        assert report.verdict == "Corresponds"
-        assert report.system.rules == () and report.basis.polys == ()
+        *_, last = lockstep_passes(make_system([]), QQ)
+        assert last.verdict == "Corresponds"
+        assert last.system.rules == () and last.basis.polys == ()
 
     def test_resolution_alignment(self):
-        report = lockstep_complete(make_system(["aa->a"]), QQ)
-        assert report.verdict == "Corresponds"
-        (only,) = report.passes
+        (only,) = lockstep_passes(make_system(["aa->a"]), QQ)
+        assert only.verdict == "Corresponds"
         assert all(cp.new is None for cp in only.pairs)
         assert all(rec.new is None for rec in only.records)
 
     def test_growing_run(self):
         system = make_system(["aba->b"])
         for field in (QQ, F3):
-            report = lockstep_complete(system, field)
-            assert report.verdict == "Corresponds"
-            assert len(report.passes) == 2
-            assert [r.render() for r in report.system.rules] == \
+            checked = tuple(lockstep_passes(system, field))
+            last = checked[-1]
+            assert last.verdict == "Corresponds"
+            assert len(checked) == 2
+            assert [r.render() for r in last.system.rules] == \
                 ["a.b.a->b", "b.b.a->a.b.b"]
-            assert basis_to_rules(report.basis).rules == report.system.rules
+            assert basis_to_rules(last.basis).rules == last.system.rules
 
     def test_passes_align_with_standalone_engines(self):
         from kbgb import buchberger, buchberger_pass, kb_pass
         from kbgb.completion import passes
 
         system = make_system(["aba->b"])
-        report = lockstep_complete(system, QQ)
+        checked = tuple(lockstep_passes(system, QQ))
         kb = knuth_bendix(system)
         gb = buchberger(rules_to_basis(system, QQ))
-        assert kb.complete and gb.complete
+        assert kb.fixed and gb.fixed
         kb_trace = tuple(passes(system, kb_pass, CompletionLimits()))
         gb_trace = tuple(passes(rules_to_basis(system, QQ), buchberger_pass, CompletionLimits()))
-        assert len(report.passes) == len(kb_trace) == len(gb_trace) == kb.passes == gb.passes
-        assert [p.records for p in gb_trace] == [p.records for p in report.passes]
-        assert [p.records for p in kb_trace] == [p.pairs for p in report.passes]
-        assert report.system.rules == kb.state.rules
-        assert report.basis.polys == gb.state.polys
+        assert len(checked) == len(kb_trace) == len(gb_trace) == kb.index == gb.index
+        assert [p.records for p in gb_trace] == [p.records for p in checked]
+        assert [p.records for p in kb_trace] == [p.pairs for p in checked]
+        assert checked[-1].system.rules == kb.state.rules
+        assert checked[-1].basis.polys == gb.state.polys
 
     def test_identical_truncation(self):
         system = make_system(["aba->b"])
-        report = lockstep_complete(system, QQ, CompletionLimits(max_rules=1))
-        assert report.verdict == "LimitExceeded"
-        assert report.limit_reason == "max_rules"
-        assert report.system.rules == system.rules  # nothing was installed
-        assert len(report.basis.polys) == 1
+        *_, last = lockstep_passes(system, QQ, CompletionLimits(max_rules=1))
+        assert last.verdict == "LimitExceeded"
+        assert last.limit_reason == "max_rules"
+        assert last.system.rules == system.rules  # nothing was installed
+        assert len(last.basis.polys) == 1
 
     def test_max_passes_truncation(self):
         system = make_system(["aba->b"])
-        report = lockstep_complete(system, QQ, CompletionLimits(max_passes=1))
-        assert report.verdict == "LimitExceeded"
-        assert report.limit_reason == "max_passes"
-        assert len(report.passes) == 1
+        (only,) = lockstep_passes(system, QQ, CompletionLimits(max_passes=1))
+        assert only.verdict == "LimitExceeded"
+        assert only.limit_reason == "max_passes"
 
     def test_wtlex_lockstep(self):
         alpha = Alphabet("ab")
@@ -171,10 +170,10 @@ class TestLockstep:
             ),
         )
         for field in (QQ, F3):
-            report = lockstep_complete(system, field)
-            assert report.verdict == "Corresponds"
+            *_, last = lockstep_passes(system, field)
+            assert last.verdict == "Corresponds"
         completed = knuth_bendix(system)
-        assert completed.complete
+        assert completed.fixed
         w = alpha.parse_word
         # a.b -> b.b.b -> b, so a.b and b share a class
         assert normal_form(completed.state, w("a.b")) == normal_form(completed.state, w("b"))
@@ -182,9 +181,8 @@ class TestLockstep:
 
     def test_monoid_lockstep(self):
         system = make_system(["aa->1"], mode=MONOID, letters="a")
-        report = lockstep_complete(system, QQ)
-        assert report.verdict == "Corresponds"
-        (only,) = report.passes
+        (only,) = lockstep_passes(system, QQ)
+        assert only.verdict == "Corresponds"
         assert all(cp.new is None for cp in only.pairs)
         assert all(rec.new is None for rec in only.records)
 
@@ -195,10 +193,10 @@ class TestLockstep:
         for _ in range(25):
             system = random_system(rng, max_rules=4, max_side=4)
             for field in (QQ, F3):
-                report = lockstep_complete(system, field, limits)
-                assert report.verdict in ("Corresponds", "LimitExceeded")
-                verdicts.add(report.verdict)
-                for p in report.passes:
+                checked = tuple(lockstep_passes(system, field, limits))
+                assert checked[-1].verdict in ("Corresponds", "LimitExceeded")
+                verdicts.add(checked[-1].verdict)
+                for p in checked:
                     assert p.ok
         assert "Corresponds" in verdicts
 
@@ -216,7 +214,7 @@ class TestLockstep:
 
         def held_after(batch):
             for system in batch:
-                lockstep_complete(system, QQ, limits)
+                tuple(lockstep_passes(system, QQ, limits))
             gc.collect()
             return tracemalloc.get_traced_memory()[0]
 
@@ -239,10 +237,10 @@ class TestLockstep:
             return NcPolynomial.zero(basis.field) if not result.is_zero() else result
 
         monkeypatch.setattr(ncpoly_module, "poly_normal_form", skewed)
-        report = lockstep_complete(make_system(["aba->b"]), QQ)
-        assert report.verdict == "Divergence"
-        assert report.divergence_pass == 1
-        assert "disposition mismatch" in report.detail
+        *_, last = lockstep_passes(make_system(["aba->b"]), QQ)
+        assert last.verdict == "Divergence"
+        assert last.index == 1
+        assert "disposition mismatch" in last.detail
 
     # each change(state, next state, records) misreports one pass of one
     # engine on a.b.a -> b, which completes in two passes
@@ -279,35 +277,66 @@ class TestLockstep:
     ABA_RULES = ["a.b.a->b", "b.b.a->a.b.b"]
     ABA_POLYS = ["a.b.a - b", "b.b.a - a.b.b"]
 
-    @pytest.mark.parametrize("engine, at, change, pass_index, detail, rules, polys", [
-        ("buchberger_pass", 1, "_wrong_content", 1,
-         "content mismatch at rules=(0,0) kind=SuffixPrefix: rule b.b.a->a.b.b",
-         ABA_RULES, ABA_POLYS),
-        ("buchberger_pass", 1, "_dropped_record", 1,
-         "sources differ: overlaps-only=[(0, 0, 'PrefixSuffix', (2, 0, 0, 2))] matches-only=[]",
-         ABA_RULES, ABA_POLYS),
-        ("buchberger_pass", 1, "_nothing_installed", 1,
-         "next basis is not the translation of the next rule set",
-         ABA_RULES, ABA_POLYS[:1]),
-        ("buchberger_pass", 2, "_rules_cap", 2,
-         "one-sided resource limit: rewriting=None polynomials=max_rules",
-         ABA_RULES, ABA_POLYS),
-        ("kb_pass", 2, "_rules_cap", 2,
-         "one-sided resource limit: rewriting=max_rules polynomials=None",
-         ABA_RULES, ABA_POLYS),
-        ("buchberger_pass", 2, "_reversed_members", 2,
-         "fixed point on one side only: rewriting=True polynomials=False",
-         ABA_RULES, ABA_POLYS[::-1]),
-        ("kb_pass", 2, "_reversed_members", 2,
-         "fixed point on one side only: rewriting=False polynomials=True",
-         ABA_RULES[::-1], ABA_POLYS),
-        ("buchberger_pass", 1, "_reversed_records", 1,
-         "sources differ: overlaps-only=[] matches-only=[]",
-         ABA_RULES, ABA_POLYS),
-    ], ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed",
-            "order"])
-    def test_every_divergence_branch(self, monkeypatch, engine, at, change, pass_index,
-                                     detail, rules, polys):
+    # max_passes None is the default cap; the other rows make the
+    # misbehaving pass also the last pass allowed
+    @pytest.mark.parametrize(
+        "engine, at, change, max_passes, pass_index, detail, rules, polys", [
+            ("buchberger_pass", 1, "_wrong_content", None, 1,
+             "content mismatch at rules=(0,0) kind=SuffixPrefix: rule b.b.a->a.b.b",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_dropped_record", None, 1,
+             "sources differ: overlaps-only=[(0, 0, 'PrefixSuffix', (2, 0, 0, 2))] matches-only=[]",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_nothing_installed", None, 1,
+             "next basis is not the translation of the next rule set",
+             ABA_RULES, ABA_POLYS[:1]),
+            ("buchberger_pass", 2, "_rules_cap", None, 2,
+             "one-sided resource limit: rewriting=None polynomials=max_rules",
+             ABA_RULES, ABA_POLYS),
+            ("kb_pass", 2, "_rules_cap", None, 2,
+             "one-sided resource limit: rewriting=max_rules polynomials=None",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 2, "_reversed_members", None, 2,
+             "fixed point on one side only: rewriting=True polynomials=False",
+             ABA_RULES, ABA_POLYS[::-1]),
+            ("kb_pass", 2, "_reversed_members", None, 2,
+             "fixed point on one side only: rewriting=False polynomials=True",
+             ABA_RULES[::-1], ABA_POLYS),
+            ("buchberger_pass", 1, "_reversed_records", None, 1,
+             "sources differ: overlaps-only=[] matches-only=[]",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_wrong_content", 1, 1,
+             "content mismatch at rules=(0,0) kind=SuffixPrefix: rule b.b.a->a.b.b",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_dropped_record", 1, 1,
+             "sources differ: overlaps-only=[(0, 0, 'PrefixSuffix', (2, 0, 0, 2))] matches-only=[]",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_nothing_installed", 1, 1,
+             "next basis is not the translation of the next rule set",
+             ABA_RULES, ABA_POLYS[:1]),
+            ("buchberger_pass", 2, "_rules_cap", 2, 2,
+             "one-sided resource limit: rewriting=None polynomials=max_rules",
+             ABA_RULES, ABA_POLYS),
+            ("kb_pass", 2, "_rules_cap", 2, 2,
+             "one-sided resource limit: rewriting=max_rules polynomials=None",
+             ABA_RULES, ABA_POLYS),
+            # at the last pass allowed, the side that is not a fixed point
+            # has reached the max_passes cap
+            ("buchberger_pass", 2, "_reversed_members", 2, 2,
+             "one-sided resource limit: rewriting=None polynomials=max_passes",
+             ABA_RULES, ABA_POLYS[::-1]),
+            ("kb_pass", 2, "_reversed_members", 2, 2,
+             "one-sided resource limit: rewriting=max_passes polynomials=None",
+             ABA_RULES[::-1], ABA_POLYS),
+            ("buchberger_pass", 1, "_reversed_records", 1, 1,
+             "sources differ: overlaps-only=[] matches-only=[]",
+             ABA_RULES, ABA_POLYS),
+        ],
+        ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed",
+             "order", "content-last", "sources-last", "sets-last", "gb-limit-last",
+             "kb-limit-last", "gb-fixed-last", "kb-fixed-last", "order-last"])
+    def test_every_divergence_branch(self, monkeypatch, engine, at, change, max_passes,
+                                     pass_index, detail, rules, polys):
         import kbgb.correspondence as corr
 
         real = getattr(corr, engine)
@@ -320,20 +349,21 @@ class TestLockstep:
                 return getattr(self, change)(state, nxt, records)
             return nxt, records
 
+        limits = CompletionLimits() if max_passes is None else CompletionLimits(max_passes)
         monkeypatch.setattr(corr, engine, misbehaving)
-        report = lockstep_complete(make_system(["aba->b"]), QQ)
-        assert report.verdict == "Divergence"
-        assert report.divergence_pass == pass_index
-        assert report.detail == detail
-        assert verdict_lines(report.passes[-1])[-1] == \
+        *_, last = lockstep_passes(make_system(["aba->b"]), QQ, limits)
+        assert last.verdict == "Divergence"
+        assert last.index == pass_index
+        assert last.detail == detail
+        assert verdict_lines(last)[-1] == \
             f"VERDICT: Divergence pass={pass_index} detail={detail}"
-        assert [rule.render() for rule in report.system.rules] == rules
-        assert [render_poly(p, report.basis.order) for p in report.basis.polys] == polys
+        assert [rule.render() for rule in last.system.rules] == rules
+        assert [render_poly(p, last.basis.order) for p in last.basis.polys] == polys
 
     def test_report_lines_shape(self):
-        report = lockstep_complete(make_system(["aba->b"]), QQ)
-        lines = [line for p in report.passes for line in pass_lines(p, report.system.order)]
-        lines += verdict_lines(report.passes[-1])
+        checked = tuple(lockstep_passes(make_system(["aba->b"]), QQ))
+        lines = [line for p in checked for line in pass_lines(p, checked[-1].system.order)]
+        lines += verdict_lines(checked[-1])
         assert lines[-1] == "VERDICT: Corresponds"
         assert any(line.startswith("pass=1 rules=") for line in lines)
         assert any(line.startswith("pass=1 polys=") for line in lines)
@@ -348,12 +378,13 @@ class TestFieldInvariance:
         limits = CompletionLimits(max_passes=5, max_rules=50, max_word_length=30)
         for _ in range(25):
             system = random_system(rng, max_rules=3, max_side=3)
-            reports = [lockstep_complete(system, f, limits) for f in (QQ, F3)]
-            assert reports[0].verdict == reports[1].verdict
-            assert len(reports[0].passes) == len(reports[1].passes)
-            assert reports[0].system.rules == reports[1].system.rules
-            assert [basis_to_rules(r.basis, mode=system.mode).rules for r in reports[:1]] == \
-                [basis_to_rules(r.basis, mode=system.mode).rules for r in reports[1:]]
+            runs = [tuple(lockstep_passes(system, f, limits)) for f in (QQ, F3)]
+            lasts = [run[-1] for run in runs]
+            assert lasts[0].verdict == lasts[1].verdict
+            assert len(runs[0]) == len(runs[1])
+            assert lasts[0].system.rules == lasts[1].system.rules
+            assert [basis_to_rules(r.basis, mode=system.mode).rules for r in lasts[:1]] == \
+                [basis_to_rules(r.basis, mode=system.mode).rules for r in lasts[1:]]
 
 
 class TestIsoCheck:
@@ -403,7 +434,7 @@ class TestIsoCheck:
         for _ in range(25):
             system = random_system(rng, letters="ab", max_rules=3, max_side=3)
             completed = knuth_bendix(system, limits)
-            if not completed.complete:
+            if not completed.fixed:
                 continue
             checked += 1
             report = verify_algebra_iso(system, QQ, 4, limits)
@@ -420,7 +451,8 @@ class TestIsoCheck:
         # linearity; spot-check that reduction is linear on random samples
         rng = random.Random(71)
         system = make_system(["ba->ab", "aa->a"])
-        basis = lockstep_complete(system, QQ).basis
+        *_, last = lockstep_passes(system, QQ)
+        basis = last.basis
         words = list(all_words(system.alphabet, 4))
         for _ in range(50):
             terms_p = [(rng.choice(words), rng.randint(-3, 3)) for _ in range(3)]

@@ -15,7 +15,10 @@ the chain system b.b -> a.a, b.a.a.c -> a.c.c, which adds two rules a pass with 
 of up to 27 letters after 12 passes, to pin overlap detection where most pairs of left sides
 do not overlap. Explode at 5 passes and chain at 40 are the benchmark's own lockstep traces:
 passes that carry the last pass's pairs into the next, 40 of them on chain, and on explode a
-fifth pass of 8,364 pairs, 248 of them carried. Regenerate the
+fifth pass of 8,364 pairs, 248 of them carried. The sgp relation a.b.a -> b and its alg
+translation a.b.a - b run every subcommand with no pass at all (--max-passes 0), and the sgp
+one runs complete and lockstep with one pass, which installs a rule and so ends by the cap,
+not at a fixed point. Regenerate the
 manifest (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -98,6 +101,12 @@ EXPLODE = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a.b ->
 ALG_EXPLODE = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  2*a.b.a.b - 5*b.a + 1/2*a\n"
 ALG_EXPLODE_QUERY = "b.a.b.a.b.a.b.b.a.b.a + 3*a.b.b.a.b.a.b - b"
 CHAIN = "mode: sgp\nalphabet: a b c\norder: shortlex a < b < c\nrules:\n  b.b -> a.a\n  b.a.a.c -> a.c.c\n"
+ABA_B = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a -> b\n"
+ALG_ABA_B = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  a.b.a - b\n"
+# all five subcommands with no pass run
+NO_PASS = [["complete", "--max-passes", "0"], ["lockstep", "--max-passes", "0"],
+           ["nf", "b.a.b.a", "--max-passes", "0"], ["equal", "b.a.b.a", "b.b", "--max-passes", "0"],
+           ["iso-check", "-L", "3", "--max-passes", "0"]]
 
 # run once each with exactly these arguments: four passes reach 57 rules
 OWN_FLAGS = {
@@ -118,6 +127,12 @@ OWN_FLAGS = {
         [["lockstep", "--max-passes", "12"], ["complete", "--max-passes", "12"],
          ["lockstep", "--max-passes", "40"]],
     ),
+    # pass 1 installs a rule, so a cap of one pass ends the run by the cap
+    "aba_b": (
+        ABA_B,
+        [*NO_PASS, ["complete", "--max-passes", "1"], ["lockstep", "--max-passes", "1"]],
+    ),
+    "alg_aba_b": (ALG_ABA_B, NO_PASS),
 }
 
 

@@ -474,26 +474,26 @@ class TestBuchberger:
 
     def test_completion_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))
-        assert result.complete and result.passes == 1
+        assert result.fixed and result.index == 1
 
         result = buchberger(binomial_basis(["aa->a"]))
-        assert result.complete and len(result.state.polys) == 1
+        assert result.fixed and len(result.state.polys) == 1
 
         result = buchberger(Basis(AB, ORDER, QQ, ()))
-        assert result.complete and result.state.polys == ()
+        assert result.fixed and result.state.polys == ()
 
     def test_limits(self):
         basis = binomial_basis(["aba->b"])
         with pytest.raises(LimitExceeded):
             buchberger_pass(basis, CompletionLimits(max_rules=1))
         result = buchberger(basis, CompletionLimits(max_passes=1))
-        assert not result.complete and result.limit_reason == "max_passes"
+        assert not result.fixed and result.limit_reason == "max_passes"
         (only,) = passes(basis, buchberger_pass, CompletionLimits(max_passes=1))
-        assert (only.limit_reason, only.fixed) == (None, False)
+        assert (only.limit_reason, only.fixed) == ("max_passes", False)
         assert len(only.state.polys) == 2 and result.state == only.state
 
         result = buchberger(basis, CompletionLimits(max_passes=0))
-        assert result.limit_reason == "max_passes" and result.passes == 0
+        assert result.limit_reason == "max_passes" and result.index == 0
         assert result.state == basis
 
         result = buchberger(basis, CompletionLimits(max_rules=1))
@@ -503,10 +503,10 @@ class TestBuchberger:
         assert only.state == basis == result.state  # nothing was installed
 
         result = buchberger(basis)
-        assert result.complete and result.limit_reason is None
+        assert result.fixed and result.limit_reason is None
         trace = tuple(passes(basis, buchberger_pass, CompletionLimits()))
         assert [(p.limit_reason, p.fixed) for p in trace] == [(None, False), (None, True)]
-        assert trace[-1] == result.last
+        assert trace[-1] == result
 
     def test_monomials_equal_examples(self):
         result = buchberger(binomial_basis(["ba->ab"]))
@@ -540,9 +540,9 @@ class TestBuchberger:
             for field in (QQ, PrimeField(3), PrimeField(2)):
                 res = buchberger(rules_to_basis(system, field), limits)
                 results[field.name] = res
-            kinds = {name: r.complete for name, r in results.items()}
+            kinds = {name: r.fixed for name, r in results.items()}
             assert len(set(kinds.values())) == 1
-            if not results["Q"].complete:
+            if not results["Q"].fixed:
                 continue
             checked += 1
             rule_sets = {

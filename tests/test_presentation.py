@@ -195,7 +195,8 @@ polys:
 
     def test_malformed_terms(self):
         alpha = parse_presentation(self.TEXT).alphabet
-        for bad in ("a ++ b", "2 3 a", "a b", ""):
+        # a * that does not join a coefficient to a monomial
+        for bad in ("a ++ b", "2 3 a", "a b", "", "2*", "*a", "2**a", "2*a*", "2*-a"):
             with pytest.raises(ParseError):
                 parse_poly_terms(1, alpha, bad)
 

@@ -21,7 +21,7 @@ from kbgb import (
     reduce_once,
     words_equal,
 )
-from kbgb.completion import passes
+from kbgb.completion import PassRecord, passes
 from kbgb.rewriting import bounded_words, pair_line
 
 from helpers import make_system, random_redex_system, random_system, redex_features
@@ -236,15 +236,15 @@ class TestKbPass:
 class TestKnuthBendix:
     def test_examples(self):
         result = knuth_bendix(BA_AB)
-        assert result.complete and result.passes == 1
+        assert result.fixed and result.index == 1
         assert result.state.rules == BA_AB.rules
 
         result = knuth_bendix(AA_A)
-        assert result.complete and result.state.rules == AA_A.rules
+        assert result.fixed and result.state.rules == AA_A.rules
 
         empty = make_system([])
         result = knuth_bendix(empty)
-        assert result.complete and result.state.rules == ()
+        assert result.fixed and result.state.rules == ()
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
@@ -257,24 +257,27 @@ class TestKnuthBendix:
 
     def test_zero_passes_is_a_limit(self):
         result = knuth_bendix(ABA_B, CompletionLimits(max_passes=0))
-        assert not result.complete
+        assert not result.fixed
         assert result.limit_reason == "max_passes"
-        assert result.passes == 0 and result.last.records == ()
+        assert result.index == 0 and result.records == ()
+        # the stream is pass 0 alone: the input, ended by the cap
+        limits = CompletionLimits(max_passes=0)
+        assert tuple(passes(ABA_B, kb_pass, limits)) == (PassRecord(0, (), ABA_B, "max_passes"),)
 
     def test_aba_completes_in_two_passes(self):
         result = knuth_bendix(ABA_B)
-        assert result.complete and result.passes == 2
+        assert result.fixed and result.index == 2
         assert [r.render() for r in result.state.rules] == ["a.b.a->b", "b.b.a->a.b.b"]
         # only the last pass is a fixed point; no cap tripped
         trace = tuple(passes(ABA_B, kb_pass, CompletionLimits()))
         assert [(p.limit_reason, p.fixed) for p in trace] == [(None, False), (None, True)]
         assert trace[-1].state == result.state
-        assert trace[-1] == result.last
+        assert trace[-1] == result
 
     def test_tripped_cap_ends_the_trace(self):
         limits = CompletionLimits(max_rules=1)
         result = knuth_bendix(ABA_B, limits)
-        assert not result.complete and result.limit_reason == "max_rules"
+        assert not result.fixed and result.limit_reason == "max_rules"
         (only,) = passes(ABA_B, kb_pass, limits)
         assert (only.limit_reason, only.fixed) == ("max_rules", False)
         assert only.state == ABA_B == result.state  # nothing was installed
@@ -284,7 +287,7 @@ class TestKnuthBendix:
         result = knuth_bendix(ABA_B, limits)
         assert result.limit_reason == "max_passes"
         (only,) = passes(ABA_B, kb_pass, limits)
-        assert (only.limit_reason, only.fixed) == (None, False)
+        assert (only.limit_reason, only.fixed) == ("max_passes", False)
         assert len(only.state.rules) == 2 and result.state == only.state
 
     def test_complete_systems_are_locally_confluent(self):
@@ -296,7 +299,7 @@ class TestKnuthBendix:
     def test_unique_endpoints_after_completion(self):
         for start in (BA_AB, AA_A, ABA_B, make_system(["ab->a", "ba->a"])):
             result = knuth_bendix(start)
-            assert result.complete
+            assert result.fixed
             memo = {}
             for word in all_words(result.state.alphabet, 6):
                 endpoints = reduction_endpoints(result.state, word, memo)
@@ -312,7 +315,7 @@ class TestWordProblem:
     def test_partition_matches_congruence_closure(self):
         for start in (BA_AB, AA_A, ABA_B):
             result = knuth_bendix(start)
-            assert result.complete
+            assert result.fixed
             system = result.state
             blocks = {}
             for word in all_words(system.alphabet, 5):
@@ -326,7 +329,7 @@ class TestEnumerateNormalForms:
     def test_monoid_includes_empty_word(self):
         system = make_system(["aa->"], mode=MONOID, letters="a")
         result = knuth_bendix(system)
-        assert result.complete
+        assert result.fixed
         forms = [w for w in bounded_words(result.state, 3)
                  if normal_form(result.state, w) == w]
         assert [f.display() for f in forms] == ["1", "a"]
@@ -357,7 +360,7 @@ class TestRandomizedCompletionSoundness:
         for _ in range(30):
             start = random_system(rng, letters="ab", max_rules=3, max_side=3)
             result = knuth_bendix(start, CompletionLimits(max_passes=6, max_rules=40, max_word_length=24))
-            if not result.complete:
+            if not result.fixed:
                 continue
             checked += 1
             system = result.state

@@ -102,6 +102,13 @@ class TestCompare:
         with pytest.raises(AlphabetMismatch):
             SHORTLEX.compare(w("a"), Alphabet("abc").parse_word("a"))
 
+    @pytest.mark.parametrize("weights", [
+        {"a": 1}, {"a": 1, "b": 2, "c": 3}, {"a": True, "b": 1}, (1, True), {"a": 1.0, "b": 1},
+    ], ids=["missing", "extra", "bool", "bool-sequence", "float"])
+    def test_invalid_weights(self, weights):
+        with pytest.raises(ValueError):
+            MonomialOrder.weighted_shortlex(AB, weights)
+
     @pytest.mark.parametrize("precedence", ["abc", "cab", "bca"])
     def test_shortlex_key_sorts_like_reference(self, precedence):
         alpha = Alphabet("abc")
