@@ -206,7 +206,7 @@ def cmd_iso_check(args) -> int:
         raise ValueError("bound must be positive")
     _emit([correspondence.iso_header(args.length, field.name)], args)
     report = correspondence.verify_algebra_iso(system, field, args.length, _limits(args))
-    _emit(correspondence.iso_report_lines(report)[1:], args)
+    _emit(correspondence.iso_report_lines(report), args)
     if report.verdict == correspondence.VERDICT_PASS:
         return EXIT_OK
     if report.verdict == correspondence.VERDICT_INCONCLUSIVE:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .completion import CompletionLimits, passes
+from .completion import CompletionLimits, PassRecord, passes
 from .ncpoly import (
     Basis,
     NcPolynomial,
@@ -99,24 +99,17 @@ def basis_to_rules(basis: Basis, mode: str | None = None) -> RewriteSystem:
 
 @dataclass(frozen=True)
 class LockstepPass:
-    """One synchronized pass with its three correspondence checks; the
-    last pass of a run also carries the run's verdict."""
+    """One synchronized pass: each engine's own PassRecord, of the same
+    index, and the three correspondence checks; the last pass of a run
+    also carries the run's verdict."""
 
-    index: int  # 1-based; 0 for a run with max_passes 0
-    pairs: tuple  # the rewriting engine's PairRecords
-    records: tuple  # the polynomial engine's PairRecords
+    rewriting: PassRecord  # kb_pass's record of the pass; its state is the rule set
+    polynomials: PassRecord  # buchberger_pass's record of the pass; its state is the basis
     sources_ok: bool  # overlaps and matches name the same sources, in order
     pairs_ok: bool  # dispositions and contents align pairwise
     sets_ok: bool  # next basis = translation of next rule set
-    system: RewriteSystem  # rule set after the pass (unchanged if a limit tripped)
-    basis: Basis  # basis after the pass
     verdict: str | None = None  # set on the last pass only
     detail: str | None = None
-    limit_reason: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.sources_ok and self.pairs_ok and self.sets_ok
 
 
 def _source_key(rec) -> tuple:
@@ -126,14 +119,13 @@ def _source_key(rec) -> tuple:
 def _check_pass(kb, gb, field) -> LockstepPass:
     """One pass of each engine with the three checks, and the run's
     verdict when the run ends at this pass."""
-    pairs, records = kb.records, gb.records
-    pair_keys = [_source_key(cp) for cp in pairs]
-    record_keys = [_source_key(rec) for rec in records]
+    pair_keys = [_source_key(cp) for cp in kb.records]
+    record_keys = [_source_key(rec) for rec in gb.records]
     sources_ok = pair_keys == record_keys
     pairs_ok = sources_ok
-    detail = verdict = reason = None
+    detail = verdict = None
     if sources_ok:
-        for cp, rec in zip(pairs, records):
+        for cp, rec in zip(kb.records, gb.records):
             disposition_ok = (cp.new is None) == (rec.new is None)
             if disposition_ok and (cp.new is None or rec.new == rule_binomial(cp.new, field)):
                 continue
@@ -155,7 +147,7 @@ def _check_pass(kb, gb, field) -> LockstepPass:
         verdict = VERDICT_DIVERGENCE
     elif kb.limit_reason or gb.limit_reason:
         if kb.limit_reason == gb.limit_reason:
-            verdict, reason = VERDICT_LIMIT, kb.limit_reason
+            verdict = VERDICT_LIMIT
         else:
             verdict, detail = VERDICT_DIVERGENCE, (
                 f"one-sided resource limit: rewriting={kb.limit_reason} "
@@ -165,8 +157,7 @@ def _check_pass(kb, gb, field) -> LockstepPass:
             f"fixed point on one side only: rewriting={kb.fixed} polynomials={gb.fixed}")
     elif kb.fixed:
         verdict = VERDICT_CORRESPONDS
-    return LockstepPass(kb.index, pairs, records, sources_ok, pairs_ok, sets_ok,
-                        kb.state, gb.state, verdict, detail, reason)
+    return LockstepPass(kb, gb, sources_ok, pairs_ok, sets_ok, verdict, detail)
 
 
 def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = CompletionLimits()):
@@ -190,12 +181,13 @@ def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = Com
 def pass_lines(p: LockstepPass, order) -> list:
     """Both engines' trace lines of one pass, then its check summary; none
     for pass 0."""
-    if not p.index:
+    kb, gb = p.rewriting, p.polynomials
+    if not kb.index:
         return []
     flag = {True: "ok", False: "FAIL"}
-    lines = [pair_line(p.index, cp) for cp in p.pairs]
-    lines.extend(record_line(p.index, rec, order) for rec in p.records)
-    lines.append(f"pass={p.index} checks: sources={flag[p.sources_ok]} "
+    lines = [pair_line(kb.index, cp) for cp in kb.records]
+    lines.extend(record_line(gb.index, rec, order) for rec in gb.records)
+    lines.append(f"pass={kb.index} checks: sources={flag[p.sources_ok]} "
                  f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
     return lines
 
@@ -203,31 +195,32 @@ def pass_lines(p: LockstepPass, order) -> list:
 def verdict_lines(last: LockstepPass) -> list:
     """What follows the passes, from the last one: limit lines, final sets,
     one VERDICT line."""
+    kb, gb = last.rewriting, last.polynomials
     lines = []
     if last.verdict == VERDICT_LIMIT:
-        lines.append(f"limit: engine=rewriting pass={last.index} reason={last.limit_reason}")
-        lines.append(f"limit: engine=ncpoly pass={last.index} reason={last.limit_reason}")
-    lines += [f"final rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in last.system.rules]
-    lines += [f"final poly: {render_poly(poly, last.system.order)}" for poly in last.basis.polys]
+        lines.append(f"limit: engine=rewriting pass={kb.index} reason={kb.limit_reason}")
+        lines.append(f"limit: engine=ncpoly pass={gb.index} reason={gb.limit_reason}")
+    lines += [f"final rule: {rule.lhs.dotted()} -> {rule.rhs.dotted()}" for rule in kb.state.rules]
+    lines += [f"final poly: {render_poly(poly, gb.state.order)}" for poly in gb.state.polys]
     if last.verdict == VERDICT_CORRESPONDS:
         lines.append("VERDICT: Corresponds")
     elif last.verdict == VERDICT_LIMIT:
-        lines.append(f"VERDICT: LimitExceeded reason={last.limit_reason}")
+        lines.append(f"VERDICT: LimitExceeded reason={kb.limit_reason}")
     else:
-        lines.append(f"VERDICT: Divergence pass={last.index} detail={last.detail}")
+        lines.append(f"VERDICT: Divergence pass={kb.index} detail={last.detail}")
     return lines
 
 
 @dataclass(frozen=True)
 class IsoCheckReport:
-    """Truncated verification that canonical forms agree between engines.
+    """Truncated verification, over the caller's field and up to the length
+    ``bound``, that canonical forms agree between engines.
 
     A Pass verdict certifies the checks up to the bound only, never a full
     isomorphism.
     """
 
     bound: int
-    field_name: str
     counts: tuple  # (length, number of normal forms) pairs
     verdict: str  # Pass | Fail | Inconclusive
     detail: str | None = None
@@ -253,13 +246,12 @@ def verify_algebra_iso(
     for lock in lockstep_passes(system, field, limits):  # the last carries the verdict
         pass
     if lock.verdict != VERDICT_CORRESPONDS:
-        detail = (
-            f"completion unavailable: {lock.verdict}"
-            + (f" reason={lock.limit_reason}" if lock.limit_reason else "")
-            + (f" detail={lock.detail}" if lock.detail else "")
-        )
-        return IsoCheckReport(bound, field.name, (), VERDICT_INCONCLUSIVE, detail)
-    complete, groebner = lock.system, lock.basis
+        # a limit has a reason and no detail, a divergence the other way round
+        detail = (f"completion unavailable: {lock.verdict}"
+                  + (f" detail={lock.detail}" if lock.detail
+                     else f" reason={lock.rewriting.limit_reason}"))
+        return IsoCheckReport(bound, (), VERDICT_INCONCLUSIVE, detail)
+    complete, groebner = lock.rewriting.state, lock.polynomials.state
     order = complete.order
 
     # one reduction per bounded word under each engine; a word is
@@ -267,13 +259,12 @@ def verify_algebra_iso(
     universe = list(bounded_words(complete, bound))
     nf_rules = {w: normal_form(complete, w) for w in universe}
     forms = sorted((w for w in universe if nf_rules[w] == w), key=order.key)
-    start = 0 if complete.mode == MONOID else 1
     counts = tuple(
-        (n, sum(1 for w in forms if len(w) == n)) for n in range(start, bound + 1)
+        (n, sum(1 for w in forms if len(w) == n)) for n in range(len(universe[0]), bound + 1)
     )
 
     def fail(detail):
-        return IsoCheckReport(bound, field.name, counts, VERDICT_FAIL, detail)
+        return IsoCheckReport(bound, counts, VERDICT_FAIL, detail)
 
     nf_ideal = {}
     for w in universe:
@@ -317,7 +308,7 @@ def verify_algebra_iso(
             if nf_rules[product] != nf_ideal[product]:
                 return fail(f"multiplicativity fails on {n1.dotted()} * {n2.dotted()}")
 
-    return IsoCheckReport(bound, field.name, counts, VERDICT_PASS)
+    return IsoCheckReport(bound, counts, VERDICT_PASS)
 
 
 def iso_header(bound: int, field_name: str) -> str:
@@ -326,9 +317,9 @@ def iso_header(bound: int, field_name: str) -> str:
 
 
 def iso_report_lines(report: IsoCheckReport) -> list:
-    lines = [iso_header(report.bound, report.field_name)]
-    for length, count in report.counts:
-        lines.append(f"normal-forms: len={length} count={count}")
+    """The lines of an iso-check report after its iso_header line: the
+    normal-form counts per length, then one VERDICT line."""
+    lines = [f"normal-forms: len={length} count={count}" for length, count in report.counts]
     if report.verdict == VERDICT_PASS:
         lines.append(f"VERDICT: {VERDICT_PASS}")
     else:

@@ -259,26 +259,23 @@ class NcPolynomial:
             raise TypeError(f"expected a polynomial, got {other!r}")
         if other.field != self.field:
             raise ValueError("polynomials over different scalar fields")
+        if (self.terms and other.terms
+                and next(iter(self.terms)).alphabet != next(iter(other.terms)).alphabet):
+            raise AlphabetMismatch("polynomials over different alphabets")
+
+    def _plus(self, other, negate):
+        self._check(other)
+        f = self.field
+        data = dict(self.terms)
+        for word, coeff in other.terms.items():
+            _add_term(f, data, word, f.neg(coeff) if negate else coeff)
+        return NcPolynomial._raw(f, data)
 
     def __add__(self, other):
-        self._check(other)
-        f = self.field
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _add_term(f, data, word, coeff)
-        return NcPolynomial._raw(f, data)
-
-    def __neg__(self):
-        f = self.field
-        return NcPolynomial._raw(f, {w: f.neg(c) for w, c in self.terms.items()})
+        return self._plus(other, False)
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _add_term(f, data, word, f.neg(coeff))
-        return NcPolynomial._raw(f, data)
+        return self._plus(other, True)
 
     def __mul__(self, other):
         self._check(other)
@@ -326,10 +323,8 @@ def leading_monomial(poly: NcPolynomial, order: MonomialOrder):
     """The order-maximal monomial and its coefficient; rejects zero."""
     if poly.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
-    for word in poly.terms:
-        if word.alphabet != order.alphabet:
-            raise AlphabetMismatch("polynomial over a different alphabet than the order")
-        break
+    if next(iter(poly.terms)).alphabet != order.alphabet:
+        raise AlphabetMismatch("polynomial over a different alphabet than the order")
     word = max(poly.terms, key=order.key)
     return word, poly.terms[word]
 
@@ -416,7 +411,7 @@ class _Greatest:
 def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET):
     """Normal form plus the replay record of every replacement made.
 
-    The one reduction loop, over one mutable term dict and a max-heap of its
+    Runs _reduce: one loop over one mutable term dict and a max-heap of its
     monomials under the order (Monagan and Pearce, CASC 2007). Each step
     pops monomials until one holds a redex, skipping any whose term has
     cancelled. A monomial with no redex is final, since a step only adds
@@ -429,8 +424,18 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
     The recorded steps witness membership: p - nf(p) equals the sum of
     coeff . left . f . right over the steps (see replay_steps).
     """
+    _check_operand(basis, poly)
     steps = []
     return _reduce(basis, poly, max_steps, steps), tuple(steps)
+
+
+def _check_operand(basis, poly):
+    """Reject a polynomial over another field or alphabet than the basis,
+    once per public call; a polynomial holds one alphabet."""
+    if poly.field != basis.field:
+        raise ValueError("polynomial over a different scalar field than the basis")
+    if poly.terms and next(iter(poly.terms)).alphabet != basis.alphabet:
+        raise AlphabetMismatch("polynomial over a different alphabet than the basis")
 
 
 def _reduce(basis, poly, max_steps, steps):
@@ -468,6 +473,7 @@ def _reduce(basis, poly, max_steps, steps):
 def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
     """Reduce to a fixed point, the greatest reducible monomial first; no
     result monomial contains a leading monomial of the basis."""
+    _check_operand(basis, poly)
     return _reduce(basis, poly, max_steps, None)
 
 
@@ -509,7 +515,8 @@ def s_polynomials(basis: Basis) -> list:
         for word, coeff in raw.terms.items():
             nf = nfs.get(word)
             if nf is None:
-                nf = nfs[word] = poly_normal_form(basis, NcPolynomial._raw(field, {word: field.one}))
+                nf = nfs[word] = _reduce(basis, NcPolynomial._raw(field, {word: field.one}),
+                                         DEFAULT_STEP_BUDGET, None)
             for target, c in nf.terms.items():
                 _add_term(field, data, target, field.mul(coeff, c))
         reduced = NcPolynomial._raw(field, data)
@@ -554,8 +561,10 @@ def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> P
 
 def monomials_equal_mod_ideal(basis: Basis, m1: Word, m2: Word) -> bool:
     """Decide m1 = m2 modulo the ideal; needs a Groebner basis."""
+    if m1.alphabet != basis.alphabet or m2.alphabet != basis.alphabet:
+        raise AlphabetMismatch("monomial over a different alphabet than the basis")
     diff = NcPolynomial.monomial(basis.field, m1) - NcPolynomial.monomial(basis.field, m2)
-    return poly_normal_form(basis, diff).is_zero()
+    return _reduce(basis, diff, DEFAULT_STEP_BUDGET, None).is_zero()
 
 
 def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:

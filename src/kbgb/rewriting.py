@@ -109,8 +109,7 @@ def reduce_once(system: RewriteSystem, word: Word):
 
 
 def is_irreducible(system: RewriteSystem, word: Word) -> bool:
-    letters, _ = _rewrite_at(system, word.letters, 0)
-    return letters is None
+    return reduce_once(system, word) is None
 
 
 def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP_BUDGET) -> Word:

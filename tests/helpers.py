@@ -2,8 +2,9 @@
 
 import contextlib
 import io
-
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from kbgb import (
     MONOID,
@@ -21,6 +22,8 @@ from kbgb import (
 )
 from kbgb.cli import main as cli_main
 from kbgb.words import RedexIndex
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def render_presentation(pf):
@@ -219,3 +222,11 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 1
     return code, out.getvalue(), err.getvalue()
+
+
+def child_env():
+    """The environment for a child python: this tree's own src first on
+    PYTHONPATH, which pytest's pythonpath setting does not reach."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env

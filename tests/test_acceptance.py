@@ -157,7 +157,7 @@ def test_criterion_6_binomial_closure(corpus_files):
             for field in (QQ, F3):
                 allowed = {field.one, field.neg(field.one)}
                 for p in lockstep_passes(system, field, LIMITS):
-                    for rec in p.records:
+                    for rec in p.polynomials.records:
                         for poly in (rec.raw, rec.reduced):
                             if len(poly.terms) > 2 or not all(
                                 c in allowed for c in poly.terms.values()

@@ -13,7 +13,7 @@ import pytest
 from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 
-from helpers import run_cli
+from helpers import child_env, run_cli
 
 BASIC = """\
 mode: sgp
@@ -141,6 +141,30 @@ class TestLockstep:
         code, out, _ = run_cli(["lockstep", pres(ALG_BINOMIAL)])
         assert code == 0
         assert "final rule: b.a -> a.b" in out
+
+    def test_divergence_exit_code(self, pres, monkeypatch):
+        # pass 2 of the polynomial engine returns its basis reversed: the
+        # same set, so the translation check holds, but not its own input
+        real, calls = correspondence.buchberger_pass, []
+
+        def reversed_second_pass(basis, limits):
+            calls.append(basis)
+            nxt, records = real(basis, limits)
+            if len(calls) == 2:
+                nxt = dataclasses.replace(nxt, polys=nxt.polys[::-1])
+            return nxt, records
+
+        monkeypatch.setattr(correspondence, "buchberger_pass", reversed_second_pass)
+        code, out, err = run_cli(["lockstep", pres(ABA_B)])
+        assert (code, err) == (3, "")
+        assert out.splitlines()[-5:] == [
+            "final rule: a.b.a -> b",
+            "final rule: b.b.a -> a.b.b",
+            "final poly: b.b.a - a.b.b",
+            "final poly: a.b.a - b",
+            "VERDICT: Divergence pass=2 detail=fixed point on one side only: "
+            "rewriting=True polynomials=False",
+        ]
 
     def test_alg_non_binomial_is_input_error(self, pres):
         code, _, err = run_cli(["lockstep", pres(ALG_GENERAL)])
@@ -394,9 +418,9 @@ class TestDeterminism:
         path = pres(ABA_B)
         trace = tmp_path / "t.trace"
         cmd = [sys.executable, "-m", "kbgb", "lockstep", path, "--trace", str(trace)]
-        first = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=child_env())
         blob1 = trace.read_bytes()
-        second = subprocess.run(cmd, capture_output=True)
+        second = subprocess.run(cmd, capture_output=True, env=child_env())
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert blob1 == trace.read_bytes()
@@ -454,7 +478,8 @@ class TestStreaming:
 
     def test_closed_pipe_exits_one_without_traceback(self, pres):
         cmd = [sys.executable, "-m", "kbgb", "lockstep", pres(CHAIN), "--max-passes", "40"]
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) as proc:
             assert proc.stdout.readline().startswith(b"pass=1 ")
             proc.stdout.close()  # what head does after its lines
             err = proc.stderr.read()

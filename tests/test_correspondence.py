@@ -29,7 +29,7 @@ from kbgb import (
     rules_to_basis,
     verify_algebra_iso,
 )
-from kbgb.correspondence import iso_report_lines, pass_lines, verdict_lines
+from kbgb.correspondence import iso_header, iso_report_lines, pass_lines, verdict_lines
 
 from helpers import make_system, random_system
 from oracles import all_words, congruence_partition
@@ -102,19 +102,19 @@ class TestLockstep:
         checked = tuple(lockstep_passes(make_system(["ba->ab"]), QQ))
         assert checked[-1].verdict == "Corresponds"
         assert len(checked) == 1
-        assert checked[0].pairs == ()
-        assert checked[0].records == ()
+        assert checked[0].rewriting.records == ()
+        assert checked[0].polynomials.records == ()
 
     def test_empty_system(self):
         *_, last = lockstep_passes(make_system([]), QQ)
         assert last.verdict == "Corresponds"
-        assert last.system.rules == () and last.basis.polys == ()
+        assert last.rewriting.state.rules == () and last.polynomials.state.polys == ()
 
     def test_resolution_alignment(self):
         (only,) = lockstep_passes(make_system(["aa->a"]), QQ)
         assert only.verdict == "Corresponds"
-        assert all(cp.new is None for cp in only.pairs)
-        assert all(rec.new is None for rec in only.records)
+        assert all(cp.new is None for cp in only.rewriting.records)
+        assert all(rec.new is None for rec in only.polynomials.records)
 
     def test_growing_run(self):
         system = make_system(["aba->b"])
@@ -123,9 +123,9 @@ class TestLockstep:
             last = checked[-1]
             assert last.verdict == "Corresponds"
             assert len(checked) == 2
-            assert [r.render() for r in last.system.rules] == \
+            assert [r.render() for r in last.rewriting.state.rules] == \
                 ["a.b.a->b", "b.b.a->a.b.b"]
-            assert basis_to_rules(last.basis).rules == last.system.rules
+            assert basis_to_rules(last.polynomials.state).rules == last.rewriting.state.rules
 
     def test_passes_align_with_standalone_engines(self):
         from kbgb import buchberger, buchberger_pass, kb_pass
@@ -139,24 +139,26 @@ class TestLockstep:
         kb_trace = tuple(passes(system, kb_pass, CompletionLimits()))
         gb_trace = tuple(passes(rules_to_basis(system, QQ), buchberger_pass, CompletionLimits()))
         assert len(checked) == len(kb_trace) == len(gb_trace) == kb.index == gb.index
-        assert [p.records for p in gb_trace] == [p.records for p in checked]
-        assert [p.records for p in kb_trace] == [p.pairs for p in checked]
-        assert checked[-1].system.rules == kb.state.rules
-        assert checked[-1].basis.polys == gb.state.polys
+        assert gb_trace == tuple(p.polynomials for p in checked)
+        assert kb_trace == tuple(p.rewriting for p in checked)
+        assert checked[-1].rewriting.state.rules == kb.state.rules
+        assert checked[-1].polynomials.state.polys == gb.state.polys
 
     def test_identical_truncation(self):
         system = make_system(["aba->b"])
         *_, last = lockstep_passes(system, QQ, CompletionLimits(max_rules=1))
         assert last.verdict == "LimitExceeded"
-        assert last.limit_reason == "max_rules"
-        assert last.system.rules == system.rules  # nothing was installed
-        assert len(last.basis.polys) == 1
+        assert (last.rewriting.limit_reason, last.polynomials.limit_reason) == \
+            ("max_rules", "max_rules")
+        assert last.rewriting.state.rules == system.rules  # nothing was installed
+        assert len(last.polynomials.state.polys) == 1
 
     def test_max_passes_truncation(self):
         system = make_system(["aba->b"])
         (only,) = lockstep_passes(system, QQ, CompletionLimits(max_passes=1))
         assert only.verdict == "LimitExceeded"
-        assert only.limit_reason == "max_passes"
+        assert (only.rewriting.limit_reason, only.polynomials.limit_reason) == \
+            ("max_passes", "max_passes")
 
     def test_wtlex_lockstep(self):
         alpha = Alphabet("ab")
@@ -183,8 +185,8 @@ class TestLockstep:
         system = make_system(["aa->1"], mode=MONOID, letters="a")
         (only,) = lockstep_passes(system, QQ)
         assert only.verdict == "Corresponds"
-        assert all(cp.new is None for cp in only.pairs)
-        assert all(rec.new is None for rec in only.records)
+        assert all(cp.new is None for cp in only.rewriting.records)
+        assert all(rec.new is None for rec in only.polynomials.records)
 
     def test_random_corpus_always_corresponds(self):
         rng = random.Random(59)
@@ -197,7 +199,7 @@ class TestLockstep:
                 assert checked[-1].verdict in ("Corresponds", "LimitExceeded")
                 verdicts.add(checked[-1].verdict)
                 for p in checked:
-                    assert p.ok
+                    assert p.sources_ok and p.pairs_ok and p.sets_ok
         assert "Corresponds" in verdicts
 
     def test_long_lived_process_keeps_no_memo(self):
@@ -229,17 +231,18 @@ class TestLockstep:
     def test_divergence_detected_when_one_engine_lies(self, monkeypatch):
         import kbgb.ncpoly as ncpoly_module
 
-        real = ncpoly_module.poly_normal_form
+        # the reduction loop that s_polynomials runs on each monomial
+        real = ncpoly_module._reduce
 
-        def skewed(basis, poly, max_steps=10_000):
-            result = real(basis, poly, max_steps)
+        def skewed(basis, poly, max_steps, steps):
+            result = real(basis, poly, max_steps, steps)
             # drop the reduction outcome to zero: misreport resolution
             return NcPolynomial.zero(basis.field) if not result.is_zero() else result
 
-        monkeypatch.setattr(ncpoly_module, "poly_normal_form", skewed)
+        monkeypatch.setattr(ncpoly_module, "_reduce", skewed)
         *_, last = lockstep_passes(make_system(["aba->b"]), QQ)
         assert last.verdict == "Divergence"
-        assert last.index == 1
+        assert last.rewriting.index == 1
         assert "disposition mismatch" in last.detail
 
     # each change(state, next state, records) misreports one pass of one
@@ -353,16 +356,17 @@ class TestLockstep:
         monkeypatch.setattr(corr, engine, misbehaving)
         *_, last = lockstep_passes(make_system(["aba->b"]), QQ, limits)
         assert last.verdict == "Divergence"
-        assert last.index == pass_index
+        assert last.rewriting.index == last.polynomials.index == pass_index
         assert last.detail == detail
         assert verdict_lines(last)[-1] == \
             f"VERDICT: Divergence pass={pass_index} detail={detail}"
-        assert [rule.render() for rule in last.system.rules] == rules
-        assert [render_poly(p, last.basis.order) for p in last.basis.polys] == polys
+        assert [rule.render() for rule in last.rewriting.state.rules] == rules
+        basis = last.polynomials.state
+        assert [render_poly(p, basis.order) for p in basis.polys] == polys
 
     def test_report_lines_shape(self):
         checked = tuple(lockstep_passes(make_system(["aba->b"]), QQ))
-        lines = [line for p in checked for line in pass_lines(p, checked[-1].system.order)]
+        lines = [line for p in checked for line in pass_lines(p, checked[-1].rewriting.state.order)]
         lines += verdict_lines(checked[-1])
         assert lines[-1] == "VERDICT: Corresponds"
         assert any(line.startswith("pass=1 rules=") for line in lines)
@@ -382,9 +386,10 @@ class TestFieldInvariance:
             lasts = [run[-1] for run in runs]
             assert lasts[0].verdict == lasts[1].verdict
             assert len(runs[0]) == len(runs[1])
-            assert lasts[0].system.rules == lasts[1].system.rules
-            assert [basis_to_rules(r.basis, mode=system.mode).rules for r in lasts[:1]] == \
-                [basis_to_rules(r.basis, mode=system.mode).rules for r in lasts[1:]]
+            assert lasts[0].rewriting.state.rules == lasts[1].rewriting.state.rules
+            assert [basis_to_rules(r.polynomials.state, mode=system.mode).rules
+                    for r in lasts[:1]] == \
+                [basis_to_rules(r.polynomials.state, mode=system.mode).rules for r in lasts[1:]]
 
 
 class TestIsoCheck:
@@ -452,7 +457,7 @@ class TestIsoCheck:
         rng = random.Random(71)
         system = make_system(["ba->ab", "aa->a"])
         *_, last = lockstep_passes(system, QQ)
-        basis = last.basis
+        basis = last.polynomials.state
         words = list(all_words(system.alphabet, 4))
         for _ in range(50):
             terms_p = [(rng.choice(words), rng.randint(-3, 3)) for _ in range(3)]
@@ -501,9 +506,36 @@ class TestIsoCheck:
         assert report.verdict == "Fail"
         assert report.detail == f"equality disagreement on ({first[0].dotted()},{first[1].dotted()})"
 
+    @staticmethod
+    def _swapped(image, w):
+        # the images of the classes of a.b and b.b trade places
+        (word, coeff), = image.terms.items()
+        swap = {w("a.b"): w("b.b"), w("b.b"): w("a.b")}
+        return NcPolynomial.monomial(image.field, swap.get(word, word), coeff)
+
+    # each skew of the polynomial engine's canonical forms fails one check
+    # of verify_algebra_iso; under b.a -> a.b the swap keeps the equality
+    # relation and the irreducible words, and fails (c)
+    @pytest.mark.parametrize("skew, detail", [
+        (lambda image, w: image + NcPolynomial.monomial(image.field, w("a.a.a")),
+         "monomial image is not a monomial: a"),
+        (lambda image, w: image.scaled(2), "monomial image is not monic: a"),
+        (_swapped, "multiplicativity fails on a * b"),
+    ], ids=["not-monomial", "not-monic", "multiplicativity"])
+    def test_skewed_polynomial_images_fail(self, monkeypatch, skew, detail):
+        import kbgb.correspondence as corr
+
+        system = make_system(["ba->ab"])
+        monkeypatch.setattr(corr, "poly_normal_form", lambda basis, poly: skew(
+            poly_normal_form(basis, poly), system.alphabet.parse_word))
+        report = verify_algebra_iso(system, QQ, 2)
+        assert (report.verdict, report.detail) == ("Fail", detail)
+        assert report.counts == ((1, 2), (2, 3))
+
     def test_iso_report_lines(self):
         report = verify_algebra_iso(make_system(["ba->ab"]), QQ, 3)
         lines = iso_report_lines(report)
-        assert lines[0] == "iso: bound=3 field=Q"
+        assert iso_header(report.bound, "Q") == "iso: bound=3 field=Q"
+        assert lines[0] == "normal-forms: len=1 count=2"
         assert lines[-1] == "VERDICT: Pass"
         assert "normal-forms: len=2 count=3" in lines

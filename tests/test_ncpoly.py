@@ -8,6 +8,7 @@ import pytest
 from kbgb import (
     QQ,
     Alphabet,
+    AlphabetMismatch,
     Basis,
     CompletionLimits,
     LimitExceeded,
@@ -21,7 +22,9 @@ from kbgb import (
     buchberger,
     buchberger_pass,
     critical_pairs,
+    basis_to_rules,
     field_from_name,
+    is_irreducible,
     is_pm_binomial,
     knuth_bendix,
     leading_monomial,
@@ -577,6 +580,40 @@ class TestBasisValidation:
         p = poly(QQ, ("ba", 1), ("ab", -1))
         with pytest.raises(ValueError):
             Basis(AB, ORDER, QQ, (p, p))
+
+
+XYZ = Alphabet("xyz")
+
+
+def xyz(text):
+    return XYZ.parse_word(text)
+
+
+class TestForeignOperands:
+    # each call used to answer as if x, y were a, b: letters are indices
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda basis: poly_normal_form(basis, NcPolynomial.monomial(QQ, xyz("yx"))),
+         AlphabetMismatch, "polynomial over a different alphabet than the basis"),
+        (lambda basis: reduce_with_steps(basis, NcPolynomial.monomial(QQ, xyz("yx"))),
+         AlphabetMismatch, "polynomial over a different alphabet than the basis"),
+        (lambda basis: poly_normal_form(basis, poly(PrimeField(3), ("ba", 2))),
+         ValueError, "polynomial over a different scalar field than the basis"),
+        (lambda basis: monomials_equal_mod_ideal(basis, xyz("yx"), xyz("xy")),
+         AlphabetMismatch, "monomial over a different alphabet than the basis"),
+        (lambda basis: monomials_equal_mod_ideal(basis, w("ab"), xyz("xy")),
+         AlphabetMismatch, "monomial over a different alphabet than the basis"),
+        (lambda basis: poly(QQ, ("ba", 1)) + NcPolynomial.monomial(QQ, xyz("yx")),
+         AlphabetMismatch, "polynomials over different alphabets"),
+        (lambda basis: poly(QQ, ("ba", 1)) - NcPolynomial.monomial(QQ, xyz("yx")),
+         AlphabetMismatch, "polynomials over different alphabets"),
+        (lambda basis: is_irreducible(basis_to_rules(basis), xyz("yx")),
+         AlphabetMismatch, "word over a different alphabet"),
+    ], ids=["nf-alphabet", "steps-alphabet", "nf-field", "equal-alphabet",
+            "equal-second-alphabet", "add", "sub", "irreducible"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            call(binomial_basis(["ba->ab"]))
+        assert type(info.value) is error
 
 
 class TestRendering:

@@ -130,6 +130,42 @@ class TestParseErrors:
             )
 
 
+WTLEX = "mode: sgp\nalphabet: a b\norder: wtlex a=3 b=1\nprecedence: a < b\n"
+ALG_F3 = "mode: alg\nfield: F3\nalphabet: a b\norder: shortlex a < b\npolys:\n"
+
+
+class TestParseErrorLines:
+    @pytest.mark.parametrize("text, line, message", [
+        (BASIC.replace("a < b", "a < < b"), 3,
+         "malformed precedence chain: expected names separated by '<'"),
+        (BASIC.replace("a < b", "a b"), 3, "malformed precedence chain near 'a b': missing '<'?"),
+        (BASIC.replace("mode: sgp", "mode sgp"), 1, "expected 'key: value'"),
+        (BASIC.replace("rules:\n ", "rules:"), 4, "'rules:' takes no value on its line"),
+        (BASIC + "polys:\n", 6, "only one rules/polys section allowed"),
+        (BASIC + "field: Q\n", 6, "directive 'field' after the rules section"),
+        (BASIC.replace("sgp", "grp"), 1, "mode must be one of sgp/mon/alg: 'grp'"),
+        (BASIC.replace("alphabet: a b", "alphabet:"), 2,
+         "alphabet must name at least one generator"),
+        (BASIC.replace("a < b", "a < c"), 3, "unknown generator in order: 'c'"),
+        (WTLEX.replace("b=1", "c=1"), 3, "unknown generator in order: 'c'"),
+        (WTLEX.replace("b=1", "a=1"), 3, "duplicate weight for 'a'"),
+        (WTLEX.replace(" b=1", ""), 3, "order must weight every generator exactly once"),
+        (WTLEX.replace("a < b", "a < c"), 4, "unknown generator in precedence: 'c'"),
+        (WTLEX.replace("a < b", "a"), 4, "precedence must list every generator exactly once"),
+        (BASIC.replace("shortlex", "lex"), 3, "unknown order kind: 'lex'"),
+        (BASIC.replace("b.a -> a.b", "1 -> a"), 5, "rule left side must be nonempty"),
+        (ALG_F3 + "  1/3*a - b\n", 6, "denominator of 1/3 vanishes mod 3"),
+    ], ids=["chain", "chain-missing-lt", "no-colon", "section-value", "second-section",
+            "directive-after-section", "mode", "empty-alphabet", "shortlex-unknown",
+            "wtlex-unknown", "wtlex-duplicate", "wtlex-missing", "precedence-unknown",
+            "precedence-cover", "order-kind", "empty-left-side", "vanishing-denominator"])
+    def test_line_and_message(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+
 class TestWtlex:
     TEXT = (
         "mode: sgp\nalphabet: a b\norder: wtlex a=3 b=1\nprecedence: a < b\n"
