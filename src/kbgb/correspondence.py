@@ -18,9 +18,9 @@ never papered over.
 The truncated isomorphism check compares the two engines' canonical forms
 on every word up to a length bound: equal words stay equal, every class
 holds exactly one irreducible word, and canonical forms multiply the way
-the words do. Each bounded word is reduced once per engine, and every
-check reads those two tables. It verifies a finite fragment only and says
-so.
+the words do. Each engine's memoized normal forms (normal_forms,
+monomial_forms) fill one table over the bounded words, and every check
+reads those two tables. It verifies a finite fragment only and says so.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .ncpoly import (
     Basis,
     NcPolynomial,
     buchberger_pass,
-    poly_normal_form,
+    monomial_forms,
     record_line,
     render_poly,
 )
@@ -44,7 +44,7 @@ from .rewriting import (
     Rule,
     bounded_words,
     kb_pass,
-    normal_form,
+    normal_forms,
     pair_line,
 )
 
@@ -239,7 +239,7 @@ def verify_algebra_iso(
     their monomials are equal modulo the ideal; (b) every class of bounded
     words holds exactly one irreducible word, its canonical representative;
     (c) canonical forms are multiplicative, for every product of normal
-    forms that stays within the bound.
+    forms that stays within the bound. One memo per engine serves them all.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -254,10 +254,11 @@ def verify_algebra_iso(
     complete, groebner = lock.rewriting.state, lock.polynomials.state
     order = complete.order
 
-    # one reduction per bounded word under each engine; a word is
-    # irreducible exactly when it is its own normal form
+    # the tables hold the bounded words only, not the memos' other words; a
+    # word is irreducible exactly when it is its own normal form
     universe = list(bounded_words(complete, bound))
-    nf_rules = {w: normal_form(complete, w) for w in universe}
+    rule_form = normal_forms(complete)
+    nf_rules = {w: rule_form(w) for w in universe}
     forms = sorted((w for w in universe if nf_rules[w] == w), key=order.key)
     counts = tuple(
         (n, sum(1 for w in forms if len(w) == n)) for n in range(len(universe[0]), bound + 1)
@@ -267,8 +268,7 @@ def verify_algebra_iso(
         return IsoCheckReport(bound, counts, VERDICT_FAIL, detail)
 
     nf_ideal = {}
-    for w in universe:
-        image = poly_normal_form(groebner, NcPolynomial.monomial(field, w))
+    for w, image in zip(universe, map(monomial_forms(groebner), universe)):
         if len(image.terms) != 1:
             return fail(f"monomial image is not a monomial: {w.dotted()}")
         (iw, coeff), = image.terms.items()

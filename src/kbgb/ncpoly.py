@@ -12,12 +12,14 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
-_reduce is the one reduction loop, recording steps for reduce_with_steps
+_reduce reduces one polynomial, recording steps for reduce_with_steps
 only: it pops monomials greatest first from a heap and searches each once.
 Every sum of terms, in arithmetic, reduction and S-polynomials alike, goes
-through _add_term. A completion pass reuses the previous pass's matches
-and raw S-polynomials but reduces every S-polynomial, each distinct
-monomial once (reduction is linear; see s_polynomials).
+through _add_term. A completion pass memoizes the normal form of every
+monomial a reduction passes through under binomial members, handing the
+rest of a reduction to _reduce at any other member (monomial_forms). It
+reuses the last pass's matches and raw S-polynomials, and reduces every
+S-polynomial.
 """
 
 from __future__ import annotations
@@ -485,6 +487,48 @@ def replay_steps(basis: Basis, steps) -> NcPolynomial:
     return total
 
 
+def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
+    """N(m) = poly_normal_form(basis, m) for a monomial m over the basis's
+    alphabet (not checked), memoized on every monomial a reduction passes
+    through. A step of _reduce replaces the greatest reducible monomial m by
+    r(m), which depends on m alone, and m never reappears, so nf is linear
+    and N(m) = N(r(m)). Under a member of one tail with coefficient one (a
+    lockstep binomial) r(m) is one monomial: a miss walks these steps to an
+    irreducible or known monomial. A step by any other member hands r(m) to
+    _reduce, as poly_normal_form would. The walk and _reduce then share one
+    budget of max_steps steps; a call counts only the steps it adds to the
+    memo, so whether it raises ReductionBudgetExceeded depends on the calls
+    before it. max_steps is set by the budget tests only."""
+    field, alphabet, one = basis.field, basis.alphabet, basis.field.one
+    find, neg_tails = basis._index.find, basis._neg_tails
+    forms = {}  # letters -> normal form
+
+    def form(word):
+        letters, walk = word.letters, []
+        found = forms.get(letters)
+        while found is None:
+            if len(walk) == max_steps:
+                raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+            walk.append(letters)
+            hit = find(letters)
+            if hit is None:
+                found = NcPolynomial._raw(field, {Word._raw(alphabet, letters): one})
+                break
+            pos, index, end = hit
+            tails, lo, hi = neg_tails[index], letters[:pos], letters[end:]
+            if len(tails) != 1 or tails[0][1] != one:
+                rest = {Word._raw(alphabet, lo + tail + hi): c for tail, c in tails}
+                found = _reduce(basis, NcPolynomial._raw(field, rest), max_steps - len(walk), None)
+                break
+            letters = lo + tails[0][0] + hi
+            found = forms.get(letters)
+        for letters in walk:
+            forms[letters] = found
+        return found
+
+    return form
+
+
 def s_polynomials(basis: Basis) -> list:
     """A PairRecord for the S-polynomial of every match of every ordered
     pair, reduced against the basis, in the examination order of
@@ -495,29 +539,18 @@ def s_polynomials(basis: Basis) -> list:
     superposition cancels, leaving the difference of its two one-step
     reducts.
 
-    The reduced S-polynomial is the sum of c . nf(m) over the raw terms
-    c . m, and each distinct monomial m is reduced once per call. This is
-    exact in any field because poly_normal_form is linear. A step replaces
-    the greatest reducible monomial m of p by a combination r(m) of smaller
-    monomials that depends on m alone, and m never reappears. By induction
-    on the reducible monomials of p along the order, nf(p) = N(p) for the
-    linear map N with N(m) = m when m is irreducible and N(m) = N(r(m))
-    otherwise. Each monomial is reduced under its own step budget, not the
-    S-polynomial as a whole. The memo lives only for this call.
+    The reduced S-polynomial is the sum of c . N(m) over the raw terms
+    c . m, for one monomial_forms memo N of the call, each under its budget.
     """
     field = basis.field
-    nfs = {}
+    reduce = monomial_forms(basis)
     records = []
     for i, j, m, raw in pair_sources(basis, basis._index):
         if raw is None:
             raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         data = {}
         for word, coeff in raw.terms.items():
-            nf = nfs.get(word)
-            if nf is None:
-                nf = nfs[word] = _reduce(basis, NcPolynomial._raw(field, {word: field.one}),
-                                         DEFAULT_STEP_BUDGET, None)
-            for target, c in nf.terms.items():
+            for target, c in reduce(word).terms.items():
                 _add_term(field, data, target, field.mul(coeff, c))
         reduced = NcPolynomial._raw(field, data)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)

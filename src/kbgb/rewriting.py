@@ -7,9 +7,10 @@ under that same policy. A completion pass computes every
 critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run. Because the system is fixed
-for the pass, a normal form depends on the word alone, and the pass reduces
-each distinct raw word once. A pass reuses the previous pass's matches and
-raw critical pairs but still reduces every pair.
+for the pass, a normal form depends on the word alone, nf(w) = nf(step(w)),
+and a pass memoizes it on every word a reduction passes through
+(normal_forms). It reuses the last pass's matches and raw critical pairs
+but still reduces every pair.
 """
 
 from __future__ import annotations
@@ -135,25 +136,48 @@ def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP
     raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
 
 
+def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
+    """nf(word) = normal_form(system, word) for a word over the system's
+    alphabet (not checked), memoized on every word a reduction passes
+    through: a miss walks normal_form's resume loop to a fixed point or a
+    known word, then records what it found for every word on the walk. A
+    walk of max_steps steps raises ReductionBudgetExceeded; a call counts
+    only the steps it adds to the memo, so whether it raises depends on the
+    calls before it. max_steps is set by the budget tests only."""
+    alphabet, back = system.alphabet, system._max_lhs - 1
+    forms = {}  # letters -> normal form
+
+    def nf(word):
+        wl, walk, scan_from = word.letters, [], 0
+        found = forms.get(wl)
+        while found is None:
+            if len(walk) == max_steps:
+                raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+            walk.append(wl)
+            nxt, pos = _rewrite_at(system, wl, scan_from)
+            if nxt is None:
+                found = Word._raw(alphabet, wl)
+            else:
+                wl, scan_from = nxt, (pos - back if pos > back else 0)
+                found = forms.get(wl)
+        for wl in walk:
+            forms[wl] = found
+        return found
+
+    return nf
+
+
 def critical_pairs(system: RewriteSystem) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
     RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, and its
     raw critical pair is (u1.r1.v1, u2.r2.v2).
 
-    Each distinct raw word is reduced once per call: normal_form is a
-    function of the word and the fixed input system, so later pairs reuse
-    the first result. The memo lives only for this call."""
+    One normal_forms memo serves the call, so no word that a reduction
+    passes through is searched twice in it."""
     pairs = []
     rules = system.rules
-    nfs = {}
-
-    def reduce(word):
-        nf = nfs.get(word)
-        if nf is None:
-            nf = nfs[word] = normal_form(system, word)
-        return nf
-
+    reduce = normal_forms(system)
     for i, j, m, raw in pair_sources(system, system._index):
         if raw is None:
             raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)

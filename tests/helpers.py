@@ -213,6 +213,16 @@ def pair_matches(l1, l2, include_identity=False):
             if (i, j) == (0, 1) and (include_identity or any(m.witness_lengths()))]
 
 
+def record_searches(monkeypatch):
+    """The arguments of every RedexIndex.find call from now on, as a list
+    that fills as the calls happen."""
+    calls = []
+    real = RedexIndex.find
+    monkeypatch.setattr(RedexIndex, "find",
+                        lambda index, *args: calls.append(args) or real(index, *args))
+    return calls
+
+
 def run_cli(argv):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

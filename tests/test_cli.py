@@ -13,7 +13,7 @@ import pytest
 from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 
-from helpers import child_env, run_cli
+from helpers import ROOT, child_env, record_searches, run_cli
 
 BASIC = """\
 mode: sgp
@@ -59,6 +59,17 @@ order: shortlex a < b < c
 rules:
   b.b -> a.a
   b.a.a.c -> a.c.c
+"""
+
+
+COMMUTING3 = (ROOT / "tests" / "corpus" / "commuting3.pres").read_text()
+
+EXPLODE = """\
+mode: sgp
+alphabet: a b
+order: shortlex a < b
+rules:
+  a.b.a.b -> b.a
 """
 
 
@@ -502,3 +513,18 @@ class TestStreaming:
         # (ratio 4.6); holding the pass being written and the one being
         # computed, at about 1.5 and 3.5 MB (ratio 2.3)
         assert peak(40) < 3.5 * peak(20)
+
+
+class TestSearchCounts:
+    # RedexIndex.find calls of one in-process run. Before both engines
+    # memoized every word a reduction passes through, they were 2,742 and
+    # 1,564; a memo of each call's first word alone brings them back up
+    @pytest.mark.parametrize("text, argv, exit_code, searches", [
+        (COMMUTING3, ["iso-check", "-L", "5"], 0, 736),
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, 1144),
+    ], ids=["iso-commuting3", "lockstep-explode"])
+    def test_pinned(self, pres, monkeypatch, text, argv, exit_code, searches):
+        path = pres(text)
+        calls = record_searches(monkeypatch)
+        code, _, _ = run_cli([argv[0], path, *argv[1:]])
+        assert (code, len(calls)) == (exit_code, searches)

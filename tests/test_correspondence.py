@@ -231,15 +231,20 @@ class TestLockstep:
     def test_divergence_detected_when_one_engine_lies(self, monkeypatch):
         import kbgb.ncpoly as ncpoly_module
 
-        # the reduction loop that s_polynomials runs on each monomial
-        real = ncpoly_module._reduce
+        # the memoized monomial forms that s_polynomials sums
+        real = ncpoly_module.monomial_forms
 
-        def skewed(basis, poly, max_steps, steps):
-            result = real(basis, poly, max_steps, steps)
-            # drop the reduction outcome to zero: misreport resolution
-            return NcPolynomial.zero(basis.field) if not result.is_zero() else result
+        def skewed(basis):
+            form = real(basis)
 
-        monkeypatch.setattr(ncpoly_module, "_reduce", skewed)
+            def lying(word):
+                result = form(word)
+                # drop the reduction outcome to zero: misreport resolution
+                return NcPolynomial.zero(basis.field) if not result.is_zero() else result
+
+            return lying
+
+        monkeypatch.setattr(ncpoly_module, "monomial_forms", skewed)
         *_, last = lockstep_passes(make_system(["aba->b"]), QQ)
         assert last.verdict == "Divergence"
         assert last.rewriting.index == 1
@@ -473,7 +478,7 @@ class TestIsoCheck:
 
         # a rule engine that refuses to reduce makes the two canonical-form
         # maps disagree, which the equality comparison must catch
-        monkeypatch.setattr(corr, "normal_form", lambda system, w, max_steps=0: w)
+        monkeypatch.setattr(corr, "normal_forms", lambda system: lambda w: w)
         report = verify_algebra_iso(make_system(["ba->ab"]), QQ, 2)
         assert report.verdict == "Fail"
         assert "equality disagreement" in report.detail
@@ -491,7 +496,7 @@ class TestIsoCheck:
                 return system.alphabet.parse_word(image)
             return normal_form(system, word)
 
-        monkeypatch.setattr(corr, "normal_form", rule_nf)
+        monkeypatch.setattr(corr, "normal_forms", lambda system: lambda word: rule_nf(system, word))
         report = verify_algebra_iso(system, QQ, 3)
         basis = rules_to_basis(system, QQ)
         universe = list(all_words(system.alphabet, 3))
@@ -526,8 +531,9 @@ class TestIsoCheck:
         import kbgb.correspondence as corr
 
         system = make_system(["ba->ab"])
-        monkeypatch.setattr(corr, "poly_normal_form", lambda basis, poly: skew(
-            poly_normal_form(basis, poly), system.alphabet.parse_word))
+        monkeypatch.setattr(corr, "monomial_forms", lambda basis: lambda w: skew(
+            poly_normal_form(basis, NcPolynomial.monomial(basis.field, w)),
+            system.alphabet.parse_word))
         report = verify_algebra_iso(system, QQ, 2)
         assert (report.verdict, report.detail) == ("Fail", detail)
         assert report.counts == ((1, 2), (2, 3))

@@ -18,7 +18,10 @@ passes that carry the last pass's pairs into the next, 40 of them on chain, and 
 fifth pass of 8,364 pairs, 248 of them carried. The sgp relation a.b.a -> b and its alg
 translation a.b.a - b run every subcommand with no pass at all (--max-passes 0), and the sgp
 one runs complete and lockstep with one pass, which installs a rule and so ends by the cap,
-not at a fixed point. Regenerate the
+not at a fixed point. The benchmark's iso input (commuting3 at -L 5 and -L 7) and
+S5 (-L 6) run iso-check on thousands of words whose reductions pass through each other,
+and the wtlex rule a -> b.b (a=3, b=1) runs it where reductions lengthen words past the
+bound. Regenerate the
 manifest (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -32,7 +35,7 @@ from pathlib import Path
 
 from kbgb import parse_presentation
 
-from helpers import run_cli
+from helpers import ROOT, run_cli
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 MANIFEST = Path(__file__).parent / "golden_cli.json"
@@ -100,6 +103,8 @@ INLINE = {
 EXPLODE = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a.b -> b.a\n"
 ALG_EXPLODE = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  2*a.b.a.b - 5*b.a + 1/2*a\n"
 ALG_EXPLODE_QUERY = "b.a.b.a.b.a.b.b.a.b.a + 3*a.b.b.a.b.a.b - b"
+BENCH_INPUTS = ROOT / "perfbench" / "inputs"
+LENGTHENING = "mode: sgp\nalphabet: a b\norder: wtlex a=3 b=1\nprecedence: a < b\nrules:\n  a -> b.b\n"
 CHAIN = "mode: sgp\nalphabet: a b c\norder: shortlex a < b < c\nrules:\n  b.b -> a.a\n  b.a.a.c -> a.c.c\n"
 ABA_B = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a -> b\n"
 ALG_ABA_B = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  a.b.a - b\n"
@@ -133,6 +138,11 @@ OWN_FLAGS = {
         [*NO_PASS, ["complete", "--max-passes", "1"], ["lockstep", "--max-passes", "1"]],
     ),
     "alg_aba_b": (ALG_ABA_B, NO_PASS),
+    "commuting3": ((BENCH_INPUTS / "commuting3.pres").read_text(),
+                   [["iso-check", "-L", "5"], ["iso-check", "-L", "7"]]),
+    "s5": ((BENCH_INPUTS / "s5.pres").read_text(), [["iso-check", "-L", "6"]]),
+    # a reduces to b.b, so normal forms outgrow the words they reduce
+    "lengthening": (LENGTHENING, [["iso-check", "-L", "2"], ["iso-check", "-L", "4"]]),
 }
 
 

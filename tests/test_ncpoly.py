@@ -39,7 +39,7 @@ from kbgb import (
     s_polynomials,
 )
 from kbgb.completion import passes
-from kbgb.ncpoly import record_line
+from kbgb.ncpoly import monomial_forms, record_line
 from kbgb.rewriting import bounded_words
 
 from helpers import (
@@ -47,6 +47,7 @@ from helpers import (
     random_general_basis,
     random_redex_system,
     random_system,
+    record_searches,
     redex_features,
 )
 from oracles import all_words, reference_reduce, reference_step, shortlex_key
@@ -369,6 +370,66 @@ class TestReduction:
                             lambda: normal_form(system, word, k)):
                     with pytest.raises(ReductionBudgetExceeded, match=f"within {k} steps"):
                         run()
+
+
+def with_random_binomial(rng, basis):
+    """basis plus one monic member u + c.v of monomials of length 1 to 3, c
+    mostly -1, so that a reduction mixes steps under one tail of coefficient
+    one with steps under the other members."""
+    alpha = basis.alphabet
+    words = set()
+    while len(words) < 2:
+        words.add(Word(alpha, [rng.randrange(len(alpha)) for _ in range(rng.randint(1, 3))]))
+    u, v = words
+    c = rng.choice([-1, -1, -1, 1, 2])
+    member = make_monic(NcPolynomial(basis.field, [(u, 1), (v, c)]), basis.order)
+    return basis.with_polys([member])
+
+
+class TestMonomialForms:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_matches_poly_normal_form_on_general_bases(self, field):
+        # one memo per basis, fed its monomials in a shuffled order
+        rng = random.Random(83)
+        combined = 0
+        for _ in range(12):
+            general = random_general_basis(rng, field)
+            for basis in (general, with_random_binomial(rng, general)):
+                form = monomial_forms(basis)
+                words = list(all_words(basis.alphabet, 5, min_len=0))
+                rng.shuffle(words)
+                for word in words:
+                    expected = poly_normal_form(basis, NcPolynomial.monomial(field, word))
+                    assert form(word) == expected
+                    combined += len(expected.terms) > 1
+        assert combined > 1000
+
+    def test_budget_counts_the_steps_of_a_first_call(self):
+        # the same budget as reduce_with_steps: a k-step reduction needs k + 1
+        rng = random.Random(89)
+        for _ in range(8):
+            general = random_general_basis(rng)
+            for basis in (general, with_random_binomial(rng, general)):
+                for word in all_words(basis.alphabet, 4, min_len=0):
+                    monomial = NcPolynomial.monomial(QQ, word)
+                    steps = len(reduce_with_steps(basis, monomial)[1])
+                    with pytest.raises(ReductionBudgetExceeded):
+                        monomial_forms(basis, max_steps=steps)(word)
+                    assert monomial_forms(basis, max_steps=steps + 1)(word) == poly_normal_form(basis, monomial)
+        # a.a.a.a.a walks four steps under a.a - a
+        with pytest.raises(ReductionBudgetExceeded):
+            monomial_forms(binomial_basis(["aa->a"]), max_steps=4)(w("aaaaa"))
+        assert monomial_forms(binomial_basis(["aa->a"]), max_steps=5)(w("aaaaa")) == poly(QQ, ("a", 1))
+
+    def test_binomial_forms_are_shared(self, monkeypatch):
+        # under a lockstep binomial N(m) is N of m's reduct, the same object,
+        # and every monomial the reduction passes through answers with no search
+        form = monomial_forms(binomial_basis(["ba->ab"]))
+        image = form(w("bbaa"))
+        assert image == poly(QQ, ("aabb", 1))
+        searches = record_searches(monkeypatch)
+        assert all(form(w(text)) is image for text in ("baba", "abba", "abab", "aabb"))
+        assert searches == []
 
 
 class TestSPolynomials:

@@ -11,9 +11,11 @@ from kbgb import (
     CompletionLimits,
     LimitExceeded,
     MatchKind,
+    ReductionBudgetExceeded,
     Rule,
     Word,
     critical_pairs,
+    is_irreducible,
     is_locally_confluent,
     kb_pass,
     knuth_bendix,
@@ -22,9 +24,15 @@ from kbgb import (
     words_equal,
 )
 from kbgb.completion import PassRecord, passes
-from kbgb.rewriting import bounded_words, pair_line
+from kbgb.rewriting import bounded_words, normal_forms, pair_line
 
-from helpers import make_system, random_redex_system, random_system, redex_features
+from helpers import (
+    make_system,
+    random_redex_system,
+    random_system,
+    record_searches,
+    redex_features,
+)
 from oracles import (
     all_words,
     congruence_partition,
@@ -133,6 +141,48 @@ class TestNormalForm:
                 nxt = reduce_once(system, word)
                 if nxt is not None:
                     assert system.order.greater(word, nxt)
+
+
+class TestNormalForms:
+    def test_shared_memo_answers_like_one_shot_in_any_call_order(self):
+        # what a memo holds depends on the order of its calls; its answers
+        # must not
+        rng = random.Random(23)
+        walked = 0
+        for _ in range(15):
+            system = random_redex_system(rng)
+            words = list(bounded_words(system, 6))
+            expected = [normal_form(system, word) for word in words]
+            shuffled = list(range(len(words)))
+            rng.shuffle(shuffled)
+            for order in (range(len(words)), reversed(range(len(words))), shuffled):
+                nf = normal_forms(system)
+                assert {i: nf(words[i]) for i in order} == dict(enumerate(expected))
+            walked += sum(1 for word in words
+                          if not is_irreducible(system, reduce_once(system, word) or word))
+        assert walked > 1000
+
+    def test_budget_counts_the_steps_of_a_first_walk(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            system = random_redex_system(rng)
+            for word in bounded_words(system, 5):
+                steps, nxt = 0, reduce_once(system, word)
+                while nxt is not None:
+                    steps, nxt = steps + 1, reduce_once(system, nxt)
+                # the same budget as normal_form: a k-step reduction needs k + 1
+                with pytest.raises(ReductionBudgetExceeded):
+                    normal_forms(system, max_steps=steps)(word)
+                assert normal_forms(system, max_steps=steps + 1)(word) == normal_form(system, word)
+
+    def test_every_word_on_a_walk_is_recorded(self, monkeypatch):
+        # a.a.a.a walks through a.a.a and a.a to a; each then answers with
+        # no search
+        nf = normal_forms(AA_A)
+        assert nf(w("aaaa", AA_A)) == w("a", AA_A)
+        searches = record_searches(monkeypatch)
+        assert [nf(w(text, AA_A)) for text in ("aaa", "aa", "a")] == [w("a", AA_A)] * 3
+        assert searches == []
 
 
 class TestCriticalPairs:
