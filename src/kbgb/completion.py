@@ -10,8 +10,8 @@ loop: a stream of one record per pass, which ``complete`` runs to its end
 holding only the last pass, and the lockstep driver (``correspondence``)
 zips across both engines. The stream always yields at least one pass, and
 its last pass is the run's result: it says whether the run reached a fixed
-point or which cap ended it. Members are only appended, so a pass reuses the
-last pass's matches and raw pairs (``pair_sources``); it reduces every pair.
+point or which cap ended it. Members are only appended, so a pass handed the
+last pass's records reuses their matches and raw pairs (``pair_sources``).
 """
 
 from __future__ import annotations
@@ -83,21 +83,18 @@ class PairRecord:
     new: object
 
 
-def pair_sources(state, index):
-    """(first, second, match, raw) of every pair of index.overlaps, in order.
-    A state from next_state carries the last pass's records: they keep
-    match and raw, and the walk yields only the pairs touching newer
-    members, with raw None, after the carried ones of their row."""
-    since, carried = getattr(state, "_carry", (0, ()))
+def pair_sources(state, index, since, carried):
+    """(first, second, match, raw) of every pair of index.overlaps, in order:
+    in each row, the carried records of the last pass, then the walk's pairs
+    touching members from since (that pass's input size) on, with raw None."""
     old = ((rec.first, rec.second, rec.match, rec.raw) for rec in carried)
     new = ((i, j, m, None) for i, j, m in index.overlaps(state.alphabet, since))
     return merge(old, new, key=itemgetter(0))
 
 
 def next_state(existing, records, words, extend, limits: CompletionLimits):
-    """The state a pass builds, extend(new members), carrying the input size
-    and the records, beside its fields, to pair_sources. The new members are
-    each record's ``new``, resolved pairs skipped, deduplicated in order.
+    """The state a pass builds, extend(new members): each record's ``new``,
+    resolved pairs skipped, deduplicated in order.
 
     Raises LimitExceeded with the pass's records when a member has a word
     (from ``words(member)``) over ``max_word_length``, else when the total
@@ -114,9 +111,7 @@ def next_state(existing, records, words, extend, limits: CompletionLimits):
             raise LimitExceeded("max_word_length", records)
     if len(existing) + len(fresh) > limits.max_rules:
         raise LimitExceeded("max_rules", records)
-    nxt = extend(fresh)
-    object.__setattr__(nxt, "_carry", (len(existing), records))
-    return nxt
+    return extend(fresh)
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,9 @@ class PassRecord:
 
 
 def passes(state, one_pass, limits: CompletionLimits):
-    """One PassRecord per ``one_pass(state, limits)``, lazily; the one place
-    where a run's end is decided.
+    """One PassRecord per ``one_pass(state, limits, carry)``, lazily; the one
+    place where a run's end is decided. Pass 1's carry is None, a later
+    pass's the last pass's (input state, records).
 
     The stream ends after the pass that installs nothing (``fixed``), the
     pass in which a cap trips (``limit_reason``; its state is the input
@@ -142,9 +138,10 @@ def passes(state, one_pass, limits: CompletionLimits):
     """
     if not limits.max_passes:
         yield PassRecord(0, (), state, "max_passes")
+    carry = None
     for index in range(1, limits.max_passes + 1):
         try:
-            nxt, records = one_pass(state, limits)
+            nxt, records = one_pass(state, limits, carry)
         except LimitExceeded as exc:
             yield PassRecord(index, exc.partial, state, exc.reason)
             return
@@ -153,7 +150,7 @@ def passes(state, one_pass, limits: CompletionLimits):
         yield PassRecord(index, tuple(records), nxt, reason, fixed)
         if fixed:
             return
-        state = nxt
+        carry, state = (state, records), nxt
 
 
 def complete(state, one_pass, limits: CompletionLimits) -> PassRecord:

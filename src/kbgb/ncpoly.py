@@ -17,9 +17,9 @@ only: it pops monomials greatest first from a heap and searches each once.
 Every sum of terms, in arithmetic, reduction and S-polynomials alike, goes
 through _add_term. A completion pass memoizes the normal form of every
 monomial a reduction passes through under binomial members, handing the
-rest of a reduction to _reduce at any other member (monomial_forms). It
-reuses the last pass's matches and raw S-polynomials, and reduces every
-S-polynomial.
+rest of a reduction to _reduce at any other member (monomial_forms). Handed
+the last pass's input and records (its carry), a pass reuses their matches
+and raw S-polynomials, and reduces every S-polynomial.
 """
 
 from __future__ import annotations
@@ -529,10 +529,10 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
     return form
 
 
-def s_polynomials(basis: Basis) -> list:
-    """A PairRecord for the S-polynomial of every match of every ordered
-    pair, reduced against the basis, in the examination order of
-    RedexIndex.overlaps.
+def s_polynomials(basis: Basis, carry=None) -> list:
+    """A PairRecord for the S-polynomial of every match of every ordered pair,
+    reduced against the basis, in the examination order of RedexIndex.overlaps.
+    A carry, the last pass's (input basis, records), lends raw S-polynomials.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, and the raw
     S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
@@ -545,7 +545,8 @@ def s_polynomials(basis: Basis) -> list:
     field = basis.field
     reduce = monomial_forms(basis)
     records = []
-    for i, j, m, raw in pair_sources(basis, basis._index):
+    since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
+    for i, j, m, raw in pair_sources(basis, basis._index, since, carried):
         if raw is None:
             raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         data = {}
@@ -568,15 +569,15 @@ def is_pm_binomial(poly: NcPolynomial, units) -> bool:
     return len(poly.terms) <= 2 and all(c in units for c in poly.terms.values())
 
 
-def buchberger_pass(basis: Basis, limits: CompletionLimits):
-    """One completion pass: (next basis, S-polynomial records).
+def buchberger_pass(basis: Basis, limits: CompletionLimits, carry=None):
+    """One pass, carry as for s_polynomials: (next basis, records examined).
 
     Reductions use the input basis only; monic survivors land as a batch,
     deduplicated. On a basis of two-term unit-coefficient members, every
     raw and reduced S-polynomial must keep that shape (reduction only ever
     replaces one term with another); a violation is an engine bug.
     """
-    records = s_polynomials(basis)
+    records = s_polynomials(basis, carry)
     units = {basis.field.one, basis.field.neg(basis.field.one)}
     if all(is_pm_binomial(p, units) for p in basis.polys):
         for rec in records:

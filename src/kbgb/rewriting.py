@@ -9,8 +9,8 @@ oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run. Because the system is fixed
 for the pass, a normal form depends on the word alone, nf(w) = nf(step(w)),
 and a pass memoizes it on every word a reduction passes through
-(normal_forms). It reuses the last pass's matches and raw critical pairs
-but still reduces every pair.
+(normal_forms). Handed the last pass's input and pairs (its carry), a pass
+reuses their matches and raw critical pairs but still reduces every pair.
 """
 
 from __future__ import annotations
@@ -167,18 +167,20 @@ def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
     return nf
 
 
-def critical_pairs(system: RewriteSystem) -> list:
+def critical_pairs(system: RewriteSystem, carry=None) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
     RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, and its
-    raw critical pair is (u1.r1.v1, u2.r2.v2).
+    raw critical pair is (u1.r1.v1, u2.r2.v2). A carry, the last pass's
+    (input system, pairs), lends their matches and raw pairs (pair_sources).
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
     pairs = []
     rules = system.rules
     reduce = normal_forms(system)
-    for i, j, m, raw in pair_sources(system, system._index):
+    since, carried = (len(carry[0].rules), carry[1]) if carry else (0, ())
+    for i, j, m, raw in pair_sources(system, system._index, since, carried):
         if raw is None:
             raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
         c1 = reduce(raw[0])
@@ -193,14 +195,14 @@ def critical_pairs(system: RewriteSystem) -> list:
     return pairs
 
 
-def kb_pass(system: RewriteSystem, limits: CompletionLimits):
-    """One completion pass: (next system, critical pairs examined).
+def kb_pass(system: RewriteSystem, limits: CompletionLimits, carry=None):
+    """One pass, carry as for critical_pairs: (next system, pairs examined).
 
     Reductions use the input system only; new rules land as a batch at the
     end, deduplicated. Raises LimitExceeded (with the pairs attached) when
     the result would break a cap.
     """
-    pairs = critical_pairs(system)
+    pairs = critical_pairs(system, carry)
     nxt = next_state(system.rules, pairs, lambda rule: (rule.lhs, rule.rhs), system.with_rules, limits)
     return nxt, pairs
 

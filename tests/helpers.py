@@ -223,6 +223,21 @@ def record_searches(monkeypatch):
     return calls
 
 
+def record_walk(monkeypatch):
+    """Every (i, j, match) that RedexIndex.overlaps yields from now on, as a
+    list that fills as the walks go."""
+    walked = []
+    real = RedexIndex.overlaps
+
+    def overlaps(index, *args):
+        for triple in real(index, *args):
+            walked.append(triple)
+            yield triple
+
+    monkeypatch.setattr(RedexIndex, "overlaps", overlaps)
+    return walked
+
+
 def run_cli(argv):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

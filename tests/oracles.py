@@ -6,6 +6,7 @@ the functions under test.
 """
 
 import itertools
+import math
 
 from kbgb import MONOID, Word
 
@@ -330,3 +331,99 @@ def congruence_partition(system, max_len, max_extra=12, settle=2, node_budget=30
     raise AssertionError(
         f"congruence closure did not stabilize within {max_extra} extra letters"
     )
+
+
+# Known-answer families: groups whose word problem and order are decided
+# by integer arithmetic on letter indices, never by the engines. Each
+# builder returns (presentation text, equal, order), where equal(u, v)
+# decides whether two letter tuples name the same group element.
+
+def abelian_group(rows):
+    """Z^2/L for the 2x2 integer matrix L given by rows, det L != 0, in mon
+    mode over the letters a, A, b, B (A and B the inverses): the four
+    inverse rules, every commutator of letters of distinct generators, and
+    one relator per row. Two words are equal exactly when the difference of
+    their exponent vectors d lies in the row lattice: d.adj(L) is divisible
+    by det L. The order is |det L|."""
+    (p, q), (s, t) = rows
+    det = p * t - q * s
+    assert det != 0
+    names = ["a", "A", "b", "B"]
+    rules = ["a.A -> 1", "A.a -> 1", "b.B -> 1", "B.b -> 1"]
+    rules += [f"{y}.{x} -> {x}.{y}" for x in "aA" for y in "bB"]
+    for row in rows:
+        letters = [names[2 * k + (n < 0)] for k, n in enumerate(row) for _ in range(abs(n))]
+        rules.append(".".join(letters) + " -> 1")
+    text = _group_text(names, rules)
+    signs = (1, -1, 0, 0), (0, 0, 1, -1)  # exponent of a, of b, per letter index
+
+    def exponents(letters):
+        return tuple(sum(sign[ix] for ix in letters) for sign in signs)
+
+    def equal(u, v):
+        (d0, d1), (e0, e1) = exponents(u), exponents(v)
+        d0, d1 = d0 - e0, d1 - e1
+        return (d0 * t - d1 * s) % det == 0 and (d1 * p - d0 * q) % det == 0
+
+    return text, equal, abs(det)
+
+
+def symmetric_group(n):
+    """S_n in Coxeter relator form over n - 1 letters a, b, ...: s.s -> 1,
+    and (s_i s_j)^m -> 1 with m = 3 for adjacent, 2 for other generators.
+    Letter i is the transposition of points i and i + 1; the order is n!."""
+    names = [chr(ord("a") + i) for i in range(n - 1)]
+    rules = [f"{x}.{x} -> 1" for x in names]
+    for i, j in itertools.combinations(range(n - 1), 2):
+        rules.append(".".join([names[i], names[j]] * (3 if j == i + 1 else 2)) + " -> 1")
+    gens = []
+    for i in range(n - 1):
+        image = list(range(n))
+        image[i], image[i + 1] = i + 1, i
+        gens.append(tuple(image))
+    return _group_text(names, rules), _permutation_equality(gens, n), math.factorial(n)
+
+
+def dihedral_group(k):
+    """D_k over the letters r, s: r^k, s.s and r.s.r.s -> 1. r turns the
+    points 0..k-1 by one and s reflects them, i -> -i mod k; the order is 2k."""
+    rules = [".".join("r" * k) + " -> 1", "s.s -> 1", "r.s.r.s -> 1"]
+    gens = [tuple((i + 1) % k for i in range(k)), tuple(-i % k for i in range(k))]
+    return _group_text(["r", "s"], rules), _permutation_equality(gens, k), 2 * k
+
+
+def _group_text(names, rules):
+    return "\n".join(["mode: mon", "alphabet: " + " ".join(names),
+                      "order: shortlex " + " < ".join(names), "rules:",
+                      *(f"  {rule}" for rule in rules)]) + "\n"
+
+
+def _permutation_equality(gens, degree):
+    """equal(u, v): the two words act alike on the points, letter i acting
+    as the permutation gens[i], the word's letters applied in turn."""
+
+    def act(letters):
+        points = tuple(range(degree))
+        for ix in letters:
+            points = tuple(gens[ix][p] for p in points)
+        return points
+
+    return lambda u, v: act(u) == act(v)
+
+
+def irreducible_words(lhss, size, most):
+    """The letter tuples over range(size) with no left side as a factor, by
+    length, if there are at most most of them; else the first most + 1. A
+    word is kept only if its prefix one shorter was, and the walk stops at
+    the first length with none, or once it has more than most words, as in
+    an infinite monoid."""
+    level, out = [()], [()]
+    while level and len(out) <= most:
+        level = [w + (x,) for w in level for x in range(size)
+                 if not any(_ends_with(w + (x,), lhs) for lhs in lhss)]
+        out += level
+    return out[:most + 1]
+
+
+def _ends_with(word, suffix):
+    return len(word) >= len(suffix) and word[len(word) - len(suffix):] == suffix

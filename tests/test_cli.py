@@ -13,7 +13,7 @@ import pytest
 from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 
-from helpers import ROOT, child_env, record_searches, run_cli
+from helpers import ROOT, child_env, record_searches, record_walk, run_cli
 
 BASIC = """\
 mode: sgp
@@ -158,9 +158,9 @@ class TestLockstep:
         # same set, so the translation check holds, but not its own input
         real, calls = correspondence.buchberger_pass, []
 
-        def reversed_second_pass(basis, limits):
+        def reversed_second_pass(basis, limits, *carry):
             calls.append(basis)
-            nxt, records = real(basis, limits)
+            nxt, records = real(basis, limits, *carry)
             if len(calls) == 2:
                 nxt = dataclasses.replace(nxt, polys=nxt.polys[::-1])
             return nxt, records
@@ -398,8 +398,8 @@ class TestErrorsAndExitCodes:
     def test_closure_violation_is_exit_three(self, pres, monkeypatch):
         real = ncpoly.s_polynomials
 
-        def widened(basis):
-            first, *rest = real(basis)
+        def widened(basis, *carry):
+            first, *rest = real(basis, *carry)
             extra = ncpoly.NcPolynomial.monomial(basis.field, first.match.superposition)
             return [dataclasses.replace(first, raw=first.raw + extra), *rest]
 
@@ -454,11 +454,11 @@ class TestStreaming:
         expected = self._first_pass(path, command)
         real, calls = module.kb_pass, []
 
-        def failing_second_pass(state, limits):
+        def failing_second_pass(state, limits, *carry):
             calls.append(state)
             if len(calls) == 2:
                 raise ReductionBudgetExceeded("no fixed point within 1 steps")
-            return real(state, limits)
+            return real(state, limits, *carry)
 
         monkeypatch.setattr(module, "kb_pass", failing_second_pass)
         trace = tmp_path / "out.trace"
@@ -478,8 +478,8 @@ class TestStreaming:
         path = pres(CHAIN)
         expected = self._first_pass(path, "lockstep")
         real, calls = correspondence.kb_pass, []
-        monkeypatch.setattr(correspondence, "kb_pass",
-                            lambda state, limits: calls.append(state) or real(state, limits))
+        monkeypatch.setattr(correspondence, "kb_pass", lambda state, limits, *carry:
+                            calls.append(state) or real(state, limits, *carry))
         out, err = ClosedAfterFirstPass(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(["lockstep", path, "--max-passes", "40"])
@@ -518,13 +518,17 @@ class TestStreaming:
 class TestSearchCounts:
     # RedexIndex.find calls of one in-process run. Before both engines
     # memoized every word a reduction passes through, they were 2,742 and
-    # 1,564; a memo of each call's first word alone brings them back up
-    @pytest.mark.parametrize("text, argv, exit_code, searches", [
-        (COMMUTING3, ["iso-check", "-L", "5"], 0, 736),
-        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, 1144),
-    ], ids=["iso-commuting3", "lockstep-explode"])
-    def test_pinned(self, pres, monkeypatch, text, argv, exit_code, searches):
+    # 1,564; a memo of each call's first word alone brings them back up.
+    # The last row counts the matches RedexIndex.overlaps yields instead:
+    # 316 per engine, where passes that are handed no carry walk every
+    # overlap of every pass, 6,400 per engine
+    @pytest.mark.parametrize("text, argv, exit_code, record, count", [
+        (COMMUTING3, ["iso-check", "-L", "5"], 0, record_searches, 736),
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1144),
+        (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_walk, 632),
+    ], ids=["iso-commuting3", "lockstep-explode", "walk-lockstep-chain"])
+    def test_pinned(self, pres, monkeypatch, text, argv, exit_code, record, count):
         path = pres(text)
-        calls = record_searches(monkeypatch)
+        calls = record(monkeypatch)
         code, _, _ = run_cli([argv[0], path, *argv[1:]])
-        assert (code, len(calls)) == (exit_code, searches)
+        assert (code, len(calls)) == (exit_code, count)

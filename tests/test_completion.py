@@ -1,9 +1,10 @@
 """The pairs a completion pass carries into the next.
 
-A pass attaches its records to the state it builds, and the next pass
-reuses their matches and raw pairs and walks only the overlaps that touch
-the new members. Every pass of a carried run must examine exactly what a
-pass on a fresh copy of its input examines, record by record.
+``passes`` hands each pass the last pass's input and records, its carry,
+and the pass reuses their matches and raw pairs and walks only the
+overlaps that touch the new members. Every pass of a carried run must
+examine exactly what a pass on a fresh copy of its input examines, record
+by record, and a pass handed no carry examines the full walk.
 """
 
 import random
@@ -24,14 +25,14 @@ from kbgb import (
 )
 from kbgb.completion import passes
 
-from helpers import random_general_basis, random_redex_system, redex_features
+from helpers import random_general_basis, random_redex_system, record_walk, redex_features
 
 F3 = PrimeField(3)
 LIMITS = CompletionLimits(max_passes=3, max_rules=30, max_word_length=12)
 
 
 def fresh_copy(state):
-    """The same members, built anew: no carry."""
+    """The same members, built anew."""
     if isinstance(state, RewriteSystem):
         return RewriteSystem(state.alphabet, state.order, state.rules, state.mode)
     return Basis(state.alphabet, state.order, state.field, state.polys)
@@ -43,8 +44,8 @@ def examine(state):
 
 def check_run(start, one_pass, limits=LIMITS):
     """Compare every pass of the run with a pass on a fresh copy of its
-    input; the number of records the input state carried in."""
-    state, carried = start, 0
+    input; the number of records the previous passes carried in."""
+    state, carried, previous = start, 0, None
     stream = passes(start, one_pass, limits)
     while True:
         try:
@@ -59,17 +60,24 @@ def check_run(start, one_pass, limits=LIMITS):
         for got, want in zip(record.records, expected):
             assert (got.first, got.second, got.match, got.raw, got.reduced, got.new) == \
                 (want.first, want.second, want.match, want.raw, want.reduced, want.new)
-        if record.index > 1:
-            carried += len(state._carry[1])
-        state = record.state
+        if previous is not None:
+            carried += len(previous.records)
+        state, previous = record.state, record
 
 
-def test_fresh_state_has_no_carry():
+def test_pass_without_carry_examines_what_a_fresh_copy_examines(monkeypatch):
+    # the state a pass builds holds nothing of that pass: handed no carry,
+    # the next pass walks every overlap, as it does on a fresh copy
+    walked = record_walk(monkeypatch)
     system = random_redex_system(random.Random(3))
-    nxt, _ = kb_pass(system, LIMITS)
-    assert not hasattr(system, "_carry")
-    assert not hasattr(fresh_copy(nxt), "_carry")
-    assert nxt._carry[0] == len(system.rules)
+    for start, one_pass in ((system, kb_pass), (rules_to_basis(system, QQ), buchberger_pass)):
+        nxt, _ = one_pass(start, LIMITS)
+        examined = []
+        for state in (nxt, fresh_copy(nxt)):
+            walked.clear()
+            examined.append((one_pass(state, LIMITS)[1], len(walked)))
+        assert examined[0] == examined[1]
+        assert examined[0][1] > 0
 
 
 def test_carried_rewriting_and_binomial_passes_equal_fresh_passes():

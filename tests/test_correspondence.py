@@ -350,9 +350,9 @@ class TestLockstep:
         real = getattr(corr, engine)
         calls = []
 
-        def misbehaving(state, limits=None):
+        def misbehaving(state, limits=None, *carry):
             calls.append(state)
-            nxt, records = real(state, limits)
+            nxt, records = real(state, limits, *carry)
             if len(calls) == at:
                 return getattr(self, change)(state, nxt, records)
             return nxt, records
