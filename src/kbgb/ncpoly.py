@@ -12,14 +12,15 @@ tied position the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
-_reduce reduces one polynomial, recording steps for reduce_with_steps
-only: it pops monomials greatest first from a heap and searches each once.
-Every sum of terms, in arithmetic, reduction and S-polynomials alike, goes
-through _add_term. A completion pass memoizes the normal form of every
-monomial a reduction passes through under binomial members, handing the
-rest of a reduction to _reduce at any other member (monomial_forms). Handed
-the last pass's input and records (its carry), a pass reuses their matches
-and raw S-polynomials, and reduces every S-polynomial.
+Every normal form is linear: monomial_forms memoizes the normal form N of
+every monomial a reduction passes through under binomial members, handing
+the rest of a reduction to _reduce at any other member, and a polynomial's
+is the sum of c . N(m) over its terms c . m. Completion, iso-check and the
+queries all take that walk; _reduce, which pops monomials greatest first
+from a heap and searches each once, runs reduce_with_steps and those
+handoffs. Every sum of terms goes through _add_term. Handed the last pass's
+input and records (its carry), a pass reuses their matches and raw
+S-polynomials, and reduces every S-polynomial.
 """
 
 from __future__ import annotations
@@ -473,10 +474,13 @@ def _reduce(basis, poly, max_steps, steps):
 
 
 def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
-    """Reduce to a fixed point, the greatest reducible monomial first; no
-    result monomial contains a leading monomial of the basis."""
+    """The normal form reduce_with_steps computes, as the sum of c . N(m)
+    over the terms c . m for one monomial_forms memo N of the call; no
+    result monomial contains a leading monomial of the basis. max_steps
+    bounds the first walk of each monomial within the call, not the steps
+    of the whole polynomial."""
     _check_operand(basis, poly)
-    return _reduce(basis, poly, max_steps, None)
+    return _sum_forms(monomial_forms(basis, max_steps), poly)
 
 
 def replay_steps(basis: Basis, steps) -> NcPolynomial:
@@ -488,14 +492,14 @@ def replay_steps(basis: Basis, steps) -> NcPolynomial:
 
 
 def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
-    """N(m) = poly_normal_form(basis, m) for a monomial m over the basis's
-    alphabet (not checked), memoized on every monomial a reduction passes
-    through. A step of _reduce replaces the greatest reducible monomial m by
-    r(m), which depends on m alone, and m never reappears, so nf is linear
-    and N(m) = N(r(m)). Under a member of one tail with coefficient one (a
-    lockstep binomial) r(m) is one monomial: a miss walks these steps to an
-    irreducible or known monomial. A step by any other member hands r(m) to
-    _reduce, as poly_normal_form would. The walk and _reduce then share one
+    """N(m), the normal form _reduce computes for a monomial m over the
+    basis's alphabet (not checked), memoized on every monomial a reduction
+    passes through. A step of _reduce replaces the greatest reducible
+    monomial m by r(m), which depends on m alone, and m never reappears, so
+    nf is linear and N(m) = N(r(m)). Under a member of one tail with
+    coefficient one (a lockstep binomial) r(m) is one monomial: a miss walks
+    these steps to an irreducible or known monomial. A step by any other
+    member hands r(m) to _reduce. The walk and _reduce then share one
     budget of max_steps steps; a call counts only the steps it adds to the
     memo, so whether it raises ReductionBudgetExceeded depends on the calls
     before it. max_steps is set by the budget tests only."""
@@ -529,6 +533,15 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
     return form
 
 
+def _sum_forms(form, poly):
+    """The sum of c . form(m) over the terms c . m of poly."""
+    field, data = poly.field, {}
+    for word, coeff in poly.terms.items():
+        for target, c in form(word).terms.items():
+            _add_term(field, data, target, field.mul(coeff, c))
+    return NcPolynomial._raw(field, data)
+
+
 def s_polynomials(basis: Basis, carry=None) -> list:
     """A PairRecord for the S-polynomial of every match of every ordered pair,
     reduced against the basis, in the examination order of RedexIndex.overlaps.
@@ -542,18 +555,13 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
     """
-    field = basis.field
     reduce = monomial_forms(basis)
     records = []
     since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
     for i, j, m, raw in pair_sources(basis, basis._index, since, carried):
         if raw is None:
             raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
-        data = {}
-        for word, coeff in raw.terms.items():
-            for target, c in reduce(word).terms.items():
-                _add_term(field, data, target, field.mul(coeff, c))
-        reduced = NcPolynomial._raw(field, data)
+        reduced = _sum_forms(reduce, raw)
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
         records.append(PairRecord(i, j, m, raw, reduced, new))
     return records
@@ -594,11 +602,12 @@ def buchberger(basis: Basis, limits: CompletionLimits = CompletionLimits()) -> P
 
 
 def monomials_equal_mod_ideal(basis: Basis, m1: Word, m2: Word) -> bool:
-    """Decide m1 = m2 modulo the ideal; needs a Groebner basis."""
+    """Decide m1 = m2 modulo the ideal, N(m1) == N(m2) for one
+    monomial_forms memo N (nf is linear); needs a Groebner basis."""
     if m1.alphabet != basis.alphabet or m2.alphabet != basis.alphabet:
         raise AlphabetMismatch("monomial over a different alphabet than the basis")
-    diff = NcPolynomial.monomial(basis.field, m1) - NcPolynomial.monomial(basis.field, m2)
-    return _reduce(basis, diff, DEFAULT_STEP_BUDGET, None).is_zero()
+    form = monomial_forms(basis)
+    return form(m1) == form(m2)
 
 
 def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:

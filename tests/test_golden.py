@@ -18,7 +18,9 @@ passes that carry the last pass's pairs into the next, 40 of them on chain, and 
 fifth pass of 8,364 pairs, 248 of them carried. The sgp relation a.b.a -> b and its alg
 translation a.b.a - b run every subcommand with no pass at all (--max-passes 0), and the sgp
 one runs complete and lockstep with one pass, which installs a rule and so ends by the cap,
-not at a fixed point. The benchmark's iso input (commuting3 at -L 5 and -L 7) and
+not at a fixed point. After completing, the alg one also decides one
+EQUAL and one DISTINCT pair, and an alg form of commuting3 reduces three terms whose
+monomials share one normal form. The benchmark's iso input (commuting3 at -L 5 and -L 7) and
 S5 (-L 6) run iso-check on thousands of words whose reductions pass through each other,
 and the wtlex rule a -> b.b (a=3, b=1) runs it where reductions lengthen words past the
 bound. Regenerate the
@@ -108,6 +110,8 @@ LENGTHENING = "mode: sgp\nalphabet: a b\norder: wtlex a=3 b=1\nprecedence: a < b
 CHAIN = "mode: sgp\nalphabet: a b c\norder: shortlex a < b < c\nrules:\n  b.b -> a.a\n  b.a.a.c -> a.c.c\n"
 ABA_B = "mode: sgp\nalphabet: a b\norder: shortlex a < b\nrules:\n  a.b.a -> b\n"
 ALG_ABA_B = "mode: alg\nalphabet: a b\norder: shortlex a < b\npolys:\n  a.b.a - b\n"
+ALG_COMMUTING3 = ("mode: alg\nalphabet: a b c\norder: shortlex a < b < c\n"
+                  "polys:\n  b.a - a.b\n  c.a - a.c\n  c.b - b.c\n")
 # all five subcommands with no pass run
 NO_PASS = [["complete", "--max-passes", "0"], ["lockstep", "--max-passes", "0"],
            ["nf", "b.a.b.a", "--max-passes", "0"], ["equal", "b.a.b.a", "b.b", "--max-passes", "0"],
@@ -137,7 +141,11 @@ OWN_FLAGS = {
         ABA_B,
         [*NO_PASS, ["complete", "--max-passes", "1"], ["lockstep", "--max-passes", "1"]],
     ),
-    "alg_aba_b": (ALG_ABA_B, NO_PASS),
+    # after completion, one EQUAL pair and one DISTINCT pair
+    "alg_aba_b": (ALG_ABA_B, [*NO_PASS, ["equal", "b.b.a.a", "a.a.b.b"],
+                              ["equal", "a.b.a.b.a", "b.b.b"]]),
+    # three terms whose monomials share the normal form a.a.b.b.c.c
+    "alg_commuting3": (ALG_COMMUTING3, [["nf", "c.b.a.c.b.a + 2*c.c.b.b.a.a - a.b.c.a.b.c"]]),
     "commuting3": ((BENCH_INPUTS / "commuting3.pres").read_text(),
                    [["iso-check", "-L", "5"], ["iso-check", "-L", "7"]]),
     "s5": ((BENCH_INPUTS / "s5.pres").read_text(), [["iso-check", "-L", "6"]]),

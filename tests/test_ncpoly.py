@@ -309,8 +309,9 @@ class TestReduction:
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     @pytest.mark.parametrize("kind", ["general", "redex"])
     def test_normal_form_is_reduction_without_steps(self, field, kind):
-        # poly_normal_form runs the same loop as reduce_with_steps but
-        # records no steps; the normal forms must not differ
+        # poly_normal_form sums memoized monomial forms, reduce_with_steps
+        # runs the heap loop on the whole polynomial: linearity says the
+        # normal forms must not differ
         changed = 0
         for basis, p in self.whole_reduction_inputs(field, kind):
             nf = poly_normal_form(basis, p)
@@ -322,7 +323,8 @@ class TestReduction:
     def test_many_term_reduction_matches_reference(self, field):
         # 20-60-term polynomials over words up to length 8: many steps per
         # reduction, terms that cancel and are created again, and monomials
-        # searched that stay in the normal form
+        # searched that stay in the normal form; poly_normal_form sums the
+        # monomials' memoized forms to the same normal form
         rng = random.Random(79)
         recreated = 0
         for _ in range(6):
@@ -345,8 +347,48 @@ class TestReduction:
                 assert [(s.coeff, s.left.letters, s.index, s.right.letters)
                         for s in steps] == expected_steps
                 assert nf.terms == expected_nf
+                assert poly_normal_form(basis, p).terms == expected_nf
                 recreated += len(again)
         assert recreated > 0
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_normal_form_is_reduction_where_terms_cancel(self, field):
+        # on lockstep binomial bases, sums of c.u + c.v or c.u - c.v for
+        # words u, v of one normal form, so each c.u - c.v reduces to zero
+        rng = random.Random(97)
+        cancelled = kept = 0
+        for _ in range(20):
+            basis = rules_to_basis(random_redex_system(rng), field)
+            classes = {}
+            for word in all_words(basis.alphabet, 5, min_len=0):
+                image = reduce_with_steps(basis, NcPolynomial.monomial(field, word))[0]
+                classes.setdefault(image, []).append(word)
+            shared = [words for words in classes.values() if len(words) > 1]
+            for _ in range(10):
+                terms, pairs = [], rng.sample(shared, min(len(shared), 6))
+                for words in pairs:
+                    u, v = rng.sample(words, 2)
+                    c = rng.choice([-2, -1, 1, 2])
+                    terms += [(u, c), (v, rng.choice([c, -c]))]
+                p = NcPolynomial(field, terms)
+                expected = reduce_with_steps(basis, p)[0]
+                assert poly_normal_form(basis, p) == expected
+                kept += len(expected.terms)
+                cancelled += len(pairs) - len(expected.terms)
+        assert cancelled > 200 and kept > 200
+
+    def test_budget_bounds_each_monomial_walk(self):
+        # under b.a - a.b, b.b.a.a takes 4 steps and b.a one: the heap loop
+        # counts 5 for their sum, poly_normal_form each monomial's first walk
+        basis = binomial_basis(["ba->ab"])
+        p = poly(QQ, ("bbaa", 1), ("ba", 1))
+        nf, steps = reduce_with_steps(basis, p, 6)
+        assert (nf, len(steps)) == (poly(QQ, ("aabb", 1), ("ab", 1)), 5)
+        assert poly_normal_form(basis, p, 5) == nf
+        with pytest.raises(ReductionBudgetExceeded, match="within 5 steps"):
+            reduce_with_steps(basis, p, 5)
+        with pytest.raises(ReductionBudgetExceeded, match="within 4 steps"):
+            poly_normal_form(basis, p, 4)
 
     def test_budget_boundary(self):
         # a reduction that needs exactly k steps raises at max_steps=k and
@@ -389,7 +431,8 @@ def with_random_binomial(rng, basis):
 class TestMonomialForms:
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     def test_matches_poly_normal_form_on_general_bases(self, field):
-        # one memo per basis, fed its monomials in a shuffled order
+        # one memo per basis, fed its monomials in a shuffled order, against
+        # the heap loop
         rng = random.Random(83)
         combined = 0
         for _ in range(12):
@@ -399,7 +442,7 @@ class TestMonomialForms:
                 words = list(all_words(basis.alphabet, 5, min_len=0))
                 rng.shuffle(words)
                 for word in words:
-                    expected = poly_normal_form(basis, NcPolynomial.monomial(field, word))
+                    expected = reduce_with_steps(basis, NcPolynomial.monomial(field, word))[0]
                     assert form(word) == expected
                     combined += len(expected.terms) > 1
         assert combined > 1000
@@ -415,7 +458,7 @@ class TestMonomialForms:
                     steps = len(reduce_with_steps(basis, monomial)[1])
                     with pytest.raises(ReductionBudgetExceeded):
                         monomial_forms(basis, max_steps=steps)(word)
-                    assert monomial_forms(basis, max_steps=steps + 1)(word) == poly_normal_form(basis, monomial)
+                    assert monomial_forms(basis, max_steps=steps + 1)(word) == reduce_with_steps(basis, monomial)[0]
         # a.a.a.a.a walks four steps under a.a - a
         with pytest.raises(ReductionBudgetExceeded):
             monomial_forms(binomial_basis(["aa->a"]), max_steps=4)(w("aaaaa"))
@@ -578,6 +621,47 @@ class TestBuchberger:
         assert monomials_equal_mod_ideal(G, w("ab"), w("ba"))
         assert not monomials_equal_mod_ideal(G, w("a"), w("b"))
         assert monomials_equal_mod_ideal(G, w("bab"), w("bab"))
+
+    def test_monomials_equal_is_reduction_of_the_difference(self):
+        # every pair of words up to length 3, against the heap loop on m1 - m2,
+        # on completed lockstep bases and one of three-term members
+        rng = random.Random(101)
+        three_term = [make_monic(poly(QQ, ("ba", 2), ("ab", -1), ("a", 5)), ORDER),
+                      poly(QQ, ("bb", 1), ("ab", -2), ("1", Fraction(1, 2)))]
+        bases = [buchberger(binomial_basis(["aba->b"])).state,
+                 buchberger(binomial_basis(["ba->ab", "bb->a"], PrimeField(3))).state,
+                 buchberger(Basis(AB, ORDER, QQ, three_term)).state]
+        while len(bases) < 7:
+            system = random_system(rng, letters="ab", max_rules=3, max_side=3)
+            result = buchberger(rules_to_basis(system, QQ), CompletionLimits(max_passes=5, max_rules=20))
+            if result.fixed:
+                bases.append(result.state)
+        verdicts = set()
+        for basis in bases:
+            words = list(all_words(basis.alphabet, 3, min_len=0))
+            for m1 in words:
+                for m2 in words:
+                    diff = NcPolynomial.monomial(basis.field, m1) - NcPolynomial.monomial(basis.field, m2)
+                    expected = reduce_with_steps(basis, diff)[0].is_zero()
+                    assert monomials_equal_mod_ideal(basis, m1, m2) == expected
+                    verdicts.add((expected, m1 != m2))
+        assert verdicts == {(True, False), (True, True), (False, True)}
+
+    def test_queries_take_the_monomial_walk(self, monkeypatch):
+        # on a lockstep binomial basis neither query runs the heap loop
+        import kbgb.ncpoly as ncpoly
+
+        G = buchberger(binomial_basis(["aba->b"])).state
+        p = poly(QQ, ("bbaa", 1), ("aabb", -1), ("abab", 2))
+        nf = reduce_with_steps(G, p)[0]
+
+        def refuse(*args):
+            raise AssertionError("the heap loop ran")
+
+        monkeypatch.setattr(ncpoly, "_reduce", refuse)
+        assert poly_normal_form(G, p) == nf
+        assert monomials_equal_mod_ideal(G, w("bbaa"), w("aabb"))
+        assert not monomials_equal_mod_ideal(G, w("ab"), w("ba"))
 
     def test_binomial_closure_across_runs(self):
         rng = random.Random(43)
