@@ -7,13 +7,15 @@ Output is byte-identical across runs for identical inputs and flags.
 
 ``complete`` and ``lockstep`` print each pass as it ends and hold only the
 last one, so a run that ends in exit 3 keeps the passes that finished; a
-closed stdout (``| head``) ends the run with exit 1.
+closed stdout (``| head``) ends the run with exit 1. A command runs with
+the cyclic garbage collector off, and ``main`` puts back the state it found.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -215,9 +217,12 @@ def cmd_iso_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the engines build no reference cycles, so the collector would only walk
+    # a growing heap and free nothing; the finally puts it back as found
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         # resolved before dispatch, so a bad --field fails every command
         if args.field is not None:
             args.field = field_from_name(args.field)
@@ -233,6 +238,9 @@ def main(argv=None) -> int:
     except (ReductionBudgetExceeded, ClosureViolation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIVERGENCE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

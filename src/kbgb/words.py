@@ -23,7 +23,7 @@ class AlphabetMismatch(ValueError):
 class Alphabet:
     """Ordered collection of distinct generator names."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_dotted")
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
@@ -40,6 +40,7 @@ class Alphabet:
             seen.add(name)
         self.symbols = symbols
         self._index = {name: i for i, name in enumerate(symbols)}
+        self._dotted = {}  # letters -> Word.dotted text, filled as words are printed
 
     def __len__(self):
         return len(self.symbols)
@@ -141,8 +142,12 @@ class Word:
         """Canonical text form: names joined with '.', empty word as '1'."""
         if not self.letters:
             return "1"
-        symbols = self.alphabet.symbols
-        return ".".join([symbols[ix] for ix in self.letters])
+        memo = self.alphabet._dotted
+        text = memo.get(self.letters)
+        if text is None:
+            symbols = self.alphabet.symbols
+            text = memo[self.letters] = ".".join([symbols[ix] for ix in self.letters])
+        return text
 
     def display(self) -> str:
         """Compact form: dots only when some generator name is multi-character."""

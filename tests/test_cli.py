@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from kbgb import ReductionBudgetExceeded, correspondence, ncpoly, rewriting
+from kbgb import Alphabet, ReductionBudgetExceeded, Word, correspondence, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 
 from helpers import ROOT, child_env, record_searches, record_walk, run_cli
@@ -71,6 +72,19 @@ order: shortlex a < b
 rules:
   a.b.a.b -> b.a
 """
+
+
+CORPUS_FILES = sorted((ROOT / "tests" / "corpus").glob("*.pres"))
+CORPUS_LIMIT_ARGS = ["--max-passes", "6", "--max-rules", "48", "--max-word-len", "40"]
+
+
+class ClosedAfterFirstPass(io.StringIO):
+    """A stdout whose reader goes away after the first block is written."""
+
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
 
 
 @pytest.fixture
@@ -469,12 +483,6 @@ class TestStreaming:
             assert out.splitlines()[-1] == "pass=1 checks: sources=ok pairs=ok sets=ok"
 
     def test_closed_stdout_stops_the_run(self, pres, monkeypatch):
-        class ClosedAfterFirstPass(io.StringIO):
-            def write(self, text):
-                if self.getvalue():
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(text)
-
         path = pres(CHAIN)
         expected = self._first_pass(path, "lockstep")
         real, calls = correspondence.kb_pass, []
@@ -532,3 +540,107 @@ class TestSearchCounts:
         calls = record(monkeypatch)
         code, _, _ = run_cli([argv[0], path, *argv[1:]])
         assert (code, len(calls)) == (exit_code, count)
+
+
+def _unreachable_after(argv):
+    """What gc.collect() finds after an in-process run of argv with the
+    collector off from a clean heap."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli_main(argv)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestCollectorOff:
+    # main runs each command with the cyclic collector off, which is sound
+    # only while the engines build no reference cycles: whatever a run leaves
+    # for the collector must be what a run of no passes leaves (argparse's)
+    @pytest.mark.parametrize("argv", [
+        *[[command, str(path), *extra, *CORPUS_LIMIT_ARGS]
+          for path in CORPUS_FILES
+          for command, *extra in (["lockstep"], ["complete"], ["iso-check", "-L", "4"])],
+        ["lockstep", "EXPLODE", "--max-passes", "4"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[1].rsplit('/', 1)[-1].removesuffix('.pres')}")
+    def test_runs_leave_no_cycles(self, pres, argv):
+        if argv[1] == "EXPLODE":
+            argv = [argv[0], pres(EXPLODE), *argv[2:]]
+        assert _unreachable_after(argv) == _unreachable_after([*argv, "--max-passes", "0"])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, exit_code", [
+        ("complete", 0), ("usage-error", 1), ("parse-error", 1), ("closed-stdout", 1),
+        ("limit", 2), ("engine-error", 3),
+    ])
+    def test_main_restores_the_collector(self, pres, monkeypatch, enabled, case, exit_code):
+        argv = ["lockstep", pres(ABA_B)]
+        stdout = io.StringIO()
+        if case == "usage-error":
+            argv = ["lockstep"]
+        elif case == "parse-error":
+            argv = ["lockstep", pres("mode: sgp\n")]
+        elif case == "closed-stdout":
+            argv, stdout = ["lockstep", pres(CHAIN), "--max-passes", "40"], ClosedAfterFirstPass()
+        elif case == "limit":
+            argv.extend(["--max-passes", "1"])
+        elif case == "engine-error":
+            def failing_pass(state, limits, *carry):
+                raise ReductionBudgetExceeded("no fixed point within 1 steps")
+
+            monkeypatch.setattr(correspondence, "kb_pass", failing_pass)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            assert (code, gc.isenabled()) == (exit_code, enabled)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestPerObjectCounts:
+    def test_lockstep_runs_no_collection(self, pres):
+        path = pres(EXPLODE)
+        starts = []
+
+        def count(phase, info):
+            # only collections that start inside main: the one that main's
+            # handback of the collector makes due runs after it returns
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not cli_main.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            code, _, _ = run_cli(["lockstep", path, "--max-passes", "4"])
+        finally:
+            gc.callbacks.remove(count)
+        assert (code, starts) == (2, [])
+
+    @pytest.mark.parametrize("symbols, letters, text", [
+        ("ab", (), "1"),
+        ("ab", (0, 1, 1, 0), "a.b.b.a"),
+        (("ab", "c", "d2"), (0, 1, 2, 0), "ab.c.d2.ab"),
+    ], ids=["empty", "single-char", "multi-char"])
+    def test_dotted_joins_each_word_once(self, symbols, letters, text):
+        alphabet = Alphabet(symbols)
+        first = Word(alphabet, letters).dotted()
+        assert first == (".".join(symbols[ix] for ix in letters) or "1") == text
+        # a second word with the same letters gets the first one's string
+        assert Word(alphabet, letters).dotted() is first
+
+    def test_alphabets_keep_their_own_dotted_forms(self):
+        # the same letters over two alphabets: neither reads the other's text
+        ab, xy = Alphabet("ab"), Alphabet("xy")
+        assert [Word(ab, (0, 1)).dotted(), Word(xy, (0, 1)).dotted()] == ["a.b", "x.y"]
