@@ -9,8 +9,6 @@ correspond at every step.
 """
 
 from .correspondence import (
-    IsoCheckReport,
-    LockstepPass,
     NonBinomialError,
     basis_to_rules,
     lockstep_passes,
@@ -27,10 +25,8 @@ from .completion import (
 from .ncpoly import (
     QQ,
     Basis,
-    ClosureViolation,
     NcPolynomial,
     PrimeField,
-    RationalField,
     ReductionStep,
     buchberger,
     buchberger_pass,
@@ -42,12 +38,10 @@ from .ncpoly import (
     poly_normal_form,
     reduce_with_steps,
     render_poly,
-    replay_steps,
     s_polynomials,
 )
 from .presentation import (
     ParseError,
-    PresentationFile,
     parse_presentation,
 )
 from .rewriting import (
@@ -57,11 +51,9 @@ from .rewriting import (
     Rule,
     critical_pairs,
     is_irreducible,
-    is_locally_confluent,
     kb_pass,
     knuth_bendix,
     normal_form,
-    reduce_once,
     words_equal,
 )
 from .words import (
@@ -69,7 +61,6 @@ from .words import (
     AlphabetMismatch,
     MatchKind,
     MonomialOrder,
-    OverlapMatch,
     Word,
 )
 

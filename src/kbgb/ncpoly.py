@@ -93,9 +93,6 @@ class RationalField:
     def __hash__(self):
         return hash("RationalField")
 
-    def __repr__(self):
-        return "RationalField()"
-
 
 def _int_if_integral(q):
     """The int equal to q when q is an integral Fraction; q otherwise."""
@@ -177,9 +174,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
 
 def field_from_name(name: str):
     """Resolve "Q" or "F<p>" to a field object."""
@@ -234,14 +228,6 @@ class NcPolynomial:
         poly._hash = None
         return poly
 
-    @classmethod
-    def zero(cls, field) -> "NcPolynomial":
-        return cls(field, ())
-
-    @classmethod
-    def monomial(cls, field, word: Word, coeff=1) -> "NcPolynomial":
-        return cls(field, [(word, coeff)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -266,34 +252,19 @@ class NcPolynomial:
                 and next(iter(self.terms)).alphabet != next(iter(other.terms)).alphabet):
             raise AlphabetMismatch("polynomials over different alphabets")
 
-    def _plus(self, other, negate):
+    def __sub__(self, other):
         self._check(other)
         f = self.field
         data = dict(self.terms)
         for word, coeff in other.terms.items():
-            _add_term(f, data, word, f.neg(coeff) if negate else coeff)
-        return NcPolynomial._raw(f, data)
-
-    def __add__(self, other):
-        return self._plus(other, False)
-
-    def __sub__(self, other):
-        return self._plus(other, True)
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        data = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _add_term(f, data, w1 * w2, f.mul(c1, c2))
+            _add_term(f, data, word, f.neg(coeff))
         return NcPolynomial._raw(f, data)
 
     def scaled(self, coeff) -> "NcPolynomial":
         f = self.field
         c = f.coerce(coeff)
         if c == f.zero:
-            return NcPolynomial.zero(f)
+            return NcPolynomial._raw(f, {})
         return NcPolynomial._raw(f, {w: f.mul(k, c) for w, k in self.terms.items()})
 
     def sandwich(self, left: Word, right: Word) -> "NcPolynomial":
@@ -316,7 +287,7 @@ class NcPolynomial:
         if self.is_zero():
             return "NcPolynomial(0)"
         body = " + ".join(
-            f"{c}*{w.display()}"
+            f"{c}*{w.dotted()}"
             for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0].letters))
         )
         return f"NcPolynomial({body})"
@@ -371,11 +342,11 @@ class Basis:
                     raise AlphabetMismatch("basis member over a different alphabet")
             lm, coeff = leading_monomial(poly, self.order)
             if coeff != self.field.one:
-                raise ValueError(f"basis member is not monic: {poly!r}")
+                raise ValueError(f"basis member is not monic: {render_poly(poly, self.order)}")
             if len(lm) == 0:
                 raise ValueError("basis member with empty leading monomial (a unit)")
             if poly in seen:
-                raise ValueError(f"duplicate basis member: {poly!r}")
+                raise ValueError(f"duplicate basis member: {render_poly(poly, self.order)}")
             seen.add(poly)
             lms.append(lm)
             neg_tails.append(tuple((w.letters, self.field.neg(c))
@@ -425,7 +396,8 @@ def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT
     ReductionBudgetExceeded after max_steps steps without a further search.
 
     The recorded steps witness membership: p - nf(p) equals the sum of
-    coeff . left . f . right over the steps (see replay_steps).
+    coeff . left . f . right over the steps, which tests/oracles.py
+    (replay_steps) rebuilds on plain term dicts.
     """
     _check_operand(basis, poly)
     steps = []
@@ -481,14 +453,6 @@ def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_
     of the whole polynomial."""
     _check_operand(basis, poly)
     return _sum_forms(monomial_forms(basis, max_steps), poly)
-
-
-def replay_steps(basis: Basis, steps) -> NcPolynomial:
-    """Sum of coeff . left . f . right over recorded steps; equals p - nf(p)."""
-    total = NcPolynomial.zero(basis.field)
-    for step in steps:
-        total = total + basis.polys[step.index].sandwich(step.left, step.right).scaled(step.coeff)
-    return total
 
 
 def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
@@ -591,7 +555,8 @@ def buchberger_pass(basis: Basis, limits: CompletionLimits, carry=None):
         for rec in records:
             for poly in (rec.raw, rec.reduced):
                 if not is_pm_binomial(poly, units):
-                    raise ClosureViolation(f"two-term closure violated by {poly!r}")
+                    raise ClosureViolation(
+                        f"two-term closure violated by {render_poly(poly, basis.order)}")
     nxt = next_state(basis.polys, records, lambda poly: poly.terms, basis.with_polys, limits)
     return nxt, records
 

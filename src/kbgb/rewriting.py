@@ -50,9 +50,6 @@ class Rule:
     def render(self) -> str:
         return f"{self.lhs.dotted()}->{self.rhs.dotted()}"
 
-    def __repr__(self):
-        return f"Rule({self.lhs.display()} -> {self.rhs.display()})"
-
 
 @dataclass(frozen=True)
 class RewriteSystem:
@@ -100,25 +97,19 @@ def _rewrite_at(system, wl, start):
     return wl[:pos] + system.rules[index].rhs.letters + wl[end:], pos
 
 
-def reduce_once(system: RewriteSystem, word: Word):
-    """One rewrite step at the leftmost redex (lowest rule index on ties),
-    or None if irreducible."""
+def is_irreducible(system: RewriteSystem, word: Word) -> bool:
+    """True when no left side of the system occurs in the word."""
     if word.alphabet != system.alphabet:
         raise AlphabetMismatch("word over a different alphabet")
-    letters, _ = _rewrite_at(system, word.letters, 0)
-    return None if letters is None else Word._raw(system.alphabet, letters)
-
-
-def is_irreducible(system: RewriteSystem, word: Word) -> bool:
-    return reduce_once(system, word) is None
+    return system._index.find(word.letters) is None
 
 
 def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP_BUDGET) -> Word:
     """Reduce to a fixed point; terminates because every step descends.
 
-    Follows exactly the reduce_once redex policy; after a rewrite at
-    position p the scan resumes at p - max_lhs + 1, which is where the
-    leftmost new redex can first appear.
+    Each step rewrites the leftmost redex, at the lowest rule index on
+    ties (_rewrite_at); after a rewrite at position p the scan resumes at
+    p - max_lhs + 1, which is where the leftmost new redex can first appear.
     """
     if word.alphabet != system.alphabet:
         raise AlphabetMismatch("word over a different alphabet")
@@ -224,11 +215,6 @@ def bounded_words(system: RewriteSystem, max_len: int):
     for n in range(0 if system.mode == MONOID else 1, max_len + 1):
         for letters in itertools.product(range(size), repeat=n):
             yield Word._raw(system.alphabet, letters)
-
-
-def is_locally_confluent(system: RewriteSystem) -> bool:
-    """True when every critical pair resolves."""
-    return all(cp.new is None for cp in critical_pairs(system))
 
 
 def pair_line(pass_index: int, cp: PairRecord) -> str:

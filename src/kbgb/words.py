@@ -45,9 +45,6 @@ class Alphabet:
     def __len__(self):
         return len(self.symbols)
 
-    def __iter__(self):
-        return iter(self.symbols)
-
     def __contains__(self, name):
         return name in self._index
 
@@ -56,9 +53,6 @@ class Alphabet:
 
     def __hash__(self):
         return hash(self.symbols)
-
-    def __repr__(self):
-        return f"Alphabet({list(self.symbols)!r})"
 
     def index(self, name: str) -> int:
         try:
@@ -133,11 +127,6 @@ class Word:
             raise AlphabetMismatch("cannot concatenate words over different alphabets")
         return Word._raw(self.alphabet, self.letters + other.letters)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return Word._raw(self.alphabet, self.letters[item])
-        return self.letters[item]
-
     def dotted(self) -> str:
         """Canonical text form: names joined with '.', empty word as '1'."""
         if not self.letters:
@@ -149,19 +138,8 @@ class Word:
             text = memo[self.letters] = ".".join([symbols[ix] for ix in self.letters])
         return text
 
-    def display(self) -> str:
-        """Compact form: dots only when some generator name is multi-character."""
-        if not self.letters:
-            return "1"
-        symbols = self.alphabet.symbols
-        sep = "." if any(len(s) > 1 for s in symbols) else ""
-        return sep.join([symbols[ix] for ix in self.letters])
-
-    def __str__(self):
-        return self.display()
-
     def __repr__(self):
-        return f"Word({self.display()!r})"
+        return f"Word({self.dotted()!r})"
 
 
 class MonomialOrder:
@@ -256,14 +234,6 @@ class MonomialOrder:
 
     def __hash__(self):
         return hash((self.kind, self.alphabet, self.precedence, self.weights))
-
-    def __repr__(self):
-        if self.kind == self.SHORTLEX:
-            return f"MonomialOrder.shortlex({'<'.join(self.precedence)})"
-        weights = " ".join(
-            f"{name}={self.weights[self.alphabet.index(name)]}" for name in self.precedence
-        )
-        return f"MonomialOrder.wtlex({weights})"
 
 
 # trie node keys besides the letters (>= 0), holding ascending pattern indices:

@@ -18,13 +18,10 @@ def all_words(alpha, max_len, min_len=1):
             yield Word(alpha, letters)
 
 
-def match_tuple(kind_name, u1, v1, u2, v2):
-    return (kind_name, u1.letters, v1.letters, u2.letters, v2.letters)
-
-
 def match_set(matches):
+    """(kind name, u1, v1, u2, v2), the witnesses as letter tuples, of each match."""
     return {
-        match_tuple(m.kind.value, m.u1, m.v1, m.u2, m.v2)
+        (m.kind.value, m.u1.letters, m.v1.letters, m.u2.letters, m.v2.letters)
         for m in matches
     }
 
@@ -35,26 +32,24 @@ def _containments(l1, l2):
     a, b = l1.letters, l2.letters
     for i in range(len(a) - len(b) + 1):
         if a[i : i + len(b)] == b:
-            u2, v2 = l1[:i], l1[i + len(b):]
+            u2, v2 = a[:i], a[i + len(b):]
             if len(u2) == 0 and len(v2) == 0:
                 continue
-            out.add(match_tuple("Containment12", l1[:0], l1[:0], u2, v2))
+            out.add(("Containment12", (), (), u2, v2))
     for i in range(len(b) - len(a) + 1):
         if b[i : i + len(a)] == a:
-            u1, v1 = l2[:i], l2[i + len(a):]
+            u1, v1 = b[:i], b[i + len(a):]
             if len(u1) == 0 and len(v1) == 0:
                 continue
-            out.add(match_tuple("Containment21", u1, v1, l2[:0], l2[:0]))
+            out.add(("Containment21", u1, v1, (), ()))
     return out
 
 
 def exhaustive_matches(l1, l2):
     """Definitional oracle: try every word shorter than |l1|+|l2| as a
     superposition and test the defining equations on all factorizations."""
-    alpha = l1.alphabet
-    empty = Word(alpha)
     out = _containments(l1, l2)
-    for s in all_words(alpha, len(l1) + len(l2) - 1):
+    for s in all_words(l1.alphabet, len(l1) + len(l2) - 1):
         sl = s.letters
         # l1.v1 = s = u2.l2 with all witnesses nonempty
         if (
@@ -63,7 +58,7 @@ def exhaustive_matches(l1, l2):
             and sl[: len(l1)] == l1.letters
             and sl[len(s) - len(l2):] == l2.letters
         ):
-            out.add(match_tuple("SuffixPrefix", empty, s[len(l1):], s[: len(s) - len(l2)], empty))
+            out.add(("SuffixPrefix", (), sl[len(l1):], sl[: len(s) - len(l2)], ()))
         # u1.l1 = s = l2.v2 with all witnesses nonempty
         if (
             len(s) > len(l1)
@@ -71,23 +66,21 @@ def exhaustive_matches(l1, l2):
             and sl[len(s) - len(l1):] == l1.letters
             and sl[: len(l2)] == l2.letters
         ):
-            out.add(match_tuple("PrefixSuffix", s[: len(s) - len(l1)], empty, empty, s[len(l2):]))
+            out.add(("PrefixSuffix", sl[: len(s) - len(l1)], (), (), sl[len(l2):]))
     return out
 
 
 def candidate_matches(l1, l2):
     """Scalable oracle: build candidate superpositions by extending l1 with
     every possible short word, then test the defining equations."""
-    alpha = l1.alphabet
-    empty = Word(alpha)
     out = _containments(l1, l2)
-    for x in all_words(alpha, len(l2) - 1):
-        s = l1 * x
-        if len(s) > len(l2) and s.letters[len(s) - len(l2):] == l2.letters:
-            out.add(match_tuple("SuffixPrefix", empty, x, s[: len(s) - len(l2)], empty))
-        s = x * l1
-        if len(s) > len(l2) and s.letters[: len(l2)] == l2.letters:
-            out.add(match_tuple("PrefixSuffix", x, empty, empty, s[len(l2):]))
+    for x in all_words(l1.alphabet, len(l2) - 1):
+        s = l1.letters + x.letters
+        if len(s) > len(l2) and s[len(s) - len(l2):] == l2.letters:
+            out.add(("SuffixPrefix", (), x.letters, s[: len(s) - len(l2)], ()))
+        s = x.letters + l1.letters
+        if len(s) > len(l2) and s[: len(l2)] == l2.letters:
+            out.add(("PrefixSuffix", x.letters, (), (), s[len(l2):]))
     return out
 
 
@@ -101,8 +94,7 @@ def reference_overlaps(lhss):
         for j, l2 in enumerate(lhss):
             found = candidate_matches(l1, l2)
             if i != j and l1 == l2:
-                empty = Word(l1.alphabet)
-                found.add(match_tuple("Containment12", empty, empty, empty, empty))
+                found.add(("Containment12", (), (), (), ()))
             if found:
                 out[(i, j)] = found
     return out
@@ -202,6 +194,40 @@ def reference_reduce(members, field, key, terms):
             data[target] = s
 
 
+def term_sum(field, *terms):
+    """The sum of plain dicts from words to scalars, through the field's add;
+    a term that cancels is dropped."""
+    out = {}
+    for summand in terms:
+        for word, c in summand.items():
+            s = field.add(out.get(word, field.zero), c)
+            if s == field.zero:
+                out.pop(word, None)
+            else:
+                out[word] = s
+    return out
+
+
+def term_product(field, *factors):
+    """The product of plain dicts from words to scalars, left to right:
+    letters concatenated, scalars through the field's mul and add."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = term_sum(field, *({Word(w1.alphabet, w1.letters + w2.letters): field.mul(c1, c2)}
+                                for w1, c1 in out.items() for w2, c2 in factor.items()))
+    return out
+
+
+def replay_steps(basis, steps):
+    """The sum of coeff . left . f . right over recorded reduction steps, as
+    a plain dict built by term_sum and term_product from the members' terms;
+    for the steps that reduce p to nf(p) it equals p - nf(p)."""
+    field = basis.field
+    return term_sum(field, *(term_product(field, {step.left: step.coeff},
+                                          basis.polys[step.index].terms, {step.right: field.one})
+                             for step in steps))
+
+
 def reduction_endpoints(system, word, memo=None):
     """All irreducible words reachable by any maximal reduction sequence."""
     if memo is None:
@@ -216,6 +242,21 @@ def reduction_endpoints(system, word, memo=None):
         result = frozenset().union(*(reduction_endpoints(system, r, memo) for r in reducts))
     memo[word] = result
     return result
+
+
+def is_locally_confluent(system):
+    """True when every superposition of two left sides, from
+    reference_overlaps, has exactly one reduction_endpoints word. Its two
+    one-step reducts then reach that word, so every critical pair joins;
+    for a terminating system this is local confluence."""
+    lhss = [rule.lhs for rule in system.rules]
+    memo = {}
+    for (i, _), matches in reference_overlaps(lhss).items():
+        for _, u1, v1, _, _ in matches:
+            superposition = Word(system.alphabet, u1 + lhss[i].letters + v1)
+            if len(reduction_endpoints(system, superposition, memo)) != 1:
+                return False
+    return True
 
 
 class _UnionFind:

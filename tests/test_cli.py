@@ -414,15 +414,16 @@ class TestErrorsAndExitCodes:
 
         def widened(basis, *carry):
             first, *rest = real(basis, *carry)
-            extra = ncpoly.NcPolynomial.monomial(basis.field, first.match.superposition)
-            return [dataclasses.replace(first, raw=first.raw + extra), *rest]
+            extra = ncpoly.NcPolynomial(basis.field, {first.match.superposition: -1})
+            return [dataclasses.replace(first, raw=first.raw - extra), *rest]
 
         monkeypatch.setattr(ncpoly, "s_polynomials", widened)
         text = ALG_BINOMIAL.replace("b.a - a.b", "a.b.a - b")
         code, out, err = run_cli(["complete", pres(text)])
         assert code == 3
         assert out == ""
-        assert err.startswith("error: two-term closure violated by ")
+        # the offending polynomial in the notation of every other output line
+        assert err == "error: two-term closure violated by a.b.a.b.a - b.b.a + a.b.b\n"
 
 
 class TestDeterminism:

@@ -52,7 +52,7 @@ class TestAlphabet:
     def test_multichar_names(self):
         alpha = Alphabet(["x1", "x2"])
         word = alpha.parse_word("x1.x2.x1")
-        assert word.display() == "x1.x2.x1"
+        assert word.dotted() == "x1.x2.x1"
         with pytest.raises(ValueError):
             alpha.parse_word("x1x2")
 
