@@ -27,7 +27,6 @@ from .ncpoly import (
     Basis,
     NcPolynomial,
     PrimeField,
-    ReductionStep,
     buchberger,
     buchberger_pass,
     field_from_name,
@@ -36,7 +35,6 @@ from .ncpoly import (
     make_monic,
     monomials_equal_mod_ideal,
     poly_normal_form,
-    reduce_with_steps,
     render_poly,
     s_polynomials,
 )

@@ -6,21 +6,20 @@ combination with no stored zeros. Coefficients are plain Python values
 otherwise, canonical residues over a prime field) interpreted through a
 small field object carried by every polynomial.
 
-The reduction policy mirrors the string engine exactly: reduce the
-greatest reducible monomial, inside it the leftmost occurrence, and at a
-tied position the lowest basis index. Each basis builds one
+The reduction policy mirrors the string engine exactly: a monomial is
+reduced at the leftmost occurrence of a leading monomial, and at a tied
+position by the lowest basis index. Each basis builds one
 words.RedexIndex over its leading monomials and finds every redex through
 it, under that same policy. On bases of two-term polynomials the
 whole machine therefore behaves as string rewriting term by term.
-Every normal form is linear: monomial_forms memoizes the normal form N of
-every monomial a reduction passes through under binomial members, handing
-the rest of a reduction to _reduce at any other member, and a polynomial's
-is the sum of c . N(m) over its terms c . m. Completion, iso-check and the
-queries all take that walk; _reduce, which pops monomials greatest first
-from a heap and searches each once, runs reduce_with_steps and those
-handoffs. Every sum of terms goes through _add_term. Handed the last pass's
-input and records (its carry), a pass reuses their matches and raw
-S-polynomials, and reduces every S-polynomial.
+There is one reduction: monomial_forms memoizes the normal form N of
+every monomial a reduction passes through, and a polynomial's is the sum
+of c . N(m) over its terms c . m. That is the form that reducing the
+greatest reducible monomial first reaches, since nf is linear.
+Completion, iso-check and the queries all take it. Every sum of terms
+goes through _add_term. Handed the last pass's input and records (its
+carry), a pass reuses their matches and raw S-polynomials, and reduces
+every S-polynomial.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .completion import (
     DEFAULT_STEP_BUDGET,
@@ -359,148 +356,82 @@ class Basis:
         return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
 
 
-class ReductionStep(NamedTuple):
-    """One replacement p -> p - coeff . left . f[index] . right."""
-
-    coeff: object
-    left: Word
-    index: int
-    right: Word
-
-
-class _Greatest:
-    """Heap entry for one monomial. heapq pops its least entry, and a
-    greater monomial ranks lower here, so the heap pops the greatest."""
-
-    __slots__ = ("key", "word")
-
-    def __init__(self, key, word):
-        self.key = key
-        self.word = word
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-
-def reduce_with_steps(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET):
-    """Normal form plus the replay record of every replacement made.
-
-    Runs _reduce: one loop over one mutable term dict and a max-heap of its
-    monomials under the order (Monagan and Pearce, CASC 2007). Each step
-    pops monomials until one holds a redex, skipping any whose term has
-    cancelled. A monomial with no redex is final, since a step only adds
-    monomials below the one it reduces. The reducible term k.m, with m =
-    left.lm(f).right, leaves the dict, and k.left.t.right is added for every
-    negated tail term t of the member f (f is monic, so m cancels exactly).
-    A monomial enters the heap once, when it first appears. Raises
-    ReductionBudgetExceeded after max_steps steps without a further search.
-
-    The recorded steps witness membership: p - nf(p) equals the sum of
-    coeff . left . f . right over the steps, which tests/oracles.py
-    (replay_steps) rebuilds on plain term dicts.
-    """
-    _check_operand(basis, poly)
-    steps = []
-    return _reduce(basis, poly, max_steps, steps), tuple(steps)
-
-
-def _check_operand(basis, poly):
-    """Reject a polynomial over another field or alphabet than the basis,
-    once per public call; a polynomial holds one alphabet."""
+def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
+    """The normal form, the sum of c . N(m) over the terms c . m for one
+    monomial_forms memo N of the call; no result monomial contains a
+    leading monomial of the basis. max_steps bounds each term's call of N,
+    not the whole polynomial. A polynomial over another field or alphabet
+    than the basis is rejected; a polynomial holds one alphabet."""
     if poly.field != basis.field:
         raise ValueError("polynomial over a different scalar field than the basis")
     if poly.terms and next(iter(poly.terms)).alphabet != basis.alphabet:
         raise AlphabetMismatch("polynomial over a different alphabet than the basis")
-
-
-def _reduce(basis, poly, max_steps, steps):
-    """The normal form; each step is appended to steps unless it is None."""
-    field = basis.field
-    find = basis._index.find
-    key = basis.order.key
-    data = dict(poly.terms)
-    heap = [_Greatest(key(word), word) for word in data]
-    heapify(heap)
-    queued = set(data)
-    for _ in range(max_steps):
-        hit = None
-        while hit is None and heap:
-            word = heappop(heap).word
-            if word in data:
-                hit = find(word.letters)
-        if hit is None:
-            return NcPolynomial._raw(field, data)
-        pos, index, end = hit
-        coeff = data.pop(word)
-        alphabet, letters = word.alphabet, word.letters
-        lo, hi = letters[:pos], letters[end:]
-        if steps is not None:
-            steps.append(ReductionStep(coeff, Word._raw(alphabet, lo), index, Word._raw(alphabet, hi)))
-        for tail, c in basis._neg_tails[index]:
-            target = Word._raw(alphabet, lo + tail + hi)
-            _add_term(field, data, target, field.mul(coeff, c))
-            if target not in queued:
-                queued.add(target)
-                heappush(heap, _Greatest(key(target), target))
-    raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
-
-
-def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
-    """The normal form reduce_with_steps computes, as the sum of c . N(m)
-    over the terms c . m for one monomial_forms memo N of the call; no
-    result monomial contains a leading monomial of the basis. max_steps
-    bounds the first walk of each monomial within the call, not the steps
-    of the whole polynomial."""
-    _check_operand(basis, poly)
-    return _sum_forms(monomial_forms(basis, max_steps), poly)
+    return _sum_forms(monomial_forms(basis, max_steps), poly.field, poly.terms.items())
 
 
 def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
-    """N(m), the normal form _reduce computes for a monomial m over the
-    basis's alphabet (not checked), memoized on every monomial a reduction
-    passes through. A step of _reduce replaces the greatest reducible
-    monomial m by r(m), which depends on m alone, and m never reappears, so
-    nf is linear and N(m) = N(r(m)). Under a member of one tail with
-    coefficient one (a lockstep binomial) r(m) is one monomial: a miss walks
-    these steps to an irreducible or known monomial. A step by any other
-    member hands r(m) to _reduce. The walk and _reduce then share one
-    budget of max_steps steps; a call counts only the steps it adds to the
-    memo, so whether it raises ReductionBudgetExceeded depends on the calls
-    before it. max_steps is set by the budget tests only."""
+    """N(m), the normal form of a monomial m over the basis's alphabet (not
+    checked), memoized on every monomial a reduction passes through.
+
+    A step replaces m = lo.lm(f).hi, at the redex RedexIndex.find picks, by
+    the sum of c . lo.t.hi over the tail terms -c . t of the member f. It
+    depends on m alone and every lo.t.hi is below m, so nf is linear and
+    N(m) is the sum of c . N(lo.t.hi). Under a member of one tail with
+    coefficient one (a lockstep binomial) that is one monomial: a miss walks
+    these steps to an irreducible or known monomial, and every monomial of
+    the walk gets its form. Under any other member the walk waits on an
+    explicit stack, with the targets lo.t.hi above it, until each target has
+    a form; its form is then their sum. The stack and not the closure
+    itself holds the pending work, so the memo forms no reference cycle.
+
+    A call raises ReductionBudgetExceeded when it would search more than
+    max_steps monomials not yet in the memo, the irreducible one that ends
+    each walk included: a k-step walk needs k + 1, and a first call as many
+    as the distinct monomials reachable from m. Whether a call raises thus
+    depends on the calls before it. max_steps is set by the budget tests
+    only."""
     field, alphabet, one = basis.field, basis.alphabet, basis.field.one
     find, neg_tails = basis._index.find, basis._neg_tails
     forms = {}  # letters -> normal form
 
     def form(word):
-        letters, walk = word.letters, []
-        found = forms.get(letters)
-        while found is None:
-            if len(walk) == max_steps:
-                raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
-            walk.append(letters)
-            hit = find(letters)
-            if hit is None:
-                found = NcPolynomial._raw(field, {Word._raw(alphabet, letters): one})
-                break
-            pos, index, end = hit
-            tails, lo, hi = neg_tails[index], letters[:pos], letters[end:]
-            if len(tails) != 1 or tails[0][1] != one:
-                rest = {Word._raw(alphabet, lo + tail + hi): c for tail, c in tails}
-                found = _reduce(basis, NcPolynomial._raw(field, rest), max_steps - len(walk), None)
-                break
-            letters = lo + tails[0][0] + hi
-            found = forms.get(letters)
-        for letters in walk:
-            forms[letters] = found
+        todo, searched = [(word.letters, None)], 0
+        while todo:
+            head, targets = todo.pop()
+            if targets is None:  # a monomial to walk from
+                letters, walk, found = head, [], forms.get(head)
+            else:  # a waiting walk whose targets all have forms now
+                walk, found = head, _sum_forms(forms.__getitem__, field, targets)
+            while found is None:
+                if searched == max_steps:
+                    raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+                searched += 1
+                walk.append(letters)
+                hit = find(letters)
+                if hit is None:
+                    found = NcPolynomial._raw(field, {Word._raw(alphabet, letters): one})
+                    break
+                pos, index, end = hit
+                tails, lo, hi = neg_tails[index], letters[:pos], letters[end:]
+                if len(tails) != 1 or tails[0][1] != one:
+                    targets = [(lo + tail + hi, c) for tail, c in tails]
+                    todo.append((walk, targets))
+                    todo.extend((target, None) for target, _ in targets)
+                    break
+                letters = lo + tails[0][0] + hi
+                found = forms.get(letters)
+            if found is not None:
+                for letters in walk:
+                    forms[letters] = found
         return found
 
     return form
 
 
-def _sum_forms(form, poly):
-    """The sum of c . form(m) over the terms c . m of poly."""
-    field, data = poly.field, {}
-    for word, coeff in poly.terms.items():
+def _sum_forms(form, field, terms):
+    """The sum of c . form(m) over the pairs (m, c) of terms."""
+    data = {}
+    for word, coeff in terms:
         for target, c in form(word).terms.items():
             _add_term(field, data, target, field.mul(coeff, c))
     return NcPolynomial._raw(field, data)
@@ -525,7 +456,7 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     for i, j, m, raw in pair_sources(basis, basis._index, since, carried):
         if raw is None:
             raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
-        reduced = _sum_forms(reduce, raw)
+        reduced = _sum_forms(reduce, basis.field, raw.terms.items())
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
         records.append(PairRecord(i, j, m, raw, reduced, new))
     return records

@@ -71,16 +71,16 @@ def exhaustive_matches(l1, l2):
 
 
 def candidate_matches(l1, l2):
-    """Scalable oracle: build candidate superpositions by extending l1 with
-    every possible short word, then test the defining equations."""
+    """Scalable oracle: the containments, plus every overlap of a proper
+    suffix of one left side with a proper prefix of the other, found by
+    comparing the two letter runs for each overlap length: O(|l1| |l2|)."""
     out = _containments(l1, l2)
-    for x in all_words(l1.alphabet, len(l2) - 1):
-        s = l1.letters + x.letters
-        if len(s) > len(l2) and s[len(s) - len(l2):] == l2.letters:
-            out.add(("SuffixPrefix", (), x.letters, s[: len(s) - len(l2)], ()))
-        s = x.letters + l1.letters
-        if len(s) > len(l2) and s[: len(l2)] == l2.letters:
-            out.add(("PrefixSuffix", x.letters, (), (), s[len(l2):]))
+    a, b = l1.letters, l2.letters
+    for k in range(1, min(len(a), len(b))):
+        if a[len(a) - k:] == b[:k]:  # l1.v1 = u2.l2
+            out.add(("SuffixPrefix", (), b[k:], a[:len(a) - k], ()))
+        if b[len(b) - k:] == a[:k]:  # u1.l1 = l2.v2
+            out.add(("PrefixSuffix", b[:len(b) - k], (), (), a[k:]))
     return out
 
 
@@ -142,18 +142,6 @@ def shortlex_key(alphabet, precedence):
     return lambda word: (len(word.letters), [rank[ix] for ix in word.letters])
 
 
-def reference_step(lhss, poly, key):
-    """(coeff, left letters, index, right letters) of the first reduction
-    step: the greatest reducible monomial under key, then leftmost_redex."""
-    for word in sorted(poly.terms, key=key, reverse=True):
-        hit = leftmost_redex(lhss, word.letters)
-        if hit is not None:
-            pos, index = hit
-            end = pos + len(lhss[index])
-            return poly.terms[word], word.letters[:pos], index, word.letters[end:]
-    return None
-
-
 def reference_reduce(members, field, key, terms):
     """Full greatest-first reduction of a plain dict from words to scalars.
 
@@ -194,6 +182,13 @@ def reference_reduce(members, field, key, terms):
             data[target] = s
 
 
+def reference_reduce_on(basis, terms):
+    """reference_reduce of a plain dict over the members of a basis under a
+    shortlex order, as plain dicts."""
+    key = shortlex_key(basis.alphabet, basis.order.precedence)
+    return reference_reduce([dict(f.terms) for f in basis.polys], basis.field, key, terms)
+
+
 def term_sum(field, *terms):
     """The sum of plain dicts from words to scalars, through the field's add;
     a term that cancels is dropped."""
@@ -219,13 +214,39 @@ def term_product(field, *factors):
 
 
 def replay_steps(basis, steps):
-    """The sum of coeff . left . f . right over recorded reduction steps, as
-    a plain dict built by term_sum and term_product from the members' terms;
-    for the steps that reduce p to nf(p) it equals p - nf(p)."""
-    field = basis.field
-    return term_sum(field, *(term_product(field, {step.left: step.coeff},
-                                          basis.polys[step.index].terms, {step.right: field.one})
-                             for step in steps))
+    """The sum of coeff . left . f . right over reduction steps in the form
+    reference_reduce records them, as a plain dict built by term_sum and
+    term_product from the members' terms; for the steps that reduce p to
+    nf(p) it equals p - nf(p)."""
+    field, alphabet = basis.field, basis.alphabet
+    return term_sum(field, *(term_product(field, {Word(alphabet, left): coeff},
+                                          basis.polys[index].terms, {Word(alphabet, right): field.one})
+                             for coeff, left, index, right in steps))
+
+
+def reachable_monomials(basis, word):
+    """The distinct monomials reachable from word by first-redex steps over
+    the members of a basis under a shortlex order, word included: a monomial
+    with a leftmost_redex under the member f reaches left.t.right for every
+    term t of f but the leading one."""
+    key = shortlex_key(basis.alphabet, basis.order.precedence)
+    members = [f.terms for f in basis.polys]
+    lms = [max(member, key=key) for member in members]
+    lhss = [lm.letters for lm in lms]
+    seen, todo = {word}, [word]
+    while todo:
+        monomial = todo.pop()
+        hit = leftmost_redex(lhss, monomial.letters)
+        if hit is None:
+            continue
+        pos, index = hit
+        left, right = monomial.letters[:pos], monomial.letters[pos + len(lhss[index]):]
+        for tail in members[index]:
+            target = Word(word.alphabet, left + tail.letters + right)
+            if tail != lms[index] and target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
 
 
 def reduction_endpoints(system, word, memo=None):

@@ -15,6 +15,7 @@ from kbgb import Alphabet, ReductionBudgetExceeded, Word, correspondence, ncpoly
 from kbgb.cli import main as cli_main
 
 from helpers import ROOT, child_env, record_searches, record_walk, run_cli
+from test_golden import ALG_EXPLODE, ALG_EXPLODE_QUERY
 
 BASIC = """\
 mode: sgp
@@ -562,16 +563,20 @@ def _unreachable_after(argv):
 class TestCollectorOff:
     # main runs each command with the cyclic collector off, which is sound
     # only while the engines build no reference cycles: whatever a run leaves
-    # for the collector must be what a run of no passes leaves (argparse's)
+    # for the collector must be what a run of no passes leaves (argparse's).
+    # The ALG_EXPLODE rows reduce under a member that is not a binomial
     @pytest.mark.parametrize("argv", [
         *[[command, str(path), *extra, *CORPUS_LIMIT_ARGS]
           for path in CORPUS_FILES
           for command, *extra in (["lockstep"], ["complete"], ["iso-check", "-L", "4"])],
         ["lockstep", "EXPLODE", "--max-passes", "4"],
+        ["complete", "ALG_EXPLODE", "--max-passes", "3"],
+        ["nf", "ALG_EXPLODE", ALG_EXPLODE_QUERY, "--max-passes", "3"],
     ], ids=lambda argv: f"{argv[0]}-{argv[1].rsplit('/', 1)[-1].removesuffix('.pres')}")
     def test_runs_leave_no_cycles(self, pres, argv):
-        if argv[1] == "EXPLODE":
-            argv = [argv[0], pres(EXPLODE), *argv[2:]]
+        inline = {"EXPLODE": EXPLODE, "ALG_EXPLODE": ALG_EXPLODE}
+        if argv[1] in inline:
+            argv = [argv[0], pres(inline[argv[1]]), *argv[2:]]
         assert _unreachable_after(argv) == _unreachable_after([*argv, "--max-passes", "0"])
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

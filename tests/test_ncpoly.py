@@ -17,7 +17,6 @@ from kbgb import (
     NcPolynomial,
     PrimeField,
     ReductionBudgetExceeded,
-    ReductionStep,
     Word,
     buchberger,
     buchberger_pass,
@@ -32,7 +31,6 @@ from kbgb import (
     monomials_equal_mod_ideal,
     normal_form,
     poly_normal_form,
-    reduce_with_steps,
     render_poly,
     rules_to_basis,
     s_polynomials,
@@ -51,8 +49,9 @@ from helpers import (
 )
 from oracles import (
     all_words,
+    reachable_monomials,
     reference_reduce,
-    reference_step,
+    reference_reduce_on,
     replay_steps,
     shortlex_key,
     term_product,
@@ -75,10 +74,13 @@ def binomial_basis(rule_texts, field=QQ, letters="ab"):
     return rules_to_basis(make_system(rule_texts, letters=letters), field)
 
 
-def reduce_once(basis, p):
-    """p after the first recorded reduction step, or None if p is reduced."""
-    _, steps = reduce_with_steps(basis, p)
-    return p - NcPolynomial(p.field, replay_steps(basis, steps[:1])) if steps else None
+def membership_certificate(basis, p):
+    """N(p) by poly_normal_form, and the steps by which reference_reduce_on
+    takes p - N(p) to zero: nf is linear and N(p) is reduced, so it must."""
+    nf = poly_normal_form(basis, p)
+    steps, rest, _ = reference_reduce_on(basis, (p - nf).terms)
+    assert rest == {}
+    return nf, steps
 
 
 class TestFields:
@@ -192,19 +194,12 @@ class TestLeadingMonomialAndMonic:
 class TestReduction:
     def test_examples(self):
         basis = binomial_basis(["ba->ab"])
-        assert reduce_once(basis, poly(QQ, ("ba", 1), ("b", 1))) == \
+        assert poly_normal_form(basis, poly(QQ, ("ba", 1), ("b", 1))) == \
             poly(QQ, ("ab", 1), ("b", 1))
-        assert reduce_once(basis, poly(QQ, ("ab", 1), ("b", 1))) is None
+        reduced = poly(QQ, ("ab", 1), ("b", 1))
+        assert poly_normal_form(basis, reduced) == reduced
         basis2 = binomial_basis(["aa->a"])
-        assert reduce_once(basis2, poly(QQ, ("aa", 1), ("a", -1))).is_zero()
-
-    def test_step_record_fields_equality_and_repr(self):
-        _, steps = reduce_with_steps(binomial_basis(["ba->ab"]), poly(QQ, ("bba", 3)))
-        assert steps[0] == ReductionStep(3, w("b"), 0, w("1"))
-        assert steps[0] != ReductionStep(3, w("1"), 0, w("b"))
-        assert repr(steps[0]) == "ReductionStep(coeff=3, left=Word('b'), index=0, right=Word('1'))"
-        with pytest.raises(AttributeError):
-            steps[0].coeff = 1
+        assert poly_normal_form(basis2, poly(QQ, ("aa", 1), ("a", -1))).is_zero()
 
     def test_normal_form_examples(self):
         basis = binomial_basis(["ba->ab"])
@@ -231,49 +226,16 @@ class TestReduction:
     def test_replay_witnesses_membership(self):
         basis = binomial_basis(["ba->ab", "aa->a"])
         p = poly(QQ, ("baba", 2), ("ab", 1), ("b", -3))
-        nf, steps = reduce_with_steps(basis, p)
-        assert (p - nf).terms == replay_steps(basis, steps)
+        nf, steps = membership_certificate(basis, p)
+        assert steps and (p - nf).terms == replay_steps(basis, steps)
 
     def test_replay_on_general_polynomials(self):
         f = poly(QQ, ("ab", 1), ("a", Fraction(1, 2)), ("b", -1))
         basis = Basis(AB, ORDER, QQ, (f,))
         p = poly(QQ, ("abab", 3), ("abb", -2), ("b", 1))
-        nf, steps = reduce_with_steps(basis, p)
-        assert (p - nf).terms == replay_steps(basis, steps)
+        nf, steps = membership_certificate(basis, p)
+        assert steps and (p - nf).terms == replay_steps(basis, steps)
         assert poly_normal_form(basis, nf) == nf
-
-    def test_greatest_monomial_reduced_first(self):
-        basis = binomial_basis(["ba->ab"])
-        p = poly(QQ, ("bba", 1), ("ba", 1))
-        stepped = reduce_once(basis, p)
-        assert stepped == poly(QQ, ("bab", 1), ("ba", 1))
-
-    def test_first_step_matches_reference_redex_policy(self):
-        rng = random.Random(31)
-        features = set()
-        for _ in range(60):
-            system = random_redex_system(rng)
-            features |= redex_features(system)
-            alpha = system.alphabet
-            basis = rules_to_basis(system, QQ)
-            lhss = [rule.lhs.letters for rule in system.rules]
-            key = shortlex_key(alpha, system.order.precedence)
-            words = list(all_words(alpha, 5, min_len=0))
-            for _ in range(30):
-                p = NcPolynomial(QQ, [(rng.choice(words), rng.randint(-3, 3)) for _ in range(3)])
-                expected = reference_step(lhss, p, key)
-                _, steps = reduce_with_steps(basis, p)
-                once = reduce_once(basis, p)
-                if expected is None:
-                    assert steps == () and once is None
-                    continue
-                first = steps[0]
-                assert (first.coeff, first.left.letters, first.index, first.right.letters) == expected
-                coeff, left, index, right = expected
-                product = term_product(QQ, {Word(alpha, left): coeff}, basis.polys[index].terms,
-                                       {Word(alpha, right): 1})
-                assert once == p - NcPolynomial(QQ, product)
-        assert len(features) == 4
 
     @staticmethod
     def whole_reduction_inputs(field, kind):
@@ -294,30 +256,32 @@ class TestReduction:
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     @pytest.mark.parametrize("kind", ["general", "redex"])
     def test_whole_reduction_matches_reference(self, field, kind):
-        # every step and the normal form, against a plain-dict reduction
-        # that shares no reduction code with the engine
+        # the normal form against a plain-dict reduction that shares no
+        # reduction code with the engine; the redex bases have ties, left
+        # sides that are prefixes of others at a lower and at a higher
+        # index, and shuffled precedences, so the leftmost start and the
+        # lowest index decide the forms that are checked
         total_steps = 0
+        features = set()
         for basis, p in self.whole_reduction_inputs(field, kind):
-            key = shortlex_key(basis.alphabet, basis.order.precedence)
-            members = [dict(f.terms) for f in basis.polys]
-            expected_steps, expected_nf, _ = reference_reduce(members, field, key, p.terms)
-            nf, steps = reduce_with_steps(basis, p)
-            assert [(s.coeff, s.left.letters, s.index, s.right.letters)
-                    for s in steps] == expected_steps
-            assert nf.terms == expected_nf
+            if kind == "redex":
+                features |= redex_features(basis_to_rules(basis))
+            steps, expected_nf, _ = reference_reduce_on(basis, p.terms)
+            assert poly_normal_form(basis, p).terms == expected_nf
             total_steps += len(steps)
         assert total_steps > 2000
+        assert len(features) == (4 if kind == "redex" else 0)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     @pytest.mark.parametrize("kind", ["general", "redex"])
     def test_normal_form_is_reduction_without_steps(self, field, kind):
-        # poly_normal_form sums memoized monomial forms, reduce_with_steps
-        # runs the heap loop on the whole polynomial: linearity says the
-        # normal forms must not differ
+        # poly_normal_form makes no steps, but its form is a reduction: the
+        # reference's steps take p - N(p) to zero, and replayed on plain
+        # dicts they rebuild p - N(p), a membership certificate
         changed = 0
         for basis, p in self.whole_reduction_inputs(field, kind):
-            nf = poly_normal_form(basis, p)
-            assert nf == reduce_with_steps(basis, p)[0]
+            nf, steps = membership_certificate(basis, p)
+            assert (p - nf).terms == replay_steps(basis, steps)
             changed += nf != p
         assert changed > 500
 
@@ -326,7 +290,8 @@ class TestReduction:
         # 20-60-term polynomials over words up to length 8: many steps per
         # reduction, terms that cancel and are created again, and monomials
         # searched that stay in the normal form; poly_normal_form sums the
-        # monomials' memoized forms to the same normal form
+        # monomials' memoized forms to the reference's normal form, and the
+        # reference certifies it
         rng = random.Random(79)
         recreated = 0
         for _ in range(6):
@@ -344,12 +309,10 @@ class TestReduction:
                 p = NcPolynomial(field, [(word, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)))
                                          for word in words])
                 assert len(p.terms) == size
-                expected_steps, expected_nf, again = reference_reduce(members, field, key, p.terms)
-                nf, steps = reduce_with_steps(basis, p)
-                assert [(s.coeff, s.left.letters, s.index, s.right.letters)
-                        for s in steps] == expected_steps
+                _, expected_nf, again = reference_reduce(members, field, key, p.terms)
+                nf, steps = membership_certificate(basis, p)
                 assert nf.terms == expected_nf
-                assert poly_normal_form(basis, p).terms == expected_nf
+                assert (p - nf).terms == replay_steps(basis, steps)
                 recreated += len(again)
         assert recreated > 0
 
@@ -363,7 +326,7 @@ class TestReduction:
             basis = rules_to_basis(random_redex_system(rng), field)
             classes = {}
             for word in all_words(basis.alphabet, 5, min_len=0):
-                image = reduce_with_steps(basis, NcPolynomial(field, {word: 1}))[0]
+                image = poly_normal_form(basis, NcPolynomial(field, {word: 1}))
                 classes.setdefault(image, []).append(word)
             shared = [words for words in classes.values() if len(words) > 1]
             for _ in range(10):
@@ -373,22 +336,21 @@ class TestReduction:
                     c = rng.choice([-2, -1, 1, 2])
                     terms += [(u, c), (v, rng.choice([c, -c]))]
                 p = NcPolynomial(field, terms)
-                expected = reduce_with_steps(basis, p)[0]
+                expected = NcPolynomial(field, reference_reduce_on(basis, p.terms)[1])
                 assert poly_normal_form(basis, p) == expected
                 kept += len(expected.terms)
                 cancelled += len(pairs) - len(expected.terms)
         assert cancelled > 200 and kept > 200
 
     def test_budget_bounds_each_monomial_walk(self):
-        # under b.a - a.b, b.b.a.a takes 4 steps and b.a one: the heap loop
-        # counts 5 for their sum, poly_normal_form each monomial's first walk
+        # under b.a - a.b, b.b.a.a takes 4 steps and b.a one: a reduction
+        # of their sum makes 5, poly_normal_form bounds each monomial's walk
         basis = binomial_basis(["ba->ab"])
         p = poly(QQ, ("bbaa", 1), ("ba", 1))
-        nf, steps = reduce_with_steps(basis, p, 6)
+        steps, expected, _ = reference_reduce_on(basis, p.terms)
+        nf = NcPolynomial(QQ, expected)
         assert (nf, len(steps)) == (poly(QQ, ("aabb", 1), ("ab", 1)), 5)
         assert poly_normal_form(basis, p, 5) == nf
-        with pytest.raises(ReductionBudgetExceeded, match="within 5 steps"):
-            reduce_with_steps(basis, p, 5)
         with pytest.raises(ReductionBudgetExceeded, match="within 4 steps"):
             poly_normal_form(basis, p, 4)
 
@@ -403,14 +365,13 @@ class TestReduction:
             members = [dict(p.terms) for p in basis.polys]
             for word in rng.sample(list(all_words(system.alphabet, 6)), 10):
                 p = NcPolynomial(QQ, {word: 1})
-                k = len(reference_reduce(members, QQ, key, p.terms)[0])
-                nf, steps = reduce_with_steps(basis, p, k + 1)
-                assert len(steps) == k
-                assert poly_normal_form(basis, p, k + 1) == nf
+                steps, expected, _ = reference_reduce(members, QQ, key, p.terms)
+                k = len(steps)
+                nf = poly_normal_form(basis, p, k + 1)
+                assert nf.terms == expected
                 (image,) = nf.terms
                 assert normal_form(system, word, k + 1) == image
-                for run in (lambda: reduce_with_steps(basis, p, k),
-                            lambda: poly_normal_form(basis, p, k),
+                for run in (lambda: poly_normal_form(basis, p, k),
                             lambda: normal_form(system, word, k)):
                     with pytest.raises(ReductionBudgetExceeded, match=f"within {k} steps"):
                         run()
@@ -434,7 +395,7 @@ class TestMonomialForms:
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     def test_matches_poly_normal_form_on_general_bases(self, field):
         # one memo per basis, fed its monomials in a shuffled order, against
-        # the heap loop
+        # the reference
         rng = random.Random(83)
         combined = 0
         for _ in range(12):
@@ -444,23 +405,25 @@ class TestMonomialForms:
                 words = list(all_words(basis.alphabet, 5, min_len=0))
                 rng.shuffle(words)
                 for word in words:
-                    expected = reduce_with_steps(basis, NcPolynomial(field, {word: 1}))[0]
+                    expected = NcPolynomial(field, reference_reduce_on(basis, {word: field.one})[1])
                     assert form(word) == expected
                     combined += len(expected.terms) > 1
         assert combined > 1000
 
     def test_budget_counts_the_steps_of_a_first_call(self):
-        # the same budget as reduce_with_steps: a k-step reduction needs k + 1
+        # a first call searches once each of the k monomials reachable from
+        # m by first-redex steps, the irreducible ones included: it raises
+        # at max_steps k - 1 and returns the reference's form at k
         rng = random.Random(89)
         for _ in range(8):
             general = random_general_basis(rng)
             for basis in (general, with_random_binomial(rng, general)):
                 for word in all_words(basis.alphabet, 4, min_len=0):
-                    monomial = NcPolynomial(QQ, {word: 1})
-                    steps = len(reduce_with_steps(basis, monomial)[1])
-                    with pytest.raises(ReductionBudgetExceeded):
-                        monomial_forms(basis, max_steps=steps)(word)
-                    assert monomial_forms(basis, max_steps=steps + 1)(word) == reduce_with_steps(basis, monomial)[0]
+                    k = len(reachable_monomials(basis, word))
+                    with pytest.raises(ReductionBudgetExceeded, match=f"within {k - 1} steps"):
+                        monomial_forms(basis, max_steps=k - 1)(word)
+                    expected = reference_reduce_on(basis, {word: 1})[1]
+                    assert monomial_forms(basis, max_steps=k)(word).terms == expected
         # a.a.a.a.a walks four steps under a.a - a
         with pytest.raises(ReductionBudgetExceeded):
             monomial_forms(binomial_basis(["aa->a"]), max_steps=4)(w("aaaaa"))
@@ -622,7 +585,7 @@ class TestBuchberger:
         assert monomials_equal_mod_ideal(G, w("bab"), w("bab"))
 
     def test_monomials_equal_is_reduction_of_the_difference(self):
-        # every pair of words up to length 3, against the heap loop on m1 - m2,
+        # every pair of words up to length 3, against the reference on m1 - m2,
         # on completed lockstep bases and one of three-term members
         rng = random.Random(101)
         three_term = [make_monic(poly(QQ, ("ba", 2), ("ab", -1), ("a", 5)), ORDER),
@@ -641,24 +604,20 @@ class TestBuchberger:
             for m1 in words:
                 for m2 in words:
                     diff = NcPolynomial(basis.field, {m1: 1}) - NcPolynomial(basis.field, {m2: 1})
-                    expected = reduce_with_steps(basis, diff)[0].is_zero()
+                    expected = not reference_reduce_on(basis, diff.terms)[1]
                     assert monomials_equal_mod_ideal(basis, m1, m2) == expected
                     verdicts.add((expected, m1 != m2))
         assert verdicts == {(True, False), (True, True), (False, True)}
 
     def test_queries_take_the_monomial_walk(self, monkeypatch):
-        # on a lockstep binomial basis neither query runs the heap loop
-        import kbgb.ncpoly as ncpoly
-
+        # on a completed lockstep basis a query searches each monomial that
+        # its terms reach once, and answers as the reference does
         G = buchberger(binomial_basis(["aba->b"])).state
         p = poly(QQ, ("bbaa", 1), ("aabb", -1), ("abab", 2))
-        nf = reduce_with_steps(G, p)[0]
-
-        def refuse(*args):
-            raise AssertionError("the heap loop ran")
-
-        monkeypatch.setattr(ncpoly, "_reduce", refuse)
-        assert poly_normal_form(G, p) == nf
+        reached = set().union(*(reachable_monomials(G, word) for word in p.terms))
+        searches = record_searches(monkeypatch)
+        assert poly_normal_form(G, p).terms == reference_reduce_on(G, p.terms)[1]
+        assert sorted(searches) == sorted((word.letters,) for word in reached)
         assert monomials_equal_mod_ideal(G, w("bbaa"), w("aabb"))
         assert not monomials_equal_mod_ideal(G, w("ab"), w("ba"))
 
@@ -739,8 +698,6 @@ class TestForeignOperands:
     @pytest.mark.parametrize("call, error, message", [
         (lambda basis: poly_normal_form(basis, NcPolynomial(QQ, {xyz("yx"): 1})),
          AlphabetMismatch, "polynomial over a different alphabet than the basis"),
-        (lambda basis: reduce_with_steps(basis, NcPolynomial(QQ, {xyz("yx"): 1})),
-         AlphabetMismatch, "polynomial over a different alphabet than the basis"),
         (lambda basis: poly_normal_form(basis, poly(PrimeField(3), ("ba", 2))),
          ValueError, "polynomial over a different scalar field than the basis"),
         (lambda basis: monomials_equal_mod_ideal(basis, xyz("yx"), xyz("xy")),
@@ -751,7 +708,7 @@ class TestForeignOperands:
          AlphabetMismatch, "polynomials over different alphabets"),
         (lambda basis: is_irreducible(basis_to_rules(basis), xyz("yx")),
          AlphabetMismatch, "word over a different alphabet"),
-    ], ids=["nf-alphabet", "steps-alphabet", "nf-field", "equal-alphabet",
+    ], ids=["nf-alphabet", "nf-field", "equal-alphabet",
             "equal-second-alphabet", "sub", "irreducible"])
     def test_rejected(self, call, error, message):
         with pytest.raises(ValueError, match=f"^{message}$") as info:

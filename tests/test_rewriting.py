@@ -351,6 +351,9 @@ class TestKnuthBendix:
             assert is_locally_confluent(system)
         assert not is_locally_confluent(ABA_B)
         assert is_locally_confluent(make_system([]))
+        # 16-letter left sides, each overlapping itself at 1 to 15 letters
+        assert is_locally_confluent(make_system(["a" * 16 + "->a"]))
+        assert not is_locally_confluent(make_system(["ab" * 8 + "->b"]))
 
     def test_unique_endpoints_after_completion(self):
         for start in (BA_AB, AA_A, ABA_B, make_system(["ab->a", "ba->a"])):

@@ -31,8 +31,6 @@ MODULES = sorted(path.stem for path in Path(kbgb.__file__).parent.glob("*.py")
 # unreached from the command line, and kept
 KEPT = {
     "rewriting.is_irreducible": "the correctness gate of perfbench/queries.py calls it",
-    "ncpoly.reduce_with_steps": "its step record is what a certificate replay checks "
-                                "(tests/oracles.py replay_steps); perfbench/tracer.py names it",
     "words.Word.__repr__": "a readable word in assertion diffs",
     "ncpoly.NcPolynomial.__repr__": "a readable polynomial in assertion diffs",
     "words.MonomialOrder.__eq__": "orders compare by value, so equal states compare equal",
@@ -140,3 +138,4 @@ def test_reexports_are_named_or_imported():
     unused = [name for name in exported
               if name not in imported and not re.search(rf"\b{name}\b", library)]
     assert unused == []
+    assert len(exported) == 41
