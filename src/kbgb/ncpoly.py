@@ -81,9 +81,6 @@ class RationalField:
     def is_negative(self, a) -> bool:
         return a < 0
 
-    def magnitude_str(self, a) -> str:
-        return str(-a if a < 0 else a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -161,9 +158,6 @@ class PrimeField:
     def is_negative(self, a) -> bool:
         # treat residues above p/2 as negatives, so F3 prints like {-1,0,1}
         return 2 * a > self.p
-
-    def magnitude_str(self, a) -> str:
-        return str(self.p - a if self.is_negative(a) else a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -264,14 +258,11 @@ class NcPolynomial:
             return NcPolynomial._raw(f, {})
         return NcPolynomial._raw(f, {w: f.mul(k, c) for w, k in self.terms.items()})
 
-    def sandwich(self, left: Word, right: Word) -> "NcPolynomial":
-        """left . p . right; the cofactors are words."""
+    def sandwich(self, lo: tuple, hi: tuple) -> "NcPolynomial":
+        """lo . p . hi for letter tuples lo and hi over p's alphabet (not checked)."""
         if self.is_zero():
             return self
-        alphabet = left.alphabet
-        if right.alphabet != alphabet or next(iter(self.terms)).alphabet != alphabet:
-            raise AlphabetMismatch("sandwich cofactors over a different alphabet")
-        lo, hi = left.letters, right.letters
+        alphabet = next(iter(self.terms)).alphabet
         return NcPolynomial._raw(
             self.field,
             {Word._raw(alphabet, lo + w.letters + hi): c for w, c in self.terms.items()},
@@ -442,10 +433,10 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     reduced against the basis, in the examination order of RedexIndex.overlaps.
     A carry, the last pass's (input basis, records), lends raw S-polynomials.
 
-    A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, and the raw
-    S-polynomial is u1.f1.v1 - u2.f2.v2: both members are monic, so the
-    superposition cancels, leaving the difference of its two one-step
-    reducts.
+    A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
+    letter tuples, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2 (two
+    sandwiches): both members are monic, so that monomial cancels, leaving
+    the difference of its two one-step reducts.
 
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
@@ -453,7 +444,7 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     reduce = monomial_forms(basis)
     records = []
     since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
-    for i, j, m, raw in pair_sources(basis, basis._index, since, carried):
+    for i, j, m, raw in pair_sources(basis._index, since, carried):
         if raw is None:
             raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
         reduced = _sum_forms(reduce, basis.field, raw.terms.items())
@@ -518,7 +509,7 @@ def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
     parts = []
     for word, coeff in poly.sorted_terms(order):
         negative = field.is_negative(coeff)
-        magnitude = field.magnitude_str(coeff)
+        magnitude = str(field.neg(coeff) if negative else coeff)
         if len(word) == 0:
             body = magnitude
         elif magnitude == "1":

@@ -269,7 +269,7 @@ def parse_presentation(text: str) -> PresentationFile:
     else:
         raise ParseError(lineno, f"unknown order kind: {kind!r}")
 
-    rules = []
+    rules = {}  # Rule -> (lhs, rhs), in source order
     polys_raw = []
     for lineno, where, body in items:
         if where == "rules":
@@ -280,11 +280,14 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, f"malformed rule (expected 'lhs -> rhs'): {body!r}")
             lhs = _parse_word(lineno, alphabet, lhs_text.strip())
             rhs = _parse_word(lineno, alphabet, rhs_text.strip())
-            if len(lhs) == 0:
-                raise ParseError(lineno, "rule left side must be nonempty")
-            if mode == "sgp" and len(rhs) == 0:
-                raise ParseError(lineno, "empty right side needs mon mode")
-            rules.append((lhs, rhs))
+            rule = Rule(lhs, rhs)
+            try:  # the rule system's own checks, at the rule's line
+                RewriteSystem(alphabet, order, (rule,), MONOID if mode == "mon" else SEMIGROUP)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if rule in rules:
+                raise ParseError(lineno, f"duplicate rule: {rule.render()}")
+            rules[rule] = (lhs, rhs)
         else:
             if mode != "alg":
                 raise ParseError(lineno, "polys section requires alg mode")
@@ -296,4 +299,4 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, str(exc)) from None
             polys_raw.append(terms)
 
-    return PresentationFile(mode, alphabet, order, field_name, tuple(rules), tuple(polys_raw))
+    return PresentationFile(mode, alphabet, order, field_name, tuple(rules.values()), tuple(polys_raw))

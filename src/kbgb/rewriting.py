@@ -161,19 +161,21 @@ def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
 def critical_pairs(system: RewriteSystem, carry=None) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
-    RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, and its
-    raw critical pair is (u1.r1.v1, u2.r2.v2). A carry, the last pass's
-    (input system, pairs), lends their matches and raw pairs (pair_sources).
+    RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, its
+    witnesses letters, and its raw critical pair is (u1.r1.v1, u2.r2.v2), one
+    Word each. A carry, the last pass's (input system, pairs), lends their
+    matches and raw pairs (pair_sources).
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
     pairs = []
-    rules = system.rules
+    rules, alphabet = system.rules, system.alphabet
     reduce = normal_forms(system)
     since, carried = (len(carry[0].rules), carry[1]) if carry else (0, ())
-    for i, j, m, raw in pair_sources(system, system._index, since, carried):
+    for i, j, m, raw in pair_sources(system._index, since, carried):
         if raw is None:
-            raw = (m.u1 * rules[i].rhs * m.v1, m.u2 * rules[j].rhs * m.v2)
+            raw = (Word._raw(alphabet, m.u1 + rules[i].rhs.letters + m.v1),
+                   Word._raw(alphabet, m.u2 + rules[j].rhs.letters + m.v2))
         c1 = reduce(raw[0])
         c2 = reduce(raw[1])
         if c1 == c2:

@@ -4,10 +4,10 @@ Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words stored as index sequences,
 shortlex and weighted-shortlex orderings, the redex index both engines
 search, and the four configurations in which two left-hand sides can share
-ground on a common superposition word. One walk of an engine's redex index
-yields every match of every pair of its left sides; there is no subword
-search and no search of one pair at a time, and a walk can skip the pairs
-of patterns all below a given index.
+ground on one word. One walk of an engine's redex index yields every match
+of every pair of its left sides, as letters; there is no subword search and
+no search of one pair at a time, and a walk can skip the pairs of patterns
+all below a given index.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ class RedexIndex:
                 return pos, best, end
         return None
 
-    def overlaps(self, alphabet, since=0):
+    def overlaps(self, since=0):
         """Every match of every ordered pair (i, j) of patterns with i or j
-        at least since (every pair by default), as (i, j, match).
+        at least since (every pair by default), as (i, j, match); it builds no Word.
 
         This is the examination order of a completion pass in both engines:
         first index, then second index, then match kind, then witness
@@ -311,14 +311,11 @@ class RedexIndex:
         find each match, so those below since walk a trie of patterns[since:]."""
         patterns = self._patterns
         newer = _trie(patterns[since:], since) if since else self._root
-        empty = Word._raw(alphabet, ())
         found = []
         for i, letters in enumerate(patterns):
             root = self._root if i >= since else newer
             n = len(letters)
-            p = Word._raw(alphabet, letters)
             for start in range(n):
-                u = None if start else empty  # built on the first match: most walks find none
                 node = root.get(letters[start])
                 at = start + 1
                 while node is not None:
@@ -328,30 +325,24 @@ class RedexIndex:
                         for j in ends:
                             if j != i:
                                 found.append((i, j, 0, 0, 0, 0, 0, OverlapMatch(
-                                    MatchKind.CONTAINMENT_12, empty, empty, empty, empty, p)))
+                                    MatchKind.CONTAINMENT_12, (), (), (), ())))
                     elif ends is not None:
-                        if u is None:
-                            u = Word._raw(alphabet, letters[:start])
-                        v = Word._raw(alphabet, letters[at:])
+                        u, v = letters[:start], letters[at:]
                         for j in ends:
                             found.append((i, j, 0, 0, 0, start, n - at, OverlapMatch(
-                                MatchKind.CONTAINMENT_12, empty, empty, u, v, p)))
+                                MatchKind.CONTAINMENT_12, (), (), u, v)))
                             found.append((j, i, 1, start, n - at, 0, 0, OverlapMatch(
-                                MatchKind.CONTAINMENT_21, u, v, empty, empty, p)))
+                                MatchKind.CONTAINMENT_21, u, v, (), ())))
                     if at == n:
                         if start:
-                            shared = n - start
+                            u, shared = letters[:start], n - start
                             for j in node[_BELOW]:
-                                rest = patterns[j][shared:]
-                                if rest:
-                                    if u is None:
-                                        u = Word._raw(alphabet, letters[:start])
-                                    v = Word._raw(alphabet, rest)
-                                    sup = Word._raw(alphabet, letters + rest)
-                                    found.append((i, j, 2, 0, len(rest), start, 0, OverlapMatch(
-                                        MatchKind.SUFFIX_PREFIX, empty, v, u, empty, sup)))
-                                    found.append((j, i, 3, start, 0, 0, len(rest), OverlapMatch(
-                                        MatchKind.PREFIX_SUFFIX, u, empty, empty, v, sup)))
+                                v = patterns[j][shared:]
+                                if v:
+                                    found.append((i, j, 2, 0, len(v), start, 0, OverlapMatch(
+                                        MatchKind.SUFFIX_PREFIX, (), v, u, ())))
+                                    found.append((j, i, 3, start, 0, 0, len(v), OverlapMatch(
+                                        MatchKind.PREFIX_SUFFIX, u, (), (), v)))
                         break
                     node = node.get(letters[at])
                     at += 1
@@ -370,20 +361,18 @@ class MatchKind(enum.Enum):
 
 
 class OverlapMatch(NamedTuple):
-    """One configuration of two left-hand sides, with its context witnesses.
+    """One configuration of two left-hand sides, with its letter-tuple witnesses.
 
-    In every configuration u1.l1.v1 = superposition = u2.l2.v2; the
-    witnesses a configuration does not use are the empty word, so the
-    kind only labels which ones are empty. The superposition is the
-    smallest word on which both sides apply.
+    In every configuration u1.l1.v1 = u2.l2.v2, the smallest word on which
+    both sides apply; the witnesses a configuration does not use are empty,
+    so the kind only labels which ones are empty.
     """
 
     kind: MatchKind
-    u1: Word
-    v1: Word
-    u2: Word
-    v2: Word
-    superposition: Word
+    u1: tuple
+    v1: tuple
+    u2: tuple
+    v2: tuple
 
     def witness_lengths(self):
         return (len(self.u1), len(self.v1), len(self.u2), len(self.v2))

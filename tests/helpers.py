@@ -23,6 +23,8 @@ from kbgb import (
 from kbgb.cli import main as cli_main
 from kbgb.words import RedexIndex
 
+from oracles import interreduce, letter_key, reference_completion
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -205,11 +207,28 @@ def redex_features(system):
     return found
 
 
+REFERENCE_CAPS = (30, 200, 60)  # rounds, rules, word length
+
+
+def reference_systems(initial, final):
+    """(final's rules interreduced, reference_completion of initial's
+    rules), as letter tuples under the oracle key of initial's declared
+    order. When final is complete for the congruence of initial, the two
+    are the one reduced complete system and equal."""
+    order = initial.order
+    key = letter_key(initial.alphabet, order.precedence, order.weights)
+
+    def letters(system):
+        return [(rule.lhs.letters, rule.rhs.letters) for rule in system.rules]
+
+    return interreduce(letters(final), key), reference_completion(letters(initial), key, REFERENCE_CAPS)
+
+
 def pair_matches(l1, l2, include_identity=False):
     """The matches of pair (0, 1) of the left sides [l1, l2], in walk
     order. The identity containment of two equal sides, every witness
     empty, is left out unless asked for."""
-    return [m for i, j, m in RedexIndex([l1.letters, l2.letters]).overlaps(l1.alphabet)
+    return [m for i, j, m in RedexIndex([l1.letters, l2.letters]).overlaps()
             if (i, j) == (0, 1) and (include_identity or any(m.witness_lengths()))]
 
 

@@ -20,10 +20,7 @@ def all_words(alpha, max_len, min_len=1):
 
 def match_set(matches):
     """(kind name, u1, v1, u2, v2), the witnesses as letter tuples, of each match."""
-    return {
-        (m.kind.value, m.u1.letters, m.v1.letters, m.u2.letters, m.v2.letters)
-        for m in matches
-    }
+    return {(m.kind.value, m.u1, m.v1, m.u2, m.v2) for m in matches}
 
 
 def _containments(l1, l2):
@@ -136,10 +133,21 @@ def reference_reduce_once(system, word):
                 + word.letters[pos + len(rule.lhs.letters):])
 
 
-def shortlex_key(alphabet, precedence):
-    """Sort key of shortlex under a precedence list of generator names."""
+def letter_key(alphabet, precedence, weights=None):
+    """Sort key on letter tuples under a precedence list of generator names:
+    shortlex (length, then ranks), or with weights, one per letter index,
+    wtlex (total weight, then length, then ranks)."""
     rank = {alphabet.symbols.index(name): pos for pos, name in enumerate(precedence)}
-    return lambda word: (len(word.letters), [rank[ix] for ix in word.letters])
+    if weights is None:
+        return lambda letters: (len(letters), [rank[ix] for ix in letters])
+    return lambda letters: (sum(weights[ix] for ix in letters), len(letters),
+                            [rank[ix] for ix in letters])
+
+
+def shortlex_key(alphabet, precedence):
+    """Sort key of shortlex on words, under a precedence list of generator names."""
+    key = letter_key(alphabet, precedence)
+    return lambda word: key(word.letters)
 
 
 def reference_reduce(members, field, key, terms):
@@ -278,6 +286,84 @@ def is_locally_confluent(system):
             if len(reduction_endpoints(system, superposition, memo)) != 1:
                 return False
     return True
+
+
+# A reference completion on letter tuples: a rule is a pair (lhs, rhs) of
+# letter tuples, oriented so that key(lhs) > key(rhs). Reduction is naive
+# (leftmost_redex), and the overlaps are found by comparing each proper
+# suffix of one left side with the prefix of another.
+
+def _reduce(rules, letters):
+    """The normal form of letters under rules, leftmost redex first."""
+    lhss = [lhs for lhs, _ in rules]
+    while True:
+        hit = leftmost_redex(lhss, letters)
+        if hit is None:
+            return letters
+        pos, index = hit
+        lhs, rhs = rules[index]
+        letters = letters[:pos] + rhs + letters[pos + len(lhs):]
+
+
+def _orient(key, x, y):
+    return (x, y) if key(x) > key(y) else (y, x)
+
+
+def interreduce(rules, key):
+    """The rules simplified one at a time, each against all the others as
+    they stand: a rule whose left side another rule reduces leaves, and
+    its sides, reduced by the rest, come back as a rule unless they meet;
+    otherwise its right side becomes its normal form. Sequential, so the
+    congruence is kept: a.b->a, a.b->b leaves b->a, a.a->a. A complete
+    system goes to its unique reduced form; returned sorted by key."""
+    rules = list(dict.fromkeys(rules))
+    k = 0
+    while k < len(rules):
+        lhs, rhs = rules[k]
+        others = rules[:k] + rules[k + 1:]
+        if leftmost_redex([l for l, _ in others], lhs) is not None:
+            rules = others
+            x, y = _reduce(rules, lhs), _reduce(rules, rhs)
+            if x != y and _orient(key, x, y) not in rules:
+                rules.append(_orient(key, x, y))
+            k = 0
+            continue
+        nf = _reduce(rules, rhs)
+        if nf != rhs:
+            rules[k] = (lhs, nf)
+            k = 0
+            continue
+        k += 1
+    return sorted(rules, key=lambda rule: (key(rule[0]), key(rule[1])))
+
+
+def reference_completion(rules, key, caps):
+    """The reduced complete system of rules, pairs of letter tuples oriented
+    here by key, or None when it is not reached within caps, (rounds,
+    rules, word length). Each round interreduces, then adds every critical
+    pair of a suffix-prefix overlap whose two sides do not meet; a round
+    that adds none ends it. For a fixed order the reduced complete system
+    is unique (Metivier, IPL 16, 1983), so this is an exact target for any
+    completion that stops."""
+    max_rounds, max_rules, max_len = caps
+    rules = [_orient(key, x, y) for x, y in rules if x != y]
+    for _ in range(max_rounds):
+        rules = interreduce(rules, key)
+        if len(rules) > max_rules or any(len(w) > max_len for rule in rules for w in rule):
+            return None
+        fresh = []
+        for l1, r1 in rules:
+            for l2, r2 in rules:
+                for k in range(1, min(len(l1), len(l2))):
+                    if l1[len(l1) - k:] == l2[:k]:  # l1.v = u.l2
+                        x = _reduce(rules, r1 + l2[k:])
+                        y = _reduce(rules, l1[:len(l1) - k] + r2)
+                        if x != y:
+                            fresh.append(_orient(key, x, y))
+        if not fresh:
+            return rules
+        rules = rules + fresh
+    return None
 
 
 class _UnionFind:

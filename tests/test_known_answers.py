@@ -7,8 +7,9 @@ goes unseen while it keeps them in step. These presentations have a word
 problem and an order decided by integer arithmetic in tests/oracles.py.
 Each one must complete in lockstep to Corresponds, and its complete rule
 set must give (a) every bounded word an equal normal form, (b) distinct
-normal forms to distinct elements, and (c) exactly as many irreducible
-words as the group has elements.
+normal forms to distinct elements, (c) exactly as many irreducible
+words as the group has elements, and (d) interreduced, equal the reduced
+complete system that the engine-free reference completion reaches.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import pytest
 from kbgb import QQ, lockstep_passes, normal_form, parse_presentation
 
 from conftest import CORPUS_LIMITS as LIMITS
+from helpers import reference_systems
 from oracles import abelian_group, all_words, dihedral_group, irreducible_words, symmetric_group
 
 
@@ -52,3 +54,5 @@ def test_complete_system_decides_the_known_group(group, bound):
     irreducible = irreducible_words(lhss, len(system.alphabet), order)
     assert not any(equal(u, v) for u, v in itertools.combinations(irreducible, 2))
     assert len(irreducible) == order
+    reduced, reference = reference_systems(system, complete)
+    assert reduced == reference

@@ -165,7 +165,7 @@ class TestPolynomialArithmetic:
 
     def test_sandwich(self):
         p = poly(QQ, ("ba", 1), ("b", -1))
-        q = p.sandwich(w("a"), w("b"))
+        q = p.sandwich(w("a").letters, w("b").letters)
         assert q == poly(QQ, ("abab", 1), ("abb", -1))
 
     def test_field_mix_rejected(self):
@@ -483,11 +483,16 @@ class TestSPolynomials:
             basis = random_general_basis(rng)
             precedence = basis.order.precedence
             for rec in s_polynomials(basis):
-                m = rec.match
-                first = term_product(QQ, {m.u1: 1}, basis.polys[rec.first].terms, {m.v1: 1})
-                second = term_product(QQ, {m.u2: -1}, basis.polys[rec.second].terms, {m.v2: 1})
+                m, alphabet = rec.match, basis.alphabet
+                f1, f2 = basis.polys[rec.first], basis.polys[rec.second]
+                first = term_product(QQ, {Word(alphabet, m.u1): 1}, f1.terms, {Word(alphabet, m.v1): 1})
+                second = term_product(QQ, {Word(alphabet, m.u2): -1}, f2.terms, {Word(alphabet, m.v2): 1})
                 assert rec.raw.terms == term_sum(QQ, first, second)
-                assert m.superposition not in rec.raw.terms
+                lm1 = leading_monomial(f1, basis.order)[0].letters
+                lm2 = leading_monomial(f2, basis.order)[0].letters
+                superposition = m.u1 + lm1 + m.v1
+                assert superposition == m.u2 + lm2 + m.v2
+                assert Word(alphabet, superposition) not in rec.raw.terms
                 shapes.add((m.kind, precedence != basis.alphabet.symbols,
                             any(c.denominator != 1 for c in rec.raw.terms.values())))
         assert {kind for kind, _, _ in shapes} == set(MatchKind)

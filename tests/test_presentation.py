@@ -54,10 +54,11 @@ class TestParseRules:
                                     system.alphabet.parse_word("ba"))
 
     def test_misoriented_rule_fails_at_system_build(self):
+        # the parser builds each rule's one-rule system, so it fails at the rule's line
         text = BASIC.replace("b.a -> a.b", "a.b -> b.a")
-        pf = parse_presentation(text)
-        with pytest.raises(ValueError):
-            pf.system()
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert info.value.line == 5
 
     def test_monoid_empty_rhs(self):
         text = "mode: mon\nalphabet: a\norder: shortlex a\nrules:\n  a.a -> 1\n"
@@ -154,11 +155,14 @@ class TestParseErrorLines:
         (WTLEX.replace("a < b", "a"), 4, "precedence must list every generator exactly once"),
         (BASIC.replace("shortlex", "lex"), 3, "unknown order kind: 'lex'"),
         (BASIC.replace("b.a -> a.b", "1 -> a"), 5, "rule left side must be nonempty"),
+        (BASIC.replace("b.a -> a.b", "a -> b.b"), 5, "rule is not oriented descending: a->b.b"),
+        (BASIC + "  a.b.a -> a\n  ba -> ab\n", 7, "duplicate rule: b.a->a.b"),
         (ALG_F3 + "  1/3*a - b\n", 6, "denominator of 1/3 vanishes mod 3"),
     ], ids=["chain", "chain-missing-lt", "no-colon", "section-value", "second-section",
             "directive-after-section", "mode", "empty-alphabet", "shortlex-unknown",
             "wtlex-unknown", "wtlex-duplicate", "wtlex-missing", "precedence-unknown",
-            "precedence-cover", "order-kind", "empty-left-side", "vanishing-denominator"])
+            "precedence-cover", "order-kind", "empty-left-side", "misoriented-rule",
+            "duplicate-rule", "vanishing-denominator"])
     def test_line_and_message(self, text, line, message):
         with pytest.raises(ParseError) as info:
             parse_presentation(text)

@@ -239,9 +239,9 @@ class TestCriticalPairs:
                 m = cp.match
                 r1 = system.rules[cp.first]
                 r2 = system.rules[cp.second]
-                assert m.u1 * r1.lhs * m.v1 == m.superposition
-                assert m.u2 * r2.lhs * m.v2 == m.superposition
-                assert cp.raw == (m.u1 * r1.rhs * m.v1, m.u2 * r2.rhs * m.v2)
+                assert m.u1 + r1.lhs.letters + m.v1 == m.u2 + r2.lhs.letters + m.v2
+                assert cp.raw == (Word(system.alphabet, m.u1 + r1.rhs.letters + m.v1),
+                                  Word(system.alphabet, m.u2 + r2.rhs.letters + m.v2))
 
     def test_new_rule_sides_are_normal_forms(self):
         rng = random.Random(19)

@@ -154,7 +154,7 @@ class TestRedexIndex:
 
     def test_overlap_candidates(self):
         def pairs(patterns):
-            return {(i, j) for i, j, _ in RedexIndex(patterns).overlaps(Alphabet("abc"))}
+            return {(i, j) for i, j, _ in RedexIndex(patterns).overlaps()}
 
         # aab and acb share letters, but neither is a factor of the other and
         # no suffix of one begins the other; ab, ba, abab and a second ab all
@@ -189,18 +189,19 @@ class TestFindMatches:
         assert len(matches) == 1
         m = matches[0]
         assert m.kind is MatchKind.CONTAINMENT_12
-        assert (m.u2, m.v2) == (w("a"), w("a"))
-        assert m.superposition == w("abba")
+        assert (m.u2, m.v2) == (w("a").letters, w("a").letters)
+        assert m.u2 + w("bb").letters + m.v2 == w("abba").letters
 
     def test_self_overlap_example(self):
         matches = pair_matches(w("aba"), w("aba"))
-        kinds = [(m.kind, m.superposition) for m in matches]
+        aba = w("aba").letters
+        kinds = [(m.kind, m.u1 + aba + m.v1, m.u2 + aba + m.v2) for m in matches]
         assert kinds == [
-            (MatchKind.SUFFIX_PREFIX, w("ababa")),
-            (MatchKind.PREFIX_SUFFIX, w("ababa")),
+            (MatchKind.SUFFIX_PREFIX, w("ababa").letters, w("ababa").letters),
+            (MatchKind.PREFIX_SUFFIX, w("ababa").letters, w("ababa").letters),
         ]
         sp = matches[0]
-        assert (sp.v1, sp.u2) == (w("ba"), w("ab"))
+        assert (sp.v1, sp.u2) == (w("ba").letters, w("ab").letters)
 
     def test_no_self_overlap(self):
         assert pair_matches(w("ba"), w("ba")) == []
@@ -216,16 +217,18 @@ class TestFindMatches:
         for _ in range(300):
             l1 = Word(AB, [rng.randrange(2) for _ in range(rng.randint(1, 4))])
             l2 = Word(AB, [rng.randrange(2) for _ in range(rng.randint(1, 4))])
+            a, b = l1.letters, l2.letters
             for m in pair_matches(l1, l2):
+                assert m.u1 + a + m.v1 == m.u2 + b + m.v2
                 if m.kind is MatchKind.CONTAINMENT_12:
-                    assert m.u2 * l2 * m.v2 == l1 == m.superposition
+                    assert m.u2 + b + m.v2 == a
                 elif m.kind is MatchKind.CONTAINMENT_21:
-                    assert m.u1 * l1 * m.v1 == l2 == m.superposition
+                    assert m.u1 + a + m.v1 == b
                 elif m.kind is MatchKind.SUFFIX_PREFIX:
-                    assert l1 * m.v1 == m.u2 * l2 == m.superposition
-                    assert 1 <= len(l1) - len(m.u2) < min(len(l1), len(l2)) + 1
+                    assert a + m.v1 == m.u2 + b
+                    assert 1 <= len(a) - len(m.u2) < min(len(a), len(b)) + 1
                 else:
-                    assert m.u1 * l1 == l2 * m.v2 == m.superposition
+                    assert m.u1 + a == b + m.v2
 
     @given(nonempty_ab, nonempty_ab)
     @settings(max_examples=250, deadline=None)
@@ -238,12 +241,12 @@ class TestFindMatches:
         # l1.v1 = u2.l2 read with the arguments swapped is u1.l2 = l1.v2
         # with u1 = u2 and v2 = v1
         forward = {
-            (m.v1.letters, m.u2.letters)
+            (m.v1, m.u2)
             for m in pair_matches(l1, l2)
             if m.kind is MatchKind.SUFFIX_PREFIX
         }
         mirrored = {
-            (m.v2.letters, m.u1.letters)
+            (m.v2, m.u1)
             for m in pair_matches(l2, l1)
             if m.kind is MatchKind.PREFIX_SUFFIX
         }
@@ -261,7 +264,7 @@ class TestOverlaps:
             system = random_redex_system(rng)
             features |= redex_features(system)
             lhss = [rule.lhs for rule in system.rules]
-            stream = RedexIndex([lhs.letters for lhs in lhss]).overlaps(system.alphabet)
+            stream = RedexIndex([lhs.letters for lhs in lhss]).overlaps()
             pairs = [(i, j) for i, j, _ in stream]
             assert pairs == sorted(pairs)  # row-major, j ascending
             got = {}
@@ -290,10 +293,10 @@ class TestOverlaps:
         for system in systems:
             lhss = [rule.lhs for rule in system.rules]
             index = RedexIndex([lhs.letters for lhs in lhss])
-            whole = index.overlaps(system.alphabet)
+            whole = index.overlaps()
             expected = reference_overlaps(lhss)
             for k in range(len(lhss) + 1):
-                stream = index.overlaps(system.alphabet, since=k)
+                stream = index.overlaps(since=k)
                 assert stream == [entry for entry in whole if max(entry[:2]) >= k]
                 got = {}
                 for i, j, m in stream:
@@ -303,3 +306,18 @@ class TestOverlaps:
                 identity |= {("across" if min(i, j) < k else "above")
                              for i, j, m in stream if m.witness_lengths() == (0, 0, 0, 0)}
         assert identity == {"across", "above"}
+
+    def test_walk_builds_no_words(self, monkeypatch):
+        # a match is letter tuples sliced from the patterns: neither walk
+        # builds a Word on either path
+        rng = random.Random(43)
+        indexes = [RedexIndex([rule.lhs.letters for rule in random_redex_system(rng).rules])
+                   for _ in range(20)]
+        built = []
+        monkeypatch.setattr(Word, "_raw", classmethod(lambda cls, *args: built.append(args)))
+        monkeypatch.setattr(Word, "__init__", lambda word, *args: built.append(args))
+        walks = [(index.overlaps(), index.overlaps(since=1)) for index in indexes]
+        assert built == []
+        assert all(whole and since for whole, since in walks)
+        assert all(type(witness) is tuple
+                   for whole, _ in walks for _, _, m in whole for witness in m[1:])
