@@ -82,19 +82,15 @@ def split_binomial(poly: NcPolynomial, order) -> tuple:
     return lhs, rhs
 
 
-def basis_to_rules(basis: Basis, mode: str | None = None) -> RewriteSystem:
+def basis_to_rules(basis: Basis) -> RewriteSystem:
     """Inverse translation; every member must be a monic l - r polynomial.
 
     The basis does not remember whether empty words are allowed, so the
-    mode is inferred (monoid when some right side is empty) unless given.
+    mode is inferred: monoid when some right side is empty.
     """
-    rules = []
-    for poly in basis.polys:
-        lhs, rhs = split_binomial(poly, basis.order)
-        rules.append(Rule(lhs, rhs))
-    if mode is None:
-        mode = MONOID if any(len(r.rhs) == 0 for r in rules) else SEMIGROUP
-    return RewriteSystem(basis.alphabet, basis.order, tuple(rules), mode)
+    rules = tuple(Rule(*split_binomial(poly, basis.order)) for poly in basis.polys)
+    mode = MONOID if any(len(r.rhs) == 0 for r in rules) else SEMIGROUP
+    return RewriteSystem(basis.alphabet, basis.order, rules, mode)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ class ParseError(ValueError):
 class PresentationFile:
     """Parsed form of one presentation file.
 
+    ``rules`` holds the Rules the parser checked, in source order;
     ``polys_raw`` keeps the source coefficients exactly (as Fractions, in
     source order) so a basis can be built over any requested field.
     """
@@ -62,12 +63,7 @@ class PresentationFile:
         if self.mode == "alg":
             raise ValueError("an alg presentation has no rewrite rules")
         mode = MONOID if self.mode == "mon" else SEMIGROUP
-        return RewriteSystem(
-            self.alphabet,
-            self.order,
-            tuple(Rule(lhs, rhs) for lhs, rhs in self.rules),
-            mode,
-        )
+        return RewriteSystem(self.alphabet, self.order, self.rules, mode)
 
     def field(self):
         return field_from_name(self.field_name or "Q")
@@ -269,7 +265,7 @@ def parse_presentation(text: str) -> PresentationFile:
     else:
         raise ParseError(lineno, f"unknown order kind: {kind!r}")
 
-    rules = {}  # Rule -> (lhs, rhs), in source order
+    rules = {}  # Rule -> None, in source order
     polys_raw = []
     for lineno, where, body in items:
         if where == "rules":
@@ -287,7 +283,7 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, str(exc)) from None
             if rule in rules:
                 raise ParseError(lineno, f"duplicate rule: {rule.render()}")
-            rules[rule] = (lhs, rhs)
+            rules[rule] = None
         else:
             if mode != "alg":
                 raise ParseError(lineno, "polys section requires alg mode")
@@ -299,4 +295,4 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, str(exc)) from None
             polys_raw.append(terms)
 
-    return PresentationFile(mode, alphabet, order, field_name, tuple(rules.values()), tuple(polys_raw))
+    return PresentationFile(mode, alphabet, order, field_name, tuple(rules), tuple(polys_raw))

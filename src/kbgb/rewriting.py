@@ -6,11 +6,12 @@ words.RedexIndex over its left sides and finds every redex through it,
 under that same policy. A completion pass computes every
 critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
-rules are never removed or rewritten mid-run. Because the system is fixed
-for the pass, a normal form depends on the word alone, nf(w) = nf(step(w)),
-and a pass memoizes it on every word a reduction passes through
-(normal_forms). Handed the last pass's input and pairs (its carry), a pass
-reuses their matches and raw critical pairs but still reduces every pair.
+rules are never removed or rewritten mid-run. Because the system is fixed,
+a normal form depends on the word alone, nf(w) = nf(step(w)), and the one
+reduction, normal_forms, memoizes it on every word a reduction passes
+through, for one pass, one iso-check or one query. Handed the last pass's
+input and pairs (its carry), a pass reuses their matches and raw critical
+pairs but still reduces every pair.
 """
 
 from __future__ import annotations
@@ -80,21 +81,19 @@ class RewriteSystem:
                 raise ValueError(f"duplicate rule: {rule.render()}")
             seen.add(rule)
         object.__setattr__(self, "_index", RedexIndex(r.lhs.letters for r in self.rules))
-        object.__setattr__(
-            self, "_max_lhs", max((len(r.lhs) for r in self.rules), default=1)
-        )
 
     def with_rules(self, extra) -> "RewriteSystem":
         return RewriteSystem(self.alphabet, self.order, self.rules + tuple(extra), self.mode)
 
 
-def _rewrite_at(system, wl, start):
-    """Leftmost rewrite at a position >= start: (new letters, position)."""
-    hit = system._index.find(wl, start)
+def _rewrite_at(system, wl):
+    """The letters after one rewrite of the redex RedexIndex.find picks, or
+    None when the letters are irreducible."""
+    hit = system._index.find(wl)
     if hit is None:
-        return None, -1
+        return None
     pos, index, end = hit
-    return wl[:pos] + system.rules[index].rhs.letters + wl[end:], pos
+    return wl[:pos] + system.rules[index].rhs.letters + wl[end:]
 
 
 def is_irreducible(system: RewriteSystem, word: Word) -> bool:
@@ -105,54 +104,41 @@ def is_irreducible(system: RewriteSystem, word: Word) -> bool:
 
 
 def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP_BUDGET) -> Word:
-    """Reduce to a fixed point; terminates because every step descends.
-
-    Each step rewrites the leftmost redex, at the lowest rule index on
-    ties (_rewrite_at); after a rewrite at position p the scan resumes at
-    p - max_lhs + 1, which is where the leftmost new redex can first appear.
-    """
+    """The normal form of the word, by a normal_forms memo of its own."""
     if word.alphabet != system.alphabet:
         raise AlphabetMismatch("word over a different alphabet")
-    wl = word.letters
-    back = system._max_lhs - 1
-    scan_from = 0
-    for _ in range(max_steps):
-        nxt, pos = _rewrite_at(system, wl, scan_from)
-        if nxt is None:
-            # nothing right of the resume point, and the skipped prefix is
-            # redex-free by the resume invariant
-            return Word._raw(system.alphabet, wl)
-        wl = nxt
-        scan_from = pos - back if pos > back else 0
-    raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+    return normal_forms(system, max_steps)(word)
 
 
 def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
-    """nf(word) = normal_form(system, word) for a word over the system's
-    alphabet (not checked), memoized on every word a reduction passes
-    through: a miss walks normal_form's resume loop to a fixed point or a
-    known word, then records what it found for every word on the walk. A
-    walk of max_steps steps raises ReductionBudgetExceeded; a call counts
-    only the steps it adds to the memo, so whether it raises depends on the
-    calls before it. max_steps is set by the budget tests only."""
-    alphabet, back = system.alphabet, system._max_lhs - 1
+    """nf(word), the normal form of a word over the system's alphabet (not
+    checked), memoized on every word a reduction passes through.
+
+    A step rewrites the leftmost redex, at the lowest rule index on ties
+    (_rewrite_at), and every step descends, so a miss walks these steps to
+    an irreducible or known word, and every word of the walk gets its form:
+    the binomial walk of ncpoly.monomial_forms.
+
+    A call raises ReductionBudgetExceeded when it would search more than
+    max_steps words not yet in the memo, the irreducible one that ends the
+    walk included: a k-step walk needs k + 1. Whether a call raises thus
+    depends on the calls before it. max_steps is set by the budget tests
+    only."""
+    alphabet = system.alphabet
     forms = {}  # letters -> normal form
 
     def nf(word):
-        wl, walk, scan_from = word.letters, [], 0
-        found = forms.get(wl)
+        letters, walk = word.letters, []
+        found = forms.get(letters)
         while found is None:
             if len(walk) == max_steps:
                 raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
-            walk.append(wl)
-            nxt, pos = _rewrite_at(system, wl, scan_from)
-            if nxt is None:
-                found = Word._raw(alphabet, wl)
-            else:
-                wl, scan_from = nxt, (pos - back if pos > back else 0)
-                found = forms.get(wl)
-        for wl in walk:
-            forms[wl] = found
+            walk.append(letters)
+            nxt = _rewrite_at(system, letters)
+            found = Word._raw(alphabet, letters) if nxt is None else forms.get(nxt)
+            letters = nxt
+        for letters in walk:
+            forms[letters] = found
         return found
 
     return nf
@@ -206,8 +192,12 @@ def knuth_bendix(system: RewriteSystem, limits: CompletionLimits = CompletionLim
 
 
 def words_equal(system: RewriteSystem, w1: Word, w2: Word) -> bool:
-    """Decide w1 = w2 in the presented semigroup; needs a complete system."""
-    return normal_form(system, w1) == normal_form(system, w2)
+    """Decide w1 = w2 in the presented semigroup, nf(w1) == nf(w2) for one
+    normal_forms memo nf; needs a complete system."""
+    if w1.alphabet != system.alphabet or w2.alphabet != system.alphabet:
+        raise AlphabetMismatch("word over a different alphabet")
+    nf = normal_forms(system)
+    return nf(w1) == nf(w2)
 
 
 def bounded_words(system: RewriteSystem, max_len: int):

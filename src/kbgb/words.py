@@ -274,13 +274,14 @@ class RedexIndex:
         self._patterns = patterns = tuple(patterns)
         self._root = _trie(patterns)
 
-    def find(self, letters, start=0):
-        """(pos, index, end) of the leftmost pattern occurrence at or after
-        start, with the lowest index among the patterns occurring there:
-        letters[pos:end] is pattern number index. None if nothing occurs."""
+    def find(self, letters):
+        """(pos, index, end) of the leftmost pattern occurrence, with the
+        lowest index among the patterns occurring there: letters[pos:end] is
+        pattern number index. None if nothing occurs. Every reduction in
+        both engines picks its redex here."""
         root = self._root
         n = len(letters)
-        for pos in range(start, n):
+        for pos in range(n):
             node = root.get(letters[pos])
             best = None
             at = pos

@@ -23,7 +23,7 @@ def _presentation_text(system):
         system.alphabet,
         system.order,
         None,
-        tuple((r.lhs, r.rhs) for r in system.rules),
+        system.rules,
     )
     return render_presentation(pf)
 

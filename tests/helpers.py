@@ -59,8 +59,8 @@ def render_presentation(pf):
             lines.append(f"  {text}")
     else:
         lines.append("rules:")
-        for lhs, rhs in pf.rules:
-            lines.append(f"  {lhs.dotted()} -> {rhs.dotted()}")
+        for rule in pf.rules:
+            lines.append(f"  {rule.lhs.dotted()} -> {rule.rhs.dotted()}")
     return "\n".join(lines) + "\n"
 
 

@@ -133,6 +133,14 @@ def reference_reduce_once(system, word):
                 + word.letters[pos + len(rule.lhs.letters):])
 
 
+def reference_normal_form(system, word):
+    """reference_reduce_once iterated to a fixed point."""
+    nxt = reference_reduce_once(system, word)
+    while nxt is not None:
+        word, nxt = nxt, reference_reduce_once(system, nxt)
+    return word
+
+
 def letter_key(alphabet, precedence, weights=None):
     """Sort key on letter tuples under a precedence list of generator names:
     shortlex (length, then ranks), or with weights, one per letter index,

@@ -87,7 +87,7 @@ class TestTranslation:
             system = random_system(rng)
             for field in (QQ, F3):
                 basis = rules_to_basis(system, field)
-                back = basis_to_rules(basis, mode=system.mode)
+                back = basis_to_rules(basis)
                 assert back == system
                 assert rules_to_basis(back, field).polys == basis.polys
 
@@ -392,9 +392,8 @@ class TestFieldInvariance:
             assert lasts[0].verdict == lasts[1].verdict
             assert len(runs[0]) == len(runs[1])
             assert lasts[0].rewriting.state.rules == lasts[1].rewriting.state.rules
-            assert [basis_to_rules(r.polynomials.state, mode=system.mode).rules
-                    for r in lasts[:1]] == \
-                [basis_to_rules(r.polynomials.state, mode=system.mode).rules for r in lasts[1:]]
+            assert [basis_to_rules(r.polynomials.state).rules for r in lasts[:1]] == \
+                [basis_to_rules(r.polynomials.state).rules for r in lasts[1:]]
 
 
 class TestIsoCheck:

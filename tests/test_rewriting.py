@@ -37,6 +37,7 @@ from oracles import (
     is_locally_confluent,
     one_step_reducts,
     reduction_endpoints,
+    reference_normal_form,
     reference_reduce_once,
 )
 
@@ -50,9 +51,9 @@ def w(text, system=BA_AB):
 
 
 def first_step(system, word):
-    """The engine's rewrite of the word from its start, the first step that
-    normal_form and normal_forms take; None if the word is irreducible."""
-    letters, _ = _rewrite_at(system, word.letters, 0)
+    """The engine's rewrite of the word, the first step that normal_forms
+    takes; None if the word is irreducible."""
+    letters = _rewrite_at(system, word.letters)
     return None if letters is None else Word(system.alphabet, letters)
 
 
@@ -132,6 +133,13 @@ class TestNormalForm:
                 assert first_step(system, nf) is None
                 assert nf in reduction_endpoints(system, word)
 
+    def test_matches_reference_normal_form(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            system = random_redex_system(rng)
+            for word in all_words(system.alphabet, 6, min_len=0):
+                assert normal_form(system, word) == reference_normal_form(system, word)
+
     @given(st.lists(st.integers(0, 1), max_size=6))
     @settings(max_examples=100)
     def test_idempotent(self, letters):
@@ -158,7 +166,7 @@ class TestNormalForms:
         for _ in range(15):
             system = random_redex_system(rng)
             words = list(bounded_words(system, 6))
-            expected = [normal_form(system, word) for word in words]
+            expected = [reference_normal_form(system, word) for word in words]
             shuffled = list(range(len(words)))
             rng.shuffle(shuffled)
             for order in (range(len(words)), reversed(range(len(words))), shuffled):
@@ -179,7 +187,10 @@ class TestNormalForms:
                 # the same budget as normal_form: a k-step reduction needs k + 1
                 with pytest.raises(ReductionBudgetExceeded):
                     normal_forms(system, max_steps=steps)(word)
-                assert normal_forms(system, max_steps=steps + 1)(word) == normal_form(system, word)
+                with pytest.raises(ReductionBudgetExceeded):
+                    normal_form(system, word, max_steps=steps)
+                assert normal_forms(system, max_steps=steps + 1)(word) == \
+                    reference_normal_form(system, word)
 
     def test_every_word_on_a_walk_is_recorded(self, monkeypatch):
         # a.a.a.a walks through a.a.a and a.a to a; each then answers with
@@ -189,6 +200,13 @@ class TestNormalForms:
         searches = record_searches(monkeypatch)
         assert [nf(w(text, AA_A)) for text in ("aaa", "aa", "a")] == [w("a", AA_A)] * 3
         assert searches == []
+
+    def test_words_equal_shares_one_memo(self, monkeypatch):
+        # a.a.a.a walks through a.a.a, so the second word costs no search;
+        # two separate reductions would search 4 + 3 words
+        searches = record_searches(monkeypatch)
+        assert words_equal(AA_A, w("aaaa", AA_A), w("aaa", AA_A))
+        assert len(searches) == 4
 
 
 class TestCriticalPairs:
@@ -261,7 +279,7 @@ class TestCriticalPairs:
             system = random_redex_system(rng)
             pairs = critical_pairs(system)
             for cp in pairs:
-                assert cp.reduced == (normal_form(system, cp.raw[0]), normal_form(system, cp.raw[1]))
+                assert cp.reduced == tuple(reference_normal_form(system, raw) for raw in cp.raw)
                 changed += cp.reduced != cp.raw
             words = [word for cp in pairs for word in cp.raw]
             repeats += len(words) - len(set(words))
