@@ -6,9 +6,11 @@ or a failed engine check (a reduction budget or the two-term closure).
 Output is byte-identical across runs for identical inputs and flags.
 
 ``complete`` and ``lockstep`` print each pass as it ends and hold only the
-last one, so a run that ends in exit 3 keeps the passes that finished; a
-closed stdout (``| head``) ends the run with exit 1. A command runs with
-the cyclic garbage collector off, and ``main`` puts back the state it found.
+last one, so a run that ends in exit 3 keeps the passes that finished. A
+pass is written in blocks of 64 KiB as its lines are rendered and is never
+held as text; a closed stdout (``| head``) stops the run with exit 1 at the
+next block written. A command runs with the cyclic garbage collector off,
+and ``main`` puts back the state it found.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_LIMIT = 2
 EXIT_DIVERGENCE = 3
+
+BLOCK = 1 << 16  # characters of output joined into one write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,17 +104,30 @@ def _word(pf, text):
     return word
 
 
+def _blocks(lines):
+    """The lines, each ended by a newline, joined into blocks of at least
+    BLOCK characters; the last block may be shorter."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) + 1
+        if size >= BLOCK:
+            yield "\n".join(block) + "\n"
+            block, size = [], 0
+    if block:
+        yield "\n".join(block) + "\n"
+
+
 def _emit(lines, args) -> None:
-    """Write lines to stdout and the --trace file (made by the first block), and flush."""
-    if not lines:
-        return
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    """Write an iterable of lines to stdout and the --trace file (made by the
+    first line written), one block at a time, then flush stdout."""
+    for block in _blocks(lines):
+        sys.stdout.write(block)
+        if args.trace:
+            with open(args.trace, "a" if args.traced else "w") as trace:
+                trace.write(block)
+            args.traced = True
     sys.stdout.flush()
-    if args.trace:
-        with open(args.trace, "a" if args.traced else "w") as trace:
-            trace.write(text)
-        args.traced = True
 
 
 def _lockstep_system(args, pf):
@@ -145,7 +162,7 @@ def cmd_complete(args) -> int:
     else:
         start, one_pass, line = pf.system(), rewriting.kb_pass, rewriting.pair_line
     for last in completion.passes(start, one_pass, _limits(args)):
-        _emit([line(last.index, rec) for rec in last.records], args)
+        _emit((line(last.index, rec) for rec in last.records), args)
     final = last.state
     if pf.mode == "alg":
         members = [f"poly: {render_poly(poly, final.order)}" for poly in final.polys]

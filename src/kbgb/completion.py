@@ -65,7 +65,7 @@ class CompletionLimits:
             raise ValueError("max_rules and max_word_length must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairRecord:
     """One examined pair of members, from one match of their left sides.
 

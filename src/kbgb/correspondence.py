@@ -115,9 +115,8 @@ def _source_key(rec) -> tuple:
 def _check_pass(kb, gb, field) -> LockstepPass:
     """One pass of each engine with the three checks, and the run's
     verdict when the run ends at this pass."""
-    pair_keys = [_source_key(cp) for cp in kb.records]
-    record_keys = [_source_key(rec) for rec in gb.records]
-    sources_ok = pair_keys == record_keys
+    sources_ok = len(kb.records) == len(gb.records) and all(
+        _source_key(cp) == _source_key(rec) for cp, rec in zip(kb.records, gb.records))
     pairs_ok = sources_ok
     detail = verdict = None
     if sources_ok:
@@ -131,12 +130,17 @@ def _check_pass(kb, gb, field) -> LockstepPass:
                       else f"content mismatch at {where}: rule {cp.new.render()}")
             break
     else:
+        pair_keys = [_source_key(cp) for cp in kb.records]
+        record_keys = [_source_key(rec) for rec in gb.records]
         pair_set, record_set = set(pair_keys), set(record_keys)
         only_pairs = [k for k in pair_keys if k not in record_set]
         only_records = [k for k in record_keys if k not in pair_set]
         detail = f"sources differ: overlaps-only={only_pairs} matches-only={only_records}"
-    wanted = {rule_binomial(rule, field) for rule in kb.state.rules}
-    sets_ok = set(gb.state.polys) == wanted
+    # neither state holds a duplicate and rule_binomial is injective, so the
+    # sets are equal exactly when these hold
+    polys = set(gb.state.polys)
+    sets_ok = len(polys) == len(kb.state.rules) and all(
+        rule_binomial(rule, field) in polys for rule in kb.state.rules)
     if not sets_ok and detail is None:
         detail = "next basis is not the translation of the next rule set"
     if detail is not None:
@@ -174,18 +178,17 @@ def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = Com
             return
 
 
-def pass_lines(p: LockstepPass, order) -> list:
-    """Both engines' trace lines of one pass, then its check summary; none
-    for pass 0."""
+def pass_lines(p: LockstepPass, order):
+    """Both engines' trace lines of one pass, then its check summary, each
+    rendered when it is asked for; none for pass 0."""
     kb, gb = p.rewriting, p.polynomials
     if not kb.index:
-        return []
+        return
     flag = {True: "ok", False: "FAIL"}
-    lines = [pair_line(kb.index, cp) for cp in kb.records]
-    lines.extend(record_line(gb.index, rec, order) for rec in gb.records)
-    lines.append(f"pass={kb.index} checks: sources={flag[p.sources_ok]} "
-                 f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
-    return lines
+    yield from (pair_line(kb.index, cp) for cp in kb.records)
+    yield from (record_line(gb.index, rec, order) for rec in gb.records)
+    yield (f"pass={kb.index} checks: sources={flag[p.sources_ok]} "
+           f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
 
 
 def verdict_lines(last: LockstepPass) -> list:

@@ -234,39 +234,12 @@ class NcPolynomial:
             self._hash = hash((self.field, frozenset(self.terms.items())))
         return self._hash
 
-    def _check(self, other):
-        if not isinstance(other, NcPolynomial):
-            raise TypeError(f"expected a polynomial, got {other!r}")
-        if other.field != self.field:
-            raise ValueError("polynomials over different scalar fields")
-        if (self.terms and other.terms
-                and next(iter(self.terms)).alphabet != next(iter(other.terms)).alphabet):
-            raise AlphabetMismatch("polynomials over different alphabets")
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _add_term(f, data, word, f.neg(coeff))
-        return NcPolynomial._raw(f, data)
-
     def scaled(self, coeff) -> "NcPolynomial":
         f = self.field
         c = f.coerce(coeff)
         if c == f.zero:
             return NcPolynomial._raw(f, {})
         return NcPolynomial._raw(f, {w: f.mul(k, c) for w, k in self.terms.items()})
-
-    def sandwich(self, lo: tuple, hi: tuple) -> "NcPolynomial":
-        """lo . p . hi for letter tuples lo and hi over p's alphabet (not checked)."""
-        if self.is_zero():
-            return self
-        alphabet = next(iter(self.terms)).alphabet
-        return NcPolynomial._raw(
-            self.field,
-            {Word._raw(alphabet, lo + w.letters + hi): c for w, c in self.terms.items()},
-        )
 
     def sorted_terms(self, order: MonomialOrder) -> list:
         return [(w, self.terms[w]) for w in sorted(self.terms, key=order.key, reverse=True)]
@@ -434,20 +407,27 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     A carry, the last pass's (input basis, records), lends raw S-polynomials.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
-    letter tuples, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2 (two
-    sandwiches): both members are monic, so that monomial cancels, leaving
-    the difference of its two one-step reducts.
+    letter tuples, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
+    members are monic, so that monomial cancels, and the raw S-polynomial
+    is the sum of -c . u1.t.v1 over the tail terms -c . t of f1 and of
+    c . u2.t.v2 over those of f2. The monomial that cancels is never built.
 
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
     """
+    field, alphabet, neg_tails = basis.field, basis.alphabet, basis._neg_tails
     reduce = monomial_forms(basis)
     records = []
     since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
     for i, j, m, raw in pair_sources(basis._index, since, carried):
         if raw is None:
-            raw = basis.polys[i].sandwich(m.u1, m.v1) - basis.polys[j].sandwich(m.u2, m.v2)
-        reduced = _sum_forms(reduce, basis.field, raw.terms.items())
+            data = {}
+            for tail, c in neg_tails[i]:
+                _add_term(field, data, Word._raw(alphabet, m.u1 + tail + m.v1), field.neg(c))
+            for tail, c in neg_tails[j]:
+                _add_term(field, data, Word._raw(alphabet, m.u2 + tail + m.v2), c)
+            raw = NcPolynomial._raw(field, data)
+        reduced = _sum_forms(reduce, field, raw.terms.items())
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
         records.append(PairRecord(i, j, m, raw, reduced, new))
     return records

@@ -41,7 +41,7 @@ SEMIGROUP = "semigroup"
 MONOID = "monoid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """Oriented rewrite rule; the left side is greater under the order."""
 

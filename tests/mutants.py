@@ -122,6 +122,16 @@ MUTANTS = {
         ("ncpoly.py", "_sum_forms(forms.__getitem__, field, targets)",
          "_sum_forms(lambda m: form(Word._raw(alphabet, m)), field, targets)"),
     ),
+    # member j's tail terms enter the raw S-polynomial with the wrong sign
+    "s-poly-tail-sign": (
+        ("ncpoly.py", "_add_term(field, data, Word._raw(alphabet, m.u2 + tail + m.v2), c)",
+         "_add_term(field, data, Word._raw(alphabet, m.u2 + tail + m.v2), field.neg(c))"),
+    ),
+    # the sets check only asks that every translated rule is in the basis
+    "sets-check-no-length": (
+        ("correspondence.py", "sets_ok = len(polys) == len(kb.state.rules) and all(",
+         "sets_ok = all("),
+    ),
     "rewrite-keeps-last-letter": (
         ("rewriting.py", "system.rules[index].rhs.letters + wl[end:]",
          "system.rules[index].rhs.letters + wl[end - 1:]"),

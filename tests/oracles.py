@@ -8,7 +8,7 @@ the functions under test.
 import itertools
 import math
 
-from kbgb import MONOID, Word
+from kbgb import MONOID, NcPolynomial, Word
 
 
 def all_words(alpha, max_len, min_len=1):
@@ -217,6 +217,12 @@ def term_sum(field, *terms):
             else:
                 out[word] = s
     return out
+
+
+def poly_difference(p, q):
+    """p - q for two polynomials over one field, by term_sum."""
+    field = p.field
+    return NcPolynomial(field, term_sum(field, p.terms, {w: field.neg(c) for w, c in q.terms.items()}))
 
 
 def term_product(field, *factors):

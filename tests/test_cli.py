@@ -15,6 +15,7 @@ from kbgb import Alphabet, ReductionBudgetExceeded, Word, correspondence, ncpoly
 from kbgb.cli import main as cli_main
 
 from helpers import ROOT, child_env, record_searches, record_walk, run_cli
+from oracles import poly_difference
 from test_golden import ALG_EXPLODE, ALG_EXPLODE_QUERY
 
 BASIC = """\
@@ -85,6 +86,18 @@ class ClosedAfterFirstPass(io.StringIO):
     def write(self, text):
         if self.getvalue():
             raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class WriteSizes(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
         return super().write(text)
 
 
@@ -417,7 +430,7 @@ class TestErrorsAndExitCodes:
             m, lm = first.match, ncpoly.leading_monomial(basis.polys[first.first], basis.order)[0]
             superposition = Word(basis.alphabet, m.u1 + lm.letters + m.v1)
             extra = ncpoly.NcPolynomial(basis.field, {superposition: -1})
-            return [dataclasses.replace(first, raw=first.raw - extra), *rest]
+            return [dataclasses.replace(first, raw=poly_difference(first.raw, extra)), *rest]
 
         monkeypatch.setattr(ncpoly, "s_polynomials", widened)
         text = ALG_BINOMIAL.replace("b.a - a.b", "a.b.a - b")
@@ -507,6 +520,38 @@ class TestStreaming:
             err = proc.stderr.read()
             code = proc.wait(timeout=120)
         assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("command", ["lockstep", "complete"])
+    def test_a_pass_is_written_in_blocks(self, pres, command):
+        # explode's pass 5 is 3.9 MB of lockstep trace, once one write
+        out = WriteSizes()
+        with contextlib.redirect_stdout(out):
+            assert cli_main([command, pres(EXPLODE), "--max-passes", "5"]) == 2
+        longest = max(map(len, out.getvalue().splitlines()))
+        assert 1 << 16 <= max(out.sizes) <= (1 << 16) + longest
+
+    def test_last_pass_is_checked_and_written_in_little_memory(self, pres, monkeypatch):
+        # tracing starts when the last pass of the polynomial engine returns,
+        # so the peak is what checking and writing that pass allocate: about
+        # 1.4 MB streamed, 13.1 MB when its source keys, translated rule set,
+        # lines, text and bytes are each held whole
+        real, calls = correspondence.buchberger_pass, []
+
+        def trace_after_last(basis, limits, *carry):
+            result = real(basis, limits, *carry)
+            calls.append(None)
+            if len(calls) == 5:
+                tracemalloc.start()
+            return result
+
+        monkeypatch.setattr(correspondence, "buchberger_pass", trace_after_last)
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert cli_main(["lockstep", pres(EXPLODE), "--max-passes", "5"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 5 and peak < 2 << 20, peak
 
     def test_lockstep_holds_one_pass(self, pres):
         path = pres(CHAIN)

@@ -32,7 +32,13 @@ from kbgb import (
 from kbgb.correspondence import iso_header, iso_report_lines, pass_lines, verdict_lines
 
 from helpers import make_system, random_system
-from oracles import all_words, congruence_partition, reference_reduce_on, term_sum
+from oracles import (
+    all_words,
+    congruence_partition,
+    poly_difference,
+    reference_reduce_on,
+    term_sum,
+)
 
 F3 = PrimeField(3)
 
@@ -272,6 +278,13 @@ class TestLockstep:
         return state, records
 
     @staticmethod
+    def _extra_member(state, nxt, records):
+        # the basis installs b.b.b - a beside the translation of the rules
+        extra = NcPolynomial(nxt.field, {nxt.alphabet.parse_word("b.b.b"): 1,
+                                         nxt.alphabet.parse_word("a"): -1})
+        return nxt.with_polys([extra]), records
+
+    @staticmethod
     def _rules_cap(state, nxt, records):
         raise LimitExceeded("max_rules", records)
 
@@ -298,6 +311,9 @@ class TestLockstep:
             ("buchberger_pass", 1, "_nothing_installed", None, 1,
              "next basis is not the translation of the next rule set",
              ABA_RULES, ABA_POLYS[:1]),
+            ("buchberger_pass", 1, "_extra_member", None, 1,
+             "next basis is not the translation of the next rule set",
+             ABA_RULES, ABA_POLYS + ["b.b.b - a"]),
             ("buchberger_pass", 2, "_rules_cap", None, 2,
              "one-sided resource limit: rewriting=None polynomials=max_rules",
              ABA_RULES, ABA_POLYS),
@@ -340,8 +356,8 @@ class TestLockstep:
              "sources differ: overlaps-only=[] matches-only=[]",
              ABA_RULES, ABA_POLYS),
         ],
-        ids=["content", "sources", "sets", "gb-limit", "kb-limit", "gb-fixed", "kb-fixed",
-             "order", "content-last", "sources-last", "sets-last", "gb-limit-last",
+        ids=["content", "sources", "sets", "extra-member", "gb-limit", "kb-limit", "gb-fixed",
+             "kb-fixed", "order", "content-last", "sources-last", "sets-last", "gb-limit-last",
              "kb-limit-last", "gb-fixed-last", "kb-fixed-last", "order-last"])
     def test_every_divergence_branch(self, monkeypatch, engine, at, change, max_passes,
                                      pass_index, detail, rules, polys):
@@ -470,8 +486,8 @@ class TestIsoCheck:
             p = NcPolynomial(QQ, terms_p)
             q = NcPolynomial(QQ, terms_q)
             nf_p, nf_q = (NcPolynomial(QQ, reference_reduce_on(basis, r.terms)[1]) for r in (p, q))
-            nf_sum = poly_normal_form(basis, p - q)
-            assert nf_sum == nf_p - nf_q
+            nf_sum = poly_normal_form(basis, poly_difference(p, q))
+            assert nf_sum == poly_difference(nf_p, nf_q)
             assert nf_sum.is_zero() == (nf_p == nf_q)
 
     def test_fail_verdict_when_canonical_forms_disagree(self, monkeypatch):

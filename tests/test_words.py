@@ -94,6 +94,13 @@ class TestCompare:
         wt = MonomialOrder.weighted_shortlex(AB, {"a": 3, "b": 1})
         assert wt.compare(w("a"), w("bb")) == 1  # weight 3 beats weight 2
 
+    def test_wtlex_length_breaks_weight_ties(self):
+        # a.a and b both weigh 2 and b precedes a.a letter by letter: only
+        # the length puts a.a above b
+        wt = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 2})
+        assert wt.compare(w("aa"), w("b")) == 1
+        assert sorted([w("aa"), w("b"), w("ab")], key=wt.key) == [w("b"), w("aa"), w("ab")]
+
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             MonomialOrder.shortlex(AB, precedence=("a",))
