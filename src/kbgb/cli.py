@@ -32,6 +32,16 @@ EXIT_INPUT = 1
 EXIT_LIMIT = 2
 EXIT_DIVERGENCE = 3
 
+# the exit code of each lockstep and iso-check verdict
+EXIT_CODES = {
+    correspondence.VERDICT_CORRESPONDS: EXIT_OK,
+    correspondence.VERDICT_PASS: EXIT_OK,
+    correspondence.VERDICT_LIMIT: EXIT_LIMIT,
+    correspondence.VERDICT_INCONCLUSIVE: EXIT_LIMIT,
+    correspondence.VERDICT_DIVERGENCE: EXIT_DIVERGENCE,
+    correspondence.VERDICT_FAIL: EXIT_DIVERGENCE,
+}
+
 BLOCK = 1 << 16  # characters of output joined into one write
 
 
@@ -180,11 +190,7 @@ def cmd_lockstep(args) -> int:
     for last in correspondence.lockstep_passes(system, field, _limits(args)):
         _emit(correspondence.pass_lines(last, system.order), args)
     _emit(correspondence.verdict_lines(last), args)
-    if last.verdict == correspondence.VERDICT_CORRESPONDS:
-        return EXIT_OK
-    if last.verdict == correspondence.VERDICT_LIMIT:
-        return EXIT_LIMIT
-    return EXIT_DIVERGENCE
+    return EXIT_CODES[last.verdict]
 
 
 def cmd_nf(args) -> int:
@@ -226,11 +232,7 @@ def cmd_iso_check(args) -> int:
     _emit([correspondence.iso_header(args.length, field.name)], args)
     report = correspondence.verify_algebra_iso(system, field, args.length, _limits(args))
     _emit(correspondence.iso_report_lines(report), args)
-    if report.verdict == correspondence.VERDICT_PASS:
-        return EXIT_OK
-    if report.verdict == correspondence.VERDICT_INCONCLUSIVE:
-        return EXIT_LIMIT
-    return EXIT_DIVERGENCE
+    return EXIT_CODES[report.verdict]
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,6 @@ from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
 MODES = ("sgp", "mon", "alg")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMBER = re.compile(r"\d+(?:/\d+)?\Z")
 
 
@@ -98,13 +97,20 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def _parse_chain(line: int, text: str, what: str) -> tuple:
+def _precedence(line: int, text: str, alphabet: Alphabet, where: str) -> tuple:
+    """The names of a precedence chain ``a < b < c``, which must list every
+    generator once; where names its line, "order" or "precedence"."""
     names = [part.strip() for part in text.split("<")]
     if any(not n for n in names):
-        raise ParseError(line, f"malformed {what}: expected names separated by '<'")
+        raise ParseError(line, "malformed precedence chain: expected names separated by '<'")
     for name in names:
         if " " in name or "\t" in name:
-            raise ParseError(line, f"malformed {what} near {name!r}: missing '<'?")
+            raise ParseError(line, f"malformed precedence chain near {name!r}: missing '<'?")
+    for name in names:
+        if name not in alphabet:
+            raise ParseError(line, f"unknown generator in {where}: {name!r}")
+    if sorted(names) != sorted(alphabet.symbols):
+        raise ParseError(line, f"{where} must list every generator exactly once")
     return tuple(names)
 
 
@@ -216,26 +222,16 @@ def parse_presentation(text: str) -> PresentationFile:
         field_name = value
 
     lineno, value = require("alphabet")
-    names = value.split()
-    if not names:
-        raise ParseError(lineno, "alphabet must name at least one generator")
-    for name in names:
-        if not _NAME.fullmatch(name):
-            raise ParseError(lineno, f"invalid generator name: {name!r}")
-    if len(set(names)) != len(names):
-        raise ParseError(lineno, "duplicate generator name in alphabet")
-    alphabet = Alphabet(names)
+    try:  # the alphabet's own name rule, at the alphabet line
+        alphabet = Alphabet(value.split())
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
     lineno, value = require("order")
     kind, _, body = value.partition(" ")
     body = body.strip()
     if kind == "shortlex":
-        precedence = _parse_chain(lineno, body, "precedence chain")
-        for name in precedence:
-            if name not in alphabet:
-                raise ParseError(lineno, f"unknown generator in order: {name!r}")
-        if sorted(precedence) != sorted(alphabet.symbols):
-            raise ParseError(lineno, "order must list every generator exactly once")
+        precedence = _precedence(lineno, body, alphabet, "order")
         if "precedence" in directives:
             raise ParseError(directives["precedence"][0], "precedence line needs a wtlex order")
         order = MonomialOrder.shortlex(alphabet, precedence)
@@ -254,13 +250,7 @@ def parse_presentation(text: str) -> PresentationFile:
             raise ParseError(lineno, "order must weight every generator exactly once")
         if "precedence" not in directives:
             raise ParseError(lineno, "wtlex order needs a precedence line")
-        plineno, pvalue = directives["precedence"]
-        precedence = _parse_chain(plineno, pvalue, "precedence chain")
-        for name in precedence:
-            if name not in alphabet:
-                raise ParseError(plineno, f"unknown generator in precedence: {name!r}")
-        if sorted(precedence) != sorted(alphabet.symbols):
-            raise ParseError(plineno, "precedence must list every generator exactly once")
+        precedence = _precedence(*directives["precedence"], alphabet, "precedence")
         order = MonomialOrder.weighted_shortlex(alphabet, weights, precedence)
     else:
         raise ParseError(lineno, f"unknown order kind: {kind!r}")

@@ -13,7 +13,11 @@ all below a given index.
 from __future__ import annotations
 
 import enum
+import re
 from typing import NamedTuple
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a generator name, as the file grammar has it
+_DOTTED_MEMO = 1 << 16  # word texts an alphabet keeps; a full memo starts over
 
 
 class AlphabetMismatch(ValueError):
@@ -21,7 +25,9 @@ class AlphabetMismatch(ValueError):
 
 
 class Alphabet:
-    """Ordered collection of distinct generator names."""
+    """Ordered collection of distinct generator names, each matching
+    ``[A-Za-z_][A-Za-z0-9_]*``: no name is "1" or holds a ".", so the
+    dotted text of every word reads back as that word."""
 
     __slots__ = ("symbols", "_index", "_dotted")
 
@@ -29,15 +35,11 @@ class Alphabet:
         symbols = tuple(symbols)
         if not symbols:
             raise ValueError("alphabet must name at least one generator")
-        seen = set()
         for name in symbols:
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"generator name must be a nonempty string: {name!r}")
-            if any(ch.isspace() or not ch.isprintable() for ch in name):
-                raise ValueError(f"generator name contains whitespace or unprintable characters: {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator name: {name!r}")
-            seen.add(name)
+            if not isinstance(name, str) or not _NAME.fullmatch(name):
+                raise ValueError(f"invalid generator name: {name!r}")
+        if len(set(symbols)) != len(symbols):
+            raise ValueError("duplicate generator name in alphabet")
         self.symbols = symbols
         self._index = {name: i for i, name in enumerate(symbols)}
         self._dotted = {}  # letters -> Word.dotted text, filled as words are printed
@@ -134,6 +136,8 @@ class Word:
         memo = self.alphabet._dotted
         text = memo.get(self.letters)
         if text is None:
+            if len(memo) >= _DOTTED_MEMO:
+                memo.clear()
             symbols = self.alphabet.symbols
             text = memo[self.letters] = ".".join([symbols[ix] for ix in self.letters])
         return text
@@ -145,20 +149,15 @@ class Word:
 class MonomialOrder:
     """Total word order compatible with concatenation on both sides.
 
-    ``shortlex`` compares length first, then letters by precedence.
-    ``wtlex`` compares total weight, then length, then letters; with all
-    weights equal to one it coincides with shortlex. Both are admissible
-    and well-founded.
+    Weighted shortlex (wtlex) compares total weight, then length, then
+    letters by precedence. Shortlex is wtlex with every weight one, as an
+    order given no weights has: length first, then letters. Both are
+    admissible and well-founded.
     """
 
-    SHORTLEX = "shortlex"
-    WTLEX = "wtlex"
+    __slots__ = ("alphabet", "precedence", "weights", "_rank", "_unit", "_ranks_are_letters")
 
-    __slots__ = ("kind", "alphabet", "precedence", "weights", "_rank", "_ranks_are_letters")
-
-    def __init__(self, kind, alphabet, precedence=None, weights=None):
-        if kind not in (self.SHORTLEX, self.WTLEX):
-            raise ValueError(f"unknown order kind: {kind!r}")
+    def __init__(self, alphabet, precedence=None, weights=None):
         if precedence is None:
             precedence = alphabet.symbols
         precedence = tuple(precedence)
@@ -167,44 +166,41 @@ class MonomialOrder:
         rank = [0] * len(alphabet)
         for pos, name in enumerate(precedence):
             rank[alphabet.index(name)] = pos
-        if kind == self.WTLEX:
-            if weights is None:
-                raise ValueError("wtlex needs a weight for every generator")
-            if hasattr(weights, "keys"):
-                if set(weights.keys()) != set(alphabet.symbols):
-                    raise ValueError("one weight per generator required")
-                weights = tuple(weights[name] for name in alphabet.symbols)
-            else:
-                weights = tuple(weights)
-            if len(weights) != len(alphabet):
+        if weights is None:
+            weights = (1,) * len(alphabet)
+        elif hasattr(weights, "keys"):
+            if set(weights.keys()) != set(alphabet.symbols):
                 raise ValueError("one weight per generator required")
-            if any(type(w) is not int or w <= 0 for w in weights):
-                raise ValueError("weights must be positive integers")
+            weights = tuple(weights[name] for name in alphabet.symbols)
         else:
-            if weights is not None:
-                raise ValueError("shortlex takes no weights")
-        self.kind = kind
+            weights = tuple(weights)
+        if len(weights) != len(alphabet):
+            raise ValueError("one weight per generator required")
+        if any(type(w) is not int or w <= 0 for w in weights):
+            raise ValueError("weights must be positive integers")
         self.alphabet = alphabet
         self.precedence = precedence
         self.weights = weights
         self._rank = tuple(rank)
+        # unit weights: the weight of a word is its length
+        self._unit = set(weights) == {1}
         # shortlex in alphabet order: the rank tuple of a word is its letters
-        self._ranks_are_letters = kind == self.SHORTLEX and precedence == alphabet.symbols
+        self._ranks_are_letters = self._unit and precedence == alphabet.symbols
 
     @classmethod
     def shortlex(cls, alphabet, precedence=None):
-        return cls(cls.SHORTLEX, alphabet, precedence)
+        return cls(alphabet, precedence)
 
     @classmethod
     def weighted_shortlex(cls, alphabet, weights, precedence=None):
-        return cls(cls.WTLEX, alphabet, precedence, weights)
+        return cls(alphabet, precedence, weights)
 
     def key(self, word: Word):
         """Sort key; tuples compare exactly as the order does."""
         if self._ranks_are_letters:
             return (len(word.letters), word.letters)
         ranks = tuple(self._rank[ix] for ix in word.letters)
-        if self.kind == self.SHORTLEX:
+        if self._unit:
             return (len(word.letters), ranks)
         weight = sum(self.weights[ix] for ix in word.letters)
         return (weight, len(word.letters), ranks)
@@ -226,14 +222,13 @@ class MonomialOrder:
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
-            and self.kind == other.kind
             and self.alphabet == other.alphabet
             and self.precedence == other.precedence
             and self.weights == other.weights
         )
 
     def __hash__(self):
-        return hash((self.kind, self.alphabet, self.precedence, self.weights))
+        return hash((self.alphabet, self.precedence, self.weights))
 
 
 # trie node keys besides the letters (>= 0), holding ascending pattern indices:

@@ -37,7 +37,7 @@ def render_presentation(pf):
     if pf.field_name is not None:
         lines.append(f"field: {pf.field_name}")
     lines.append("alphabet: " + " ".join(pf.alphabet.symbols))
-    if pf.order.kind == MonomialOrder.SHORTLEX:
+    if set(pf.order.weights) == {1}:  # shortlex is wtlex with unit weights
         lines.append("order: shortlex " + " < ".join(pf.order.precedence))
     else:
         weights = " ".join(

@@ -112,6 +112,12 @@ MUTANTS = {
     "wtlex-no-length-tiebreak": (
         ("words.py", "return (weight, len(word.letters), ranks)", "return (weight, ranks)"),
     ),
+    # a name may hold a dot, so its words print text that reads back as
+    # other words, or as none
+    "name-rule-admits-dot": (
+        ("words.py", '_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")',
+         '_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")'),
+    ),
     "next-state-no-length-check": (
         ("completion.py", "if any(len(w) > limits.max_word_length for w in words(member)):",
          "if False:"),

@@ -696,3 +696,13 @@ class TestPerObjectCounts:
         # the same letters over two alphabets: neither reads the other's text
         ab, xy = Alphabet("ab"), Alphabet("xy")
         assert [Word(ab, (0, 1)).dotted(), Word(xy, (0, 1)).dotted()] == ["a.b", "x.y"]
+
+    def test_dotted_memo_is_bounded(self):
+        # 70,000 distinct words of 17 letters over a b, each printed once:
+        # the memo starts over when full, and no text goes wrong across it
+        alphabet = Alphabet("ab")
+        words = [Word(alphabet, tuple(n >> bit & 1 for bit in range(17))) for n in range(70_000)]
+        texts = [word.dotted() for word in words]
+        assert len(alphabet._dotted) <= 1 << 16
+        assert texts == [".".join("ab"[ix] for ix in word.letters) for word in words]
+        assert [word.dotted() for word in words[:3]] == texts[:3]

@@ -178,7 +178,7 @@ class TestWtlex:
 
     def test_parse_and_orientation(self):
         system = parse_presentation(self.TEXT).system()
-        assert system.order.kind == "wtlex"
+        assert system.order.weights == (3, 1)
         # a outweighs b.b, so the rule is oriented even though a is shorter
         assert system.order.greater(system.alphabet.parse_word("a"),
                                     system.alphabet.parse_word("bb"))

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kbgb import (
@@ -49,6 +49,24 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(["a b"])
 
+    @pytest.mark.parametrize("name", ["1", "a.b", "a-b", "x<y", "w=2", "#c", "é", "", "a b", 3])
+    def test_rejects_names_outside_the_file_grammar(self, name):
+        with pytest.raises(ValueError, match="invalid generator name"):
+            Alphabet([name, "x"])
+
+    # grammar names and near misses, of one to three characters: a name
+    # the alphabet admits prints words that read back
+    @given(st.lists(st.builds(str.__add__, st.sampled_from("ab_"), st.text("ab_1.", max_size=2)),
+                    min_size=1, max_size=4, unique=True),
+           st.lists(st.integers(0, 3), max_size=6))
+    def test_dotted_reads_back(self, names, picks):
+        try:
+            alphabet = Alphabet(names)
+        except ValueError:
+            assume(False)
+        word = Word(alphabet, [pick % len(alphabet) for pick in picks])
+        assert alphabet.parse_word(word.dotted()) == word
+
     def test_multichar_names(self):
         alpha = Alphabet(["x1", "x2"])
         word = alpha.parse_word("x1.x2.x1")
@@ -89,6 +107,10 @@ class TestCompare:
         wt = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 1})
         sample = [w("a"), w("b"), w("ab"), w("ba"), w("bba"), w("aab"), w("1")]
         assert sorted(sample, key=wt.key) == sorted(sample, key=SHORTLEX.key)
+
+    def test_shortlex_is_wtlex_with_unit_weights(self):
+        unit = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 1})
+        assert unit == SHORTLEX and hash(unit) == hash(SHORTLEX)
 
     def test_wtlex_weight_dominates(self):
         wt = MonomialOrder.weighted_shortlex(AB, {"a": 3, "b": 1})
