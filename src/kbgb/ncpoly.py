@@ -19,7 +19,9 @@ greatest reducible monomial first reaches, since nf is linear.
 Completion, iso-check and the queries all take it. Every sum of terms
 goes through _add_term. Handed the last pass's input and records (its
 carry), a pass reuses their matches and raw S-polynomials, and reduces
-every S-polynomial.
+every S-polynomial. A pass holds each distinct monomial once: its raw
+monomials come from one words.word_table, an irreducible raw monomial is
+the term of its own form, and its resolved records share one zero.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
+    word_table,
 )
 
 
@@ -347,6 +350,7 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
     explicit stack, with the targets lo.t.hi above it, until each target has
     a form; its form is then their sum. The stack and not the closure
     itself holds the pending work, so the memo forms no reference cycle.
+    The form of an irreducible monomial given is one term at that Word.
 
     A call raises ReductionBudgetExceeded when it would search more than
     max_steps monomials not yet in the memo, the irreducible one that ends
@@ -373,7 +377,8 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
                 walk.append(letters)
                 hit = find(letters)
                 if hit is None:
-                    found = NcPolynomial._raw(field, {Word._raw(alphabet, letters): one})
+                    irreducible = word if letters is word.letters else Word._raw(alphabet, letters)
+                    found = NcPolynomial._raw(field, {irreducible: one})
                     break
                 pos, index, end = hit
                 tails, lo, hi = neg_tails[index], letters[:pos], letters[end:]
@@ -414,22 +419,25 @@ def s_polynomials(basis: Basis, carry=None) -> list:
 
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
+    Equal raw monomials of the call are one Word (word_table), and its
+    resolved records hold one zero polynomial.
     """
-    field, alphabet, neg_tails = basis.field, basis.alphabet, basis._neg_tails
-    reduce = monomial_forms(basis)
+    field, neg_tails = basis.field, basis._neg_tails
+    reduce, word = monomial_forms(basis), word_table(basis.alphabet)
+    zero = NcPolynomial._raw(field, {})
     records = []
     since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
     for i, j, m, raw in pair_sources(basis._index, since, carried):
         if raw is None:
             data = {}
             for tail, c in neg_tails[i]:
-                _add_term(field, data, Word._raw(alphabet, m.u1 + tail + m.v1), field.neg(c))
+                _add_term(field, data, word(m.u1 + tail + m.v1), field.neg(c))
             for tail, c in neg_tails[j]:
-                _add_term(field, data, Word._raw(alphabet, m.u2 + tail + m.v2), c)
+                _add_term(field, data, word(m.u2 + tail + m.v2), c)
             raw = NcPolynomial._raw(field, data)
         reduced = _sum_forms(reduce, field, raw.terms.items())
         new = None if reduced.is_zero() else make_monic(reduced, basis.order)
-        records.append(PairRecord(i, j, m, raw, reduced, new))
+        records.append(PairRecord(i, j, m, raw, zero if new is None else reduced, new))
     return records
 
 
@@ -504,9 +512,12 @@ def render_poly(poly: NcPolynomial, order: MonomialOrder) -> str:
 
 
 def record_line(pass_index: int, rec: PairRecord, order: MonomialOrder) -> str:
-    """One trace record; mirrors the rewriting trace with poly fields."""
-    disp = "ReducedToZero" if rec.new is None else f"Added:({render_poly(rec.new, order)})"
+    """One trace record; mirrors the rewriting trace with poly fields. A
+    reduced S-polynomial that is already monic is rendered once."""
+    reduced = render_poly(rec.reduced, order)
+    disp = "ReducedToZero" if rec.new is None else (
+        f"Added:({reduced if rec.new is rec.reduced else render_poly(rec.new, order)})")
     return (
         f"pass={pass_index} polys=({rec.first},{rec.second}) kind={rec.match.kind.value} "
-        f"raw=({render_poly(rec.raw, order)}) reduced=({render_poly(rec.reduced, order)}) disp={disp}"
+        f"raw=({render_poly(rec.raw, order)}) reduced=({reduced}) disp={disp}"
     )

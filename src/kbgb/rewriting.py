@@ -11,7 +11,9 @@ a normal form depends on the word alone, nf(w) = nf(step(w)), and the one
 reduction, normal_forms, memoizes it on every word a reduction passes
 through, for one pass, one iso-check or one query. Handed the last pass's
 input and pairs (its carry), a pass reuses their matches and raw critical
-pairs but still reduces every pair.
+pairs but still reduces every pair. A pass holds each distinct word once:
+its raw words come from one words.word_table, so twin pairs share theirs,
+and an irreducible raw word is its own normal form.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
+    word_table,
 )
 
 SEMIGROUP = "semigroup"
@@ -117,7 +120,8 @@ def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
     A step rewrites the leftmost redex, at the lowest rule index on ties
     (_rewrite_at), and every step descends, so a miss walks these steps to
     an irreducible or known word, and every word of the walk gets its form:
-    the binomial walk of ncpoly.monomial_forms.
+    the binomial walk of ncpoly.monomial_forms. An irreducible word given
+    is its own form, the same object.
 
     A call raises ReductionBudgetExceeded when it would search more than
     max_steps words not yet in the memo, the irreducible one that ends the
@@ -135,7 +139,10 @@ def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
                 raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
             walk.append(letters)
             nxt = _rewrite_at(system, letters)
-            found = Word._raw(alphabet, letters) if nxt is None else forms.get(nxt)
+            if nxt is None:
+                found = word if letters is word.letters else Word._raw(alphabet, letters)
+            else:
+                found = forms.get(nxt)
             letters = nxt
         for letters in walk:
             forms[letters] = found
@@ -149,19 +156,20 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
     reduced against the system, in the examination order of
     RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, its
     witnesses letters, and its raw critical pair is (u1.r1.v1, u2.r2.v2), one
-    Word each. A carry, the last pass's (input system, pairs), lends their
-    matches and raw pairs (pair_sources).
+    Word each from one word_table of the call, so equal raw words of the
+    call are one Word. A carry, the last pass's (input system, pairs), lends
+    their matches and raw pairs (pair_sources).
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
     pairs = []
     rules, alphabet = system.rules, system.alphabet
-    reduce = normal_forms(system)
+    reduce, word = normal_forms(system), word_table(alphabet)
     since, carried = (len(carry[0].rules), carry[1]) if carry else (0, ())
     for i, j, m, raw in pair_sources(system._index, since, carried):
         if raw is None:
-            raw = (Word._raw(alphabet, m.u1 + rules[i].rhs.letters + m.v1),
-                   Word._raw(alphabet, m.u2 + rules[j].rhs.letters + m.v2))
+            raw = (word(m.u1 + rules[i].rhs.letters + m.v1),
+                   word(m.u2 + rules[j].rhs.letters + m.v2))
         c1 = reduce(raw[0])
         c2 = reduce(raw[1])
         if c1 == c2:

@@ -146,6 +146,20 @@ class Word:
         return f"Word({self.dotted()!r})"
 
 
+def word_table(alphabet):
+    """word(letters), the Word of valid letters (not checked) over the
+    alphabet: one Word per distinct letters for the function's life."""
+    table = {}
+
+    def word(letters):
+        found = table.get(letters)
+        if found is None:
+            found = table[letters] = Word._raw(alphabet, letters)
+        return found
+
+    return word
+
+
 class MonomialOrder:
     """Total word order compatible with concatenation on both sides.
 
@@ -304,10 +318,13 @@ class RedexIndex:
         inside p, one containment of each kind; where a walk from inside p
         uses up the suffix, every longer pattern below the node begins with
         it, one overlap of each kind. The walks of one of its two patterns
-        find each match, so those below since walk a trie of patterns[since:]."""
+        find each match, so those below since walk a trie of patterns[since:].
+        Equal witness tuples of one call are one tuple, and twin matches,
+        (i, j) and (j, i) of one meeting, hold the same ones."""
         patterns = self._patterns
         newer = _trie(patterns[since:], since) if since else self._root
         found = []
+        keep = {}.setdefault  # one tuple per distinct witness of the call
         for i, letters in enumerate(patterns):
             root = self._root if i >= since else newer
             n = len(letters)
@@ -324,6 +341,7 @@ class RedexIndex:
                                     MatchKind.CONTAINMENT_12, (), (), (), ())))
                     elif ends is not None:
                         u, v = letters[:start], letters[at:]
+                        u, v = keep(u, u), keep(v, v)
                         for j in ends:
                             found.append((i, j, 0, 0, 0, start, n - at, OverlapMatch(
                                 MatchKind.CONTAINMENT_12, (), (), u, v)))
@@ -332,9 +350,11 @@ class RedexIndex:
                     if at == n:
                         if start:
                             u, shared = letters[:start], n - start
+                            u = keep(u, u)
                             for j in node[_BELOW]:
                                 v = patterns[j][shared:]
                                 if v:
+                                    v = keep(v, v)
                                     found.append((i, j, 2, 0, len(v), start, 0, OverlapMatch(
                                         MatchKind.SUFFIX_PREFIX, (), v, u, ())))
                                     found.append((j, i, 3, start, 0, 0, len(v), OverlapMatch(

@@ -11,6 +11,7 @@ from kbgb import (
     QQ,
     Alphabet,
     Basis,
+    MatchKind,
     MonomialOrder,
     NcPolynomial,
     RewriteSystem,
@@ -21,7 +22,7 @@ from kbgb import (
     render_poly,
 )
 from kbgb.cli import main as cli_main
-from kbgb.words import RedexIndex
+from kbgb.words import OverlapMatch, RedexIndex
 
 from oracles import interreduce, letter_key, reference_completion
 
@@ -230,6 +231,26 @@ def pair_matches(l1, l2, include_identity=False):
     empty, is left out unless asked for."""
     return [m for i, j, m in RedexIndex([l1.letters, l2.letters]).overlaps()
             if (i, j) == (0, 1) and (include_identity or any(m.witness_lengths()))]
+
+
+_TWIN_KIND = {
+    MatchKind.CONTAINMENT_12: MatchKind.CONTAINMENT_21,
+    MatchKind.CONTAINMENT_21: MatchKind.CONTAINMENT_12,
+    MatchKind.SUFFIX_PREFIX: MatchKind.PREFIX_SUFFIX,
+    MatchKind.PREFIX_SUFFIX: MatchKind.SUFFIX_PREFIX,
+}
+
+
+def twins(records):
+    """(record, twin) for every pair record of one pass: the twin is the
+    record of pair (second, first) at the same meeting, its match the
+    record's with the witnesses of the two sides swapped. The identity
+    containment, every witness empty, is its own kind's twin."""
+    by_key = {(rec.first, rec.second, rec.match): rec for rec in records}
+    for rec in records:
+        m = rec.match
+        kind = _TWIN_KIND[m.kind] if any(m.witness_lengths()) else m.kind
+        yield rec, by_key[(rec.second, rec.first, OverlapMatch(kind, m.u2, m.v2, m.u1, m.v1))]
 
 
 def record_searches(monkeypatch):

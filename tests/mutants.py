@@ -105,6 +105,16 @@ MUTANTS = {
                                         MatchKind.PREFIX_SUFFIX, u, (), (), v)))
 """, ""),
     ),
+    # a row's matches in witness-length order before kind order
+    "overlaps-kind-after-lengths": (
+        ("words.py", "        found.sort()\n",
+         "        found.sort(key=lambda e: (e[0], e[1], e[3], e[4], e[5], e[6], e[2]))\n"),
+    ),
+    # a pass builds a fresh Word for every raw word, so its records hold
+    # each equal word once per occurrence
+    "raw-words-fresh": (
+        ("words.py", "found = table.get(letters)", "found = None"),
+    ),
     "shortlex-reversed-lex": (
         ("words.py", "return (len(word.letters), word.letters)",
          "return (len(word.letters), word.letters[::-1])"),

@@ -46,9 +46,11 @@ from helpers import (
     random_system,
     record_searches,
     redex_features,
+    twins,
 )
 from oracles import (
     all_words,
+    leftmost_redex,
     poly_difference,
     reachable_monomials,
     reference_reduce,
@@ -420,6 +422,20 @@ class TestMonomialForms:
             monomial_forms(binomial_basis(["aa->a"]), max_steps=4)(w("aaaaa"))
         assert monomial_forms(binomial_basis(["aa->a"]), max_steps=5)(w("aaaaa")) == poly(QQ, ("a", 1))
 
+    def test_an_irreducible_monomial_keys_its_own_form(self):
+        # the form's one term is at the monomial given, not at a copy
+        rng = random.Random(73)
+        irreducible = 0
+        for _ in range(12):
+            basis = random_general_basis(rng)
+            lms = [leading_monomial(f, basis.order)[0].letters for f in basis.polys]
+            for word in all_words(basis.alphabet, 5, min_len=0):
+                if leftmost_redex(lms, word.letters) is None:
+                    (key,) = monomial_forms(basis)(word).terms
+                    assert key is word
+                    irreducible += 1
+        assert irreducible > 100
+
     def test_binomial_forms_are_shared(self, monkeypatch):
         # under a lockstep binomial N(m) is N of m's reduct, the same object,
         # and every monomial the reduction passes through answers with no search
@@ -504,6 +520,29 @@ class TestSPolynomials:
             monomials = [m for rec in records for m in rec.raw.terms]
             repeats += len(monomials) - len(set(monomials))
         assert repeats and changed
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_a_call_holds_each_raw_monomial_and_zero_once(self, field):
+        # raw monomials with equal letters are one Word within one call, a
+        # twin's raw S-polynomial is its twin's negated at the same Words,
+        # and every resolved record holds one zero
+        rng = random.Random(79)
+        repeats = resolved = 0
+        for _ in range(40):
+            system = random_redex_system(rng)
+            for basis in (rules_to_basis(system, field), random_general_basis(rng, field)):
+                records = s_polynomials(basis)
+                one = {}
+                for rec in records:
+                    assert all(one.setdefault(m.letters, m) is m for m in rec.raw.terms)
+                for rec, twin in twins(records):
+                    assert {id(m): field.neg(c) for m, c in rec.raw.terms.items()} == \
+                        {id(m): c for m, c in twin.raw.terms.items()}
+                zeros = {id(rec.reduced) for rec in records if rec.new is None}
+                assert len(zeros) <= 1
+                repeats += sum(len(rec.raw.terms) for rec in records) - len(one)
+                resolved += sum(rec.new is None for rec in records) - len(zeros)
+        assert repeats > 1000 and resolved > 100
 
     def test_reductions_leave_system_and_basis_unchanged(self):
         # the per-pass memos live for one call; one kept on a long-lived

@@ -30,6 +30,7 @@ from helpers import (
     random_system,
     record_searches,
     redex_features,
+    twins,
 )
 from oracles import (
     all_words,
@@ -201,6 +202,18 @@ class TestNormalForms:
         assert [nf(w(text, AA_A)) for text in ("aaa", "aa", "a")] == [w("a", AA_A)] * 3
         assert searches == []
 
+    def test_an_irreducible_word_is_its_own_form(self):
+        # the same object, not a copy: a pass's records hold each word once
+        rng = random.Random(67)
+        irreducible = 0
+        for _ in range(20):
+            system = random_redex_system(rng)
+            for word in bounded_words(system, 5):
+                if is_irreducible(system, word):
+                    assert normal_forms(system)(word) is word
+                    irreducible += 1
+        assert irreducible > 100
+
     def test_words_equal_shares_one_memo(self, monkeypatch):
         # a.a.a.a walks through a.a.a, so the second word costs no search;
         # two separate reductions would search 4 + 3 words
@@ -284,6 +297,21 @@ class TestCriticalPairs:
             words = [word for cp in pairs for word in cp.raw]
             repeats += len(words) - len(set(words))
         assert repeats and changed
+
+    def test_a_call_holds_each_raw_word_once(self):
+        # raw words with equal letters are one Word within one call, and a
+        # twin's raw pair is its twin's swapped, as the same objects
+        rng = random.Random(71)
+        repeats = 0
+        for _ in range(60):
+            pairs = critical_pairs(random_redex_system(rng))
+            one = {}
+            for cp in pairs:
+                assert all(one.setdefault(word.letters, word) is word for word in cp.raw)
+            for cp, twin in twins(pairs):
+                assert twin.raw[0] is cp.raw[1] and twin.raw[1] is cp.raw[0]
+            repeats += 2 * len(pairs) - len(one)
+        assert repeats > 1000
 
 
 class TestKbPass:

@@ -336,6 +336,35 @@ class TestOverlaps:
                              for i, j, m in stream if m.witness_lengths() == (0, 0, 0, 0)}
         assert identity == {"across", "above"}
 
+    def test_a_row_lists_kind_before_witness_lengths(self):
+        # in row (0, 1) of b.a and a.b.a, the containment a.(b.a) = a.b.a
+        # has u1 = a, the overlap (b.a).b.a = b.(a.b.a) has u1 empty: kind
+        # first puts the containment first, witness lengths first would not
+        rows = [pair_matches(w("ba"), w("aba"))]
+        assert [(m.kind, m.witness_lengths()) for m in rows[0]] == [
+            (MatchKind.CONTAINMENT_21, (1, 0, 0, 0)), (MatchKind.SUFFIX_PREFIX, (0, 2, 1, 0))]
+        rng = random.Random(53)
+        for _ in range(60):
+            lhss = [rule.lhs for rule in random_redex_system(rng).rules]
+            for l1 in lhss:
+                rows += [pair_matches(l1, l2, include_identity=True) for l2 in lhss]
+        kinds = list(MatchKind)
+        for row in rows:
+            keys = [(kinds.index(m.kind), m.witness_lengths()) for m in row]
+            assert keys == sorted(keys)
+
+    def test_equal_witnesses_of_a_call_are_one_tuple(self):
+        rng = random.Random(59)
+        repeats = 0
+        for _ in range(60):
+            index = RedexIndex([rule.lhs.letters for rule in random_redex_system(rng).rules])
+            for since in (0, 1):
+                witnesses = [t for _, _, m in index.overlaps(since) for t in m[1:] if t]
+                one = {}
+                assert all(one.setdefault(t, t) is t for t in witnesses)
+                repeats += len(witnesses) - len({id(t) for t in witnesses})
+        assert repeats > 1000
+
     def test_walk_builds_no_words(self, monkeypatch):
         # a match is letter tuples sliced from the patterns: neither walk
         # builds a Word on either path
