@@ -100,11 +100,11 @@ def _limits(args) -> CompletionLimits:
 
 
 def _load(args):
-    return parse_presentation(Path(args.file).read_text())
-
-
-def _field(args, pf):
-    return args.field if args.field is not None else pf.field()
+    """The parsed file; args.field becomes the file's field unless --field set it."""
+    pf = parse_presentation(Path(args.file).read_text())
+    if args.field is None:
+        args.field = pf.field
+    return pf
 
 
 def _word(pf, text):
@@ -144,7 +144,7 @@ def _lockstep_system(args, pf):
     """A rewrite system for the lockstep/iso commands; alg files must be
     lists of two-term l - r polynomials."""
     if pf.mode == "alg":
-        return correspondence.basis_to_rules(pf.basis(_field(args, pf)))
+        return correspondence.basis_to_rules(pf.basis(args.field))
     return pf.system()
 
 
@@ -153,7 +153,7 @@ def _complete(args, pf):
     command-line limits; say on stderr when a limit tripped."""
     limits = _limits(args)
     if pf.mode == "alg":
-        result = ncpoly.buchberger(pf.basis(_field(args, pf)), limits)
+        result = ncpoly.buchberger(pf.basis(args.field), limits)
     else:
         result = rewriting.knuth_bendix(pf.system(), limits)
     if not result.fixed:
@@ -167,7 +167,7 @@ def _complete(args, pf):
 def cmd_complete(args) -> int:
     pf = _load(args)
     if pf.mode == "alg":
-        start, one_pass = pf.basis(_field(args, pf)), ncpoly.buchberger_pass
+        start, one_pass = pf.basis(args.field), ncpoly.buchberger_pass
         line = functools.partial(ncpoly.record_line, order=start.order)
     else:
         start, one_pass, line = pf.system(), rewriting.kb_pass, rewriting.pair_line
@@ -186,8 +186,7 @@ def cmd_complete(args) -> int:
 def cmd_lockstep(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
-    field = _field(args, pf)
-    for last in correspondence.lockstep_passes(system, field, _limits(args)):
+    for last in correspondence.lockstep_passes(system, args.field, _limits(args)):
         _emit(correspondence.pass_lines(last, system.order), args)
     _emit(correspondence.verdict_lines(last), args)
     return EXIT_CODES[last.verdict]
@@ -198,7 +197,7 @@ def cmd_nf(args) -> int:
     # the query is parsed before completion, so a bad one fails at once
     if pf.mode == "alg":
         terms = parse_poly_terms(None, pf.alphabet, args.word)
-        query = ncpoly.NcPolynomial(_field(args, pf), terms)
+        query = ncpoly.NcPolynomial(args.field, terms)
     else:
         query = _word(pf, args.word)
     final = _complete(args, pf).state
@@ -226,11 +225,10 @@ def cmd_equal(args) -> int:
 def cmd_iso_check(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
-    field = _field(args, pf)
     if args.length < 1:  # before the first line is written
         raise ValueError("bound must be positive")
-    _emit([correspondence.iso_header(args.length, field.name)], args)
-    report = correspondence.verify_algebra_iso(system, field, args.length, _limits(args))
+    _emit([correspondence.iso_header(args.length, args.field.name)], args)
+    report = correspondence.verify_algebra_iso(system, args.field, args.length, _limits(args))
     _emit(correspondence.iso_report_lines(report), args)
     return EXIT_CODES[report.verdict]
 

@@ -22,7 +22,9 @@ from operator import itemgetter
 
 from .words import OverlapMatch
 
-DEFAULT_STEP_BUDGET = 1_000_000
+# words or monomials one call of a reduction memo may search; each memo
+# (rewriting.normal_forms, ncpoly.monomial_forms) reads it when it is made
+STEP_BUDGET = 1_000_000
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -36,8 +38,8 @@ class ReductionBudgetExceeded(RuntimeError):
 class LimitExceeded(Exception):
     """A completion resource limit tripped.
 
-    Carries the pair records of the pass that was being examined so a
-    caller can report the truncation point.
+    The caps are checked only once every pair of the pass is built, so
+    ``partial`` holds all of that pass's pair records.
     """
 
     def __init__(self, reason: str, partial=()):

@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import completion
 from .completion import (
-    DEFAULT_STEP_BUDGET,
     CompletionLimits,
     PairRecord,
     PassRecord,
@@ -237,13 +237,6 @@ class NcPolynomial:
             self._hash = hash((self.field, frozenset(self.terms.items())))
         return self._hash
 
-    def scaled(self, coeff) -> "NcPolynomial":
-        f = self.field
-        c = f.coerce(coeff)
-        if c == f.zero:
-            return NcPolynomial._raw(f, {})
-        return NcPolynomial._raw(f, {w: f.mul(k, c) for w, k in self.terms.items()})
-
     def sorted_terms(self, order: MonomialOrder) -> list:
         return [(w, self.terms[w]) for w in sorted(self.terms, key=order.key, reverse=True)]
 
@@ -271,9 +264,11 @@ def make_monic(poly: NcPolynomial, order: MonomialOrder) -> NcPolynomial:
     """Scale so the leading coefficient is one; for two-term polynomials
     with unit coefficients this is exactly a sign flip when needed."""
     _, coeff = leading_monomial(poly, order)
-    if coeff == poly.field.one:
+    field = poly.field
+    if coeff == field.one:
         return poly
-    return poly.scaled(poly.field.inv(coeff))
+    c = field.inv(coeff)
+    return NcPolynomial._raw(field, {w: field.mul(k, c) for w, k in poly.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -323,20 +318,20 @@ class Basis:
         return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
 
 
-def poly_normal_form(basis: Basis, poly: NcPolynomial, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPolynomial:
+def poly_normal_form(basis: Basis, poly: NcPolynomial) -> NcPolynomial:
     """The normal form, the sum of c . N(m) over the terms c . m for one
     monomial_forms memo N of the call; no result monomial contains a
-    leading monomial of the basis. max_steps bounds each term's call of N,
-    not the whole polynomial. A polynomial over another field or alphabet
-    than the basis is rejected; a polynomial holds one alphabet."""
+    leading monomial of the basis. The step budget bounds each term's call
+    of N, not the whole polynomial. A polynomial over another field or
+    alphabet than the basis is rejected; a polynomial holds one alphabet."""
     if poly.field != basis.field:
         raise ValueError("polynomial over a different scalar field than the basis")
     if poly.terms and next(iter(poly.terms)).alphabet != basis.alphabet:
         raise AlphabetMismatch("polynomial over a different alphabet than the basis")
-    return _sum_forms(monomial_forms(basis, max_steps), poly.field, poly.terms.items())
+    return _sum_forms(monomial_forms(basis), poly.field, poly.terms.items())
 
 
-def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
+def monomial_forms(basis: Basis):
     """N(m), the normal form of a monomial m over the basis's alphabet (not
     checked), memoized on every monomial a reduction passes through.
 
@@ -353,12 +348,13 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
     The form of an irreducible monomial given is one term at that Word.
 
     A call raises ReductionBudgetExceeded when it would search more than
-    max_steps monomials not yet in the memo, the irreducible one that ends
-    each walk included: a k-step walk needs k + 1, and a first call as many
-    as the distinct monomials reachable from m. Whether a call raises thus
-    depends on the calls before it. max_steps is set by the budget tests
-    only."""
+    completion.STEP_BUDGET monomials not yet in the memo, as it was when
+    the memo was made, the irreducible one that ends each walk included: a
+    k-step walk needs k + 1, and a first call as many as the distinct
+    monomials reachable from m. Whether a call raises thus depends on the
+    calls before it."""
     field, alphabet, one = basis.field, basis.alphabet, basis.field.one
+    budget = completion.STEP_BUDGET
     find, neg_tails = basis._index.find, basis._neg_tails
     forms = {}  # letters -> normal form
 
@@ -371,8 +367,8 @@ def monomial_forms(basis: Basis, max_steps: int = DEFAULT_STEP_BUDGET):
             else:  # a waiting walk whose targets all have forms now
                 walk, found = head, _sum_forms(forms.__getitem__, field, targets)
             while found is None:
-                if searched == max_steps:
-                    raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+                if searched == budget:
+                    raise ReductionBudgetExceeded(f"no fixed point within {budget} steps")
                 searched += 1
                 walk.append(letters)
                 hit = find(letters)

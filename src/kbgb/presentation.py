@@ -30,6 +30,7 @@ from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
 MODES = ("sgp", "mon", "alg")
+_SYSTEM_MODE = {"sgp": SEMIGROUP, "mon": MONOID}  # the RewriteSystem mode of a rules file
 _NUMBER = re.compile(r"\d+(?:/\d+)?\Z")
 
 
@@ -46,6 +47,7 @@ class ParseError(ValueError):
 class PresentationFile:
     """Parsed form of one presentation file.
 
+    ``field`` is the file's coefficient field, QQ when it names none;
     ``rules`` holds the Rules the parser checked, in source order;
     ``polys_raw`` keeps the source coefficients exactly (as Fractions, in
     source order) so a basis can be built over any requested field.
@@ -54,18 +56,14 @@ class PresentationFile:
     mode: str
     alphabet: Alphabet
     order: MonomialOrder
-    field_name: str | None = None
+    field: object = QQ
     rules: tuple = ()
     polys_raw: tuple = ()
 
     def system(self) -> RewriteSystem:
         if self.mode == "alg":
             raise ValueError("an alg presentation has no rewrite rules")
-        mode = MONOID if self.mode == "mon" else SEMIGROUP
-        return RewriteSystem(self.alphabet, self.order, self.rules, mode)
-
-    def field(self):
-        return field_from_name(self.field_name or "Q")
+        return RewriteSystem(self.alphabet, self.order, self.rules, _SYSTEM_MODE[self.mode])
 
     def basis(self, field=None) -> Basis:
         """Basis over the requested field; members are normalized monic.
@@ -73,7 +71,7 @@ class PresentationFile:
         denominator does, is rejected by number."""
         if self.mode != "alg":
             raise ValueError("only an alg presentation carries polynomials")
-        field = field if field is not None else self.field()
+        field = field if field is not None else self.field
         polys = []
         for n, terms in enumerate(self.polys_raw, 1):
             # parsing rejects these over the file's own field; they fail
@@ -212,14 +210,13 @@ def parse_presentation(text: str) -> PresentationFile:
     if mode not in MODES:
         raise ParseError(lineno, f"mode must be one of {'/'.join(MODES)}: {mode!r}")
 
-    field_name = None
+    field = QQ
     if "field" in directives:
         lineno, value = directives["field"]
         try:
-            field_from_name(value)
+            field = field_from_name(value)
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-        field_name = value
 
     lineno, value = require("alphabet")
     try:  # the alphabet's own name rule, at the alphabet line
@@ -230,11 +227,11 @@ def parse_presentation(text: str) -> PresentationFile:
     lineno, value = require("order")
     kind, _, body = value.partition(" ")
     body = body.strip()
+    weights = None
     if kind == "shortlex":
         precedence = _precedence(lineno, body, alphabet, "order")
         if "precedence" in directives:
             raise ParseError(directives["precedence"][0], "precedence line needs a wtlex order")
-        order = MonomialOrder.shortlex(alphabet, precedence)
     elif kind == "wtlex":
         weights = {}
         for part in body.split():
@@ -251,9 +248,9 @@ def parse_presentation(text: str) -> PresentationFile:
         if "precedence" not in directives:
             raise ParseError(lineno, "wtlex order needs a precedence line")
         precedence = _precedence(*directives["precedence"], alphabet, "precedence")
-        order = MonomialOrder.weighted_shortlex(alphabet, weights, precedence)
     else:
         raise ParseError(lineno, f"unknown order kind: {kind!r}")
+    order = MonomialOrder(alphabet, precedence, weights)
 
     rules = {}  # Rule -> None, in source order
     polys_raw = []
@@ -268,7 +265,7 @@ def parse_presentation(text: str) -> PresentationFile:
             rhs = _parse_word(lineno, alphabet, rhs_text.strip())
             rule = Rule(lhs, rhs)
             try:  # the rule system's own checks, at the rule's line
-                RewriteSystem(alphabet, order, (rule,), MONOID if mode == "mon" else SEMIGROUP)
+                RewriteSystem(alphabet, order, (rule,), _SYSTEM_MODE[mode])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             if rule in rules:
@@ -279,10 +276,10 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, "polys section requires alg mode")
             terms = parse_poly_terms(lineno, alphabet, body)
             try:
-                if NcPolynomial(field_from_name(field_name or "Q"), terms).is_zero():
+                if NcPolynomial(field, terms).is_zero():
                     raise ParseError(lineno, "polynomial is zero")
             except ZeroDivisionError as exc:
                 raise ParseError(lineno, str(exc)) from None
             polys_raw.append(terms)
 
-    return PresentationFile(mode, alphabet, order, field_name, tuple(rules), tuple(polys_raw))
+    return PresentationFile(mode, alphabet, order, field, tuple(rules), tuple(polys_raw))

@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import completion
 from .completion import (
-    DEFAULT_STEP_BUDGET,
     CompletionLimits,
     PairRecord,
     PassRecord,
@@ -106,14 +106,14 @@ def is_irreducible(system: RewriteSystem, word: Word) -> bool:
     return system._index.find(word.letters) is None
 
 
-def normal_form(system: RewriteSystem, word: Word, max_steps: int = DEFAULT_STEP_BUDGET) -> Word:
+def normal_form(system: RewriteSystem, word: Word) -> Word:
     """The normal form of the word, by a normal_forms memo of its own."""
     if word.alphabet != system.alphabet:
         raise AlphabetMismatch("word over a different alphabet")
-    return normal_forms(system, max_steps)(word)
+    return normal_forms(system)(word)
 
 
-def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
+def normal_forms(system: RewriteSystem):
     """nf(word), the normal form of a word over the system's alphabet (not
     checked), memoized on every word a reduction passes through.
 
@@ -124,19 +124,19 @@ def normal_forms(system: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
     is its own form, the same object.
 
     A call raises ReductionBudgetExceeded when it would search more than
-    max_steps words not yet in the memo, the irreducible one that ends the
-    walk included: a k-step walk needs k + 1. Whether a call raises thus
-    depends on the calls before it. max_steps is set by the budget tests
-    only."""
-    alphabet = system.alphabet
+    completion.STEP_BUDGET words not yet in the memo, as it was when the
+    memo was made, the irreducible one that ends the walk included: a
+    k-step walk needs k + 1. Whether a call raises thus depends on the
+    calls before it."""
+    alphabet, budget = system.alphabet, completion.STEP_BUDGET
     forms = {}  # letters -> normal form
 
     def nf(word):
         letters, walk = word.letters, []
         found = forms.get(letters)
         while found is None:
-            if len(walk) == max_steps:
-                raise ReductionBudgetExceeded(f"no fixed point within {max_steps} steps")
+            if len(walk) == budget:
+                raise ReductionBudgetExceeded(f"no fixed point within {budget} steps")
             walk.append(letters)
             nxt = _rewrite_at(system, letters)
             if nxt is None:
@@ -174,7 +174,7 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
         c2 = reduce(raw[1])
         if c1 == c2:
             new = None
-        elif system.order.greater(c1, c2):
+        elif system.order.key(c1) > system.order.key(c2):
             new = Rule(c1, c2)
         else:
             new = Rule(c2, c1)

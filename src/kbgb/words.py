@@ -62,10 +62,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"unknown generator: {name!r}") from None
 
-    def word(self, *names: str) -> "Word":
-        """Build a word from generator names."""
-        return Word(self, tuple(self.index(n) for n in names))
-
     def parse_word(self, text: str) -> "Word":
         """Parse ``"b.a"`` (dotted), ``"ba"`` (single-char alphabets), or ``"1"``."""
         if not text:
@@ -82,7 +78,7 @@ class Alphabet:
             raise ValueError(f"cannot split {text!r}; separate generator names with '.'")
         if any(not n for n in names):
             raise ValueError(f"malformed word: {text!r}")
-        return self.word(*names)
+        return Word(self, [self.index(n) for n in names])
 
 
 class Word:
@@ -164,12 +160,13 @@ class MonomialOrder:
     """Total word order compatible with concatenation on both sides.
 
     Weighted shortlex (wtlex) compares total weight, then length, then
-    letters by precedence. Shortlex is wtlex with every weight one, as an
-    order given no weights has: length first, then letters. Both are
-    admissible and well-founded.
+    letters by precedence. Weights map each generator name to a positive
+    integer; an order given none weighs every generator one, which is
+    shortlex: length first, then letters. Both are admissible and
+    well-founded.
     """
 
-    __slots__ = ("alphabet", "precedence", "weights", "_rank", "_unit", "_ranks_are_letters")
+    __slots__ = ("alphabet", "precedence", "weights", "_rank", "_ranks_are_letters")
 
     def __init__(self, alphabet, precedence=None, weights=None):
         if precedence is None:
@@ -181,43 +178,26 @@ class MonomialOrder:
         for pos, name in enumerate(precedence):
             rank[alphabet.index(name)] = pos
         if weights is None:
-            weights = (1,) * len(alphabet)
-        elif hasattr(weights, "keys"):
-            if set(weights.keys()) != set(alphabet.symbols):
-                raise ValueError("one weight per generator required")
-            weights = tuple(weights[name] for name in alphabet.symbols)
-        else:
-            weights = tuple(weights)
-        if len(weights) != len(alphabet):
-            raise ValueError("one weight per generator required")
+            weights = dict.fromkeys(alphabet.symbols, 1)
+        if not hasattr(weights, "keys") or set(weights.keys()) != set(alphabet.symbols):
+            raise ValueError("weights must map every generator to its weight")
+        weights = tuple(weights[name] for name in alphabet.symbols)
         if any(type(w) is not int or w <= 0 for w in weights):
             raise ValueError("weights must be positive integers")
         self.alphabet = alphabet
         self.precedence = precedence
-        self.weights = weights
+        self.weights = weights  # by letter index
         self._rank = tuple(rank)
-        # unit weights: the weight of a word is its length
-        self._unit = set(weights) == {1}
         # shortlex in alphabet order: the rank tuple of a word is its letters
-        self._ranks_are_letters = self._unit and precedence == alphabet.symbols
-
-    @classmethod
-    def shortlex(cls, alphabet, precedence=None):
-        return cls(alphabet, precedence)
-
-    @classmethod
-    def weighted_shortlex(cls, alphabet, weights, precedence=None):
-        return cls(alphabet, precedence, weights)
+        self._ranks_are_letters = set(weights) == {1} and precedence == alphabet.symbols
 
     def key(self, word: Word):
         """Sort key; tuples compare exactly as the order does."""
         if self._ranks_are_letters:
             return (len(word.letters), word.letters)
-        ranks = tuple(self._rank[ix] for ix in word.letters)
-        if self._unit:
-            return (len(word.letters), ranks)
-        weight = sum(self.weights[ix] for ix in word.letters)
-        return (weight, len(word.letters), ranks)
+        letters = word.letters
+        weight = sum(self.weights[ix] for ix in letters)
+        return (weight, len(letters), tuple(self._rank[ix] for ix in letters))
 
     def compare(self, w1: Word, w2: Word) -> int:
         """-1, 0, or 1 as w1 is below, equal to, or above w2."""
@@ -229,9 +209,6 @@ class MonomialOrder:
         if k1 > k2:
             return 1
         return 0
-
-    def greater(self, w1: Word, w2: Word) -> bool:
-        return self.compare(w1, w2) > 0
 
     def __eq__(self, other):
         return (

@@ -5,6 +5,7 @@ import io
 import os
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from kbgb import (
     MONOID,
@@ -21,6 +22,7 @@ from kbgb import (
     make_monic,
     render_poly,
 )
+from kbgb import completion
 from kbgb.cli import main as cli_main
 from kbgb.words import OverlapMatch, RedexIndex
 
@@ -35,8 +37,8 @@ def render_presentation(pf):
     Polynomial terms keep their source order and coefficients.
     """
     lines = [f"mode: {pf.mode}"]
-    if pf.field_name is not None:
-        lines.append(f"field: {pf.field_name}")
+    if pf.field != QQ:
+        lines.append(f"field: {pf.field.name}")
     lines.append("alphabet: " + " ".join(pf.alphabet.symbols))
     if set(pf.order.weights) == {1}:  # shortlex is wtlex with unit weights
         lines.append("order: shortlex " + " < ".join(pf.order.precedence))
@@ -72,7 +74,7 @@ def make_alphabet(letters="ab"):
 def make_system(rule_texts, letters="ab", mode=SEMIGROUP, precedence=None):
     """Build a shortlex system from "lhs->rhs" strings over single-char letters."""
     alpha = make_alphabet(letters)
-    order = MonomialOrder.shortlex(alpha, precedence)
+    order = MonomialOrder(alpha, precedence)
     rules = []
     for text in rule_texts:
         lhs_text, _, rhs_text = text.partition("->")
@@ -114,7 +116,7 @@ def random_oriented_rules(rng, alpha, order, max_rules=4, max_side=4, allow_empt
 def random_system(rng, letters=None, mode=SEMIGROUP, max_rules=4, max_side=4):
     letters = letters or rng.choice(["ab", "ab", "abc"])
     alpha = make_alphabet(letters)
-    order = MonomialOrder.shortlex(alpha)
+    order = MonomialOrder(alpha)
     rules = random_oriented_rules(rng, alpha, order, max_rules, max_side,
                                   allow_empty_rhs=(mode != SEMIGROUP))
     return RewriteSystem(alpha, order, rules, mode)
@@ -136,7 +138,7 @@ def random_redex_system(rng):
     rng.shuffle(precedence)
     if len(letters) == 3 and precedence == list(letters):
         precedence.reverse()
-    order = MonomialOrder.shortlex(alpha, precedence)
+    order = MonomialOrder(alpha, precedence)
 
     def draw(lo, hi):
         return tuple(rng.randrange(len(letters)) for _ in range(rng.randint(lo, hi)))
@@ -172,7 +174,7 @@ def random_general_basis(rng, field=QQ):
     alpha = make_alphabet(letters)
     precedence = list(letters)
     rng.shuffle(precedence)
-    order = MonomialOrder.shortlex(alpha, precedence)
+    order = MonomialOrder(alpha, precedence)
     polys = []
     while len(polys) < 3:
         words = set()
@@ -276,6 +278,12 @@ def record_walk(monkeypatch):
 
     monkeypatch.setattr(RedexIndex, "overlaps", overlaps)
     return walked
+
+
+def step_budget(steps):
+    """A context in which completion.STEP_BUDGET is steps: every reduction
+    memo made inside it has that budget."""
+    return mock.patch.object(completion, "STEP_BUDGET", steps)
 
 
 def run_cli(argv):

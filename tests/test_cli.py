@@ -23,7 +23,7 @@ from kbgb import (
 )
 from kbgb.cli import main as cli_main
 
-from helpers import ROOT, child_env, record_searches, record_walk, run_cli
+from helpers import ROOT, child_env, record_searches, record_walk, run_cli, step_budget
 from oracles import poly_difference
 from test_golden import ALG_EXPLODE, ALG_EXPLODE_QUERY
 
@@ -423,9 +423,12 @@ class TestErrorsAndExitCodes:
 
     def test_reduction_budget_is_exit_three(self, pres, monkeypatch):
         real = rewriting.normal_form
-        monkeypatch.setattr(
-            rewriting, "normal_form", lambda system, word, max_steps=1: real(system, word, max_steps)
-        )
+
+        def lowered(system, word):
+            with step_budget(1):
+                return real(system, word)
+
+        monkeypatch.setattr(rewriting, "normal_form", lowered)
         code, out, err = run_cli(["nf", pres(BASIC), "b.a.b.a"])
         assert code == 3
         assert out == ""
@@ -567,7 +570,7 @@ class TestStreaming:
         # builds its own raw words, reduced zero and witness tuples, 15.0 MiB
         # when a pass builds each distinct one once
         pf = parse_presentation(EXPLODE)
-        stream = correspondence.lockstep_passes(pf.system(), pf.field(),
+        stream = correspondence.lockstep_passes(pf.system(), pf.field,
                                                 CompletionLimits(max_passes=5))
         for _ in range(4):
             next(stream)

@@ -71,7 +71,7 @@ class TestTranslation:
         assert basis_to_rules(rules_to_basis(single, QQ)).rules == single.rules
 
         alpha = Alphabet("ab")
-        order = MonomialOrder.shortlex(alpha)
+        order = MonomialOrder(alpha)
         three_terms = NcPolynomial(QQ, [
             (alpha.parse_word("ab"), 1),
             (alpha.parse_word("ba"), 1),
@@ -82,7 +82,7 @@ class TestTranslation:
 
     def test_basis_to_rules_rejects_wrong_coefficients(self):
         alpha = Alphabet("ab")
-        order = MonomialOrder.shortlex(alpha)
+        order = MonomialOrder(alpha)
         skew = NcPolynomial(QQ, [(alpha.parse_word("ba"), 1), (alpha.parse_word("a"), 2)])
         with pytest.raises(NonBinomialError):
             basis_to_rules(Basis(alpha, order, QQ, (skew,)))
@@ -168,7 +168,7 @@ class TestLockstep:
 
     def test_wtlex_lockstep(self):
         alpha = Alphabet("ab")
-        order = MonomialOrder.weighted_shortlex(alpha, {"a": 3, "b": 1})
+        order = MonomialOrder(alpha, weights={"a": 3, "b": 1})
         system = RewriteSystem(
             alpha,
             order,
@@ -508,7 +508,7 @@ class TestIsoCheck:
         system = make_system(["ba->ab"])
         skewed = system.alphabet.parse_word(skewed_word)
 
-        def rule_nf(system, word, max_steps=0):
+        def rule_nf(system, word):
             if word == skewed:
                 return system.alphabet.parse_word(image)
             return normal_form(system, word)
@@ -541,7 +541,8 @@ class TestIsoCheck:
     @pytest.mark.parametrize("skew, detail", [
         (lambda image, w: NcPolynomial(image.field, term_sum(image.field, image.terms, {w("a.a.a"): 1})),
          "monomial image is not a monomial: a"),
-        (lambda image, w: image.scaled(2), "monomial image is not monic: a"),
+        (lambda image, w: NcPolynomial(image.field, {m: 2 * c for m, c in image.terms.items()}),
+         "monomial image is not monic: a"),
         (_swapped, "multiplicativity fails on a * b"),
     ], ids=["not-monomial", "not-monic", "multiplicativity"])
     def test_skewed_polynomial_images_fail(self, monkeypatch, skew, detail):

@@ -46,6 +46,7 @@ from helpers import (
     random_system,
     record_searches,
     redex_features,
+    step_budget,
     twins,
 )
 from oracles import (
@@ -62,7 +63,7 @@ from oracles import (
 )
 
 AB = Alphabet("ab")
-ORDER = MonomialOrder.shortlex(AB)
+ORDER = MonomialOrder(AB)
 
 
 def w(text):
@@ -343,12 +344,13 @@ class TestReduction:
         steps, expected, _ = reference_reduce_on(basis, p.terms)
         nf = NcPolynomial(QQ, expected)
         assert (nf, len(steps)) == (poly(QQ, ("aabb", 1), ("ab", 1)), 5)
-        assert poly_normal_form(basis, p, 5) == nf
-        with pytest.raises(ReductionBudgetExceeded, match="within 4 steps"):
-            poly_normal_form(basis, p, 4)
+        with step_budget(5):
+            assert poly_normal_form(basis, p) == nf
+        with step_budget(4), pytest.raises(ReductionBudgetExceeded, match="within 4 steps"):
+            poly_normal_form(basis, p)
 
     def test_budget_boundary(self):
-        # a reduction that needs exactly k steps raises at max_steps=k and
+        # a reduction that needs exactly k steps raises at a budget of k and
         # returns at k+1, in both engines
         rng = random.Random(73)
         for _ in range(20):
@@ -360,13 +362,15 @@ class TestReduction:
                 p = NcPolynomial(QQ, {word: 1})
                 steps, expected, _ = reference_reduce(members, QQ, key, p.terms)
                 k = len(steps)
-                nf = poly_normal_form(basis, p, k + 1)
-                assert nf.terms == expected
-                (image,) = nf.terms
-                assert normal_form(system, word, k + 1) == image
-                for run in (lambda: poly_normal_form(basis, p, k),
-                            lambda: normal_form(system, word, k)):
-                    with pytest.raises(ReductionBudgetExceeded, match=f"within {k} steps"):
+                with step_budget(k + 1):
+                    nf = poly_normal_form(basis, p)
+                    assert nf.terms == expected
+                    (image,) = nf.terms
+                    assert normal_form(system, word) == image
+                for run in (lambda: poly_normal_form(basis, p),
+                            lambda: normal_form(system, word)):
+                    with step_budget(k), \
+                            pytest.raises(ReductionBudgetExceeded, match=f"within {k} steps"):
                         run()
 
 
@@ -406,21 +410,24 @@ class TestMonomialForms:
     def test_budget_counts_the_steps_of_a_first_call(self):
         # a first call searches once each of the k monomials reachable from
         # m by first-redex steps, the irreducible ones included: it raises
-        # at max_steps k - 1 and returns the reference's form at k
+        # at a budget of k - 1 and returns the reference's form at k
         rng = random.Random(89)
         for _ in range(8):
             general = random_general_basis(rng)
             for basis in (general, with_random_binomial(rng, general)):
                 for word in all_words(basis.alphabet, 4, min_len=0):
                     k = len(reachable_monomials(basis, word))
-                    with pytest.raises(ReductionBudgetExceeded, match=f"within {k - 1} steps"):
-                        monomial_forms(basis, max_steps=k - 1)(word)
+                    with step_budget(k - 1), \
+                            pytest.raises(ReductionBudgetExceeded, match=f"within {k - 1} steps"):
+                        monomial_forms(basis)(word)
                     expected = reference_reduce_on(basis, {word: 1})[1]
-                    assert monomial_forms(basis, max_steps=k)(word).terms == expected
+                    with step_budget(k):
+                        assert monomial_forms(basis)(word).terms == expected
         # a.a.a.a.a walks four steps under a.a - a
-        with pytest.raises(ReductionBudgetExceeded):
-            monomial_forms(binomial_basis(["aa->a"]), max_steps=4)(w("aaaaa"))
-        assert monomial_forms(binomial_basis(["aa->a"]), max_steps=5)(w("aaaaa")) == poly(QQ, ("a", 1))
+        with step_budget(4), pytest.raises(ReductionBudgetExceeded):
+            monomial_forms(binomial_basis(["aa->a"]))(w("aaaaa"))
+        with step_budget(5):
+            assert monomial_forms(binomial_basis(["aa->a"]))(w("aaaaa")) == poly(QQ, ("a", 1))
 
     def test_an_irreducible_monomial_keys_its_own_form(self):
         # the form's one term is at the monomial given, not at a copy

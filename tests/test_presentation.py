@@ -50,8 +50,8 @@ class TestParseRules:
     def test_reversed_precedence_orients_as_declared(self):
         text = "mode: sgp\nalphabet: a b\norder: shortlex b < a\nrules:\n  a.b -> b.a\n"
         system = parse_presentation(text).system()
-        assert system.order.greater(system.alphabet.parse_word("ab"),
-                                    system.alphabet.parse_word("ba"))
+        assert system.order.compare(system.alphabet.parse_word("ab"),
+                                    system.alphabet.parse_word("ba")) == 1
 
     def test_misoriented_rule_fails_at_system_build(self):
         # the parser builds each rule's one-rule system, so it fails at the rule's line
@@ -180,8 +180,8 @@ class TestWtlex:
         system = parse_presentation(self.TEXT).system()
         assert system.order.weights == (3, 1)
         # a outweighs b.b, so the rule is oriented even though a is shorter
-        assert system.order.greater(system.alphabet.parse_word("a"),
-                                    system.alphabet.parse_word("bb"))
+        assert system.order.compare(system.alphabet.parse_word("a"),
+                                    system.alphabet.parse_word("bb")) == 1
 
     def test_missing_precedence_line(self):
         bad = self.TEXT.replace("precedence: a < b\n", "")

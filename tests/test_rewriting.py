@@ -30,6 +30,7 @@ from helpers import (
     random_system,
     record_searches,
     redex_features,
+    step_budget,
     twins,
 )
 from oracles import (
@@ -155,7 +156,7 @@ class TestNormalForm:
             for word in all_words(system.alphabet, 4):
                 nxt = first_step(system, word)
                 if nxt is not None:
-                    assert system.order.greater(word, nxt)
+                    assert system.order.compare(word, nxt) == 1
 
 
 class TestNormalForms:
@@ -186,12 +187,13 @@ class TestNormalForms:
                 while nxt is not None:
                     steps, nxt = steps + 1, first_step(system, nxt)
                 # the same budget as normal_form: a k-step reduction needs k + 1
-                with pytest.raises(ReductionBudgetExceeded):
-                    normal_forms(system, max_steps=steps)(word)
-                with pytest.raises(ReductionBudgetExceeded):
-                    normal_form(system, word, max_steps=steps)
-                assert normal_forms(system, max_steps=steps + 1)(word) == \
-                    reference_normal_form(system, word)
+                with step_budget(steps):
+                    with pytest.raises(ReductionBudgetExceeded):
+                        normal_forms(system)(word)
+                    with pytest.raises(ReductionBudgetExceeded):
+                        normal_form(system, word)
+                with step_budget(steps + 1):
+                    assert normal_forms(system)(word) == reference_normal_form(system, word)
 
     def test_every_word_on_a_walk_is_recorded(self, monkeypatch):
         # a.a.a.a walks through a.a.a and a.a to a; each then answers with
@@ -282,7 +284,7 @@ class TestCriticalPairs:
                 for side in pair.reduced:
                     assert first_step(system, side) is None
                 if pair.new is not None:
-                    assert system.order.greater(pair.new.lhs, pair.new.rhs)
+                    assert system.order.compare(pair.new.lhs, pair.new.rhs) == 1
 
     def test_reduced_is_normal_form_of_raw(self):
         # critical_pairs reduces each distinct raw word once per call

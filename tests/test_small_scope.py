@@ -26,16 +26,15 @@ from helpers import reference_systems
 from oracles import all_words, interreduce, is_locally_confluent, letter_key
 
 AB = Alphabet("ab")
-WEIGHTS = (1, 2)  # a, b
+WEIGHTS = {"a": 1, "b": 2}
 
 
 def family(mode, rules, max_side, weights=None):
     """Every system of the given number of rules whose sides are distinct
     words of at most max_side letters, each rule oriented down the oracle's
     key: shortlex, or wtlex under weights."""
-    key = letter_key(AB, AB.symbols, weights)
-    order = (MonomialOrder.shortlex(AB) if weights is None
-             else MonomialOrder.weighted_shortlex(AB, weights))
+    key = letter_key(AB, AB.symbols, weights and [weights[name] for name in AB.symbols])
+    order = MonomialOrder(AB, weights=weights)
     words = sorted(all_words(AB, max_side, min_len=0 if mode == MONOID else 1),
                    key=lambda word: key(word.letters))
     oriented = [Rule(big, small) for small, big in itertools.combinations(words, 2)]

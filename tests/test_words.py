@@ -21,13 +21,14 @@ from oracles import (
     all_words,
     exhaustive_matches,
     leftmost_redex,
+    letter_key,
     match_set,
     reference_overlaps,
     shortlex_key,
 )
 
 AB = Alphabet("ab")
-SHORTLEX = MonomialOrder.shortlex(AB)
+SHORTLEX = MonomialOrder(AB)
 
 
 def w(text, alpha=AB):
@@ -75,8 +76,8 @@ class TestAlphabet:
             alpha.parse_word("x1x2")
 
     def test_parse_word_forms(self):
-        assert w("b.a") == AB.word("b", "a")
-        assert w("ba") == AB.word("b", "a")
+        assert w("b.a") == Word(AB, (1, 0))
+        assert w("ba") == Word(AB, (1, 0))
         assert w("1") == Word(AB)
 
 
@@ -100,52 +101,67 @@ class TestCompare:
         assert SHORTLEX.compare(w("aaa"), w("ba")) == 1
 
     def test_reversed_precedence(self):
-        rev = MonomialOrder.shortlex(AB, precedence=("b", "a"))
+        rev = MonomialOrder(AB, precedence=("b", "a"))
         assert rev.compare(w("ab"), w("ba")) == 1
 
     def test_wtlex_agrees_with_shortlex_on_unit_weights(self):
-        wt = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 1})
+        wt = MonomialOrder(AB, weights={"a": 1, "b": 1})
         sample = [w("a"), w("b"), w("ab"), w("ba"), w("bba"), w("aab"), w("1")]
         assert sorted(sample, key=wt.key) == sorted(sample, key=SHORTLEX.key)
 
     def test_shortlex_is_wtlex_with_unit_weights(self):
-        unit = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 1})
+        unit = MonomialOrder(AB, weights={"a": 1, "b": 1})
         assert unit == SHORTLEX and hash(unit) == hash(SHORTLEX)
 
     def test_wtlex_weight_dominates(self):
-        wt = MonomialOrder.weighted_shortlex(AB, {"a": 3, "b": 1})
+        wt = MonomialOrder(AB, weights={"a": 3, "b": 1})
         assert wt.compare(w("a"), w("bb")) == 1  # weight 3 beats weight 2
 
     def test_wtlex_length_breaks_weight_ties(self):
         # a.a and b both weigh 2 and b precedes a.a letter by letter: only
         # the length puts a.a above b
-        wt = MonomialOrder.weighted_shortlex(AB, {"a": 1, "b": 2})
+        wt = MonomialOrder(AB, weights={"a": 1, "b": 2})
         assert wt.compare(w("aa"), w("b")) == 1
         assert sorted([w("aa"), w("b"), w("ab")], key=wt.key) == [w("b"), w("aa"), w("ab")]
 
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
-            MonomialOrder.shortlex(AB, precedence=("a",))
+            MonomialOrder(AB, precedence=("a",))
         with pytest.raises(ValueError):
-            MonomialOrder.weighted_shortlex(AB, {"a": 0, "b": 1})
+            MonomialOrder(AB, weights={"a": 0, "b": 1})
         with pytest.raises(AlphabetMismatch):
             SHORTLEX.compare(w("a"), Alphabet("abc").parse_word("a"))
 
+    # weights map names to weights: a sequence, even of valid weights or of
+    # every name, is rejected
     @pytest.mark.parametrize("weights", [
-        {"a": 1}, {"a": 1, "b": 2, "c": 3}, {"a": True, "b": 1}, (1, True), {"a": 1.0, "b": 1},
-    ], ids=["missing", "extra", "bool", "bool-sequence", "float"])
+        {"a": 1}, {"a": 1, "b": 2, "c": 3}, {"a": True, "b": 1}, (1, 2), ("a", "b"),
+        {"a": 1.0, "b": 1},
+    ], ids=["missing", "extra", "bool", "sequence", "name-sequence", "float"])
     def test_invalid_weights(self, weights):
         with pytest.raises(ValueError):
-            MonomialOrder.weighted_shortlex(AB, weights)
+            MonomialOrder(AB, weights=weights)
 
     @pytest.mark.parametrize("precedence", ["abc", "cab", "bca"])
     def test_shortlex_key_sorts_like_reference(self, precedence):
         alpha = Alphabet("abc")
-        order = MonomialOrder.shortlex(alpha, tuple(precedence))
+        order = MonomialOrder(alpha, tuple(precedence))
         sample = list(all_words(alpha, 3, min_len=0))
         random.Random(3).shuffle(sample)
         reference = shortlex_key(alpha, tuple(precedence))
         assert sorted(sample, key=order.key) == sorted(sample, key=reference)
+
+    @pytest.mark.parametrize("precedence", ["cab", "bca"])
+    def test_unit_weight_mapping_sorts_like_reference(self, precedence):
+        # explicit unit weights under a precedence other than the alphabet's
+        # take the general key, (weight, length, ranks), which must sort as
+        # shortlex does
+        alpha = Alphabet("abc")
+        order = MonomialOrder(alpha, tuple(precedence), {"a": 1, "b": 1, "c": 1})
+        sample = list(all_words(alpha, 3, min_len=0))
+        random.Random(5).shuffle(sample)
+        reference = letter_key(alpha, tuple(precedence))
+        assert sorted(sample, key=order.key) == sorted(sample, key=lambda w: reference(w.letters))
 
     @given(words_ab, words_ab)
     def test_total(self, w1, w2):
@@ -157,8 +173,8 @@ class TestCompare:
     @given(words_ab, words_ab, words_ab, words_ab)
     @settings(max_examples=200)
     def test_admissible(self, w1, w2, left, right):
-        if SHORTLEX.greater(w1, w2):
-            assert SHORTLEX.greater(left * w1 * right, left * w2 * right)
+        if SHORTLEX.compare(w1, w2) > 0:
+            assert SHORTLEX.compare(left * w1 * right, left * w2 * right) > 0
 
     @given(st.lists(words_ab, max_size=12))
     def test_sort_stable_under_resort(self, sample):
@@ -168,9 +184,9 @@ class TestCompare:
     @given(words_ab, words_ab, words_ab, words_ab)
     @settings(max_examples=150)
     def test_wtlex_admissible(self, w1, w2, left, right):
-        wt = MonomialOrder.weighted_shortlex(AB, {"a": 2, "b": 1})
-        if wt.greater(w1, w2):
-            assert wt.greater(left * w1 * right, left * w2 * right)
+        wt = MonomialOrder(AB, weights={"a": 2, "b": 1})
+        if wt.compare(w1, w2) > 0:
+            assert wt.compare(left * w1 * right, left * w2 * right) > 0
 
 
 class TestRedexIndex:
