@@ -89,7 +89,7 @@ def pair_sources(index, since, carried):
     """(first, second, match, raw) of every pair of index.overlaps, in order:
     in each row, the carried records of the last pass, then the walk's pairs
     touching members from since (that pass's input size) on, with raw None.
-    A match's witnesses are letter tuples; an engine builds its raw pair."""
+    A match's witnesses are letter strings; an engine builds its raw pair."""
     old = ((rec.first, rec.second, rec.match, rec.raw) for rec in carried)
     new = ((i, j, m, None) for i, j, m in index.overlaps(since))
     return merge(old, new, key=itemgetter(0))

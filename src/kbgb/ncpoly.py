@@ -1,7 +1,7 @@
 """Noncommutative polynomials over exact fields, and Buchberger completion.
 
-Monomials are free-monoid words; a polynomial is a finite scalar
-combination with no stored zeros. Coefficients are plain Python values
+Monomials are free-monoid words, each holding its letters as one str; a
+polynomial is a finite scalar combination with no stored zeros. Coefficients are plain Python values
 (over the rationals an int when integral and a fractions.Fraction
 otherwise, canonical residues over a prime field) interpreted through a
 small field object carried by every polynomial.
@@ -408,7 +408,7 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     A carry, the last pass's (input basis, records), lends raw S-polynomials.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
-    letter tuples, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
+    letter strings, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
     members are monic, so that monomial cancels, and the raw S-polynomial
     is the sum of -c . u1.t.v1 over the tail terms -c . t of f1 and of
     c . u2.t.v2 over those of f2. The monomial that cancels is never built.

@@ -9,11 +9,12 @@ oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run. Because the system is fixed,
 a normal form depends on the word alone, nf(w) = nf(step(w)), and the one
 reduction, normal_forms, memoizes it on every word a reduction passes
-through, for one pass, one iso-check or one query. Handed the last pass's
-input and pairs (its carry), a pass reuses their matches and raw critical
-pairs but still reduces every pair. A pass holds each distinct word once:
-its raw words come from one words.word_table, so twin pairs share theirs,
-and an irreducible raw word is its own normal form.
+through, for one pass, one iso-check or one query. A word's letters are one
+str, so a step splices strings and the memo keys on them. Handed the last
+pass's input and pairs (its carry), a pass reuses their matches and raw
+critical pairs but still reduces every pair. A pass holds each distinct word
+once: its raw words come from one words.word_table, so twin pairs share
+theirs, and an irreducible raw word is its own normal form.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
     RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, its
-    witnesses letters, and its raw critical pair is (u1.r1.v1, u2.r2.v2), one
-    Word each from one word_table of the call, so equal raw words of the
-    call are one Word. A carry, the last pass's (input system, pairs), lends
-    their matches and raw pairs (pair_sources).
+    witnesses letter strings, and its raw critical pair is
+    (u1.r1.v1, u2.r2.v2), one Word each from one word_table of the call, so
+    equal raw words of the call are one Word. A carry, the last pass's
+    (input system, pairs), lends their matches and raw pairs (pair_sources).
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
@@ -211,10 +212,11 @@ def words_equal(system: RewriteSystem, w1: Word, w2: Word) -> bool:
 def bounded_words(system: RewriteSystem, max_len: int):
     """Every word of length up to max_len, by length and then letter index;
     the empty word is included in monoid mode only."""
-    size = len(system.alphabet)
+    alphabet = system.alphabet
+    letters = [Word(alphabet, (ix,)).letters for ix in range(len(alphabet))]
     for n in range(0 if system.mode == MONOID else 1, max_len + 1):
-        for letters in itertools.product(range(size), repeat=n):
-            yield Word._raw(system.alphabet, letters)
+        for word in itertools.product(letters, repeat=n):
+            yield Word._raw(alphabet, "".join(word))
 
 
 def pair_line(pass_index: int, cp: PairRecord) -> str:

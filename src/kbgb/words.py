@@ -1,13 +1,13 @@
 """Free-semigroup words, admissible orderings, and overlap detection.
 
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
-engines: alphabets of named generators, words stored as index sequences,
-shortlex and weighted-shortlex orderings, the redex index both engines
-search, and the four configurations in which two left-hand sides can share
-ground on one word. One walk of an engine's redex index yields every match
-of every pair of its left sides, as letters; there is no subword search and
-no search of one pair at a time, and a walk can skip the pairs of patterns
-all below a given index.
+engines: alphabets of named generators, words whose letters are one str with
+the character chr(index) for each generator, shortlex and weighted-shortlex
+orderings, the redex index both engines search, and the four configurations
+in which two left-hand sides can share ground on one word. One walk of an
+engine's redex index yields every match of every pair of its left sides, as
+letter strings; there is no subword search and no search of one pair at a
+time, and a walk can skip the pairs of patterns all below a given index.
 """
 
 from __future__ import annotations
@@ -82,27 +82,28 @@ class Alphabet:
 
 
 class Word:
-    """Immutable sequence of generator indices; may be empty."""
+    """Immutable word over an alphabet; may be empty. Its letters are a str
+    holding chr(index) of each generator, so a word hashes once (str caches
+    its hash) and is spliced by slicing and concatenation."""
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    __slots__ = ("alphabet", "letters")
 
-    def __init__(self, alphabet: Alphabet, letters=()):
-        letters = tuple(letters)
+    def __init__(self, alphabet: Alphabet, letters=""):
+        """letters: the generator indices, as ints or as a str of chr(index)."""
+        indices = tuple(map(ord, letters) if isinstance(letters, str) else letters)
         n = len(alphabet)
-        for ix in letters:
+        for ix in indices:
             if not 0 <= ix < n:
                 raise ValueError(f"letter index {ix} outside alphabet of size {n}")
         self.alphabet = alphabet
-        self.letters = letters
-        self._hash = hash((alphabet.symbols, letters))
+        self.letters = "".join(map(chr, indices))
 
     @classmethod
     def _raw(cls, alphabet, letters):
-        # internal fast path: letters already known to be valid indices
+        # internal fast path: letters already a str of valid indices
         word = object.__new__(cls)
         word.alphabet = alphabet
         word.letters = letters
-        word._hash = hash((alphabet.symbols, letters))
         return word
 
     def __len__(self):
@@ -116,7 +117,7 @@ class Word:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.letters)
 
     def __mul__(self, other):
         if not isinstance(other, Word):
@@ -135,7 +136,7 @@ class Word:
             if len(memo) >= _DOTTED_MEMO:
                 memo.clear()
             symbols = self.alphabet.symbols
-            text = memo[self.letters] = ".".join([symbols[ix] for ix in self.letters])
+            text = memo[self.letters] = ".".join([symbols[ord(c)] for c in self.letters])
         return text
 
     def __repr__(self):
@@ -187,17 +188,17 @@ class MonomialOrder:
         self.alphabet = alphabet
         self.precedence = precedence
         self.weights = weights  # by letter index
-        self._rank = tuple(rank)
-        # shortlex in alphabet order: the rank tuple of a word is its letters
+        self._rank = "".join(map(chr, rank))  # a str.translate table: letter -> its rank
+        # shortlex in alphabet order: the ranks of a word are its letters
         self._ranks_are_letters = set(weights) == {1} and precedence == alphabet.symbols
 
     def key(self, word: Word):
-        """Sort key; tuples compare exactly as the order does."""
+        """Sort key; keys compare exactly as the order does."""
         if self._ranks_are_letters:
             return (len(word.letters), word.letters)
         letters = word.letters
-        weight = sum(self.weights[ix] for ix in letters)
-        return (weight, len(letters), tuple(self._rank[ix] for ix in letters))
+        weight = sum(self.weights[ord(c)] for c in letters)
+        return (weight, len(letters), letters.translate(self._rank))
 
     def compare(self, w1: Word, w2: Word) -> int:
         """-1, 0, or 1 as w1 is below, equal to, or above w2."""
@@ -222,9 +223,10 @@ class MonomialOrder:
         return hash((self.alphabet, self.precedence, self.weights))
 
 
-# trie node keys besides the letters (>= 0), holding ascending pattern indices:
-# of the patterns ending at the node; passing through or ending at it. Not -2:
-# hash(-2) == hash(-1), and the collision slows every lookup of _END in find.
+# trie node keys besides the letters (one-character strings), holding ascending
+# pattern indices: of the patterns ending at the node; passing through or ending
+# at it. Not -2: hash(-2) == hash(-1), and the collision slows every lookup of
+# _END in find.
 _END, _BELOW = -1, -3
 
 
@@ -243,15 +245,15 @@ def _trie(patterns, first=0):
 
 
 class RedexIndex:
-    """Trie over letter tuples, for redex search and overlap detection in both engines.
+    """Trie over letter strings, for redex search and overlap detection in both engines.
 
     The patterns are the rule left sides or the basis leading monomials, in
-    index order. Nodes are plain dicts from letter to child, plus the keys
-    _END and _BELOW. This is the trie of the index automaton in Sims,
-    Computation with Finitely Presented Groups (CUP 1994), without failure
-    transitions: the walk restarts at each start, so the redex policy
-    "leftmost start, then lowest index" holds exactly even when one pattern
-    contains another.
+    index order. Nodes are plain dicts from letter (a one-character str) to
+    child, plus the keys _END and _BELOW. This is the trie of the index
+    automaton in Sims, Computation with Finitely Presented Groups (CUP 1994),
+    without failure transitions: the walk restarts at each start, so the
+    redex policy "leftmost start, then lowest index" holds exactly even when
+    one pattern contains another.
     """
 
     __slots__ = ("_root", "_patterns")
@@ -296,12 +298,13 @@ class RedexIndex:
         uses up the suffix, every longer pattern below the node begins with
         it, one overlap of each kind. The walks of one of its two patterns
         find each match, so those below since walk a trie of patterns[since:].
-        Equal witness tuples of one call are one tuple, and twin matches,
-        (i, j) and (j, i) of one meeting, hold the same ones."""
+        A witness is a letter string, "" when empty. Equal witnesses of one
+        call are one str, and twin matches, (i, j) and (j, i) of one meeting,
+        hold the same ones."""
         patterns = self._patterns
         newer = _trie(patterns[since:], since) if since else self._root
         found = []
-        keep = {}.setdefault  # one tuple per distinct witness of the call
+        keep = {}.setdefault  # one str per distinct witness of the call
         for i, letters in enumerate(patterns):
             root = self._root if i >= since else newer
             n = len(letters)
@@ -315,15 +318,15 @@ class RedexIndex:
                         for j in ends:
                             if j != i:
                                 found.append((i, j, 0, 0, 0, 0, 0, OverlapMatch(
-                                    MatchKind.CONTAINMENT_12, (), (), (), ())))
+                                    MatchKind.CONTAINMENT_12, "", "", "", "")))
                     elif ends is not None:
                         u, v = letters[:start], letters[at:]
                         u, v = keep(u, u), keep(v, v)
                         for j in ends:
                             found.append((i, j, 0, 0, 0, start, n - at, OverlapMatch(
-                                MatchKind.CONTAINMENT_12, (), (), u, v)))
+                                MatchKind.CONTAINMENT_12, "", "", u, v)))
                             found.append((j, i, 1, start, n - at, 0, 0, OverlapMatch(
-                                MatchKind.CONTAINMENT_21, u, v, (), ())))
+                                MatchKind.CONTAINMENT_21, u, v, "", "")))
                     if at == n:
                         if start:
                             u, shared = letters[:start], n - start
@@ -333,9 +336,9 @@ class RedexIndex:
                                 if v:
                                     v = keep(v, v)
                                     found.append((i, j, 2, 0, len(v), start, 0, OverlapMatch(
-                                        MatchKind.SUFFIX_PREFIX, (), v, u, ())))
+                                        MatchKind.SUFFIX_PREFIX, "", v, u, "")))
                                     found.append((j, i, 3, start, 0, 0, len(v), OverlapMatch(
-                                        MatchKind.PREFIX_SUFFIX, u, (), (), v)))
+                                        MatchKind.PREFIX_SUFFIX, u, "", "", v)))
                         break
                     node = node.get(letters[at])
                     at += 1
@@ -354,7 +357,7 @@ class MatchKind(enum.Enum):
 
 
 class OverlapMatch(NamedTuple):
-    """One configuration of two left-hand sides, with its letter-tuple witnesses.
+    """One configuration of two left-hand sides, with its letter-string witnesses.
 
     In every configuration u1.l1.v1 = u2.l2.v2, the smallest word on which
     both sides apply; the witnesses a configuration does not use are empty,
@@ -362,10 +365,10 @@ class OverlapMatch(NamedTuple):
     """
 
     kind: MatchKind
-    u1: tuple
-    v1: tuple
-    u2: tuple
-    v2: tuple
+    u1: str
+    v1: str
+    u2: str
+    v2: str
 
     def witness_lengths(self):
         return (len(self.u1), len(self.v1), len(self.u2), len(self.v2))

@@ -141,7 +141,7 @@ def random_redex_system(rng):
     order = MonomialOrder(alpha, precedence)
 
     def draw(lo, hi):
-        return tuple(rng.randrange(len(letters)) for _ in range(rng.randint(lo, hi)))
+        return "".join(chr(rng.randrange(len(letters))) for _ in range(rng.randint(lo, hi)))
 
     rules = []
     target = rng.randint(3, 7)
@@ -149,7 +149,7 @@ def random_redex_system(rng):
         if len(rules) == target:
             break
         kind = rng.choice(["free", "prefix", "extend", "repeat"]) if rules else "free"
-        base = rng.choice(rules).lhs.letters if rules else ()
+        base = rng.choice(rules).lhs.letters if rules else ""
         if kind == "prefix" and len(base) > 1:
             lhs = base[: rng.randint(1, len(base) - 1)]
         elif kind == "extend":
@@ -215,7 +215,7 @@ REFERENCE_CAPS = (30, 200, 60)  # rounds, rules, word length
 
 def reference_systems(initial, final):
     """(final's rules interreduced, reference_completion of initial's
-    rules), as letter tuples under the oracle key of initial's declared
+    rules), as letter strings under the oracle key of initial's declared
     order. When final is complete for the congruence of initial, the two
     are the one reduced complete system and equal."""
     order = initial.order

@@ -19,7 +19,7 @@ def all_words(alpha, max_len, min_len=1):
 
 
 def match_set(matches):
-    """(kind name, u1, v1, u2, v2), the witnesses as letter tuples, of each match."""
+    """(kind name, u1, v1, u2, v2), the witnesses as letter strings, of each match."""
     return {(m.kind.value, m.u1, m.v1, m.u2, m.v2) for m in matches}
 
 
@@ -32,13 +32,13 @@ def _containments(l1, l2):
             u2, v2 = a[:i], a[i + len(b):]
             if len(u2) == 0 and len(v2) == 0:
                 continue
-            out.add(("Containment12", (), (), u2, v2))
+            out.add(("Containment12", "", "", u2, v2))
     for i in range(len(b) - len(a) + 1):
         if b[i : i + len(a)] == a:
             u1, v1 = b[:i], b[i + len(a):]
             if len(u1) == 0 and len(v1) == 0:
                 continue
-            out.add(("Containment21", u1, v1, (), ()))
+            out.add(("Containment21", u1, v1, "", ""))
     return out
 
 
@@ -55,7 +55,7 @@ def exhaustive_matches(l1, l2):
             and sl[: len(l1)] == l1.letters
             and sl[len(s) - len(l2):] == l2.letters
         ):
-            out.add(("SuffixPrefix", (), sl[len(l1):], sl[: len(s) - len(l2)], ()))
+            out.add(("SuffixPrefix", "", sl[len(l1):], sl[: len(s) - len(l2)], ""))
         # u1.l1 = s = l2.v2 with all witnesses nonempty
         if (
             len(s) > len(l1)
@@ -63,7 +63,7 @@ def exhaustive_matches(l1, l2):
             and sl[len(s) - len(l1):] == l1.letters
             and sl[: len(l2)] == l2.letters
         ):
-            out.add(("PrefixSuffix", sl[: len(s) - len(l1)], (), (), sl[len(l2):]))
+            out.add(("PrefixSuffix", sl[: len(s) - len(l1)], "", "", sl[len(l2):]))
     return out
 
 
@@ -75,9 +75,9 @@ def candidate_matches(l1, l2):
     a, b = l1.letters, l2.letters
     for k in range(1, min(len(a), len(b))):
         if a[len(a) - k:] == b[:k]:  # l1.v1 = u2.l2
-            out.add(("SuffixPrefix", (), b[k:], a[:len(a) - k], ()))
+            out.add(("SuffixPrefix", "", b[k:], a[:len(a) - k], ""))
         if b[len(b) - k:] == a[:k]:  # u1.l1 = l2.v2
-            out.add(("PrefixSuffix", b[:len(b) - k], (), (), a[k:]))
+            out.add(("PrefixSuffix", b[:len(b) - k], "", "", a[k:]))
     return out
 
 
@@ -91,7 +91,7 @@ def reference_overlaps(lhss):
         for j, l2 in enumerate(lhss):
             found = candidate_matches(l1, l2)
             if i != j and l1 == l2:
-                found.add(("Containment12", (), (), (), ()))
+                found.add(("Containment12", "", "", "", ""))
             if found:
                 out[(i, j)] = found
     return out
@@ -142,14 +142,14 @@ def reference_normal_form(system, word):
 
 
 def letter_key(alphabet, precedence, weights=None):
-    """Sort key on letter tuples under a precedence list of generator names:
+    """Sort key on letter strings under a precedence list of generator names:
     shortlex (length, then ranks), or with weights, one per letter index,
-    wtlex (total weight, then length, then ranks)."""
+    wtlex (total weight, then length, then ranks). Letter i is chr(i)."""
     rank = {alphabet.symbols.index(name): pos for pos, name in enumerate(precedence)}
     if weights is None:
-        return lambda letters: (len(letters), [rank[ix] for ix in letters])
-    return lambda letters: (sum(weights[ix] for ix in letters), len(letters),
-                            [rank[ix] for ix in letters])
+        return lambda letters: (len(letters), [rank[ord(c)] for c in letters])
+    return lambda letters: (sum(weights[ord(c)] for c in letters), len(letters),
+                            [rank[ord(c)] for c in letters])
 
 
 def shortlex_key(alphabet, precedence):
@@ -302,8 +302,8 @@ def is_locally_confluent(system):
     return True
 
 
-# A reference completion on letter tuples: a rule is a pair (lhs, rhs) of
-# letter tuples, oriented so that key(lhs) > key(rhs). Reduction is naive
+# A reference completion on letter strings: a rule is a pair (lhs, rhs) of
+# letter strings, oriented so that key(lhs) > key(rhs). Reduction is naive
 # (leftmost_redex), and the overlaps are found by comparing each proper
 # suffix of one left side with the prefix of another.
 
@@ -352,7 +352,7 @@ def interreduce(rules, key):
 
 
 def reference_completion(rules, key, caps):
-    """The reduced complete system of rules, pairs of letter tuples oriented
+    """The reduced complete system of rules, pairs of letter strings oriented
     here by key, or None when it is not reached within caps, (rounds,
     rules, word length). Each round interreduces, then adds every critical
     pair of a suffix-prefix overlap whose two sides do not meet; a round
@@ -405,7 +405,7 @@ class ClosureBudgetExceeded(Exception):
 
 
 def _undirected_steps(rules, wl, cap):
-    """Single rewrite steps from a letter tuple in both directions, keeping
+    """Single rewrite steps from a letter string in both directions, keeping
     results of length <= cap; also reports whether any result was cut."""
     n = len(wl)
     out = []
@@ -498,7 +498,7 @@ def congruence_partition(system, max_len, max_extra=12, settle=2, node_budget=30
 # Known-answer families: groups whose word problem and order are decided
 # by integer arithmetic on letter indices, never by the engines. Each
 # builder returns (presentation text, equal, order), where equal(u, v)
-# decides whether two letter tuples name the same group element.
+# decides whether two letter strings name the same group element.
 
 def abelian_group(rows):
     """Z^2/L for the 2x2 integer matrix L given by rows, det L != 0, in mon
@@ -520,7 +520,7 @@ def abelian_group(rows):
     signs = (1, -1, 0, 0), (0, 0, 1, -1)  # exponent of a, of b, per letter index
 
     def exponents(letters):
-        return tuple(sum(sign[ix] for ix in letters) for sign in signs)
+        return tuple(sum(sign[ord(c)] for c in letters) for sign in signs)
 
     def equal(u, v):
         (d0, d1), (e0, e1) = exponents(u), exponents(v)
@@ -566,23 +566,23 @@ def _permutation_equality(gens, degree):
 
     def act(letters):
         points = tuple(range(degree))
-        for ix in letters:
-            points = tuple(gens[ix][p] for p in points)
+        for c in letters:
+            points = tuple(gens[ord(c)][p] for p in points)
         return points
 
     return lambda u, v: act(u) == act(v)
 
 
 def irreducible_words(lhss, size, most):
-    """The letter tuples over range(size) with no left side as a factor, by
-    length, if there are at most most of them; else the first most + 1. A
-    word is kept only if its prefix one shorter was, and the walk stops at
-    the first length with none, or once it has more than most words, as in
-    an infinite monoid."""
-    level, out = [()], [()]
+    """The letter strings over chr(0) to chr(size - 1) with no left side as a
+    factor, by length, if there are at most most of them; else the first
+    most + 1. A word is kept only if its prefix one shorter was, and the
+    walk stops at the first length with none, or once it has more than most
+    words, as in an infinite monoid."""
+    level, out = [""], [""]
     while level and len(out) <= most:
-        level = [w + (x,) for w in level for x in range(size)
-                 if not any(_ends_with(w + (x,), lhs) for lhs in lhss)]
+        level = [w + chr(x) for w in level for x in range(size)
+                 if not any(_ends_with(w + chr(x), lhs) for lhs in lhss)]
         out += level
     return out[:most + 1]
 

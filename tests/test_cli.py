@@ -566,9 +566,10 @@ class TestStreaming:
         assert len(calls) == 5 and peak < 2 << 20, peak
 
     def test_a_pass_holds_each_distinct_word_once(self):
-        # what explode's checked pass 5 holds: 22.8 MiB when every record
-        # builds its own raw words, reduced zero and witness tuples, 15.0 MiB
-        # when a pass builds each distinct one once
+        # what explode's checked pass 5 holds: with letters as int tuples,
+        # 22.8 MiB when every record builds its own raw words, reduced zero
+        # and witnesses, 15.2 MiB when a pass builds each distinct one once;
+        # 11.6 MiB with each distinct one once and letters as one str
         pf = parse_presentation(EXPLODE)
         stream = correspondence.lockstep_passes(pf.system(), pf.field,
                                                 CompletionLimits(max_passes=5))
@@ -580,7 +581,7 @@ class TestStreaming:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert last.rewriting.index == 5 and held <= 18 << 20, held
+        assert last.rewriting.index == 5 and held <= 14 << 20, held
 
     def test_lockstep_holds_one_pass(self, pres):
         path = pres(CHAIN)
@@ -733,5 +734,5 @@ class TestPerObjectCounts:
         words = [Word(alphabet, tuple(n >> bit & 1 for bit in range(17))) for n in range(70_000)]
         texts = [word.dotted() for word in words]
         assert len(alphabet._dotted) <= 1 << 16
-        assert texts == [".".join("ab"[ix] for ix in word.letters) for word in words]
+        assert texts == [".".join("ab"[ord(c)] for c in word.letters) for word in words]
         assert [word.dotted() for word in words[:3]] == texts[:3]

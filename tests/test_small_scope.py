@@ -69,5 +69,5 @@ def test_interreduction_is_sequential():
     # simplifying both rules against each other at once would drop both,
     # and with them a.a = a
     key = letter_key(AB, AB.symbols)
-    a, b = (0,), (1,)
+    a, b = chr(0), chr(1)
     assert interreduce([(a + b, a), (a + b, b)], key) == [(b, a), (a + a, a)]

@@ -81,6 +81,40 @@ class TestAlphabet:
         assert w("1") == Word(AB)
 
 
+class TestWord:
+    @given(st.lists(st.integers(0, 1), max_size=6))
+    def test_indices_and_own_letters_build_one_word(self, indices):
+        word = Word(AB, indices)
+        again = Word(AB, word.letters)
+        assert word.letters == "".join(chr(ix) for ix in indices)
+        assert again == word and hash(again) == hash(word)
+
+    # a str of letters holds chr(index) per letter: "ab" is the indices 97, 98
+    @pytest.mark.parametrize("letters", [(0, 2), (-1,), "\x02", "ab"],
+                             ids=["index", "negative", "str", "names"])
+    def test_rejects_letters_outside_the_alphabet(self, letters):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Word(AB, letters)
+
+    def test_an_alphabet_has_no_cap_of_256_generators(self):
+        # letters past chr(255) build, print, read back and order under wtlex
+        # with a shuffled precedence as the reference key has it
+        rng = random.Random(11)
+        alpha = Alphabet([f"x{ix}" for ix in range(300)])
+        precedence = list(alpha.symbols)
+        rng.shuffle(precedence)
+        weights = {name: rng.randint(1, 3) for name in alpha.symbols}
+        order = MonomialOrder(alpha, precedence, weights)
+        rows = [[rng.randrange(300) for _ in range(rng.randint(0, 5))] for _ in range(400)]
+        sample = [Word(alpha, row) for row in rows]
+        assert sum(max(row, default=0) > 255 for row in rows) > 100
+        assert [word.dotted() for word in sample] == [
+            ".".join(f"x{ix}" for ix in row) or "1" for row in rows]
+        assert all(alpha.parse_word(word.dotted()) == word for word in sample)
+        reference = letter_key(alpha, precedence, [weights[name] for name in alpha.symbols])
+        assert sorted(sample, key=order.key) == sorted(sample, key=lambda w: reference(w.letters))
+
+
 class TestConcat:
     def test_examples(self):
         assert w("ab") * w("ba") == w("abba")
@@ -382,7 +416,7 @@ class TestOverlaps:
         assert repeats > 1000
 
     def test_walk_builds_no_words(self, monkeypatch):
-        # a match is letter tuples sliced from the patterns: neither walk
+        # a match is letter strings sliced from the patterns: neither walk
         # builds a Word on either path
         rng = random.Random(43)
         indexes = [RedexIndex([rule.lhs.letters for rule in random_redex_system(rng).rules])
@@ -393,5 +427,5 @@ class TestOverlaps:
         walks = [(index.overlaps(), index.overlaps(since=1)) for index in indexes]
         assert built == []
         assert all(whole and since for whole, since in walks)
-        assert all(type(witness) is tuple
+        assert all(type(witness) is str
                    for whole, _ in walks for _, _, m in whole for witness in m[1:])
