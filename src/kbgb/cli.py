@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: complete, lockstep, nf, equal, iso-check. Exit codes are a
-fixed partition: 0 success, 1 input error, 2 resource limit, 3 divergence
-or a failed engine check (a reduction budget or the two-term closure).
+fixed partition: 0 success, 1 input error, 2 resource limit (and ``equal``'s
+UNKNOWN, unequal forms at a cap), 3 divergence or a failed engine check (a
+reduction budget or the two-term closure).
 Output is byte-identical across runs for identical inputs and flags.
 
 ``complete`` and ``lockstep`` print each pass as it ends and hold only the
@@ -109,7 +110,7 @@ def _load(args):
 
 def _word(pf, text):
     word = pf.alphabet.parse_word(text)
-    if pf.mode == "sgp" and len(word) == 0:
+    if pf.mode == rewriting.SEMIGROUP and len(word) == 0:
         raise ValueError("empty word needs mon mode")
     return word
 
@@ -213,13 +214,17 @@ def cmd_equal(args) -> int:
     pf = _load(args)
     w1 = _word(pf, args.word1)
     w2 = _word(pf, args.word2)
-    final = _complete(args, pf).state
+    result = _complete(args, pf)
     if pf.mode == "alg":
-        equal = ncpoly.monomials_equal_mod_ideal(final, w1, w2)
+        equal = ncpoly.monomials_equal_mod_ideal(result.state, w1, w2)
     else:
-        equal = rewriting.words_equal(final, w1, w2)
-    _emit(["EQUAL" if equal else "DISTINCT"], args)
-    return EXIT_OK
+        equal = rewriting.words_equal(result.state, w1, w2)
+    # equal forms prove equality at any pass, distinct ones only at a fixed point
+    if equal or result.fixed:
+        _emit(["EQUAL" if equal else "DISTINCT"], args)
+        return EXIT_OK
+    _emit([f"UNKNOWN reason={result.limit_reason}"], args)
+    return EXIT_LIMIT
 
 
 def cmd_iso_check(args) -> int:

@@ -66,9 +66,9 @@ def rule_binomial(rule: Rule, field) -> NcPolynomial:
 
 
 def rules_to_basis(system: RewriteSystem, field) -> Basis:
-    """One monic two-term polynomial l - r per rule, same alphabet and order."""
+    """One monic two-term polynomial l - r per rule, under the same order."""
     polys = tuple(rule_binomial(rule, field) for rule in system.rules)
-    return Basis(system.alphabet, system.order, field, polys)
+    return Basis(system.order, field, polys)
 
 
 def split_binomial(poly: NcPolynomial, order) -> tuple:
@@ -90,7 +90,7 @@ def basis_to_rules(basis: Basis) -> RewriteSystem:
     """
     rules = tuple(Rule(*split_binomial(poly, basis.order)) for poly in basis.polys)
     mode = MONOID if any(len(r.rhs) == 0 for r in rules) else SEMIGROUP
-    return RewriteSystem(basis.alphabet, basis.order, rules, mode)
+    return RewriteSystem(basis.order, rules, mode)
 
 
 @dataclass(frozen=True)

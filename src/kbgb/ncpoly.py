@@ -41,7 +41,6 @@ from .completion import (
     pair_sources,
 )
 from .words import (
-    Alphabet,
     AlphabetMismatch,
     MonomialOrder,
     RedexIndex,
@@ -194,7 +193,7 @@ def _add_term(field, data, word, c):
 class NcPolynomial:
     """Finite map from monomials to nonzero scalars; immutable by contract."""
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=()):
         data = {}
@@ -210,7 +209,6 @@ class NcPolynomial:
             raise AlphabetMismatch("polynomial mixes alphabets")
         self.field = field
         self.terms = data
-        self._hash = None
 
     @classmethod
     def _raw(cls, field, data):
@@ -219,7 +217,6 @@ class NcPolynomial:
         poly = object.__new__(cls)
         poly.field = field
         poly.terms = data
-        poly._hash = None
         return poly
 
     def is_zero(self) -> bool:
@@ -233,9 +230,7 @@ class NcPolynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.field, frozenset(self.terms.items())))
 
     def sorted_terms(self, order: MonomialOrder) -> list:
         return [(w, self.terms[w]) for w in sorted(self.terms, key=order.key, reverse=True)]
@@ -273,21 +268,19 @@ def make_monic(poly: NcPolynomial, order: MonomialOrder) -> NcPolynomial:
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered list of monic nonzero polynomials over one alphabet/order.
+    """Ordered list of monic nonzero polynomials over the alphabet of one order.
 
     Members must have a nonempty leading monomial; a basis containing a
     unit generates the whole algebra and is rejected.
     """
 
-    alphabet: Alphabet
     order: MonomialOrder
     field: object
     polys: tuple = ()
+    alphabet = property(lambda self: self.order.alphabet)
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))
-        if self.order.alphabet != self.alphabet:
-            raise AlphabetMismatch("order and basis alphabets differ")
         seen = set()
         lms = []
         neg_tails = []
@@ -315,7 +308,7 @@ class Basis:
         object.__setattr__(self, "_neg_tails", tuple(neg_tails))
 
     def with_polys(self, extra) -> "Basis":
-        return Basis(self.alphabet, self.order, self.field, self.polys + tuple(extra))
+        return Basis(self.order, self.field, self.polys + tuple(extra))
 
 
 def poly_normal_form(basis: Basis, poly: NcPolynomial) -> NcPolynomial:

@@ -29,8 +29,7 @@ from .ncpoly import QQ, Basis, NcPolynomial, field_from_name, make_monic, render
 from .rewriting import MONOID, SEMIGROUP, RewriteSystem, Rule
 from .words import Alphabet, MonomialOrder, Word
 
-MODES = ("sgp", "mon", "alg")
-_SYSTEM_MODE = {"sgp": SEMIGROUP, "mon": MONOID}  # the RewriteSystem mode of a rules file
+MODES = (SEMIGROUP, MONOID, "alg")
 _NUMBER = re.compile(r"\d+(?:/\d+)?\Z")
 
 
@@ -47,23 +46,24 @@ class ParseError(ValueError):
 class PresentationFile:
     """Parsed form of one presentation file.
 
-    ``field`` is the file's coefficient field, QQ when it names none;
-    ``rules`` holds the Rules the parser checked, in source order;
+    ``mode`` is alg, or sgp or mon as its rule set's; ``alphabet`` is
+    the order's; ``field`` is the file's coefficient field, QQ when it names
+    none; ``rules`` holds the Rules the parser checked, in source order;
     ``polys_raw`` keeps the source coefficients exactly (as Fractions, in
     source order) so a basis can be built over any requested field.
     """
 
     mode: str
-    alphabet: Alphabet
     order: MonomialOrder
     field: object = QQ
     rules: tuple = ()
     polys_raw: tuple = ()
+    alphabet = property(lambda self: self.order.alphabet)
 
     def system(self) -> RewriteSystem:
         if self.mode == "alg":
             raise ValueError("an alg presentation has no rewrite rules")
-        return RewriteSystem(self.alphabet, self.order, self.rules, _SYSTEM_MODE[self.mode])
+        return RewriteSystem(self.order, self.rules, self.mode)
 
     def basis(self, field=None) -> Basis:
         """Basis over the requested field; members are normalized monic.
@@ -87,7 +87,7 @@ class PresentationFile:
             poly = make_monic(poly, self.order)
             if poly not in polys:
                 polys.append(poly)
-        return Basis(self.alphabet, self.order, field, tuple(polys))
+        return Basis(self.order, field, tuple(polys))
 
 
 def _strip_comment(raw: str) -> str:
@@ -265,7 +265,7 @@ def parse_presentation(text: str) -> PresentationFile:
             rhs = _parse_word(lineno, alphabet, rhs_text.strip())
             rule = Rule(lhs, rhs)
             try:  # the rule system's own checks, at the rule's line
-                RewriteSystem(alphabet, order, (rule,), _SYSTEM_MODE[mode])
+                RewriteSystem(order, (rule,), mode)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             if rule in rules:
@@ -282,4 +282,4 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, str(exc)) from None
             polys_raw.append(terms)
 
-    return PresentationFile(mode, alphabet, order, field, tuple(rules), tuple(polys_raw))
+    return PresentationFile(mode, order, field, tuple(rules), tuple(polys_raw))

@@ -33,7 +33,6 @@ from .completion import (
     pair_sources,
 )
 from .words import (
-    Alphabet,
     AlphabetMismatch,
     MonomialOrder,
     RedexIndex,
@@ -41,8 +40,8 @@ from .words import (
     word_table,
 )
 
-SEMIGROUP = "semigroup"
-MONOID = "monoid"
+SEMIGROUP = "sgp"
+MONOID = "mon"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,19 +57,17 @@ class Rule:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """A finite set of oriented rules over one alphabet and order."""
+    """A finite set of oriented rules over the alphabet of one order."""
 
-    alphabet: Alphabet
     order: MonomialOrder
     rules: tuple = ()
     mode: str = SEMIGROUP
+    alphabet = property(lambda self: self.order.alphabet)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         if self.mode not in (SEMIGROUP, MONOID):
             raise ValueError(f"mode must be {SEMIGROUP!r} or {MONOID!r}")
-        if self.order.alphabet != self.alphabet:
-            raise AlphabetMismatch("order and system alphabets differ")
         seen = set()
         for rule in self.rules:
             if rule.lhs.alphabet != self.alphabet or rule.rhs.alphabet != self.alphabet:
@@ -87,7 +84,7 @@ class RewriteSystem:
         object.__setattr__(self, "_index", RedexIndex(r.lhs.letters for r in self.rules))
 
     def with_rules(self, extra) -> "RewriteSystem":
-        return RewriteSystem(self.alphabet, self.order, self.rules + tuple(extra), self.mode)
+        return RewriteSystem(self.order, self.rules + tuple(extra), self.mode)
 
 
 def _rewrite_at(system, wl):

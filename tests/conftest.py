@@ -18,7 +18,7 @@ CORPUS_LIMITS = CompletionLimits(max_passes=6, max_rules=48, max_word_length=40)
 
 
 def _presentation_text(system):
-    pf = PresentationFile("sgp", system.alphabet, system.order, rules=system.rules)
+    pf = PresentationFile("sgp", system.order, rules=system.rules)
     return render_presentation(pf)
 
 

@@ -80,7 +80,7 @@ def make_system(rule_texts, letters="ab", mode=SEMIGROUP, precedence=None):
         lhs_text, _, rhs_text = text.partition("->")
         rules.append(Rule(alpha.parse_word(lhs_text.strip() or "1"),
                           alpha.parse_word(rhs_text.strip() or "1")))
-    return RewriteSystem(alpha, order, tuple(rules), mode)
+    return RewriteSystem(order, tuple(rules), mode)
 
 
 def random_oriented_rules(rng, alpha, order, max_rules=4, max_side=4, allow_empty_rhs=False):
@@ -119,7 +119,7 @@ def random_system(rng, letters=None, mode=SEMIGROUP, max_rules=4, max_side=4):
     order = MonomialOrder(alpha)
     rules = random_oriented_rules(rng, alpha, order, max_rules, max_side,
                                   allow_empty_rhs=(mode != SEMIGROUP))
-    return RewriteSystem(alpha, order, rules, mode)
+    return RewriteSystem(order, rules, mode)
 
 
 def random_redex_system(rng):
@@ -161,7 +161,7 @@ def random_redex_system(rng):
         rule = Rule(Word(alpha, lhs), Word(alpha, draw(0, len(lhs) - 1)))
         if rule not in rules:
             rules.append(rule)
-    return RewriteSystem(alpha, order, tuple(rules), MONOID)
+    return RewriteSystem(order, tuple(rules), MONOID)
 
 
 def random_general_basis(rng, field=QQ):
@@ -190,7 +190,7 @@ def random_general_basis(rng, field=QQ):
         poly = make_monic(poly, order)
         if poly not in polys:
             polys.append(poly)
-    return Basis(alpha, order, field, tuple(polys))
+    return Basis(order, field, tuple(polys))
 
 
 def redex_features(system):

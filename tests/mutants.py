@@ -14,12 +14,15 @@ mutants that only test_golden.py kills (golden output pins behaviour but
 does not explain a failure) and those that nothing kills.
 
 A mutant may make a reduction loop or grow its word without end, so each
-test has an alarm that fails it after TEST_TIMEOUT_S, each run an
-address-space limit, and each run a timeout, a run cut by it counting as
-killed. Nothing outside the temporary directories is written, and pytest
-does not collect this file.
+test has an alarm that fails it, each run an address-space limit, and each
+run a timeout, a run cut by it counting as killed. The unmutated run
+records each test's call time, and in a mutant's run a test's alarm is
+ALARM_MULTIPLE times that, at least ALARM_FLOOR_S and at most
+TEST_TIMEOUT_S, the alarm of the unmutated run itself. Nothing outside the
+temporary directories is written, and pytest does not collect this file.
 """
 
+import json
 import os
 import resource
 import shutil
@@ -34,25 +37,38 @@ TIMEOUT_S = 1800
 # the slowest Tier-1 test call takes about 3.4 s. A runaway word holds one
 # byte per letter, so it can grow for minutes before the address space runs
 # out: the alarm ends it, soon enough that the dozens of runaway tests of
-# rewrite-keeps-last-letter end within TIMEOUT_S.
+# rewrite-keeps-last-letter end within TIMEOUT_S, and sooner once scaled to
+# the test's own call time. The floor leaves room for a mutant that only
+# slows a test: next-state-no-length-check takes one test from 0.2 to 4.7 s.
 TEST_TIMEOUT_S = 15
+ALARM_MULTIPLE = 5
+ALARM_FLOOR_S = 8
 ADDRESS_SPACE = 512 << 20  # bytes per run; Tier-1 itself fits in it
 # test_mutants.py checks the patches against the unmutated source, so it
 # fails in every patched copy and is left out of them
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work",
                               "test_mutants.py")
 
-# a pytest plugin, loaded in each run. A test still running after its alarm
-# fails with an exception that no `except Exception` in the code swallows. A
-# MemoryError fails the test as RunawayWord once its traceback, which holds
-# every word of the runaway walk, is dropped; so is the traceback that pytest
-# keeps of each failure in sys.last_*. The run can then go on within its
-# address space.
+# a pytest plugin, loaded in each run. It reads each test's alarm, in
+# seconds by node id, from alarms.json beside it (TEST_TIMEOUT_S for a test
+# not listed), and writes each test's call time to call_times.json there. A
+# test still running after its alarm fails with an exception that no
+# `except Exception` in the code swallows. A MemoryError fails the test as
+# RunawayWord once its traceback, which holds every word of the runaway
+# walk, is dropped; so is the traceback that pytest keeps of each failure in
+# sys.last_*. The run can then go on within its address space.
 ALARM_PLUGIN = f"""
+import json
 import signal
 import sys
+import time
+from pathlib import Path
 
 import pytest
+
+HERE = Path(__file__).parent
+ALARMS = json.loads((HERE / "alarms.json").read_text())
+CALL_TIMES = {{}}
 
 
 class AlarmExpired(BaseException):
@@ -63,24 +79,31 @@ class RunawayWord(Exception):
     pass
 
 
-def _expire(signum, frame):
-    raise AlarmExpired("no result within {TEST_TIMEOUT_S} s")
-
-
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item):
-    signal.signal(signal.SIGALRM, _expire)
-    signal.alarm({TEST_TIMEOUT_S})
+    alarm = ALARMS.get(item.nodeid, {TEST_TIMEOUT_S})
+
+    def expire(signum, frame):
+        raise AlarmExpired(f"no result within {{alarm}} s")
+
+    signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, alarm)
+    start = time.perf_counter()
     try:
         return (yield)
     except MemoryError:
         pass
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        CALL_TIMES[item.nodeid] = time.perf_counter() - start
         for name in ("last_type", "last_value", "last_traceback", "last_exc"):
             if hasattr(sys, name):
                 delattr(sys, name)
     raise RunawayWord("out of memory")
+
+
+def pytest_sessionfinish(session):
+    (HERE / "call_times.json").write_text(json.dumps(CALL_TIMES))
 """
 
 # name -> ((file under src/kbgb, old text, new text), ...)
@@ -164,6 +187,10 @@ MUTANTS = {
         ("rewriting.py", "system.rules[index].rhs.letters + wl[end:]",
          "system.rules[index].rhs.letters + wl[end - 1:]"),
     ),
+    # equal answers DISTINCT from unequal forms at a cap, as if complete
+    "equal-distinct-at-cap": (
+        ("cli.py", "if equal or result.fixed:", "if True:"),
+    ),
 }
 
 
@@ -177,9 +204,10 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def failures(name, patches, pytest_args):
-    """The ids of the tests that fail or error in a patched copy, or None
-    when the run hits its timeout."""
+def failures(name, patches, pytest_args, alarms):
+    """(the ids of the tests that fail or error in a patched copy, or None
+    when the run hits its timeout; the call time of each test, by node id),
+    each test alarmed after its entry of alarms, in seconds."""
     with tempfile.TemporaryDirectory(prefix=f"kbgb-mutant-{name}-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIP)
@@ -188,6 +216,7 @@ def failures(name, patches, pytest_args):
             path.write_text(patched(path.read_text(), old, new, f"{name} {filename}"))
         report = Path(tmp) / "report.xml"
         (Path(tmp) / "mutant_alarm.py").write_text(ALARM_PLUGIN)
+        (Path(tmp) / "alarms.json").write_text(json.dumps(alarms))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), tmp]))
         # hypothesis's pytest plugin imports libcst to report a failure,
         # which fails once a runaway word has used up the address space
@@ -199,16 +228,18 @@ def failures(name, patches, pytest_args):
                            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
                            preexec_fn=_limit_address_space)
         except subprocess.TimeoutExpired:
-            return None
+            return None, {}
+        times = Path(tmp) / "call_times.json"
+        times = json.loads(times.read_text()) if times.exists() else {}
         if not report.exists():
-            return {"<no report: pytest did not finish>"}
+            return {"<no report: pytest did not finish>"}, times
         failed = set()
         for case in ET.parse(report).iter("testcase"):
             if case.find("failure") is not None or case.find("error") is not None:
                 # a module that fails to import is one case with no class name
                 cls, test = case.get("classname"), case.get("name")
                 failed.add(f"{cls}::{test}" if cls else test)
-        return failed
+        return failed, times
 
 
 def main(pytest_args):
@@ -216,14 +247,16 @@ def main(pytest_args):
     for name, patches in MUTANTS.items():
         for filename, old, new in patches:
             patched((ROOT / "src" / "kbgb" / filename).read_text(), old, new, f"{name} {filename}")
-    baseline = failures("none", (), pytest_args)
+    baseline, times = failures("none", (), pytest_args, {})
     if baseline is None:
         raise SystemExit("the unmutated tree timed out")
     if baseline:
         print(f"failing without a mutant, not counted as kills: {sorted(baseline)}")
+    alarms = {test: min(TEST_TIMEOUT_S, max(ALARM_FLOOR_S, ALARM_MULTIPLE * seconds))
+              for test, seconds in times.items()}
     rows = []
     for name, patches in MUTANTS.items():
-        failed = failures(name, patches, pytest_args)
+        failed, _ = failures(name, patches, pytest_args, alarms)
         killers = None if failed is None else sorted(failed - baseline)
         rows.append((name, killers))
         print(f"{name}: " + ("timeout" if killers is None else f"{len(killers)} killing tests"))

@@ -34,8 +34,8 @@ LIMITS = CompletionLimits(max_passes=3, max_rules=30, max_word_length=12)
 def fresh_copy(state):
     """The same members, built anew."""
     if isinstance(state, RewriteSystem):
-        return RewriteSystem(state.alphabet, state.order, state.rules, state.mode)
-    return Basis(state.alphabet, state.order, state.field, state.polys)
+        return RewriteSystem(state.order, state.rules, state.mode)
+    return Basis(state.order, state.field, state.polys)
 
 
 def examine(state):

@@ -78,14 +78,14 @@ class TestTranslation:
             (alpha.parse_word("a"), -1),
         ])
         with pytest.raises(NonBinomialError):
-            basis_to_rules(Basis(alpha, order, QQ, (three_terms,)))
+            basis_to_rules(Basis(order, QQ, (three_terms,)))
 
     def test_basis_to_rules_rejects_wrong_coefficients(self):
         alpha = Alphabet("ab")
         order = MonomialOrder(alpha)
         skew = NcPolynomial(QQ, [(alpha.parse_word("ba"), 1), (alpha.parse_word("a"), 2)])
         with pytest.raises(NonBinomialError):
-            basis_to_rules(Basis(alpha, order, QQ, (skew,)))
+            basis_to_rules(Basis(order, QQ, (skew,)))
 
     def test_round_trip_random(self):
         rng = random.Random(53)
@@ -170,7 +170,6 @@ class TestLockstep:
         alpha = Alphabet("ab")
         order = MonomialOrder(alpha, weights={"a": 3, "b": 1})
         system = RewriteSystem(
-            alpha,
             order,
             (
                 Rule(alpha.parse_word("a"), alpha.parse_word("bb")),

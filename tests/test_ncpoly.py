@@ -198,7 +198,7 @@ class TestReduction:
     def test_normal_form_examples(self):
         basis = binomial_basis(["ba->ab"])
         assert poly_normal_form(basis, poly(QQ, ("bba", 1))) == poly(QQ, ("abb", 1))
-        empty = Basis(AB, ORDER, QQ, ())
+        empty = Basis(ORDER, QQ, ())
         p = poly(QQ, ("ba", 1), ("ab", 2))
         assert poly_normal_form(empty, p) == p
         basis2 = binomial_basis(["aa->a"], letters="a")
@@ -225,7 +225,7 @@ class TestReduction:
 
     def test_replay_on_general_polynomials(self):
         f = poly(QQ, ("ab", 1), ("a", Fraction(1, 2)), ("b", -1))
-        basis = Basis(AB, ORDER, QQ, (f,))
+        basis = Basis(ORDER, QQ, (f,))
         p = poly(QQ, ("abab", 3), ("abb", -2), ("b", 1))
         nf, steps = membership_certificate(basis, p)
         assert steps and poly_difference(p, nf).terms == replay_steps(basis, steps)
@@ -600,7 +600,7 @@ class TestBuchberger:
         result = buchberger(binomial_basis(["aa->a"]))
         assert result.fixed and len(result.state.polys) == 1
 
-        result = buchberger(Basis(AB, ORDER, QQ, ()))
+        result = buchberger(Basis(ORDER, QQ, ()))
         assert result.fixed and result.state.polys == ()
 
     def test_limits(self):
@@ -644,7 +644,7 @@ class TestBuchberger:
                       poly(QQ, ("bb", 1), ("ab", -2), ("1", Fraction(1, 2)))]
         bases = [buchberger(binomial_basis(["aba->b"])).state,
                  buchberger(binomial_basis(["ba->ab", "bb->a"], PrimeField(3))).state,
-                 buchberger(Basis(AB, ORDER, QQ, three_term)).state]
+                 buchberger(Basis(ORDER, QQ, three_term)).state]
         while len(bases) < 7:
             system = random_system(rng, letters="ab", max_rules=3, max_side=3)
             result = buchberger(rules_to_basis(system, QQ), CompletionLimits(max_passes=5, max_rules=20))
@@ -714,7 +714,7 @@ class TestBuchberger:
     def test_general_engine_smoke(self):
         # a three-term member: the machine is not restricted to binomials
         f = poly(QQ, ("ab", 1), ("aa", -1), ("b", -1))
-        basis = Basis(AB, ORDER, QQ, (f,))
+        basis = Basis(ORDER, QQ, (f,))
         limits = CompletionLimits(max_passes=3, max_rules=30, max_word_length=12)
         for record in passes(basis, buchberger_pass, limits):
             for rec in record.records:
@@ -727,16 +727,16 @@ class TestBasisValidation:
     def test_monic_required(self):
         # the member in render_poly's notation, not the debugging repr
         with pytest.raises(ValueError, match=r"^basis member is not monic: 2\*b\.a - 2\*a\.b$"):
-            Basis(AB, ORDER, QQ, (poly(QQ, ("ba", 2), ("ab", -2)),))
+            Basis(ORDER, QQ, (poly(QQ, ("ba", 2), ("ab", -2)),))
 
     def test_unit_member_rejected(self):
         with pytest.raises(ValueError):
-            Basis(AB, ORDER, QQ, (NcPolynomial(QQ, {Word(AB): 1}),))
+            Basis(ORDER, QQ, (NcPolynomial(QQ, {Word(AB): 1}),))
 
     def test_duplicates_rejected(self):
         p = poly(QQ, ("ba", 1), ("ab", -1))
         with pytest.raises(ValueError, match=r"^duplicate basis member: b\.a - a\.b$"):
-            Basis(AB, ORDER, QQ, (p, p))
+            Basis(ORDER, QQ, (p, p))
 
 
 XYZ = Alphabet("xyz")

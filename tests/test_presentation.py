@@ -30,7 +30,7 @@ class TestParseRules:
         pf = parse_presentation(BASIC)
         system = pf.system()
         assert [r.render() for r in system.rules] == ["b.a->a.b"]
-        assert system.mode == "semigroup"
+        assert system.mode == "sgp"
 
     def test_comments_and_blank_lines(self):
         text = "# heading\nmode: sgp\n\nalphabet: a b  # generators\norder: shortlex a < b\nrules:\n  b.a -> a.b # swap\n"

@@ -13,17 +13,23 @@ confluence oracle and, interreduced, equal the reference completion's
 reduced complete system. The word-problem oracle ``congruence_partition``
 is not used: it stops deepening once its partition has held for two more
 letters, and some of these systems need more before two equal words meet.
+The same families also run the ``equal`` command after 0, 1 and 2 passes,
+where most runs stop at the cap: its EQUAL and DISTINCT answers must match
+the reference completion's normal forms, and DISTINCT needs a fixed point.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
-from kbgb import MONOID, QQ, SEMIGROUP, Alphabet, MonomialOrder, RewriteSystem, Rule, lockstep_passes
+from kbgb import (MONOID, QQ, SEMIGROUP, Alphabet, MonomialOrder, RewriteSystem, Rule,
+                  knuth_bendix, lockstep_passes)
+from kbgb.presentation import PresentationFile
 
 from conftest import CORPUS_LIMITS
-from helpers import reference_systems
-from oracles import all_words, interreduce, is_locally_confluent, letter_key
+from helpers import reference_systems, render_presentation, run_cli
+from oracles import _reduce, all_words, interreduce, is_locally_confluent, letter_key, reference_completion
 
 AB = Alphabet("ab")
 WEIGHTS = {"a": 1, "b": 2}
@@ -38,16 +44,24 @@ def family(mode, rules, max_side, weights=None):
     words = sorted(all_words(AB, max_side, min_len=0 if mode == MONOID else 1),
                    key=lambda word: key(word.letters))
     oriented = [Rule(big, small) for small, big in itertools.combinations(words, 2)]
-    return [RewriteSystem(AB, order, combo, mode)
+    return [RewriteSystem(order, combo, mode)
             for combo in itertools.combinations(oriented, rules)]
 
 
+FAMILIES = {
+    "sgp-one-rule-3": (SEMIGROUP, 1, 3, None),
+    "mon-one-rule-3": (MONOID, 1, 3, None),
+    "mon-two-rules-2": (MONOID, 2, 2, None),
+    "sgp-wtlex-one-rule-3": (SEMIGROUP, 1, 3, WEIGHTS),
+}
+
+
 @pytest.mark.parametrize("mode, rules, max_side, weights, size, completed", [
-    (SEMIGROUP, 1, 3, None, 91, 71),
-    (MONOID, 1, 3, None, 105, 85),
-    (MONOID, 2, 2, None, 210, 210),
-    (SEMIGROUP, 1, 3, WEIGHTS, 91, 71),
-], ids=["sgp-one-rule-3", "mon-one-rule-3", "mon-two-rules-2", "sgp-wtlex-one-rule-3"])
+    (*FAMILIES["sgp-one-rule-3"], 91, 71),
+    (*FAMILIES["mon-one-rule-3"], 105, 85),
+    (*FAMILIES["mon-two-rules-2"], 210, 210),
+    (*FAMILIES["sgp-wtlex-one-rule-3"], 91, 71),
+], ids=list(FAMILIES))
 def test_family_corresponds_and_completes_confluent(mode, rules, max_side, weights, size, completed):
     systems = family(mode, rules, max_side, weights)
     assert len(systems) == size
@@ -63,6 +77,49 @@ def test_family_corresponds_and_completes_confluent(mode, rules, max_side, weigh
             reduced, reference = reference_systems(system, final)
             assert reduced == reference, rendered
     assert complete == completed
+
+
+# word pairs for the equal command; system k of a family asks pairs k and k + 1
+EQUAL_PAIRS = [("a.b", "b.a"), ("a.a", "b.b"), ("a.b.a", "b"), ("a.a.a", "a")]
+# every system of these families that completes at the corpus limits
+# reaches its reference within these caps, which the others break quickly
+EQUAL_REFERENCE_CAPS = (6, 16, 8)  # rounds, rules, word length
+
+
+@pytest.mark.parametrize("family_id", list(FAMILIES))
+def test_equal_says_distinct_only_at_a_fixed_point(family_id, tmp_path):
+    mode, rules, max_side, weights = FAMILIES[family_id]
+    seen = set()
+    for k, system in enumerate(family(mode, rules, max_side, weights)):
+        path = tmp_path / f"{k}.pres"
+        path.write_text(render_presentation(PresentationFile(mode, system.order, rules=system.rules)))
+        order = system.order
+        key = letter_key(AB, order.precedence, order.weights)
+        reference = reference_completion(
+            [(rule.lhs.letters, rule.rhs.letters) for rule in system.rules], key, EQUAL_REFERENCE_CAPS)
+        for text1, text2 in (EQUAL_PAIRS[k % 4], EQUAL_PAIRS[(k + 1) % 4]):
+            w1, w2 = AB.parse_word(text1), AB.parse_word(text2)
+            for passes in (0, 1, 2):
+                limits = dataclasses.replace(CORPUS_LIMITS, max_passes=passes)
+                code, out, _ = run_cli(["equal", str(path), text1, text2,
+                                        "--max-passes", str(passes),
+                                        "--max-rules", str(limits.max_rules),
+                                        "--max-word-len", str(limits.max_word_length)])
+                result = knuth_bendix(system, limits)
+                where = ([rule.render() for rule in system.rules], text1, text2, passes)
+                seen.add(out.split(" ")[0])
+                if out in ("EQUAL\n", "DISTINCT\n"):
+                    assert code == 0, where
+                    assert out == "EQUAL\n" or result.fixed, where
+                    # a run that completed has its reference, so every DISTINCT is checked
+                    assert reference is not None or not result.fixed, where
+                    if reference is not None:
+                        same = _reduce(reference, w1.letters) == _reduce(reference, w2.letters)
+                        assert out == ("EQUAL\n" if same else "DISTINCT\n"), where
+                else:
+                    assert not result.fixed, where
+                    assert (code, out) == (2, f"UNKNOWN reason={result.limit_reason}\n"), where
+    assert seen == {"EQUAL\n", "DISTINCT\n", "UNKNOWN"}
 
 
 def test_interreduction_is_sequential():
