@@ -10,8 +10,8 @@ loop: a stream of one record per pass, which ``complete`` runs to its end
 holding only the last pass, and the lockstep driver (``correspondence``)
 zips across both engines. The stream always yields at least one pass, and
 its last pass is the run's result: it says whether the run reached a fixed
-point or which cap ended it. Members are only appended, so a pass handed the
-last pass's records reuses their matches and raw pairs (``pair_sources``).
+point or which cap ended it. Members are only appended, so a pass reuses the
+last pass's matches, raw pairs and light resolved records (``pair_sources``).
 """
 
 from __future__ import annotations
@@ -85,13 +85,22 @@ class PairRecord:
     new: object
 
 
-def pair_sources(index, since, carried):
-    """(first, second, match, raw) of every pair of index.overlaps, in order:
-    in each row, the carried records of the last pass, then the walk's pairs
-    touching members from since (that pass's input size) on, with raw None.
-    A match's witnesses are letter strings; an engine builds its raw pair."""
-    old = ((rec.first, rec.second, rec.match, rec.raw) for rec in carried)
-    new = ((i, j, m, None) for i, j, m in index.overlaps(since))
+def pair_sources(index, since, carried, weight):
+    """(first, second, match, raw, kept) of every pair of index.overlaps, in
+    order: in each row, the last pass's carried records, then the walk's pairs
+    touching members from since (that pass's input size) on, raw None. A
+    match's witnesses are letter strings. An engine builds a raw pair, or
+    emits kept as it is: a carried record that resolved at a superposition
+    u1.l1.v1 lighter than every member from since on. Its reduction holds:
+    the order compares weight first, so each word it reached, each target
+    lo.t.hi too, weighs no more than u1.l1.v1; a word weighs at least its
+    left sides; so no new member occurs and find picks the same redexes."""
+    patterns = index._patterns
+    light = min(map(weight, patterns[since:]), default=float("inf"))
+    old = ((r.first, r.second, r.match, r.raw,
+            r if r.new is None and weight(r.match.u1 + patterns[r.first] + r.match.v1) < light else None)
+           for r in carried)
+    new = ((i, j, m, None, None) for i, j, m in index.overlaps(since))
     return merge(old, new, key=itemgetter(0))
 
 

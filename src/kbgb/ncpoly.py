@@ -18,10 +18,10 @@ of c . N(m) over its terms c . m. That is the form that reducing the
 greatest reducible monomial first reaches, since nf is linear.
 Completion, iso-check and the queries all take it. Every sum of terms
 goes through _add_term. Handed the last pass's input and records (its
-carry), a pass reuses their matches and raw S-polynomials, and reduces
-every S-polynomial. A pass holds each distinct monomial once: its raw
-monomials come from one words.word_table, an irreducible raw monomial is
-the term of its own form, and its resolved records share one zero.
+carry), a pass reuses their matches and raw S-polynomials and re-emits the
+resolved records no new member reaches. The raw monomials a pass builds
+come from one words.word_table, an irreducible raw monomial is the term of
+its own form, and the resolved records it reduces share one zero.
 """
 
 from __future__ import annotations
@@ -398,7 +398,8 @@ def _sum_forms(form, field, terms):
 def s_polynomials(basis: Basis, carry=None) -> list:
     """A PairRecord for the S-polynomial of every match of every ordered pair,
     reduced against the basis, in the examination order of RedexIndex.overlaps.
-    A carry, the last pass's (input basis, records), lends raw S-polynomials.
+    A carry, the last pass's (input basis, records), lends raw S-polynomials
+    and kept records (pair_sources).
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
     letter strings, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
@@ -408,15 +409,18 @@ def s_polynomials(basis: Basis, carry=None) -> list:
 
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
-    Equal raw monomials of the call are one Word (word_table), and its
-    resolved records hold one zero polynomial.
+    Equal raw monomials of the call are one Word (word_table), and the
+    resolved records it reduces hold one zero polynomial.
     """
     field, neg_tails = basis.field, basis._neg_tails
     reduce, word = monomial_forms(basis), word_table(basis.alphabet)
     zero = NcPolynomial._raw(field, {})
     records = []
     since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
-    for i, j, m, raw in pair_sources(basis._index, since, carried):
+    for i, j, m, raw, kept in pair_sources(basis._index, since, carried, basis.order.weight):
+        if kept is not None:
+            records.append(kept)
+            continue
         if raw is None:
             data = {}
             for tail, c in neg_tails[i]:

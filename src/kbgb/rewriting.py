@@ -12,8 +12,8 @@ reduction, normal_forms, memoizes it on every word a reduction passes
 through, for one pass, one iso-check or one query. A word's letters are one
 str, so a step splices strings and the memo keys on them. Handed the last
 pass's input and pairs (its carry), a pass reuses their matches and raw
-critical pairs but still reduces every pair. A pass holds each distinct word
-once: its raw words come from one words.word_table, so twin pairs share
+critical pairs, and re-emits the resolved ones no new rule reaches. The raw
+words a pass builds come from one words.word_table, so twin pairs share
 theirs, and an irreducible raw word is its own normal form.
 """
 
@@ -156,7 +156,7 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
     witnesses letter strings, and its raw critical pair is
     (u1.r1.v1, u2.r2.v2), one Word each from one word_table of the call, so
     equal raw words of the call are one Word. A carry, the last pass's
-    (input system, pairs), lends their matches and raw pairs (pair_sources).
+    (input system, pairs), lends matches, raw pairs and kept pairs (pair_sources).
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
@@ -164,7 +164,10 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
     rules, alphabet = system.rules, system.alphabet
     reduce, word = normal_forms(system), word_table(alphabet)
     since, carried = (len(carry[0].rules), carry[1]) if carry else (0, ())
-    for i, j, m, raw in pair_sources(system._index, since, carried):
+    for i, j, m, raw, kept in pair_sources(system._index, since, carried, system.order.weight):
+        if kept is not None:
+            pairs.append(kept)
+            continue
         if raw is None:
             raw = (word(m.u1 + rules[i].rhs.letters + m.v1),
                    word(m.u2 + rules[j].rhs.letters + m.v2))

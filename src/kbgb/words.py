@@ -197,8 +197,11 @@ class MonomialOrder:
         if self._ranks_are_letters:
             return (len(word.letters), word.letters)
         letters = word.letters
-        weight = sum(self.weights[ord(c)] for c in letters)
-        return (weight, len(letters), letters.translate(self._rank))
+        return (self.weight(letters), len(letters), letters.translate(self._rank))
+
+    def weight(self, letters: str) -> int:
+        """The first component of a key: the sum of the generator weights."""
+        return sum(self.weights[ord(c)] for c in letters)
 
     def compare(self, w1: Word, w2: Word) -> int:
         """-1, 0, or 1 as w1 is below, equal to, or above w2."""

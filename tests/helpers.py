@@ -22,7 +22,7 @@ from kbgb import (
     make_monic,
     render_poly,
 )
-from kbgb import completion
+from kbgb import completion, ncpoly, rewriting
 from kbgb.cli import main as cli_main
 from kbgb.words import OverlapMatch, RedexIndex
 
@@ -164,6 +164,21 @@ def random_redex_system(rng):
     return RewriteSystem(order, tuple(rules), MONOID)
 
 
+def random_wtlex_system(rng):
+    """Monoid system of up to five rules with sides of up to four letters,
+    oriented under a wtlex order of weights 1 to 3, not all one, and a
+    shuffled precedence."""
+    letters = rng.choice(["ab", "abc"])
+    alpha = make_alphabet(letters)
+    weights = [1, rng.randint(2, 3), *(rng.randint(1, 3) for _ in letters[2:])]
+    rng.shuffle(weights)
+    precedence = list(letters)
+    rng.shuffle(precedence)
+    order = MonomialOrder(alpha, precedence, dict(zip(letters, weights)))
+    rules = random_oriented_rules(rng, alpha, order, 5, 4, allow_empty_rhs=True)
+    return RewriteSystem(order, rules, MONOID)
+
+
 def random_general_basis(rng, field=QQ):
     """Basis of three monic three-term members with rational coefficients
     (monomials of length up to 3, the empty one included) under a shuffled
@@ -278,6 +293,24 @@ def record_walk(monkeypatch):
 
     monkeypatch.setattr(RedexIndex, "overlaps", overlaps)
     return walked
+
+
+def record_kept(monkeypatch):
+    """The (first, second, match) of every record a pass re-emits as it was
+    carried, from now on, by engine: lists under "rewriting" and "ncpoly"
+    that fill as the passes go."""
+    kept = {}
+    for module in (rewriting, ncpoly):
+        found = kept[module.__name__.rpartition(".")[2]] = []
+
+        def sources(*args, real=module.pair_sources, found=found):
+            for source in real(*args):
+                if source[4] is not None:
+                    found.append(source[:3])
+                yield source
+
+        monkeypatch.setattr(module, "pair_sources", sources)
+    return kept
 
 
 def step_budget(steps):

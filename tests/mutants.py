@@ -150,19 +150,29 @@ MUTANTS = {
          "return (len(word.letters), word.letters[::-1])"),
     ),
     "wtlex-no-length-tiebreak": (
-        ("words.py", "return (weight, len(letters), letters.translate(self._rank))",
-         "return (weight, letters.translate(self._rank))"),
+        ("words.py", "return (self.weight(letters), len(letters), letters.translate(self._rank))",
+         "return (self.weight(letters), letters.translate(self._rank))"),
     ),
     # wtlex compares the letters by index, not by their precedence ranks
     "wtlex-ranks-untranslated": (
-        ("words.py", "return (weight, len(letters), letters.translate(self._rank))",
-         "return (weight, len(letters), letters)"),
+        ("words.py", "return (self.weight(letters), len(letters), letters.translate(self._rank))",
+         "return (self.weight(letters), len(letters), letters)"),
     ),
     # a name may hold a dot, so its words print text that reads back as
     # other words, or as none
     "name-rule-admits-dot": (
         ("words.py", '_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")',
          '_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")'),
+    ),
+    # every carried resolved record is re-emitted as it is, however heavy
+    # its superposition
+    "carry-reuses-every-resolved": (
+        ("completion.py", " and weight(r.match.u1 + patterns[r.first] + r.match.v1) < light", ""),
+    ),
+    # a record whose superposition weighs as much as a new member is
+    # re-emitted too, though that member may be a word of its walk
+    "carry-reuse-at-equal-weight": (
+        ("completion.py", "+ r.match.v1) < light", "+ r.match.v1) <= light"),
     ),
     "next-state-no-length-check": (
         ("completion.py", "if any(len(w) > limits.max_word_length for w in words(member)):",

@@ -23,7 +23,15 @@ from kbgb import (
 )
 from kbgb.cli import main as cli_main
 
-from helpers import ROOT, child_env, record_searches, record_walk, run_cli, step_budget
+from helpers import (
+    ROOT,
+    child_env,
+    record_kept,
+    record_searches,
+    record_walk,
+    run_cli,
+    step_budget,
+)
 from oracles import poly_difference
 from test_golden import ALG_EXPLODE, ALG_EXPLODE_QUERY
 
@@ -478,6 +486,20 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert blob1 == trace.read_bytes()
 
+    @pytest.mark.parametrize("text, argv", [
+        (EXPLODE, ["lockstep", "--max-passes", "4"]),
+        (CHAIN, ["lockstep", "--max-passes", "10"]),
+        (COMMUTING3, ["iso-check", "-L", "5"]),
+        (ALG_EXPLODE, ["complete", "--max-passes", "3"]),
+    ], ids=["lockstep-explode", "lockstep-chain", "iso-commuting3", "complete-alg-explode"])
+    def test_output_does_not_depend_on_the_hash_seed(self, pres, text, argv):
+        # the seed orders the iteration of every set of words or witnesses
+        cmd = [sys.executable, "-m", "kbgb", argv[0], pres(text), *argv[1:]]
+        runs = [subprocess.run(cmd, capture_output=True, env=dict(child_env(), PYTHONHASHSEED=seed))
+                for seed in ("0", "1")]
+        assert runs[0].returncode == runs[1].returncode in (0, 2)
+        assert runs[0].stdout == runs[1].stdout
+
 
 class TestStreaming:
     @staticmethod
@@ -607,19 +629,31 @@ class TestSearchCounts:
     # RedexIndex.find calls of one in-process run. Before both engines
     # memoized every word a reduction passes through, they were 2,742 and
     # 1,564; a memo of each call's first word alone brings them back up.
-    # The last row counts the matches RedexIndex.overlaps yields instead:
-    # 316 per engine, where passes that are handed no carry walk every
-    # overlap of every pass, 6,400 per engine
+    # Before a carried resolved record could be re-emitted as it was, the
+    # explode and chain lockstep rows were 1,144 and 23,180. The last row
+    # counts the matches RedexIndex.overlaps yields instead: 316 per
+    # engine, where passes that are handed no carry walk every overlap of
+    # every pass, 6,400 per engine
     @pytest.mark.parametrize("text, argv, exit_code, record, count", [
         (COMMUTING3, ["iso-check", "-L", "5"], 0, record_searches, 736),
-        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1144),
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1134),
+        (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_searches, 2600),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_walk, 632),
-    ], ids=["iso-commuting3", "lockstep-explode", "walk-lockstep-chain"])
+    ], ids=["iso-commuting3", "lockstep-explode", "lockstep-chain", "walk-lockstep-chain"])
     def test_pinned(self, pres, monkeypatch, text, argv, exit_code, record, count):
         path = pres(text)
         calls = record(monkeypatch)
         code, _, _ = run_cli([argv[0], path, *argv[1:]])
         assert (code, len(calls)) == (exit_code, count)
+
+    def test_chain_reemits_the_same_records_in_both_engines(self, pres, monkeypatch):
+        # chain's 40 passes carry 6,084 records into the next pass, 5,928 of
+        # them resolved; 5,700 of those weigh less than every new member
+        kept = record_kept(monkeypatch)
+        code, _, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
+        assert code == 2
+        assert len(kept["rewriting"]) == 5700
+        assert kept["rewriting"] == kept["ncpoly"]
 
 
 def _unreachable_after(argv):

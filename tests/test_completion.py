@@ -1,8 +1,9 @@
 """The pairs a completion pass carries into the next.
 
 ``passes`` hands each pass the last pass's input and records, its carry,
-and the pass reuses their matches and raw pairs and walks only the
-overlaps that touch the new members. Every pass of a carried run must
+and the pass reuses their matches and raw pairs, re-emits the resolved
+records that no new member can reach, and walks only the overlaps that
+touch the new members. Every pass of a carried run must
 examine exactly what a pass on a fresh copy of its input examines, record
 by record, and a pass handed no carry examines the full walk.
 """
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from kbgb import (
+    MONOID,
     QQ,
     Basis,
     CompletionLimits,
@@ -25,7 +27,14 @@ from kbgb import (
 )
 from kbgb.completion import passes
 
-from helpers import random_general_basis, random_redex_system, record_walk, redex_features
+from helpers import (
+    make_system,
+    random_general_basis,
+    random_redex_system,
+    random_wtlex_system,
+    record_walk,
+    redex_features,
+)
 
 F3 = PrimeField(3)
 LIMITS = CompletionLimits(max_passes=3, max_rules=30, max_word_length=12)
@@ -44,17 +53,18 @@ def examine(state):
 
 def check_run(start, one_pass, limits=LIMITS):
     """Compare every pass of the run with a pass on a fresh copy of its
-    input; the number of records the previous passes carried in."""
-    state, carried, previous = start, 0, None
+    input: (the number of records the previous passes carried in, the
+    (pass, position) of every record a pass re-emitted as it was carried)."""
+    state, carried, kept, previous = start, 0, [], None
     stream = passes(start, one_pass, limits)
     while True:
         try:
             record = next(stream)
         except StopIteration:
-            return carried
+            return carried, kept
         except ValueError as exc:  # a general basis whose ideal holds a unit
             assert "empty leading monomial" in str(exc)
-            return carried
+            return carried, kept
         expected = examine(fresh_copy(state))
         assert len(record.records) == len(expected)
         for got, want in zip(record.records, expected):
@@ -62,7 +72,18 @@ def check_run(start, one_pass, limits=LIMITS):
                 (want.first, want.second, want.match, want.raw, want.reduced, want.new)
         if previous is not None:
             carried += len(previous.records)
+            ids = {id(rec) for rec in previous.records}
+            kept += [(record.index, n) for n, rec in enumerate(record.records) if id(rec) in ids]
         state, previous = record.state, record
+
+
+def check_both_engines(system):
+    """check_run on the rule set and on its binomial translation, which
+    must re-emit the same records: (records carried in, records re-emitted)."""
+    carried, kept = check_run(system, kb_pass)
+    poly_carried, poly_kept = check_run(rules_to_basis(system, QQ), buchberger_pass)
+    assert (poly_carried, poly_kept) == (carried, kept)
+    return carried, len(kept)
 
 
 def test_pass_without_carry_examines_what_a_fresh_copy_examines(monkeypatch):
@@ -84,22 +105,59 @@ def test_carried_rewriting_and_binomial_passes_equal_fresh_passes():
     # nested and duplicate left sides under shuffled precedences, in both
     # engines; the binomial bases are the translations of the rule sets
     rng = random.Random(83)
-    features = set()
-    carried = 0
-    for _ in range(20):
-        system = random_redex_system(rng)
-        features |= redex_features(system)
-        carried += check_run(system, kb_pass)
-        carried += check_run(rules_to_basis(system, QQ), buchberger_pass)
+    systems = [random_redex_system(rng) for _ in range(20)]
+    features = set().union(*map(redex_features, systems))
+    carried, kept = map(sum, zip(*map(check_both_engines, systems)))
     assert len(features) == 4
     assert carried > 1000
+    assert kept > 0
+
+
+def test_carried_wtlex_passes_equal_fresh_passes():
+    # generator weights 1 to 3, so weight and length differ, in both engines
+    rng = random.Random(89)
+    systems = [random_wtlex_system(rng) for _ in range(20)]
+    assert all(set(system.order.weights) != {1} for system in systems)
+    carried, kept = map(sum, zip(*map(check_both_engines, systems)))
+    assert carried > 500
+    assert kept > 0
 
 
 @pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
 def test_carried_general_passes_equal_fresh_passes(field):
-    # three-term members with rational coefficients
+    # three-term members with rational coefficients; few records are
+    # re-emitted, two over Q and six over F3 in these 40 runs
     rng = random.Random(101)
     limits = CompletionLimits(max_passes=3, max_rules=20, max_word_length=8)
-    carried = sum(check_run(random_general_basis(rng, field), buchberger_pass, limits)
-                  for _ in range(8))
-    assert carried > 50
+    runs = [check_run(random_general_basis(rng, field), buchberger_pass, limits) for _ in range(40)]
+    assert sum(carried for carried, _ in runs) > 250
+    assert sum(len(kept) for _, kept in runs) > 0
+
+
+def pair_1_3(run, index):
+    """The one record of rules (1, 3) in pass index of a run."""
+    (rec,) = [rec for rec in run[index - 1].records if (rec.first, rec.second) == (1, 3)]
+    return rec
+
+
+def test_resolved_pair_as_heavy_as_a_new_member_is_reduced_again():
+    # a.b -> 1, b.a -> a.a. Pass 1 adds b -> a (rule 3), pass 2 adds
+    # a.a -> 1, of weight 2, and resolves the pair (1, 3) at its
+    # superposition b.a, of weight 2 as well, to (a.a, a.a). In pass 3
+    # a.a -> 1 applies to those forms, which become (1, 1): the carried
+    # record cannot be re-emitted as it is
+    system = make_system(["ab->", "ba->aa"], mode=MONOID)
+    run = list(passes(system, kb_pass, LIMITS))
+    assert [rule.render() for rule in run[1].state.rules[4:]] == ["a.a->1"]
+    assert [p.fixed for p in run] == [False, False, True]
+    before, after = pair_1_3(run, 2), pair_1_3(run, 3)
+    assert before.match == after.match
+    assert [w.dotted() for w in before.reduced] == ["a.a", "a.a"]
+    assert [w.dotted() for w in after.reduced] == ["1", "1"]
+    assert before.new is None and after.new is None
+    # the raw S-polynomial is zero, so its record cannot change, but the
+    # polynomial engine decides from the same weights and reduces it again
+    run = list(passes(rules_to_basis(system, QQ), buchberger_pass, LIMITS))
+    before, after = pair_1_3(run, 2), pair_1_3(run, 3)
+    assert before.raw.is_zero() and before.new is None
+    assert after is not before

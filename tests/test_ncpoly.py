@@ -301,7 +301,7 @@ class TestReduction:
                                            for _ in range(rng.randint(0, 8))]))
                 # numerators and denominators prime to 3, so no term vanishes over F3
                 p = NcPolynomial(field, [(word, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)))
-                                         for word in words])
+                                         for word in sorted(words, key=key)])
                 assert len(p.terms) == size
                 _, expected_nf, again = reference_reduce(members, field, key, p.terms)
                 nf, steps = membership_certificate(basis, p)
@@ -382,7 +382,7 @@ def with_random_binomial(rng, basis):
     words = set()
     while len(words) < 2:
         words.add(Word(alpha, [rng.randrange(len(alpha)) for _ in range(rng.randint(1, 3))]))
-    u, v = words
+    u, v = sorted(words, key=basis.order.key)
     c = rng.choice([-1, -1, -1, 1, 2])
     member = make_monic(NcPolynomial(basis.field, [(u, 1), (v, c)]), basis.order)
     return basis.with_polys([member])

@@ -113,6 +113,8 @@ class TestWord:
         assert all(alpha.parse_word(word.dotted()) == word for word in sample)
         reference = letter_key(alpha, precedence, [weights[name] for name in alpha.symbols])
         assert sorted(sample, key=order.key) == sorted(sample, key=lambda w: reference(w.letters))
+        assert [order.weight(w.letters) for w in sample] == \
+            [reference(w.letters)[0] for w in sample]
 
 
 class TestConcat:
@@ -184,6 +186,7 @@ class TestCompare:
         random.Random(3).shuffle(sample)
         reference = shortlex_key(alpha, tuple(precedence))
         assert sorted(sample, key=order.key) == sorted(sample, key=reference)
+        assert [order.weight(w.letters) for w in sample] == [len(w) for w in sample]
 
     @pytest.mark.parametrize("precedence", ["cab", "bca"])
     def test_unit_weight_mapping_sorts_like_reference(self, precedence):
