@@ -172,8 +172,9 @@ def cmd_complete(args) -> int:
         line = functools.partial(ncpoly.record_line, order=start.order)
     else:
         start, one_pass, line = pf.system(), rewriting.kb_pass, rewriting.pair_line
+    lines = completion.trace_lines(line)
     for last in completion.passes(start, one_pass, _limits(args)):
-        _emit((line(last.index, rec) for rec in last.records), args)
+        _emit(lines(last), args)
     final = last.state
     if pf.mode == "alg":
         members = [f"poly: {render_poly(poly, final.order)}" for poly in final.polys]
@@ -187,8 +188,9 @@ def cmd_complete(args) -> int:
 def cmd_lockstep(args) -> int:
     pf = _load(args)
     system = _lockstep_system(args, pf)
+    lines = correspondence.pass_lines(system.order)
     for last in correspondence.lockstep_passes(system, args.field, _limits(args)):
-        _emit(correspondence.pass_lines(last, system.order), args)
+        _emit(lines(last), args)
     _emit(correspondence.verdict_lines(last), args)
     return EXIT_CODES[last.verdict]
 

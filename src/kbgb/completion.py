@@ -11,7 +11,8 @@ holding only the last pass, and the lockstep driver (``correspondence``)
 zips across both engines. The stream always yields at least one pass, and
 its last pass is the run's result: it says whether the run reached a fixed
 point or which cap ended it. Members are only appended, so a pass reuses the
-last pass's matches, raw pairs and light resolved records (``pair_sources``).
+last pass's matches, raw pairs and light resolved records (``pair_sources``),
+and the text a trace printed for each re-emitted one (``trace_lines``).
 """
 
 from __future__ import annotations
@@ -106,14 +107,15 @@ def pair_sources(index, since, carried, weight):
 
 def next_state(existing, records, words, extend, limits: CompletionLimits):
     """The state a pass builds, extend(new members): each record's ``new``,
-    resolved pairs skipped, deduplicated in order.
+    resolved pairs skipped, deduplicated in order. A new member is reduced,
+    so it is no existing one; extend checks the new members only.
 
     Raises LimitExceeded with the pass's records when a member has a word
     (from ``words(member)``) over ``max_word_length``, else when the total
     would exceed ``max_rules``.
     """
     fresh = []
-    seen = set(existing)
+    seen = set()
     for rec in records:
         if rec.new is not None and rec.new not in seen:
             seen.add(rec.new)
@@ -163,6 +165,27 @@ def passes(state, one_pass, limits: CompletionLimits):
         if fixed:
             return
         carry, state = (state, records), nxt
+
+
+def trace_lines(line):
+    """lines(p), the lines line(p.index, record) of PassRecord p's records,
+    for the passes of one run in order. A record re-emitted as the same
+    object reprints its text after "pass=N " in the pass before."""
+    texts = {}  # id(record) -> (record, text), of the last pass's resolved records
+
+    def lines(p):
+        nonlocal texts
+        head, kept = f"pass={p.index} ", {}
+        for rec in p.records:
+            entry = texts.get(id(rec))
+            tail = entry[1] if entry and entry[0] is rec else None
+            text = line(p.index, rec) if tail is None else head + tail
+            if rec.new is None and not (p.fixed or p.limit_reason):  # no pass follows the last
+                kept[id(rec)] = rec, tail or text[len(head):]
+            yield text
+        texts = kept
+
+    return lines
 
 
 def complete(state, one_pass, limits: CompletionLimits) -> PassRecord:

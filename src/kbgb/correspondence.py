@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .completion import CompletionLimits, PassRecord, passes
+from .completion import CompletionLimits, PassRecord, passes, trace_lines
 from .ncpoly import (
     Basis,
     NcPolynomial,
@@ -62,7 +62,8 @@ class NonBinomialError(ValueError):
 
 
 def rule_binomial(rule: Rule, field) -> NcPolynomial:
-    return NcPolynomial(field, [(rule.lhs, 1), (rule.rhs, -1)])
+    """l - r; an oriented rule's two sides are distinct."""
+    return NcPolynomial._raw(field, {rule.lhs: field.one, rule.rhs: field.neg(field.one)})
 
 
 def rules_to_basis(system: RewriteSystem, field) -> Basis:
@@ -109,14 +110,16 @@ class LockstepPass:
 
 
 def _source_key(rec) -> tuple:
-    return (rec.first, rec.second, rec.match.kind.value, rec.match.witness_lengths())
+    return (rec.first, rec.second, rec.match.kind.value, tuple(map(len, rec.match[1:])))
 
 
 def _check_pass(kb, gb, field) -> LockstepPass:
     """One pass of each engine with the three checks, and the run's
     verdict when the run ends at this pass."""
+    # a pair's equal matches have equal keys, so only unequal ones build them
     sources_ok = len(kb.records) == len(gb.records) and all(
-        _source_key(cp) == _source_key(rec) for cp, rec in zip(kb.records, gb.records))
+        cp.match == rec.match and cp.first == rec.first and cp.second == rec.second
+        or _source_key(cp) == _source_key(rec) for cp, rec in zip(kb.records, gb.records))
     pairs_ok = sources_ok
     detail = verdict = None
     if sources_ok:
@@ -178,17 +181,22 @@ def lockstep_passes(system: RewriteSystem, field, limits: CompletionLimits = Com
             return
 
 
-def pass_lines(p: LockstepPass, order):
-    """Both engines' trace lines of one pass, then its check summary, each
-    rendered when it is asked for; none for pass 0."""
-    kb, gb = p.rewriting, p.polynomials
-    if not kb.index:
-        return
+def pass_lines(order):
+    """lines(p), both engines' trace lines of a LockstepPass p, then its
+    check summary, each rendered when it is asked for; none for pass 0. It
+    takes the passes of one run in order (completion.trace_lines)."""
+    kb_lines = trace_lines(pair_line)
+    gb_lines = trace_lines(lambda index, rec: record_line(index, rec, order))
     flag = {True: "ok", False: "FAIL"}
-    yield from (pair_line(kb.index, cp) for cp in kb.records)
-    yield from (record_line(gb.index, rec, order) for rec in gb.records)
-    yield (f"pass={kb.index} checks: sources={flag[p.sources_ok]} "
-           f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
+
+    def lines(p):
+        if p.rewriting.index:
+            yield from kb_lines(p.rewriting)
+            yield from gb_lines(p.polynomials)
+            yield (f"pass={p.rewriting.index} checks: sources={flag[p.sources_ok]} "
+                   f"pairs={flag[p.pairs_ok]} sets={flag[p.sets_ok]}")
+
+    return lines
 
 
 def verdict_lines(last: LockstepPass) -> list:

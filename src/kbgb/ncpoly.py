@@ -8,10 +8,12 @@ small field object carried by every polynomial.
 
 The reduction policy mirrors the string engine exactly: a monomial is
 reduced at the leftmost occurrence of a leading monomial, and at a tied
-position by the lowest basis index. Each basis builds one
+position by the lowest basis index. Each basis holds one
 words.RedexIndex over its leading monomials and finds every redex through
-it, under that same policy. On bases of two-term polynomials the
-whole machine therefore behaves as string rewriting term by term.
+it, under that same policy; with_polys checks only the members it
+appends, and its index extends the old one's. On bases of two-term
+polynomials the whole machine therefore behaves as string rewriting term
+by term.
 There is one reduction: monomial_forms memoizes the normal form N of
 every monomial a reduction passes through, and a polynomial's is the sum
 of c . N(m) over its terms c . m. That is the form that reducing the
@@ -26,6 +28,7 @@ its own form, and the resolved records it reduces share one zero.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,12 +282,11 @@ class Basis:
     polys: tuple = ()
     alphabet = property(lambda self: self.order.alphabet)
 
-    def __post_init__(self):
+    def __post_init__(self, base=None, neg_tails=()):
+        # base and neg_tails, from with_polys: those of the leading members, checked already
         object.__setattr__(self, "polys", tuple(self.polys))
-        seen = set()
-        lms = []
-        neg_tails = []
-        for poly in self.polys:
+        since, lms, neg_tails = len(neg_tails), [], list(neg_tails)
+        for poly in self.polys[since:]:
             if not isinstance(poly, NcPolynomial) or poly.is_zero():
                 raise ValueError("basis members must be nonzero polynomials")
             if poly.field != self.field:
@@ -297,18 +299,23 @@ class Basis:
                 raise ValueError(f"basis member is not monic: {render_poly(poly, self.order)}")
             if len(lm) == 0:
                 raise ValueError("basis member with empty leading monomial (a unit)")
-            if poly in seen:
-                raise ValueError(f"duplicate basis member: {render_poly(poly, self.order)}")
-            seen.add(poly)
-            lms.append(lm)
+            lms.append(lm.letters)
             neg_tails.append(tuple((w.letters, self.field.neg(c))
                                    for w, c in poly.terms.items() if w != lm))
-        object.__setattr__(self, "_index", RedexIndex(lm.letters for lm in lms))
+        index = RedexIndex(lms, base)
+        twin = index.duplicate(self.polys, since)
+        if twin is not None:
+            raise ValueError(f"duplicate basis member: {render_poly(twin, self.order)}")
+        object.__setattr__(self, "_index", index)
         # per member, (letters, -c) for every term c.w but the leading one
         object.__setattr__(self, "_neg_tails", tuple(neg_tails))
 
     def with_polys(self, extra) -> "Basis":
-        return Basis(self.order, self.field, self.polys + tuple(extra))
+        """This basis and then extra, which alone is checked, by extending its index."""
+        nxt = copy.copy(self)
+        object.__setattr__(nxt, "polys", self.polys + tuple(extra))
+        nxt.__post_init__(self._index, self._neg_tails)
+        return nxt
 
 
 def poly_normal_form(basis: Basis, poly: NcPolynomial) -> NcPolynomial:

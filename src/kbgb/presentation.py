@@ -252,7 +252,7 @@ def parse_presentation(text: str) -> PresentationFile:
         raise ParseError(lineno, f"unknown order kind: {kind!r}")
     order = MonomialOrder(alphabet, precedence, weights)
 
-    rules = {}  # Rule -> None, in source order
+    system = RewriteSystem(order, (), SEMIGROUP if mode == "alg" else mode)  # alg adds no rules
     polys_raw = []
     for lineno, where, body in items:
         if where == "rules":
@@ -263,14 +263,10 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, f"malformed rule (expected 'lhs -> rhs'): {body!r}")
             lhs = _parse_word(lineno, alphabet, lhs_text.strip())
             rhs = _parse_word(lineno, alphabet, rhs_text.strip())
-            rule = Rule(lhs, rhs)
-            try:  # the rule system's own checks, at the rule's line
-                RewriteSystem(order, (rule,), mode)
+            try:  # the rule system's own checks, duplicates included, at the rule's line
+                system = system.with_rules([Rule(lhs, rhs)])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-            if rule in rules:
-                raise ParseError(lineno, f"duplicate rule: {rule.render()}")
-            rules[rule] = None
         else:
             if mode != "alg":
                 raise ParseError(lineno, "polys section requires alg mode")
@@ -282,4 +278,4 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(lineno, str(exc)) from None
             polys_raw.append(terms)
 
-    return PresentationFile(mode, order, field, tuple(rules), tuple(polys_raw))
+    return PresentationFile(mode, order, field, system.rules, tuple(polys_raw))

@@ -1,9 +1,10 @@
 """String rewriting systems, completion passes, and the word problem.
 
 Reduction is deterministic: the leftmost redex wins, and at a given
-position the lowest-index rule wins. Each system builds one
+position the lowest-index rule wins. Each system holds one
 words.RedexIndex over its left sides and finds every redex through it,
-under that same policy. A completion pass computes every
+under that same policy; with_rules checks only the rules it appends, and
+its index extends the old one's. A completion pass computes every
 critical pair against the fixed input system and only then installs the
 oriented survivors, so pass results do not depend on examination order and
 rules are never removed or rewritten mid-run. Because the system is fixed,
@@ -19,6 +20,7 @@ theirs, and an irreducible raw word is its own normal form.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -64,12 +66,13 @@ class RewriteSystem:
     mode: str = SEMIGROUP
     alphabet = property(lambda self: self.order.alphabet)
 
-    def __post_init__(self):
+    def __post_init__(self, base=None):
+        # base, from with_rules: the index of the leading rules, checked already
         object.__setattr__(self, "rules", tuple(self.rules))
         if self.mode not in (SEMIGROUP, MONOID):
             raise ValueError(f"mode must be {SEMIGROUP!r} or {MONOID!r}")
-        seen = set()
-        for rule in self.rules:
+        since = len(base._patterns) if base else 0
+        for rule in self.rules[since:]:
             if rule.lhs.alphabet != self.alphabet or rule.rhs.alphabet != self.alphabet:
                 raise AlphabetMismatch(f"rule over a different alphabet: {rule.render()}")
             if len(rule.lhs) == 0:
@@ -78,13 +81,18 @@ class RewriteSystem:
                 raise ValueError(f"empty right side needs monoid mode: {rule.render()}")
             if self.order.compare(rule.lhs, rule.rhs) <= 0:
                 raise ValueError(f"rule is not oriented descending: {rule.render()}")
-            if rule in seen:
-                raise ValueError(f"duplicate rule: {rule.render()}")
-            seen.add(rule)
-        object.__setattr__(self, "_index", RedexIndex(r.lhs.letters for r in self.rules))
+        index = RedexIndex((rule.lhs.letters for rule in self.rules[since:]), base)
+        twin = index.duplicate(self.rules, since)
+        if twin is not None:
+            raise ValueError(f"duplicate rule: {twin.render()}")
+        object.__setattr__(self, "_index", index)
 
     def with_rules(self, extra) -> "RewriteSystem":
-        return RewriteSystem(self.order, self.rules + tuple(extra), self.mode)
+        """This system and then extra, which alone is checked, by extending its index."""
+        nxt = copy.copy(self)
+        object.__setattr__(nxt, "rules", self.rules + tuple(extra))
+        nxt.__post_init__(self._index)
+        return nxt
 
 
 def _rewrite_at(system, wl):

@@ -167,7 +167,7 @@ class MonomialOrder:
     well-founded.
     """
 
-    __slots__ = ("alphabet", "precedence", "weights", "_rank", "_ranks_are_letters")
+    __slots__ = ("alphabet", "precedence", "weights", "_rank", "_ranks_are_letters", "_weight_of")
 
     def __init__(self, alphabet, precedence=None, weights=None):
         if precedence is None:
@@ -188,6 +188,7 @@ class MonomialOrder:
         self.alphabet = alphabet
         self.precedence = precedence
         self.weights = weights  # by letter index
+        self._weight_of = {chr(ix): w for ix, w in enumerate(weights)}.__getitem__
         self._rank = "".join(map(chr, rank))  # a str.translate table: letter -> its rank
         # shortlex in alphabet order: the ranks of a word are its letters
         self._ranks_are_letters = set(weights) == {1} and precedence == alphabet.symbols
@@ -201,7 +202,7 @@ class MonomialOrder:
 
     def weight(self, letters: str) -> int:
         """The first component of a key: the sum of the generator weights."""
-        return sum(self.weights[ord(c)] for c in letters)
+        return sum(map(self._weight_of, letters))
 
     def compare(self, w1: Word, w2: Word) -> int:
         """-1, 0, or 1 as w1 is below, equal to, or above w2."""
@@ -233,18 +234,32 @@ class MonomialOrder:
 _END, _BELOW = -1, -3
 
 
-def _trie(patterns, first=0):
-    """The root of the trie over patterns, numbered from first."""
-    root = {}
+def _trie(patterns, first=0, root=None):
+    """The root of the trie over patterns, numbered from first, extending the
+    trie at root by path copying: their own trie merges into a copy of root
+    that copies each node both hold and shares the rest; root is unchanged."""
+    new = {}
     for index, letters in enumerate(patterns, first):
         if not letters:
             raise ValueError("patterns must be nonempty")
-        node = root
+        node = new
         for letter in letters:
             node = node.setdefault(letter, {})
             node.setdefault(_BELOW, []).append(index)
         node.setdefault(_END, []).append(index)
-    return root
+    top = dict(root or {})
+    todo = [(top, new)]
+    while todo:
+        merged, node = todo.pop()
+        for key, value in node.items():
+            if type(value) is list:  # root's indices, then the new ones
+                merged[key] = merged.get(key, []) + value
+            elif key in merged:
+                merged[key] = dict(merged[key])
+                todo.append((merged[key], value))
+            else:
+                merged[key] = value
+    return top
 
 
 class RedexIndex:
@@ -256,14 +271,28 @@ class RedexIndex:
     automaton in Sims, Computation with Finitely Presented Groups (CUP 1994),
     without failure transitions: the walk restarts at each start, so the
     redex policy "leftmost start, then lowest index" holds exactly even when
-    one pattern contains another.
+    one pattern contains another. Members are only appended, so an engine's
+    next state extends its index: the two share every node off the new
+    patterns' paths, and the old index answers as before.
     """
 
     __slots__ = ("_root", "_patterns")
 
-    def __init__(self, patterns):
-        self._patterns = patterns = tuple(patterns)
-        self._root = _trie(patterns)
+    def __init__(self, patterns, base=None):
+        """The index of base's patterns (none by default), then these."""
+        old = base._patterns if base else ()
+        self._patterns = old + tuple(patterns)
+        self._root = _trie(self._patterns[len(old):], len(old), base and base._root)
+
+    def duplicate(self, members, since):
+        """The first of members[since:] equal to an earlier member, or None,
+        where members[k] has pattern k: equal members end at one node."""
+        for k in range(since, len(members)):
+            node = self._root
+            for letter in self._patterns[k]:
+                node = node[letter]
+            if any(members[j] == members[k] for j in node[_END] if j < k):
+                return members[k]
 
     def find(self, letters):
         """(pos, index, end) of the leftmost pattern occurrence, with the
@@ -372,7 +401,4 @@ class OverlapMatch(NamedTuple):
     v1: str
     u2: str
     v2: str
-
-    def witness_lengths(self):
-        return (len(self.u1), len(self.v1), len(self.u2), len(self.v2))
 

@@ -22,7 +22,7 @@ from kbgb import (
     make_monic,
     render_poly,
 )
-from kbgb import completion, ncpoly, rewriting
+from kbgb import completion, correspondence, ncpoly, rewriting, words
 from kbgb.cli import main as cli_main
 from kbgb.words import OverlapMatch, RedexIndex
 
@@ -242,12 +242,17 @@ def reference_systems(initial, final):
     return interreduce(letters(final), key), reference_completion(letters(initial), key, REFERENCE_CAPS)
 
 
+def witness_lengths(match):
+    """The lengths of a match's witnesses u1, v1, u2, v2."""
+    return tuple(map(len, match[1:]))
+
+
 def pair_matches(l1, l2, include_identity=False):
     """The matches of pair (0, 1) of the left sides [l1, l2], in walk
     order. The identity containment of two equal sides, every witness
     empty, is left out unless asked for."""
     return [m for i, j, m in RedexIndex([l1.letters, l2.letters]).overlaps()
-            if (i, j) == (0, 1) and (include_identity or any(m.witness_lengths()))]
+            if (i, j) == (0, 1) and (include_identity or any(witness_lengths(m)))]
 
 
 _TWIN_KIND = {
@@ -266,7 +271,7 @@ def twins(records):
     by_key = {(rec.first, rec.second, rec.match): rec for rec in records}
     for rec in records:
         m = rec.match
-        kind = _TWIN_KIND[m.kind] if any(m.witness_lengths()) else m.kind
+        kind = _TWIN_KIND[m.kind] if any(witness_lengths(m)) else m.kind
         yield rec, by_key[(rec.second, rec.first, OverlapMatch(kind, m.u2, m.v2, m.u1, m.v1))]
 
 
@@ -311,6 +316,46 @@ def record_kept(monkeypatch):
 
         monkeypatch.setattr(module, "pair_sources", sources)
     return kept
+
+
+def record_renders(monkeypatch):
+    """How many records pair_line and record_line render from now on, by
+    engine: counts under "rewriting" and "ncpoly" that grow as lines are
+    written."""
+    rendered = {"rewriting": 0, "ncpoly": 0}
+    for engine, module, name in (("rewriting", rewriting, "pair_line"), ("ncpoly", ncpoly, "record_line")):
+        def line(*args, real=getattr(module, name), engine=engine, **kwargs):
+            rendered[engine] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, line)
+        monkeypatch.setattr(correspondence, name, line)
+    return rendered
+
+
+def record_inserted(monkeypatch):
+    """How many letters of patterns each engine's next_state inserts into
+    redex-index tries from now on: counts under "rewriting" and "ncpoly"."""
+    inserted, engine = {"rewriting": 0, "ncpoly": 0}, []
+    real_trie = words._trie
+
+    def trie(patterns, *args):
+        patterns = tuple(patterns)
+        if engine:
+            inserted[engine[-1]] += sum(map(len, patterns))
+        return real_trie(patterns, *args)
+
+    monkeypatch.setattr(words, "_trie", trie)
+    for module in (rewriting, ncpoly):
+        def next_state(*args, real=module.next_state, name=module.__name__.rpartition(".")[2]):
+            engine.append(name)
+            try:
+                return real(*args)
+            finally:
+                engine.pop()
+
+        monkeypatch.setattr(module, "next_state", next_state)
+    return inserted
 
 
 def step_budget(steps):

@@ -174,6 +174,35 @@ MUTANTS = {
     "carry-reuse-at-equal-weight": (
         ("completion.py", "+ r.match.v1) < light", "+ r.match.v1) <= light"),
     ),
+    # an extension appends to the index lists of the base's trie in place,
+    # so the base index finds and walks the new patterns too
+    "trie-extends-root-lists": (
+        ("words.py", "merged[key] = merged.get(key, []) + value",
+         "merged.setdefault(key, []).extend(value)"),
+    ),
+    # an extension merges into the base's own nodes below its root
+    "trie-shares-root-nodes": (
+        ("words.py", "merged[key] = dict(merged[key])", "merged[key] = merged[key]"),
+    ),
+    # neither constructor nor extension rejects a duplicate member
+    "extension-skips-duplicates": (
+        ("rewriting.py", "twin = index.duplicate(self.rules, since)", "twin = None"),
+        ("ncpoly.py", "twin = index.duplicate(self.polys, since)", "twin = None"),
+    ),
+    # the renderer keeps the texts of every pass, with their records
+    "trace-keeps-every-pass": (
+        ("completion.py", "        texts = kept\n", "        texts.update(kept)\n"),
+    ),
+    "trace-remembers-the-last-pass": (
+        ("completion.py", "if rec.new is None and not (p.fixed or p.limit_reason):",
+         "if rec.new is None:"),
+    ),
+    # equal matches pass the sources check whatever pair they name
+    "sources-shortcut-ignores-pair": (
+        ("correspondence.py",
+         "cp.match == rec.match and cp.first == rec.first and cp.second == rec.second",
+         "cp.match == rec.match"),
+    ),
     "next-state-no-length-check": (
         ("completion.py", "if any(len(w) > limits.max_word_length for w in words(member)):",
          "if False:"),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -16,17 +17,21 @@ from kbgb import (
     CompletionLimits,
     ReductionBudgetExceeded,
     Word,
+    completion,
     correspondence,
     ncpoly,
     parse_presentation,
     rewriting,
 )
 from kbgb.cli import main as cli_main
+from kbgb.completion import PassRecord
 
 from helpers import (
     ROOT,
     child_env,
+    record_inserted,
     record_kept,
+    record_renders,
     record_searches,
     record_walk,
     run_cli,
@@ -646,6 +651,17 @@ class TestSearchCounts:
         code, _, _ = run_cli([argv[0], path, *argv[1:]])
         assert (code, len(calls)) == (exit_code, count)
 
+    def test_chain_renders_and_indexes_only_what_is_new(self, pres, monkeypatch):
+        # of chain's 6,400 records per engine, the 5,700 re-emitted as they
+        # were carried reprint their text: 700 are rendered. The next states
+        # insert the left sides of the 80 new members into their tries,
+        # 3,401 letters, where rebuilding every trie inserted 48,660
+        rendered, inserted = record_renders(monkeypatch), record_inserted(monkeypatch)
+        code, out, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
+        assert (code, out.count(" rules=("), out.count(" polys=(")) == (2, 6400, 6400)
+        assert rendered == {"rewriting": 700, "ncpoly": 700}
+        assert inserted == {"rewriting": 3401, "ncpoly": 3401}
+
     def test_chain_reemits_the_same_records_in_both_engines(self, pres, monkeypatch):
         # chain's 40 passes carry 6,084 records into the next pass, 5,928 of
         # them resolved; 5,700 of those weigh less than every new member
@@ -654,6 +670,53 @@ class TestSearchCounts:
         assert code == 2
         assert len(kept["rewriting"]) == 5700
         assert kept["rewriting"] == kept["ncpoly"]
+
+
+def _fresh_lines(line):
+    """completion.trace_lines without its memo: every record rendered."""
+    return lambda p: (line(p.index, rec) for rec in p.records)
+
+
+class TestReprintedLines:
+    # a record re-emitted as the same object reprints the text it had in the
+    # pass before; every line must equal the one rendered afresh
+    @pytest.mark.parametrize("command", ["lockstep", "complete"])
+    @pytest.mark.parametrize("source, extra", [
+        (CHAIN, ["--max-passes", "12"]),
+        ((ROOT / "perfbench" / "inputs" / "s5.pres").read_text(), []),
+    ], ids=["chain", "s5"])
+    def test_every_line_equals_a_fresh_one(self, pres, monkeypatch, command, source, extra):
+        argv = [command, pres(source), *extra]
+        with monkeypatch.context() as patch:
+            rendered = record_renders(patch)
+            reprinting = run_cli(argv)
+        lines = reprinting[1].count(" rules=(") + reprinting[1].count(" polys=(")
+        assert 0 < sum(rendered.values()) < lines
+        monkeypatch.setattr(completion, "trace_lines", _fresh_lines)
+        monkeypatch.setattr(correspondence, "trace_lines", _fresh_lines)
+        assert run_cli(argv) == reprinting
+
+    def test_the_renderer_keeps_one_pass_and_never_the_last(self):
+        # a resolved record's text is reprinted for the same object in the
+        # next pass only; an unresolved one's, or a last pass's, is not kept,
+        # and nothing of a pass is held once the next one is written
+        class Record:
+            def __init__(self, text, new=None):
+                self.text, self.new = text, new
+
+        lines = completion.trace_lines(lambda index, rec: f"pass={index} {rec.text}")
+        kept, added, other = Record("kept"), Record("added", new="rule"), Record("other")
+        assert list(lines(PassRecord(1, (kept, added, other), None))) == \
+            ["pass=1 kept", "pass=1 added", "pass=1 other"]
+        gone = weakref.ref(other)
+        del other
+        kept.text = added.text = "changed"
+        assert list(lines(PassRecord(2, (kept, added), None))) == \
+            ["pass=2 kept", "pass=2 changed"]
+        assert gone() is None
+        kept.text = "last"
+        assert list(lines(PassRecord(3, (kept,), None, "max_passes"))) == ["pass=3 kept"]
+        assert list(lines(PassRecord(4, (kept,), None))) == ["pass=4 last"]
 
 
 def _unreachable_after(argv):

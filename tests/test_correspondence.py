@@ -273,6 +273,11 @@ class TestLockstep:
         return nxt, records[::-1]
 
     @staticmethod
+    def _renumbered_record(state, nxt, records):
+        # one record keeps its match but names another pair
+        return nxt, [dataclasses.replace(records[0], second=records[0].second + 1), *records[1:]]
+
+    @staticmethod
     def _nothing_installed(state, nxt, records):
         return state, records
 
@@ -306,6 +311,10 @@ class TestLockstep:
              ABA_RULES, ABA_POLYS),
             ("buchberger_pass", 1, "_dropped_record", None, 1,
              "sources differ: overlaps-only=[(0, 0, 'PrefixSuffix', (2, 0, 0, 2))] matches-only=[]",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_renumbered_record", None, 1,
+             "sources differ: overlaps-only=[(0, 0, 'SuffixPrefix', (0, 2, 2, 0))] "
+             "matches-only=[(0, 1, 'SuffixPrefix', (0, 2, 2, 0))]",
              ABA_RULES, ABA_POLYS),
             ("buchberger_pass", 1, "_nothing_installed", None, 1,
              "next basis is not the translation of the next rule set",
@@ -355,7 +364,7 @@ class TestLockstep:
              "sources differ: overlaps-only=[] matches-only=[]",
              ABA_RULES, ABA_POLYS),
         ],
-        ids=["content", "sources", "sets", "extra-member", "gb-limit", "kb-limit", "gb-fixed",
+        ids=["content", "sources", "renumbered", "sets", "extra-member", "gb-limit", "kb-limit", "gb-fixed",
              "kb-fixed", "order", "content-last", "sources-last", "sets-last", "gb-limit-last",
              "kb-limit-last", "gb-fixed-last", "kb-fixed-last", "order-last"])
     def test_every_divergence_branch(self, monkeypatch, engine, at, change, max_passes,
@@ -386,7 +395,8 @@ class TestLockstep:
 
     def test_report_lines_shape(self):
         checked = tuple(lockstep_passes(make_system(["aba->b"]), QQ))
-        lines = [line for p in checked for line in pass_lines(p, checked[-1].rewriting.state.order)]
+        render = pass_lines(checked[-1].rewriting.state.order)
+        lines = [line for p in checked for line in render(p)]
         lines += verdict_lines(checked[-1])
         assert lines[-1] == "VERDICT: Corresponds"
         assert any(line.startswith("pass=1 rules=") for line in lines)

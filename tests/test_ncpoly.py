@@ -1,5 +1,6 @@
 """Exact fields, noncommutative polynomials, and Buchberger completion."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -737,6 +738,41 @@ class TestBasisValidation:
         p = poly(QQ, ("ba", 1), ("ab", -1))
         with pytest.raises(ValueError, match=r"^duplicate basis member: b\.a - a\.b$"):
             Basis(ORDER, QQ, (p, p))
+
+    def test_extension_checks_its_members_as_the_constructor_does(self):
+        # a member equal to an old one or to another new one, or not monic:
+        # the constructor's own errors; a new member with an old member's
+        # leading monomial and another tail is no duplicate
+        p, q = poly(QQ, ("ba", 1), ("ab", -1)), poly(QQ, ("bb", 1), ("a", -1))
+        basis = Basis(ORDER, QQ, (p,))
+        for extra in ([p], [q, q]):
+            with pytest.raises(ValueError, match=r"^duplicate basis member: "):
+                basis.with_polys(extra)
+        with pytest.raises(ValueError, match=r"^basis member is not monic: 2\*b\.b - 2\*a$"):
+            basis.with_polys([poly(QQ, ("bb", 2), ("a", -2))])
+        other = poly(QQ, ("ba", 1), ("b", -1))
+        assert basis.with_polys([other]) == Basis(ORDER, QQ, (p, other))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    def test_extended_basis_answers_as_one_built_whole(self, field):
+        # one general base extended two ways, by the tail of its own members
+        # and by a random binomial: each finds, walks and reduces as the
+        # basis built whole, and the base's trie is left as it was
+        rng = random.Random(107)
+        for _ in range(24):
+            general = random_general_basis(rng, field)
+            cut = rng.randint(0, len(general.polys))
+            base = Basis(general.order, field, general.polys[:cut])
+            trie = copy.deepcopy(base._index._root)
+            for extended in (base.with_polys(general.polys[cut:]), with_random_binomial(rng, base)):
+                whole = Basis(base.order, field, extended.polys)
+                assert extended == whole and extended._neg_tails == whole._neg_tails
+                for word in all_words(base.alphabet, 6, min_len=0):
+                    assert extended._index.find(word.letters) == whole._index.find(word.letters)
+                for since in (0, cut, len(whole.polys)):
+                    assert extended._index.overlaps(since) == whole._index.overlaps(since)
+                assert s_polynomials(extended) == s_polynomials(whole)
+            assert base._index._root == trie
 
 
 XYZ = Alphabet("xyz")

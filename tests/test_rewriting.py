@@ -32,6 +32,7 @@ from helpers import (
     redex_features,
     step_budget,
     twins,
+    witness_lengths,
 )
 from oracles import (
     all_words,
@@ -76,6 +77,24 @@ class TestSystemValidation:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             make_system(["ba->ab", "ba->ab"])
+
+    def test_extension_checks_its_rules_as_the_constructor_does(self):
+        # a rule equal to an old one or to another new one, misoriented, or
+        # with an empty right side in semigroup mode: the constructor's own
+        # errors; a new rule with an old left side and another right side is
+        # no duplicate
+        system = make_system(["ba->ab"])
+        ba_ab, bb_a = system.rules[0], make_system(["bb->a"]).rules[0]
+        for extra in ([ba_ab], [bb_a, bb_a]):
+            with pytest.raises(ValueError, match=r"^duplicate rule: "):
+                system.with_rules(extra)
+        flipped = Rule(ba_ab.rhs, ba_ab.lhs)
+        with pytest.raises(ValueError, match=r"^rule is not oriented descending: a\.b->b\.a$"):
+            system.with_rules([flipped])
+        with pytest.raises(ValueError, match=r"^empty right side needs monoid mode: b->1$"):
+            system.with_rules(make_system(["b->"], mode=MONOID).rules)
+        other = make_system(["ba->aa"]).rules
+        assert system.with_rules(other) == make_system(["ba->ab", "ba->aa"])
 
 
 class TestReduceOnce:
@@ -256,7 +275,7 @@ class TestCriticalPairs:
         pairs = critical_pairs(system)
         boundary = [
             p for p in pairs
-            if p.match.kind is MatchKind.CONTAINMENT_12 and p.match.witness_lengths() == (0, 0, 0, 0)
+            if p.match.kind is MatchKind.CONTAINMENT_12 and witness_lengths(p.match) == (0, 0, 0, 0)
         ]
         assert {(p.first, p.second) for p in boundary} == {(0, 1), (1, 0)}
         raw = {p.raw for p in boundary}

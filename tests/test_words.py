@@ -1,5 +1,6 @@
 """Words, orderings, the redex index, and overlap detection."""
 
+import copy
 import random
 
 import pytest
@@ -12,11 +13,18 @@ from kbgb import (
     AlphabetMismatch,
     MatchKind,
     MonomialOrder,
+    RewriteSystem,
     Word,
 )
 from kbgb.words import RedexIndex
 
-from helpers import make_system, pair_matches, random_redex_system, redex_features
+from helpers import (
+    make_system,
+    pair_matches,
+    random_redex_system,
+    redex_features,
+    witness_lengths,
+)
 from oracles import (
     all_words,
     exhaustive_matches,
@@ -264,6 +272,39 @@ class TestRedexIndex:
                     hit = (pos, i, pos + len(lhss[i]))
                 assert index.find(word.letters) == hit
 
+    def test_extended_system_answers_as_one_built_whole(self):
+        # one base extended two ways, by the tail of a random system and by
+        # part of that tail reversed: each finds and walks as the system
+        # built whole, and the base's trie is left as it was
+        rng = random.Random(101)
+        for _ in range(80):
+            system = random_redex_system(rng)
+            cut = rng.randint(0, len(system.rules))
+            base = RewriteSystem(system.order, system.rules[:cut], system.mode)
+            trie = copy.deepcopy(base._index._root)
+            tail = system.rules[cut:]
+            for extra in (tail, tail[::-1][:rng.randint(0, len(tail))]):
+                extended = base.with_rules(extra)
+                whole = RewriteSystem(system.order, base.rules + extra, system.mode)
+                assert extended == whole
+                for word in all_words(system.alphabet, 6, min_len=0):
+                    assert extended._index.find(word.letters) == whole._index.find(word.letters)
+                for since in (0, cut, len(whole.rules)):
+                    assert extended._index.overlaps(since) == whole._index.overlaps(since)
+            assert base._index._root == trie
+            fresh = RedexIndex(rule.lhs.letters for rule in base.rules)
+            assert all(base._index.find(word.letters) == fresh.find(word.letters)
+                       for word in all_words(system.alphabet, 6, min_len=0))
+
+    def test_extension_copies_only_the_new_paths(self):
+        # nodes off the new pattern's path are the base's own objects
+        base = RedexIndex(["\0\0", "\1\1\1"])
+        extended = RedexIndex(["\0\1"], base)
+        assert extended._root["\1"] is base._root["\1"]
+        assert extended._root["\0"]["\0"] is base._root["\0"]["\0"]
+        assert extended._root["\0"] is not base._root["\0"]
+        assert extended.find("\1\0\1") == (1, 2, 3) and base.find("\1\0\1") is None
+
 
 class TestFindMatches:
     def test_containment_example(self):
@@ -292,7 +333,7 @@ class TestFindMatches:
         assert pair_matches(w("ab"), w("ab")) == []
         matches = pair_matches(w("ab"), w("ab"), include_identity=True)
         assert [m.kind for m in matches] == [MatchKind.CONTAINMENT_12]
-        assert matches[0].witness_lengths() == (0, 0, 0, 0)
+        assert witness_lengths(matches[0]) == (0, 0, 0, 0)
 
     def test_superposition_equations(self):
         rng = random.Random(7)
@@ -356,7 +397,7 @@ class TestOverlaps:
             assert list(got) == list(expected)  # no pair with a match is missing
             assert {key: match_set(found) for key, found in got.items()} == expected
             identity = {key for key, found in got.items()
-                        if any(m.witness_lengths() == (0, 0, 0, 0) for m in found)}
+                        if any(witness_lengths(m) == (0, 0, 0, 0) for m in found)}
             assert identity == {(i, j) for i, l1 in enumerate(lhss)
                                 for j, l2 in enumerate(lhss) if i != j and l1 == l2}
             pruned += len(lhss) ** 2 - len(got)
@@ -386,7 +427,7 @@ class TestOverlaps:
                 assert {key: match_set(found) for key, found in got.items()} == \
                     {key: found for key, found in expected.items() if max(key) >= k}
                 identity |= {("across" if min(i, j) < k else "above")
-                             for i, j, m in stream if m.witness_lengths() == (0, 0, 0, 0)}
+                             for i, j, m in stream if witness_lengths(m) == (0, 0, 0, 0)}
         assert identity == {"across", "above"}
 
     def test_a_row_lists_kind_before_witness_lengths(self):
@@ -394,7 +435,7 @@ class TestOverlaps:
         # has u1 = a, the overlap (b.a).b.a = b.(a.b.a) has u1 empty: kind
         # first puts the containment first, witness lengths first would not
         rows = [pair_matches(w("ba"), w("aba"))]
-        assert [(m.kind, m.witness_lengths()) for m in rows[0]] == [
+        assert [(m.kind, witness_lengths(m)) for m in rows[0]] == [
             (MatchKind.CONTAINMENT_21, (1, 0, 0, 0)), (MatchKind.SUFFIX_PREFIX, (0, 2, 1, 0))]
         rng = random.Random(53)
         for _ in range(60):
@@ -403,7 +444,7 @@ class TestOverlaps:
                 rows += [pair_matches(l1, l2, include_identity=True) for l2 in lhss]
         kinds = list(MatchKind)
         for row in rows:
-            keys = [(kinds.index(m.kind), m.witness_lengths()) for m in row]
+            keys = [(kinds.index(m.kind), witness_lengths(m)) for m in row]
             assert keys == sorted(keys)
 
     def test_equal_witnesses_of_a_call_are_one_tuple(self):
