@@ -10,9 +10,9 @@ loop: a stream of one record per pass, which ``complete`` runs to its end
 holding only the last pass, and the lockstep driver (``correspondence``)
 zips across both engines. The stream always yields at least one pass, and
 its last pass is the run's result: it says whether the run reached a fixed
-point or which cap ended it. Members are only appended, so a pass reuses the
-last pass's matches, raw pairs and light resolved records (``pair_sources``),
-and the text a trace printed for each re-emitted one (``trace_lines``).
+point or which cap ended it. Members are only appended, so ``pair_records``,
+the pair loop of both engines, reuses the last pass's matches, raw pairs and
+light resolved records, and ``trace_lines`` the text of each re-emitted one.
 """
 
 from __future__ import annotations
@@ -86,23 +86,27 @@ class PairRecord:
     new: object
 
 
-def pair_sources(index, since, carried, weight):
-    """(first, second, match, raw, kept) of every pair of index.overlaps, in
-    order: in each row, the last pass's carried records, then the walk's pairs
-    touching members from since (that pass's input size) on, raw None. A
-    match's witnesses are letter strings. An engine builds a raw pair, or
-    emits kept as it is: a carried record that resolved at a superposition
-    u1.l1.v1 lighter than every member from since on. Its reduction holds:
-    the order compares weight first, so each word it reached, each target
-    lo.t.hi too, weighs no more than u1.l1.v1; a word weighs at least its
-    left sides; so no new member occurs and find picks the same redexes."""
-    patterns = index._patterns
+def pair_records(state, carry, examine):
+    """The records of one pass over state, in the examination order of
+    RedexIndex.overlaps; carry is the last pass's (input state, records) or
+    None. In each row come the carried records, then the walk's pairs that
+    touch members from since, the carry's input size, on. examine(first,
+    second, match, raw) builds and reduces one pair's record, handed the
+    carried raw pair, or None for a walk pair; a match's witnesses are
+    letter strings. A carried record is re-emitted as the same object when
+    it resolved at a superposition u1.l1.v1 lighter than every member from
+    since on. Its reduction holds: the order compares weight first, so each
+    word it reached, each target lo.t.hi too, weighs no more than u1.l1.v1;
+    a word weighs at least its left sides; members are only appended; so no
+    new member occurs and find picks the same redexes."""
+    weight, patterns = state.order.weight, state._index._patterns
+    since, carried = (len(carry[0]._index._patterns), carry[1]) if carry else (0, ())
     light = min(map(weight, patterns[since:]), default=float("inf"))
-    old = ((r.first, r.second, r.match, r.raw,
-            r if r.new is None and weight(r.match.u1 + patterns[r.first] + r.match.v1) < light else None)
-           for r in carried)
-    new = ((i, j, m, None, None) for i, j, m in index.overlaps(since))
-    return merge(old, new, key=itemgetter(0))
+    old = ((r.first, r.second, r.match, r.raw, r) for r in carried)
+    walk = ((i, j, m, None, None) for i, j, m in state._index.overlaps(since))
+    return [rec if rec is not None and rec.new is None and weight(m.u1 + patterns[i] + m.v1) < light
+            else examine(i, j, m, raw)
+            for i, j, m, raw, rec in merge(old, walk, key=itemgetter(0))]
 
 
 def next_state(existing, records, words, extend, limits: CompletionLimits):

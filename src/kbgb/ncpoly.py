@@ -19,11 +19,11 @@ every monomial a reduction passes through, and a polynomial's is the sum
 of c . N(m) over its terms c . m. That is the form that reducing the
 greatest reducible monomial first reaches, since nf is linear.
 Completion, iso-check and the queries all take it. Every sum of terms
-goes through _add_term. Handed the last pass's input and records (its
-carry), a pass reuses their matches and raw S-polynomials and re-emits the
-resolved records no new member reaches. The raw monomials a pass builds
-come from one words.word_table, an irreducible raw monomial is the term of
-its own form, and the resolved records it reduces share one zero.
+goes through _add_term. A pass builds and reduces one S-polynomial at a
+time, and completion.pair_records decides which pairs it examines. The raw
+monomials a pass builds come from one words.word_table, an irreducible raw
+monomial is the term of its own form, and the resolved records it reduces
+share one zero.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .completion import (
     ReductionBudgetExceeded,
     complete,
     next_state,
-    pair_sources,
+    pair_records,
 )
 from .words import (
     AlphabetMismatch,
@@ -117,7 +117,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Integers mod p for a prime p < 2**64, residues kept canonical in 0..p-1."""
+    """Integers mod p for a prime p < 2**64, residues held canonical in 0..p-1."""
 
     __slots__ = ("p", "name")
 
@@ -402,11 +402,21 @@ def _sum_forms(form, field, terms):
     return NcPolynomial._raw(field, data)
 
 
+class ClosureViolation(RuntimeError):
+    """An S-polynomial of two-term unit-coefficient members left that shape."""
+
+
+def is_pm_binomial(poly: NcPolynomial, units) -> bool:
+    """At most two terms, every coefficient in units, the set {1, -1} of
+    the polynomial's field."""
+    return len(poly.terms) <= 2 and all(c in units for c in poly.terms.values())
+
+
 def s_polynomials(basis: Basis, carry=None) -> list:
     """A PairRecord for the S-polynomial of every match of every ordered pair,
-    reduced against the basis, in the examination order of RedexIndex.overlaps.
-    A carry, the last pass's (input basis, records), lends raw S-polynomials
-    and kept records (pair_sources).
+    reduced against the basis, in the examination order of RedexIndex.overlaps;
+    carry, the last pass's (input basis, records), goes to
+    completion.pair_records as it is.
 
     A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
     letter strings, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
@@ -418,16 +428,17 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     c . m, for one monomial_forms memo N of the call, each under its budget.
     Equal raw monomials of the call are one Word (word_table), and the
     resolved records it reduces hold one zero polynomial.
+
+    On a basis of two-term unit-coefficient members every raw and reduced
+    S-polynomial examined keeps that shape, as reduction only replaces one
+    term with another; a violation, an engine bug, raises ClosureViolation.
     """
-    field, neg_tails = basis.field, basis._neg_tails
+    field, neg_tails, order = basis.field, basis._neg_tails, basis.order
     reduce, word = monomial_forms(basis), word_table(basis.alphabet)
-    zero = NcPolynomial._raw(field, {})
-    records = []
-    since, carried = (len(carry[0].polys), carry[1]) if carry else (0, ())
-    for i, j, m, raw, kept in pair_sources(basis._index, since, carried, basis.order.weight):
-        if kept is not None:
-            records.append(kept)
-            continue
+    zero, units = NcPolynomial._raw(field, {}), {field.one, field.neg(field.one)}
+    closed = all(is_pm_binomial(p, units) for p in basis.polys)
+
+    def examine(i, j, m, raw):
         if raw is None:
             data = {}
             for tail, c in neg_tails[i]:
@@ -436,37 +447,22 @@ def s_polynomials(basis: Basis, carry=None) -> list:
                 _add_term(field, data, word(m.u2 + tail + m.v2), c)
             raw = NcPolynomial._raw(field, data)
         reduced = _sum_forms(reduce, field, raw.terms.items())
-        new = None if reduced.is_zero() else make_monic(reduced, basis.order)
-        records.append(PairRecord(i, j, m, raw, zero if new is None else reduced, new))
-    return records
+        for poly in (raw, reduced) if closed else ():
+            if not is_pm_binomial(poly, units):
+                raise ClosureViolation(f"two-term closure violated by {render_poly(poly, order)}")
+        new = None if reduced.is_zero() else make_monic(reduced, order)
+        return PairRecord(i, j, m, raw, zero if new is None else reduced, new)
 
-
-class ClosureViolation(RuntimeError):
-    """An S-polynomial of two-term unit-coefficient members left that shape."""
-
-
-def is_pm_binomial(poly: NcPolynomial, units) -> bool:
-    """At most two terms, every coefficient in units, the set {1, -1} of
-    the polynomial's field."""
-    return len(poly.terms) <= 2 and all(c in units for c in poly.terms.values())
+    return pair_records(basis, carry, examine)
 
 
 def buchberger_pass(basis: Basis, limits: CompletionLimits, carry=None):
     """One pass, carry as for s_polynomials: (next basis, records examined).
 
     Reductions use the input basis only; monic survivors land as a batch,
-    deduplicated. On a basis of two-term unit-coefficient members, every
-    raw and reduced S-polynomial must keep that shape (reduction only ever
-    replaces one term with another); a violation is an engine bug.
+    deduplicated.
     """
     records = s_polynomials(basis, carry)
-    units = {basis.field.one, basis.field.neg(basis.field.one)}
-    if all(is_pm_binomial(p, units) for p in basis.polys):
-        for rec in records:
-            for poly in (rec.raw, rec.reduced):
-                if not is_pm_binomial(poly, units):
-                    raise ClosureViolation(
-                        f"two-term closure violated by {render_poly(poly, basis.order)}")
     nxt = next_state(basis.polys, records, lambda poly: poly.terms, basis.with_polys, limits)
     return nxt, records
 

@@ -11,11 +11,11 @@ rules are never removed or rewritten mid-run. Because the system is fixed,
 a normal form depends on the word alone, nf(w) = nf(step(w)), and the one
 reduction, normal_forms, memoizes it on every word a reduction passes
 through, for one pass, one iso-check or one query. A word's letters are one
-str, so a step splices strings and the memo keys on them. Handed the last
-pass's input and pairs (its carry), a pass reuses their matches and raw
-critical pairs, and re-emits the resolved ones no new rule reaches. The raw
-words a pass builds come from one words.word_table, so twin pairs share
-theirs, and an irreducible raw word is its own normal form.
+str, so a step splices strings and the memo keys on them. A pass builds
+and reduces one critical pair at a time, and completion.pair_records
+decides which pairs it examines. The raw words a pass builds come from one
+words.word_table, so twin pairs share theirs, and an irreducible raw word
+is its own normal form.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .completion import (
     ReductionBudgetExceeded,
     complete,
     next_state,
-    pair_sources,
+    pair_records,
 )
 from .words import (
     AlphabetMismatch,
@@ -160,35 +160,26 @@ def normal_forms(system: RewriteSystem):
 def critical_pairs(system: RewriteSystem, carry=None) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
-    RedexIndex.overlaps. A match is one word u1.l1.v1 = u2.l2.v2, its
-    witnesses letter strings, and its raw critical pair is
-    (u1.r1.v1, u2.r2.v2), one Word each from one word_table of the call, so
-    equal raw words of the call are one Word. A carry, the last pass's
-    (input system, pairs), lends matches, raw pairs and kept pairs (pair_sources).
+    RedexIndex.overlaps; carry, the last pass's (input system, pairs), goes
+    to completion.pair_records as it is. A match is one word
+    u1.l1.v1 = u2.l2.v2, its witnesses letter strings, and its raw critical
+    pair is (u1.r1.v1, u2.r2.v2), one Word each from one word_table of the
+    call, so equal raw words of the call are one Word.
 
     One normal_forms memo serves the call, so no word that a reduction
     passes through is searched twice in it."""
-    pairs = []
-    rules, alphabet = system.rules, system.alphabet
-    reduce, word = normal_forms(system), word_table(alphabet)
-    since, carried = (len(carry[0].rules), carry[1]) if carry else (0, ())
-    for i, j, m, raw, kept in pair_sources(system._index, since, carried, system.order.weight):
-        if kept is not None:
-            pairs.append(kept)
-            continue
+    rules, order = system.rules, system.order
+    reduce, word = normal_forms(system), word_table(system.alphabet)
+
+    def examine(i, j, m, raw):
         if raw is None:
             raw = (word(m.u1 + rules[i].rhs.letters + m.v1),
                    word(m.u2 + rules[j].rhs.letters + m.v2))
-        c1 = reduce(raw[0])
-        c2 = reduce(raw[1])
-        if c1 == c2:
-            new = None
-        elif system.order.key(c1) > system.order.key(c2):
-            new = Rule(c1, c2)
-        else:
-            new = Rule(c2, c1)
-        pairs.append(PairRecord(i, j, m, raw, (c1, c2), new))
-    return pairs
+        c1, c2 = reduce(raw[0]), reduce(raw[1])
+        new = None if c1 == c2 else Rule(c1, c2) if order.key(c1) > order.key(c2) else Rule(c2, c1)
+        return PairRecord(i, j, m, raw, (c1, c2), new)
+
+    return pair_records(system, carry, examine)
 
 
 def kb_pass(system: RewriteSystem, limits: CompletionLimits, carry=None):

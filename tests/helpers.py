@@ -301,21 +301,27 @@ def record_walk(monkeypatch):
 
 
 def record_kept(monkeypatch):
-    """The (first, second, match) of every record a pass re-emits as it was
-    carried, from now on, by engine: lists under "rewriting" and "ncpoly"
-    that fill as the passes go."""
-    kept = {}
+    """What each engine's pair loop, completion.pair_records, does from now
+    on: (the (first, second, match) of every record a pass re-emits as it
+    was carried, the number of pairs it hands examine), by engine, a list
+    and a count under "rewriting" and "ncpoly" that grow as the passes go."""
+    kept, examined = {}, {}
     for module in (rewriting, ncpoly):
-        found = kept[module.__name__.rpartition(".")[2]] = []
+        engine = module.__name__.rpartition(".")[2]
+        kept[engine], examined[engine] = [], 0
 
-        def sources(*args, real=module.pair_sources, found=found):
-            for source in real(*args):
-                if source[4] is not None:
-                    found.append(source[:3])
-                yield source
+        def records(state, carry, examine, real=module.pair_records, engine=engine):
+            def counted(*args):
+                examined[engine] += 1
+                return examine(*args)
 
-        monkeypatch.setattr(module, "pair_sources", sources)
-    return kept
+            result = real(state, carry, counted)
+            carried = {id(rec) for rec in carry[1]} if carry else set()
+            kept[engine] += [(rec.first, rec.second, rec.match) for rec in result if id(rec) in carried]
+            return result
+
+        monkeypatch.setattr(module, "pair_records", records)
+    return kept, examined
 
 
 def record_renders(monkeypatch):

@@ -167,12 +167,12 @@ MUTANTS = {
     # every carried resolved record is re-emitted as it is, however heavy
     # its superposition
     "carry-reuses-every-resolved": (
-        ("completion.py", " and weight(r.match.u1 + patterns[r.first] + r.match.v1) < light", ""),
+        ("completion.py", " and weight(m.u1 + patterns[i] + m.v1) < light", ""),
     ),
     # a record whose superposition weighs as much as a new member is
     # re-emitted too, though that member may be a word of its walk
     "carry-reuse-at-equal-weight": (
-        ("completion.py", "+ r.match.v1) < light", "+ r.match.v1) <= light"),
+        ("completion.py", "+ m.v1) < light", "+ m.v1) <= light"),
     ),
     # an extension appends to the index lists of the base's trie in place,
     # so the base index finds and walks the new patterns too
@@ -202,6 +202,14 @@ MUTANTS = {
         ("correspondence.py",
          "cp.match == rec.match and cp.first == rec.first and cp.second == rec.second",
          "cp.match == rec.match"),
+    ),
+    # records whose matches differ pass the sources check when they name
+    # the same pair, kind and witness lengths, whatever the witness letters
+    "sources-by-witness-lengths": (
+        ("correspondence.py",
+         "cp.match == rec.match and cp.first == rec.first and cp.second == rec.second\n",
+         "cp.match == rec.match and cp.first == rec.first and cp.second == rec.second\n"
+         "        or _source_key(cp) == _source_key(rec)\n"),
     ),
     "next-state-no-length-check": (
         ("completion.py", "if any(len(w) > limits.max_word_length for w in words(member)):",

@@ -37,7 +37,6 @@ from helpers import (
     run_cli,
     step_budget,
 )
-from oracles import poly_difference
 from test_golden import ALG_EXPLODE, ALG_EXPLODE_QUERY
 
 BASIC = """\
@@ -448,22 +447,21 @@ class TestErrorsAndExitCodes:
         assert err == "error: no fixed point within 1 steps\n"
 
     def test_closure_violation_is_exit_three(self, pres, monkeypatch):
-        real = ncpoly.s_polynomials
+        # every reduced S-polynomial gains the scalar term 1 inside the
+        # examination of its pair, where the closure is checked
+        real = ncpoly._sum_forms
+        unit = Word(Alphabet(("a", "b")), ())
 
-        def widened(basis, *carry):
-            first, *rest = real(basis, *carry)
-            m, lm = first.match, ncpoly.leading_monomial(basis.polys[first.first], basis.order)[0]
-            superposition = Word(basis.alphabet, m.u1 + lm.letters + m.v1)
-            extra = ncpoly.NcPolynomial(basis.field, {superposition: -1})
-            return [dataclasses.replace(first, raw=poly_difference(first.raw, extra)), *rest]
+        def widened(form, field, terms):
+            return ncpoly.NcPolynomial(field, {**real(form, field, terms).terms, unit: 1})
 
-        monkeypatch.setattr(ncpoly, "s_polynomials", widened)
+        monkeypatch.setattr(ncpoly, "_sum_forms", widened)
         text = ALG_BINOMIAL.replace("b.a - a.b", "a.b.a - b")
         code, out, err = run_cli(["complete", pres(text)])
         assert code == 3
         assert out == ""
         # the offending polynomial in the notation of every other output line
-        assert err == "error: two-term closure violated by a.b.a.b.a - b.b.a + a.b.b\n"
+        assert err == "error: two-term closure violated by -b.b.a + a.b.b + 1\n"
 
 
 class TestDeterminism:
@@ -664,12 +662,25 @@ class TestSearchCounts:
 
     def test_chain_reemits_the_same_records_in_both_engines(self, pres, monkeypatch):
         # chain's 40 passes carry 6,084 records into the next pass, 5,928 of
-        # them resolved; 5,700 of those weigh less than every new member
-        kept = record_kept(monkeypatch)
-        code, _, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
-        assert code == 2
+        # them resolved; 5,700 of those weigh less than every new member.
+        # Of the 6,400 records per engine, the other 700 are examined
+        kept, examined = record_kept(monkeypatch)
+        code, out, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
+        assert (code, out.count(" rules=("), out.count(" polys=(")) == (2, 6400, 6400)
         assert len(kept["rewriting"]) == 5700
         assert kept["rewriting"] == kept["ncpoly"]
+        assert examined == {"rewriting": 700, "ncpoly": 700}
+
+    def test_chain_checks_the_closure_where_a_record_is_made(self, pres, monkeypatch):
+        # each of the 40 passes checks its input's members, 2 + 4 + ... + 80
+        # = 1,640, and the raw and reduced polynomial of each of the 700
+        # records it examines; a re-emitted record was checked when it was
+        # made. Checking every record of every pass took 14,440 calls
+        calls = []
+        real = ncpoly.is_pm_binomial
+        monkeypatch.setattr(ncpoly, "is_pm_binomial", lambda *args: calls.append(1) or real(*args))
+        code, _, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
+        assert (code, len(calls)) == (2, 1640 + 2 * 700)
 
 
 def _fresh_lines(line):

@@ -1,11 +1,12 @@
 """The pairs a completion pass carries into the next.
 
 ``passes`` hands each pass the last pass's input and records, its carry,
-and the pass reuses their matches and raw pairs, re-emits the resolved
-records that no new member can reach, and walks only the overlaps that
-touch the new members. Every pass of a carried run must
-examine exactly what a pass on a fresh copy of its input examines, record
-by record, and a pass handed no carry examines the full walk.
+and ``pair_records``, the pair loop of both engines, reuses their matches
+and raw pairs, re-emits the resolved records that no new member can reach,
+and walks only the overlaps that touch the new members. Every pass of a
+carried run must examine exactly what a pass on a fresh copy of its input
+examines, record by record, and a pass handed no carry examines the full
+walk.
 """
 
 import random
@@ -25,7 +26,7 @@ from kbgb import (
     rules_to_basis,
     s_polynomials,
 )
-from kbgb.completion import passes
+from kbgb.completion import pair_records, passes
 
 from helpers import (
     make_system,
@@ -161,3 +162,60 @@ def test_resolved_pair_as_heavy_as_a_new_member_is_reduced_again():
     before, after = pair_1_3(run, 2), pair_1_3(run, 3)
     assert before.raw.is_zero() and before.new is None
     assert after is not before
+
+
+def logging_examine():
+    """A stub examine for pair_records: (examine, the (first, second, match,
+    raw) of each call, the fresh object each call returned)."""
+    calls, made = [], []
+
+    def examine(*args):
+        calls.append(args)
+        made.append(object())
+        return made[-1]
+
+    return examine, calls, made
+
+
+# the chain workload's two rules: each pass adds two
+CHAIN = make_system(["bb->aa", "baac->acc"], letters="abc")
+
+
+def test_pair_records_without_carry_examines_every_overlap():
+    examine, calls, made = logging_examine()
+    records = pair_records(CHAIN, None, examine)
+    assert calls == [(i, j, m, None) for i, j, m in CHAIN._index.overlaps(0)]
+    assert len(calls) == 4
+    assert records == made  # the stub's objects compare by identity
+
+
+def test_pair_records_reemits_light_resolved_records_and_examines_the_rest():
+    # pass 3 of the chain, handed pass 2's input and records: in each row
+    # the carried records come first, then the walk's new pairs. A carried
+    # record that resolved at a superposition lighter than every rule pass 2
+    # added is re-emitted as the same object, and examine never sees it;
+    # every other carried pair reaches examine with its raw pair
+    middle, _ = kb_pass(CHAIN, LIMITS)
+    state, carried = kb_pass(middle, LIMITS)
+    walk = list(state._index.overlaps(len(middle.rules)))
+    rows = sorted([(rec.first, 0, n) for n, rec in enumerate(carried)]
+                  + [(i, 1, n) for n, (i, _, _) in enumerate(walk)])
+    expected = [(*walk[n], None, None) if side else
+                (carried[n].first, carried[n].second, carried[n].match, carried[n].raw, carried[n])
+                for _, side, n in rows]
+    weight = state.order.weight
+    light = min(weight(rule.lhs.letters) for rule in state.rules[len(middle.rules):])
+    examine, calls, made = logging_examine()
+    records = pair_records(state, (middle, carried), examine)
+    examined, counts = iter(zip(calls, made)), {"kept": 0, "carried": 0, "walk": 0}
+    for got, (i, j, m, raw, rec) in zip(records, expected, strict=True):
+        if rec is not None and rec.new is None and weight(m.u1 + state.rules[i].lhs.letters + m.v1) < light:
+            assert got is rec
+            counts["kept"] += 1
+        else:
+            call, out = next(examined)
+            assert got is out and call == (i, j, m, raw)
+            counts["carried" if rec else "walk"] += 1
+            assert (raw is None) == (rec is None)
+    assert next(examined, None) is None
+    assert counts == {"kept": 2, "carried": 10, "walk": 8}

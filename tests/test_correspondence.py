@@ -30,6 +30,7 @@ from kbgb import (
     verify_algebra_iso,
 )
 from kbgb.correspondence import iso_header, iso_report_lines, pass_lines, verdict_lines
+from kbgb.words import OverlapMatch
 
 from helpers import make_system, random_system
 from oracles import (
@@ -278,6 +279,14 @@ class TestLockstep:
         return nxt, [dataclasses.replace(records[0], second=records[0].second + 1), *records[1:]]
 
     @staticmethod
+    def _relettered_match(state, nxt, records):
+        # every witness with a and b swapped: each record keeps its pair,
+        # its kind and its witness lengths, but not its match
+        swap = str.maketrans("\x00\x01", "\x01\x00")
+        return nxt, [dataclasses.replace(rec, match=OverlapMatch(
+            rec.match.kind, *(w.translate(swap) for w in rec.match[1:]))) for rec in records]
+
+    @staticmethod
     def _nothing_installed(state, nxt, records):
         return state, records
 
@@ -315,6 +324,9 @@ class TestLockstep:
             ("buchberger_pass", 1, "_renumbered_record", None, 1,
              "sources differ: overlaps-only=[(0, 0, 'SuffixPrefix', (0, 2, 2, 0))] "
              "matches-only=[(0, 1, 'SuffixPrefix', (0, 2, 2, 0))]",
+             ABA_RULES, ABA_POLYS),
+            ("buchberger_pass", 1, "_relettered_match", None, 1,
+             "sources differ: overlaps-only=[] matches-only=[]",
              ABA_RULES, ABA_POLYS),
             ("buchberger_pass", 1, "_nothing_installed", None, 1,
              "next basis is not the translation of the next rule set",
@@ -364,7 +376,7 @@ class TestLockstep:
              "sources differ: overlaps-only=[] matches-only=[]",
              ABA_RULES, ABA_POLYS),
         ],
-        ids=["content", "sources", "renumbered", "sets", "extra-member", "gb-limit", "kb-limit", "gb-fixed",
+        ids=["content", "sources", "renumbered", "relettered", "sets", "extra-member", "gb-limit", "kb-limit", "gb-fixed",
              "kb-fixed", "order", "content-last", "sources-last", "sets-last", "gb-limit-last",
              "kb-limit-last", "gb-fixed-last", "kb-fixed-last", "order-last"])
     def test_every_divergence_branch(self, monkeypatch, engine, at, change, max_passes,
