@@ -282,10 +282,11 @@ class Basis:
     polys: tuple = ()
     alphabet = property(lambda self: self.order.alphabet)
 
-    def __post_init__(self, base=None, neg_tails=()):
-        # base and neg_tails, from with_polys: those of the leading members, checked already
+    def __post_init__(self, base=None, neg_tails=(), closed=True):
+        # base, neg_tails and closed, from with_polys: those of the leading members, checked already
         object.__setattr__(self, "polys", tuple(self.polys))
         since, lms, neg_tails = len(neg_tails), [], list(neg_tails)
+        units = {self.field.one, self.field.neg(self.field.one)}
         for poly in self.polys[since:]:
             if not isinstance(poly, NcPolynomial) or poly.is_zero():
                 raise ValueError("basis members must be nonzero polynomials")
@@ -302,6 +303,7 @@ class Basis:
             lms.append(lm.letters)
             neg_tails.append(tuple((w.letters, self.field.neg(c))
                                    for w, c in poly.terms.items() if w != lm))
+            closed = closed and is_pm_binomial(poly, units)
         index = RedexIndex(lms, base)
         twin = index.duplicate(self.polys, since)
         if twin is not None:
@@ -309,12 +311,14 @@ class Basis:
         object.__setattr__(self, "_index", index)
         # per member, (letters, -c) for every term c.w but the leading one
         object.__setattr__(self, "_neg_tails", tuple(neg_tails))
+        # whether every member has two-term closure's shape (is_pm_binomial)
+        object.__setattr__(self, "_closed", closed)
 
     def with_polys(self, extra) -> "Basis":
         """This basis and then extra, which alone is checked, by extending its index."""
         nxt = copy.copy(self)
         object.__setattr__(nxt, "polys", self.polys + tuple(extra))
-        nxt.__post_init__(self._index, self._neg_tails)
+        nxt.__post_init__(self._index, self._neg_tails, self._closed)
         return nxt
 
 
@@ -436,7 +440,7 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     field, neg_tails, order = basis.field, basis._neg_tails, basis.order
     reduce, word = monomial_forms(basis), word_table(basis.alphabet)
     zero, units = NcPolynomial._raw(field, {}), {field.one, field.neg(field.one)}
-    closed = all(is_pm_binomial(p, units) for p in basis.polys)
+    closed = basis._closed
 
     def examine(i, j, m, raw):
         if raw is None:

@@ -3,11 +3,13 @@
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words whose letters are one str with
 the character chr(index) for each generator, shortlex and weighted-shortlex
-orderings, the redex index both engines search, and the four configurations
-in which two left-hand sides can share ground on one word. One walk of an
-engine's redex index yields every match of every pair of its left sides, as
-letter strings; there is no subword search and no search of one pair at a
-time, and a walk can skip the pairs of patterns all below a given index.
+orderings, the redex index both engines search (a regular expression finds
+the leftmost start of a redex, its trie the lowest index there), and the
+four configurations in which two left-hand sides can share ground on one
+word. One walk of an engine's redex index yields every match of every pair
+of its left sides, as letter strings; there is no subword search and no
+search of one pair at a time, and a walk can skip the pairs of patterns all
+below a given index.
 """
 
 from __future__ import annotations
@@ -232,6 +234,21 @@ class MonomialOrder:
 # at it. Not -2: hash(-2) == hash(-1), and the collision slows every lookup of
 # _END in find.
 _END, _BELOW = -1, -3
+# letters of a trie path that _starts spells, each nesting one group at most:
+# re.compile raises RecursionError somewhere between 400 and 800 nested
+# groups. A path cut here is a start that find's trie walk may reject
+_DEPTH = 24
+
+
+def _starts(node, depth=1):
+    """The expression that matches where a path below node begins, each path
+    cut at its first pattern end or after _DEPTH letters."""
+    branches = []
+    for letter, child in node.items():
+        if type(letter) is str:
+            more = _END not in child and depth < _DEPTH
+            branches.append(re.escape(letter) + (_starts(child, depth + 1) if more else ""))
+    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
 
 
 def _trie(patterns, first=0, root=None):
@@ -269,20 +286,24 @@ class RedexIndex:
     index order. Nodes are plain dicts from letter (a one-character str) to
     child, plus the keys _END and _BELOW. This is the trie of the index
     automaton in Sims, Computation with Finitely Presented Groups (CUP 1994),
-    without failure transitions: the walk restarts at each start, so the
-    redex policy "leftmost start, then lowest index" holds exactly even when
-    one pattern contains another. Members are only appended, so an engine's
-    next state extends its index: the two share every node off the new
-    patterns' paths, and the old index answers as before.
+    without failure transitions. The trie compiles into one expression
+    (_starts) whose search finds in C the leftmost start of a path; the
+    walk from there picks the lowest index, or rejects a path cut at _DEPTH
+    letters and the search resumes one letter on. So the redex policy
+    "leftmost start, then lowest index" holds exactly even when one pattern
+    contains another. Members are only appended, so an engine's next state
+    extends its index: the two share every node off the new patterns'
+    paths, and the old index answers as before.
     """
 
-    __slots__ = ("_root", "_patterns")
+    __slots__ = ("_root", "_patterns", "_search")
 
     def __init__(self, patterns, base=None):
         """The index of base's patterns (none by default), then these."""
         old = base._patterns if base else ()
         self._patterns = old + tuple(patterns)
         self._root = _trie(self._patterns[len(old):], len(old), base and base._root)
+        self._search = re.compile(_starts(self._root) if self._root else "(?!)").search
 
     def duplicate(self, members, since):
         """The first of members[since:] equal to an earlier member, or None,
@@ -299,10 +320,12 @@ class RedexIndex:
         lowest index among the patterns occurring there: letters[pos:end] is
         pattern number index. None if nothing occurs. Every reduction in
         both engines picks its redex here."""
-        root = self._root
+        root, search = self._root, self._search
         n = len(letters)
-        for pos in range(n):
-            node = root.get(letters[pos])
+        start = search(letters)
+        while start is not None:
+            pos = start.start()
+            node = root[letters[pos]]
             best = None
             at = pos
             while node is not None:
@@ -315,6 +338,7 @@ class RedexIndex:
                 node = node.get(letters[at])
             if best is not None:
                 return pos, best, end
+            start = search(letters, pos + 1)
         return None
 
     def overlaps(self, since=0):

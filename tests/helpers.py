@@ -285,6 +285,29 @@ def record_searches(monkeypatch):
     return calls
 
 
+def record_starts(monkeypatch):
+    """The start of every candidate redex that RedexIndex.find walks the
+    trie from, in every index built from now on, as a list that fills as
+    the searches go."""
+    starts = []
+    real = RedexIndex.__init__
+
+    def init(index, *args):
+        real(index, *args)
+        search = index._search
+
+        def counted(*args):
+            found = search(*args)
+            if found is not None:
+                starts.append(found.start())
+            return found
+
+        index._search = counted
+
+    monkeypatch.setattr(RedexIndex, "__init__", init)
+    return starts
+
+
 def record_walk(monkeypatch):
     """Every (i, j, match) that RedexIndex.overlaps yields from now on, as a
     list that fills as the walks go."""

@@ -114,8 +114,18 @@ MUTANTS = {
         ("words.py", "if ends is not None and (best is None or ends[0] < best):",
          "if ends is not None and best is None:"),
     ),
-    "find-skips-last-start": (
-        ("words.py", "        for pos in range(n):\n", "        for pos in range(n - 1):\n"),
+    # a candidate start the trie walk rejects (a path cut at _DEPTH letters)
+    # ends the search, or the search resumes a letter too far on
+    "find-no-retry": (
+        ("words.py", "            start = search(letters, pos + 1)\n", "            start = None\n"),
+    ),
+    "find-retry-skips-a-start": (
+        ("words.py", "            start = search(letters, pos + 1)\n",
+         "            start = search(letters, pos + 2)\n"),
+    ),
+    # the start expression spells letters that are expression syntax as is
+    "starts-unescaped": (
+        ("words.py", "re.escape(letter) + ", "letter + "),
     ),
     # overlaps drops a match kind: both proper containments
     "overlaps-drop-containments": (

@@ -33,6 +33,7 @@ from helpers import (
     record_kept,
     record_renders,
     record_searches,
+    record_starts,
     record_walk,
     run_cli,
     step_budget,
@@ -636,13 +637,17 @@ class TestSearchCounts:
     # explode and chain lockstep rows were 1,144 and 23,180. The last row
     # counts the matches RedexIndex.overlaps yields instead: 316 per
     # engine, where passes that are handed no carry walk every overlap of
-    # every pass, 6,400 per engine
+    # every pass, 6,400 per engine. The starts row counts the candidate
+    # starts that the search expression hands find's trie walk: 846, where
+    # trying every start walked the trie from 5,330
     @pytest.mark.parametrize("text, argv, exit_code, record, count", [
         (COMMUTING3, ["iso-check", "-L", "5"], 0, record_searches, 736),
         (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1134),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_searches, 2600),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_walk, 632),
-    ], ids=["iso-commuting3", "lockstep-explode", "lockstep-chain", "walk-lockstep-chain"])
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_starts, 846),
+    ], ids=["iso-commuting3", "lockstep-explode", "lockstep-chain", "walk-lockstep-chain",
+            "starts-lockstep-explode"])
     def test_pinned(self, pres, monkeypatch, text, argv, exit_code, record, count):
         path = pres(text)
         calls = record(monkeypatch)
@@ -672,15 +677,16 @@ class TestSearchCounts:
         assert examined == {"rewriting": 700, "ncpoly": 700}
 
     def test_chain_checks_the_closure_where_a_record_is_made(self, pres, monkeypatch):
-        # each of the 40 passes checks its input's members, 2 + 4 + ... + 80
-        # = 1,640, and the raw and reduced polynomial of each of the 700
-        # records it examines; a re-emitted record was checked when it was
-        # made. Checking every record of every pass took 14,440 calls
+        # each of the 82 members is checked once, as it joins a basis, and
+        # the raw and reduced polynomial of each of the 700 records examined;
+        # a re-emitted record was checked when it was made. Checking every
+        # record of every pass took 14,440 calls; checking each pass's input
+        # members again took 3,040, 2 + 4 + ... + 80 = 1,640 on the members
         calls = []
         real = ncpoly.is_pm_binomial
         monkeypatch.setattr(ncpoly, "is_pm_binomial", lambda *args: calls.append(1) or real(*args))
         code, _, _ = run_cli(["lockstep", pres(CHAIN), "--max-passes", "40"])
-        assert (code, len(calls)) == (2, 1640 + 2 * 700)
+        assert (code, len(calls)) == (2, 82 + 2 * 700)
 
 
 def _fresh_lines(line):

@@ -753,6 +753,18 @@ class TestBasisValidation:
         other = poly(QQ, ("ba", 1), ("b", -1))
         assert basis.with_polys([other]) == Basis(ORDER, QQ, (p, other))
 
+    def test_closure_is_decided_as_members_join(self):
+        # two-term unit-coefficient members keep a basis closed; one other
+        # member opens it, and every basis that extends it stays open
+        binomials = (poly(QQ, ("ba", 1), ("ab", -1)), poly(QQ, ("bb", 1), ("a", 1)))
+        many = poly(QQ, ("aab", 1), ("a", 1), ("b", 1))
+        closed = Basis(ORDER, QQ, binomials[:1])
+        assert closed._closed and closed.with_polys(binomials[1:])._closed
+        assert not Basis(ORDER, QQ, (poly(QQ, ("bb", 1), ("a", 2)),))._closed
+        opened = closed.with_polys([many])
+        assert not opened._closed and not opened.with_polys(binomials[1:])._closed
+        assert not Basis(ORDER, QQ, (many, *binomials))._closed
+
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
     def test_extended_basis_answers_as_one_built_whole(self, field):
         # one general base extended two ways, by the tail of its own members
@@ -767,6 +779,7 @@ class TestBasisValidation:
             for extended in (base.with_polys(general.polys[cut:]), with_random_binomial(rng, base)):
                 whole = Basis(base.order, field, extended.polys)
                 assert extended == whole and extended._neg_tails == whole._neg_tails
+                assert extended._closed == whole._closed
                 for word in all_words(base.alphabet, 6, min_len=0):
                     assert extended._index.find(word.letters) == whole._index.find(word.letters)
                 for since in (0, cut, len(whole.polys)):

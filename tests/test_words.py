@@ -16,6 +16,7 @@ from kbgb import (
     RewriteSystem,
     Word,
 )
+from kbgb import words
 from kbgb.words import RedexIndex
 
 from helpers import (
@@ -234,13 +235,73 @@ class TestCompare:
             assert wt.compare(left * w1 * right, left * w2 * right) > 0
 
 
+def reference_find(patterns, letters):
+    """RedexIndex.find's answer by the oracle's plain scan."""
+    hit = leftmost_redex(patterns, letters)
+    return hit and (hit[0], hit[1], hit[0] + len(patterns[hit[1]]))
+
+
 class TestRedexIndex:
     def test_leftmost_start_then_lowest_index(self):
-        index = RedexIndex([(1, 0), (1,), (1, 0)])  # ba, b, ba
-        assert index.find((0, 1, 0)) == (1, 0, 3)
-        assert index.find((0, 1, 1)) == (1, 1, 2)
-        assert index.find((0,)) is None
-        assert RedexIndex([]).find((0, 1)) is None
+        index = RedexIndex(["\1\0", "\1", "\1\0"])  # ba, b, ba
+        assert index.find("\0\1\0") == (1, 0, 3)
+        assert index.find("\0\1\1") == (1, 1, 2)
+        assert index.find("\1\0") == (0, 0, 2)  # equal patterns: the lower index
+        assert index.find("\0") is None
+        assert index.find("") is None
+
+    def test_one_pattern_inside_another(self):
+        # the start expression stops at the first pattern end on a path; the
+        # walk goes on to a longer pattern of lower index
+        assert RedexIndex(["\0\1\0", "\0\1"]).find("\1\0\1\0") == (1, 0, 4)
+        assert RedexIndex(["\0\1", "\0\1\0"]).find("\1\0\1\0") == (1, 0, 3)
+        # a pattern inside another starts later than it
+        assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\0") == (0, 1, 3)
+        assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\1") == (1, 0, 2)
+
+    def test_no_patterns(self):
+        empty = RedexIndex([])
+        assert empty.find("") is None and empty.find("\0\1") is None
+        assert RedexIndex(["\0"], empty).find("\1\0") == (1, 0, 2)
+
+    def test_patterns_longer_than_the_depth_cut(self):
+        # a path cut at _DEPTH letters is a start the walk rejects: the
+        # search goes on from the next letter, and from there only
+        long = "\0" * (words._DEPTH + 6)
+        index = RedexIndex([long + "\1", "\2"])
+        assert index.find("\0" + long + "\1") == (1, 0, len(long) + 2)
+        assert index.find("\0\0" + long + "\1") == (2, 0, len(long) + 3)
+        assert index.find(long + "\2") == (len(long), 1, len(long) + 1)
+        assert index.find(long + "\0") is None
+        assert RedexIndex([long]).find(long[1:] + "\1" + long) == (len(long), 0, 2 * len(long))
+
+    def test_letters_that_expressions_treat_as_syntax(self):
+        # over 128 generators the letters are the ASCII characters, among
+        # them ( ) * . ? [ and the backslash, which the expression escapes
+        letters = Word(Alphabet([f"g{i}" for i in range(128)]), range(128)).letters
+        special = "()*.?[\\"
+        assert set(special) < set(letters)
+        rng = random.Random(23)
+        hits = 0
+        for _ in range(300):
+            patterns = ["".join(rng.choice(special if rng.random() < 0.7 else letters)
+                                for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 6))]
+            index = RedexIndex(patterns)
+            for _ in range(20):
+                word = "".join(rng.choice(special) for _ in range(rng.randint(0, 8)))
+                found = index.find(word)
+                assert found == reference_find(patterns, word)
+                hits += found is not None
+        assert hits == 1843  # of 6,000 searches
+
+    def test_a_trie_deeper_than_the_expression_nests(self):
+        # 900 branch levels, more than re.compile can nest as groups
+        index = RedexIndex(["\0" * k + "\1" for k in range(900)])
+        assert index.find("\2" + "\0" * 850 + "\1") == (1, 850, 852)
+        assert index.find("\0" * 1000) is None
+        assert index.find("\0" * 899 + "\1") == (0, 899, 900)
+        assert RedexIndex(["\0" * 2000]).find("\1" + "\0" * 2000) == (1, 0, 2001)
 
     def test_overlap_candidates(self):
         def pairs(patterns):
@@ -249,28 +310,48 @@ class TestRedexIndex:
         # aab and acb share letters, but neither is a factor of the other and
         # no suffix of one begins the other; ab, ba, abab and a second ab all
         # meet, except ab and ba with themselves
-        assert pairs([(0, 0, 1), (0, 2, 1)]) == set()
+        assert pairs(["\0\0\1", "\0\2\1"]) == set()
         everything = {(i, j) for i in range(4) for j in range(4)}
-        assert pairs([(0, 1), (1, 0), (0, 1, 0, 1), (0, 1)]) == everything - {(0, 0), (1, 1), (3, 3)}
+        assert pairs(["\0\1", "\1\0", "\0\1\0\1", "\0\1"]) == everything - {(0, 0), (1, 1), (3, 3)}
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
-            RedexIndex([(0,), ()])
+            RedexIndex(["\0", ""])
 
     def test_matches_reference_scan_from_every_start(self):
         rng = random.Random(17)
+        hits = 0
         for _ in range(200):
-            lhss = [tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+            lhss = ["".join(chr(rng.randrange(2)) for _ in range(rng.randint(1, 4)))
                     for _ in range(rng.randint(1, 6))]
             index = RedexIndex(lhss)
             # a scan from a later start is the scan of a suffix, itself one
             # of the words
             for word in all_words(AB, 6, min_len=0):
-                hit = leftmost_redex(lhss, word.letters)
-                if hit is not None:
-                    pos, i = hit
-                    hit = (pos, i, pos + len(lhss[i]))
-                assert index.find(word.letters) == hit
+                found = index.find(word.letters)
+                assert found == reference_find(lhss, word.letters)
+                hits += found is not None
+        assert hits == 20718  # of 25,400 searches
+
+    def test_long_patterns_match_reference_scan(self):
+        # patterns over a and b up to 4 letters past the depth cut; each word
+        # is a random word with a prefix or a suffix of a pattern spliced in,
+        # so that some candidate starts are cut paths that the walk rejects
+        rng = random.Random(19)
+        longest, hits = words._DEPTH + 4, 0
+        for _ in range(200):
+            lhss = ["".join(chr(rng.randrange(2)) for _ in range(rng.randint(1, longest)))
+                    for _ in range(rng.randint(1, 6))]
+            index = RedexIndex(lhss)
+            for _ in range(60):
+                word = "".join(chr(rng.randrange(2)) for _ in range(rng.randint(0, longest + 4)))
+                lhs, at = rng.choice(lhss), rng.randint(0, len(word))
+                cut = rng.randint(0, len(lhs))
+                word = word[:at] + (lhs[:cut] if rng.random() < 0.5 else lhs[cut:]) + word[at:]
+                found = index.find(word)
+                assert found == reference_find(lhss, word)
+                hits += found is not None
+        assert hits == 5677  # of 12,000 searches
 
     def test_extended_system_answers_as_one_built_whole(self):
         # one base extended two ways, by the tail of a random system and by
