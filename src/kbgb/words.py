@@ -3,18 +3,19 @@
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words whose letters are one str with
 the character chr(index) for each generator, shortlex and weighted-shortlex
-orderings, the redex index both engines search (a regular expression finds
-the leftmost start of a redex, its trie the lowest index there), and the
-four configurations in which two left-hand sides can share ground on one
-word. One walk of an engine's redex index yields every match of every pair
-of its left sides, as letter strings; there is no subword search and no
-search of one pair at a time, and a walk can skip the pairs of patterns all
-below a given index.
+orderings, the redex index both engines search (the first match of one
+regular expression is the redex, at the leftmost start the lowest index),
+and the four configurations in which two left-hand sides can share ground
+on one word. One walk of an engine's redex index yields every match of
+every pair of its left sides, as letter strings; there is no subword search
+and no search of one pair at a time, and a walk can skip the pairs of
+patterns all below a given index.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from typing import NamedTuple
 
@@ -236,19 +237,34 @@ class MonomialOrder:
 _END, _BELOW = -1, -3
 # letters of a trie path that _starts spells, each nesting one group at most:
 # re.compile raises RecursionError somewhere between 400 and 800 nested
-# groups. A path cut here is a start that find's trie walk may reject
+# groups. On a path cut here find's trie walk picks the redex, if any
 _DEPTH = 24
+_escape = functools.cache(re.escape)  # a letter as the expression spells it
 
 
-def _starts(node, depth=1):
-    """The expression that matches where a path below node begins, each path
-    cut at its first pattern end or after _DEPTH letters."""
+def _starts(node, lowest, best, text=""):
+    """The alternatives of the expression that matches from where a path
+    below node begins (node's path spelling text) up to the pattern of
+    lowest index, below best, that occurs there: on each path the patterns
+    below an end of lower index are dropped, and the rest are tried before
+    the end. lowest maps each text an alternative can match to its index,
+    or to None where a path is cut after _DEPTH letters."""
     branches = []
     for letter, child in node.items():
-        if type(letter) is str:
-            more = _END not in child and depth < _DEPTH
-            branches.append(re.escape(letter) + (_starts(child, depth + 1) if more else ""))
-    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+        if type(letter) is str and child[_BELOW][0] < best:
+            here, ends, branch = text + letter, child.get(_END), _escape(letter)
+            low = ends[0] if ends and ends[0] < best else best
+            if low < best:
+                lowest[here] = low
+            if child[_BELOW][0] < low and len(here) == _DEPTH:
+                lowest[here] = None
+            elif child[_BELOW][0] < low:  # a pattern of lower index goes on
+                deeper = _starts(child, lowest, low, here)
+                if low < best:
+                    deeper.append("")
+                branch += deeper[0] if len(deeper) == 1 else "(?:" + "|".join(deeper) + ")"
+            branches.append(branch)
+    return branches
 
 
 def _trie(patterns, first=0, root=None):
@@ -287,23 +303,26 @@ class RedexIndex:
     child, plus the keys _END and _BELOW. This is the trie of the index
     automaton in Sims, Computation with Finitely Presented Groups (CUP 1994),
     without failure transitions. The trie compiles into one expression
-    (_starts) whose search finds in C the leftmost start of a path; the
-    walk from there picks the lowest index, or rejects a path cut at _DEPTH
-    letters and the search resumes one letter on. So the redex policy
-    "leftmost start, then lowest index" holds exactly even when one pattern
-    contains another. Members are only appended, so an engine's next state
-    extends its index: the two share every node off the new patterns'
-    paths, and the old index answers as before.
+    (_starts) whose search finds in C the leftmost start of a path and, on
+    it, the pattern of lowest index: the text matched names it. Only on a
+    path cut after _DEPTH letters does a walk of the trie pick the index,
+    or reject the start and the search resume one letter on. So the redex
+    policy "leftmost start, then lowest index" holds exactly even when one
+    pattern contains another. Members are only appended, so an engine's
+    next state extends its index: the two share every node off the new
+    patterns' paths, and the old index answers as before.
     """
 
-    __slots__ = ("_root", "_patterns", "_search")
+    __slots__ = ("_root", "_patterns", "_search", "_lowest")
 
     def __init__(self, patterns, base=None):
         """The index of base's patterns (none by default), then these."""
         old = base._patterns if base else ()
         self._patterns = old + tuple(patterns)
         self._root = _trie(self._patterns[len(old):], len(old), base and base._root)
-        self._search = re.compile(_starts(self._root) if self._root else "(?!)").search
+        self._lowest = {}  # the text of each match of the search -> its redex's index
+        starts = _starts(self._root, self._lowest, len(self._patterns))
+        self._search = re.compile("|".join(starts) or "(?!)").search
 
     def duplicate(self, members, since):
         """The first of members[since:] equal to an earlier member, or None,
@@ -320,22 +339,22 @@ class RedexIndex:
         lowest index among the patterns occurring there: letters[pos:end] is
         pattern number index. None if nothing occurs. Every reduction in
         both engines picks its redex here."""
-        root, search = self._root, self._search
-        n = len(letters)
+        search, lowest = self._search, self._lowest
         start = search(letters)
         while start is not None:
-            pos = start.start()
-            node = root[letters[pos]]
-            best = None
-            at = pos
-            while node is not None:
-                at += 1
-                ends = node.get(_END)
-                if ends is not None and (best is None or ends[0] < best):
-                    best, end = ends[0], at
-                if at == n:
-                    break
-                node = node.get(letters[at])
+            pos, end = start.span()
+            best = lowest[start.group()]
+            if best is None:  # a cut path: the walk from pos decides
+                node = self._root[letters[pos]]
+                at, n = pos, len(letters)
+                while node is not None:
+                    at += 1
+                    ends = node.get(_END)
+                    if ends is not None and (best is None or ends[0] < best):
+                        best, end = ends[0], at
+                    if at == n:
+                        break
+                    node = node.get(letters[at])
             if best is not None:
                 return pos, best, end
             start = search(letters, pos + 1)

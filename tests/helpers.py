@@ -286,9 +286,9 @@ def record_searches(monkeypatch):
 
 
 def record_starts(monkeypatch):
-    """The start of every candidate redex that RedexIndex.find walks the
-    trie from, in every index built from now on, as a list that fills as
-    the searches go."""
+    """The start of every trie walk that RedexIndex.find runs, in every index
+    built from now on, as a list that fills as the searches go: find walks
+    the trie where its search matches a path cut after _DEPTH letters."""
     starts = []
     real = RedexIndex.__init__
 
@@ -298,7 +298,7 @@ def record_starts(monkeypatch):
 
         def counted(*args):
             found = search(*args)
-            if found is not None:
+            if found is not None and index._lowest[found.group()] is None:
                 starts.append(found.start())
             return found
 

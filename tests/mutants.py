@@ -108,13 +108,29 @@ def pytest_sessionfinish(session):
 
 # name -> ((file under src/kbgb, old text, new text), ...)
 MUTANTS = {
-    # find's tie policy: at the leftmost start the shortest left side wins,
-    # not the lowest index
+    # the tie policy of find's walk on a path cut after _DEPTH letters: the
+    # shortest left side wins, not the lowest index
     "find-shortest-wins": (
         ("words.py", "if ends is not None and (best is None or ends[0] < best):",
          "if ends is not None and best is None:"),
     ),
-    # a candidate start the trie walk rejects (a path cut at _DEPTH letters)
+    # the start expression tries an end before the patterns below it, so
+    # the shortest left side at the leftmost start wins
+    "starts-end-before-deeper": (
+        ("words.py", 'deeper.append("")', 'deeper.insert(0, "")'),
+    ),
+    # below an end the start expression keeps the patterns of higher index,
+    # so the longest left side at the leftmost start wins
+    "starts-keeps-higher-below-end": (
+        ("words.py", "deeper = _starts(child, lowest, low, here)",
+         "deeper = _starts(child, lowest, best, here)"),
+    ),
+    # a match on a cut path is taken as the table says, no redex there, and
+    # the search goes on from the next letter
+    "find-trusts-cut": (
+        ("words.py", "if best is None:  # a cut path", "if False:  # a cut path"),
+    ),
+    # a start the trie walk rejects (a cut path with no left side on it)
     # ends the search, or the search resumes a letter too far on
     "find-no-retry": (
         ("words.py", "            start = search(letters, pos + 1)\n", "            start = None\n"),
@@ -125,7 +141,7 @@ MUTANTS = {
     ),
     # the start expression spells letters that are expression syntax as is
     "starts-unescaped": (
-        ("words.py", "re.escape(letter) + ", "letter + "),
+        ("words.py", "functools.cache(re.escape)", "functools.cache(str)"),
     ),
     # overlaps drops a match kind: both proper containments
     "overlaps-drop-containments": (

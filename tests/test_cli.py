@@ -637,17 +637,20 @@ class TestSearchCounts:
     # explode and chain lockstep rows were 1,144 and 23,180. The last row
     # counts the matches RedexIndex.overlaps yields instead: 316 per
     # engine, where passes that are handed no carry walk every overlap of
-    # every pass, 6,400 per engine. The starts row counts the candidate
-    # starts that the search expression hands find's trie walk: 846, where
-    # trying every start walked the trie from 5,330
+    # every pass, 6,400 per engine. The starts rows count find's trie walks,
+    # one per search that matches a path cut after _DEPTH letters: none on
+    # explode, 762 on chain's long left sides. Walking the trie from every
+    # start the search found took 846 and 2,122 walks, and from every start
+    # of the word 5,330 and 35,884
     @pytest.mark.parametrize("text, argv, exit_code, record, count", [
         (COMMUTING3, ["iso-check", "-L", "5"], 0, record_searches, 736),
         (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1134),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_searches, 2600),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_walk, 632),
-        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_starts, 846),
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_starts, 0),
+        (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_starts, 762),
     ], ids=["iso-commuting3", "lockstep-explode", "lockstep-chain", "walk-lockstep-chain",
-            "starts-lockstep-explode"])
+            "starts-lockstep-explode", "starts-lockstep-chain"])
     def test_pinned(self, pres, monkeypatch, text, argv, exit_code, record, count):
         path = pres(text)
         calls = record(monkeypatch)

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from kbgb import (
     MONOID,
+    QQ,
     Alphabet,
     AlphabetMismatch,
+    Basis,
     MatchKind,
     MonomialOrder,
+    NcPolynomial,
     RewriteSystem,
     Word,
 )
 from kbgb import words
+from kbgb.ncpoly import monomial_forms
 from kbgb.words import RedexIndex
 
 from helpers import (
@@ -33,6 +37,7 @@ from oracles import (
     letter_key,
     match_set,
     reference_overlaps,
+    reference_reduce_on,
     shortlex_key,
 )
 
@@ -251,13 +256,76 @@ class TestRedexIndex:
         assert index.find("") is None
 
     def test_one_pattern_inside_another(self):
-        # the start expression stops at the first pattern end on a path; the
-        # walk goes on to a longer pattern of lower index
+        # the start expression tries a longer pattern of lower index before
+        # the end inside it
         assert RedexIndex(["\0\1\0", "\0\1"]).find("\1\0\1\0") == (1, 0, 4)
         assert RedexIndex(["\0\1", "\0\1\0"]).find("\1\0\1\0") == (1, 0, 3)
         # a pattern inside another starts later than it
         assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\0") == (0, 1, 3)
         assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\1") == (1, 0, 2)
+
+    @pytest.mark.parametrize("length", [6, words._DEPTH + 8], ids=["short", "past-the-cut"])
+    @pytest.mark.parametrize("falling", [True, False], ids=["falling", "rising"])
+    def test_a_chain_of_nested_prefixes(self, falling, length):
+        # the prefixes of one word, the longest of lowest index (each end is
+        # tried after the patterns below it) or of highest (each end drops
+        # every pattern below it); past the cut the trie walk decides
+        whole = "".join(chr(k % 3) for k in range(length))
+        sizes = range(length, 0, -1) if falling else range(1, length + 1)
+        prefixes = [whole[:k] for k in sizes]
+        index = RedexIndex(prefixes)
+        for k in range(1, length + 1):
+            found = (1, length - k, k + 1) if falling else (1, 0, 2)
+            assert index.find("\2" + whole[:k]) == found
+        rng = random.Random(29)
+        for _ in range(400):
+            word = "".join(chr(rng.randrange(3)) for _ in range(rng.randint(0, 8)))
+            at, cut = rng.randint(0, len(word)), rng.randint(0, length)
+            word = word[:at] + whole[:cut] + word[at:]
+            assert index.find(word) == reference_find(prefixes, word)
+
+    def test_an_end_drops_the_higher_patterns_below_it(self):
+        # a (1) ends inside abc (0) and ab (2): ab is never a redex
+        index = RedexIndex(["\0\1\2", "\0", "\0\1"])
+        assert index.find("\0\1") == (0, 1, 1)
+        assert index.find("\2\0\1\2") == (1, 0, 4)
+        assert index.find("\1\0\1\1") == (1, 1, 2)
+        assert "\0\1" not in index._lowest
+
+    @pytest.mark.parametrize("members, bab, babb", [
+        ([("ab", "a"), ("ab", "b"), ("abb", "a")], (1, 0, 3), (1, 0, 3)),
+        ([("abb", "a"), ("ab", "a"), ("ab", "b")], (1, 1, 3), (1, 0, 4)),
+    ], ids=["ahead-of-abb", "behind-abb"])
+    def test_equal_patterns_the_lower_index_wins(self, members, bab, babb):
+        # two basis members with one leading monomial ab: the lower index
+        # wins, in find and in every reduction
+        polys = [NcPolynomial(QQ, [(w(lm), QQ.one), (w(tail), QQ.neg(QQ.one))])
+                 for lm, tail in members]
+        basis = Basis(SHORTLEX, QQ, polys)
+        lms = [w(lm).letters for lm, _ in members]
+        assert (basis._index.find("\1\0\1"), basis._index.find("\1\0\1\1")) == (bab, babb)
+        form = monomial_forms(basis)
+        for word in all_words(AB, 6, min_len=0):
+            assert basis._index.find(word.letters) == reference_find(lms, word.letters)
+            assert form(word) == NcPolynomial(QQ, reference_reduce_on(basis, {word: QQ.one})[1])
+
+    def test_extension_by_patterns_that_extend_or_contain_old_ones(self):
+        # each new pattern extends an old one on either side or is a factor
+        # of one; the extension finds as the scan does, and the base as before
+        rng = random.Random(31)
+        for _ in range(60):
+            old = ["".join(chr(rng.randrange(2)) for _ in range(rng.randint(1, 4)))
+                   for _ in range(rng.randint(1, 4))]
+            new = []
+            for _ in range(rng.randint(1, 4)):
+                p, tail = rng.choice(old), chr(rng.randrange(2)) * rng.randint(1, 2)
+                i = rng.randrange(len(p))
+                new.append(rng.choice([p + tail, tail + p, p[i:rng.randint(i + 1, len(p))]]))
+            base = RedexIndex(old)
+            extended = RedexIndex(new, base)
+            for word in all_words(AB, 6, min_len=0):
+                assert extended.find(word.letters) == reference_find(old + new, word.letters)
+                assert base.find(word.letters) == reference_find(old, word.letters)
 
     def test_no_patterns(self):
         empty = RedexIndex([])
@@ -302,6 +370,11 @@ class TestRedexIndex:
         assert index.find("\0" * 1000) is None
         assert index.find("\0" * 899 + "\1") == (0, 899, 900)
         assert RedexIndex(["\0" * 2000]).find("\1" + "\0" * 2000) == (1, 0, 2001)
+        # a 2,000-letter unary left side below a one-letter end of higher index
+        unary = RedexIndex(["\0" * 2000, "\0" * 1999 + "\1", "\0"])
+        assert unary.find("\0" * 2000) == (0, 0, 2000)
+        assert unary.find("\0" * 1999 + "\1") == (0, 1, 2000)
+        assert unary.find("\1" + "\0" * 1999) == (1, 2, 2)
 
     def test_overlap_candidates(self):
         def pairs(patterns):
