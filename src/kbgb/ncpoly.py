@@ -9,11 +9,11 @@ small field object carried by every polynomial.
 The reduction policy mirrors the string engine exactly: a monomial is
 reduced at the leftmost occurrence of a leading monomial, and at a tied
 position by the lowest basis index. Each basis holds one
-words.RedexIndex over its leading monomials and finds every redex through
-it, under that same policy; with_polys checks only the members it
-appends, and its index extends the old one's. On bases of two-term
-polynomials the whole machine therefore behaves as string rewriting term
-by term.
+words.RedexIndex over its leading monomials, and the index's walk takes
+every reduction step, the same walk as the string engine's; with_polys
+checks only the members it appends, and its index extends the old one's.
+On bases of two-term polynomials the whole machine therefore behaves as
+string rewriting term by term.
 There is one reduction: monomial_forms memoizes the normal form N of
 every monomial a reduction passes through, and a polynomial's is the sum
 of c . N(m) over its terms c . m. That is the form that reducing the
@@ -339,17 +339,18 @@ def monomial_forms(basis: Basis):
     """N(m), the normal form of a monomial m over the basis's alphabet (not
     checked), memoized on every monomial a reduction passes through.
 
-    A step replaces m = lo.lm(f).hi, at the redex RedexIndex.find picks, by
-    the sum of c . lo.t.hi over the tail terms -c . t of the member f. It
+    A step replaces m = lo.lm(f).hi, at the leftmost redex of lowest index,
+    by the sum of c . lo.t.hi over the tail terms -c . t of the member f. It
     depends on m alone and every lo.t.hi is below m, so nf is linear and
     N(m) is the sum of c . N(lo.t.hi). Under a member of one tail with
     coefficient one (a lockstep binomial) that is one monomial: a miss walks
-    these steps to an irreducible or known monomial, and every monomial of
-    the walk gets its form. Under any other member the walk waits on an
-    explicit stack, with the targets lo.t.hi above it, until each target has
-    a form; its form is then their sum. The stack and not the closure
-    itself holds the pending work, so the memo forms no reference cycle.
-    The form of an irreducible monomial given is one term at that Word.
+    these steps (RedexIndex.walk, t the member's swap) to an irreducible or
+    known monomial, and every monomial of the walk gets its form. Any other
+    member has no swap: the walk stops and waits on an explicit stack, with
+    the targets lo.t.hi above it, until each target has a form; its form is
+    then their sum. The stack and not the closure itself holds the pending
+    work, so the memo forms no reference cycle. The form of an irreducible
+    monomial given is one term at that Word.
 
     A call raises ReductionBudgetExceeded when it would search more than
     completion.STEP_BUDGET monomials not yet in the memo, as it was when
@@ -358,8 +359,8 @@ def monomial_forms(basis: Basis):
     monomials reachable from m. Whether a call raises thus depends on the
     calls before it."""
     field, alphabet, one = basis.field, basis.alphabet, basis.field.one
-    budget = completion.STEP_BUDGET
-    find, neg_tails = basis._index.find, basis._neg_tails
+    walk, neg_tails, budget = basis._index.walk, basis._neg_tails, completion.STEP_BUDGET
+    swaps = [ts[0][0] if len(ts) == 1 and ts[0][1] == one else None for ts in neg_tails]
     forms = {}  # letters -> normal form
 
     def form(word):
@@ -367,31 +368,26 @@ def monomial_forms(basis: Basis):
         while todo:
             head, targets = todo.pop()
             if targets is None:  # a monomial to walk from
-                letters, walk, found = head, [], forms.get(head)
+                path, found = [], forms.get(head)
+                if found is None:
+                    found = walk(head, swaps, forms, path, budget - searched)
+                    searched += len(path)
+                    if found is None:
+                        raise ReductionBudgetExceeded(f"no fixed point within {budget} steps")
             else:  # a waiting walk whose targets all have forms now
-                walk, found = head, _sum_forms(forms.__getitem__, field, targets)
-            while found is None:
-                if searched == budget:
-                    raise ReductionBudgetExceeded(f"no fixed point within {budget} steps")
-                searched += 1
-                walk.append(letters)
-                hit = find(letters)
-                if hit is None:
-                    irreducible = word if letters is word.letters else Word._raw(alphabet, letters)
-                    found = NcPolynomial._raw(field, {irreducible: one})
-                    break
-                pos, index, end = hit
-                tails, lo, hi = neg_tails[index], letters[:pos], letters[end:]
-                if len(tails) != 1 or tails[0][1] != one:
-                    targets = [(lo + tail + hi, c) for tail, c in tails]
-                    todo.append((walk, targets))
-                    todo.extend((target, None) for target, _ in targets)
-                    break
-                letters = lo + tails[0][0] + hi
-                found = forms.get(letters)
-            if found is not None:
-                for letters in walk:
-                    forms[letters] = found
+                path, found = head, _sum_forms(forms.__getitem__, field, targets)
+            if type(found) is str:  # irreducible
+                irreducible = word if found is word.letters else Word._raw(alphabet, found)
+                found = NcPolynomial._raw(field, {irreducible: one})
+            elif type(found) is tuple:  # a redex of a general member
+                pos, index, end = found
+                lo, hi = path[-1][:pos], path[-1][end:]
+                targets = [(lo + tail + hi, c) for tail, c in neg_tails[index]]
+                todo.append((path, targets))
+                todo.extend((target, None) for target, _ in targets)
+                continue
+            for letters in path:
+                forms[letters] = found
         return found
 
     return form

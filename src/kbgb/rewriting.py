@@ -1,18 +1,18 @@
 """String rewriting systems, completion passes, and the word problem.
 
 Reduction is deterministic: the leftmost redex wins, and at a given
-position the lowest-index rule wins. Each system holds one
-words.RedexIndex over its left sides and finds every redex through it,
-under that same policy; with_rules checks only the rules it appends, and
-its index extends the old one's. A completion pass computes every
-critical pair against the fixed input system and only then installs the
-oriented survivors, so pass results do not depend on examination order and
-rules are never removed or rewritten mid-run. Because the system is fixed,
-a normal form depends on the word alone, nf(w) = nf(step(w)), and the one
-reduction, normal_forms, memoizes it on every word a reduction passes
-through, for one pass, one iso-check or one query. A word's letters are one
-str, so a step splices strings and the memo keys on them. A pass builds
-and reduces one critical pair at a time, and completion.pair_records
+position the lowest-index rule wins. Each system holds one words.RedexIndex
+over its left sides, and the index's walk takes every reduction step, the
+same walk as the polynomial engine's; with_rules checks only the rules it
+appends, and its index extends the old one's. A completion pass computes
+every critical pair against the fixed input system and only then installs
+the oriented survivors, so pass results do not depend on examination order
+and rules are never removed or rewritten mid-run. Because the system is
+fixed, a normal form depends on the word alone, nf(w) = nf(step(w)), and
+the one reduction, normal_forms, memoizes it on every word a reduction
+passes through, for one pass, one iso-check or one query. A word's letters
+are one str, so a step splices strings and the memo keys on them. A pass
+builds and reduces one critical pair at a time, and completion.pair_records
 decides which pairs it examines. The raw words a pass builds come from one
 words.word_table, so twin pairs share theirs, and an irreducible raw word
 is its own normal form.
@@ -95,16 +95,6 @@ class RewriteSystem:
         return nxt
 
 
-def _rewrite_at(system, wl):
-    """The letters after one rewrite of the redex RedexIndex.find picks, or
-    None when the letters are irreducible."""
-    hit = system._index.find(wl)
-    if hit is None:
-        return None
-    pos, index, end = hit
-    return wl[:pos] + system.rules[index].rhs.letters + wl[end:]
-
-
 def is_irreducible(system: RewriteSystem, word: Word) -> bool:
     """True when no left side of the system occurs in the word."""
     if word.alphabet != system.alphabet:
@@ -123,11 +113,11 @@ def normal_forms(system: RewriteSystem):
     """nf(word), the normal form of a word over the system's alphabet (not
     checked), memoized on every word a reduction passes through.
 
-    A step rewrites the leftmost redex, at the lowest rule index on ties
-    (_rewrite_at), and every step descends, so a miss walks these steps to
-    an irreducible or known word, and every word of the walk gets its form:
-    the binomial walk of ncpoly.monomial_forms. An irreducible word given
-    is its own form, the same object.
+    A step rewrites the leftmost redex, at the lowest rule index on ties,
+    and every step descends, so a miss walks these steps (RedexIndex.walk,
+    each right side the swap of its rule) to an irreducible or known word,
+    and every word of the walk gets its form. An irreducible word given is
+    its own form, the same object.
 
     A call raises ReductionBudgetExceeded when it would search more than
     completion.STEP_BUDGET words not yet in the memo, as it was when the
@@ -135,23 +125,20 @@ def normal_forms(system: RewriteSystem):
     k-step walk needs k + 1. Whether a call raises thus depends on the
     calls before it."""
     alphabet, budget = system.alphabet, completion.STEP_BUDGET
+    walk, swaps = system._index.walk, [rule.rhs.letters for rule in system.rules]
     forms = {}  # letters -> normal form
 
     def nf(word):
-        letters, walk = word.letters, []
-        found = forms.get(letters)
-        while found is None:
-            if len(walk) == budget:
+        found = forms.get(word.letters)
+        if found is None:
+            path = []
+            found = walk(word.letters, swaps, forms, path, budget)
+            if found is None:
                 raise ReductionBudgetExceeded(f"no fixed point within {budget} steps")
-            walk.append(letters)
-            nxt = _rewrite_at(system, letters)
-            if nxt is None:
-                found = word if letters is word.letters else Word._raw(alphabet, letters)
-            else:
-                found = forms.get(nxt)
-            letters = nxt
-        for letters in walk:
-            forms[letters] = found
+            if type(found) is str:  # irreducible
+                found = word if found is word.letters else Word._raw(alphabet, found)
+            for letters in path:
+                forms[letters] = found
         return found
 
     return nf

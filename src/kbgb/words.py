@@ -3,13 +3,13 @@
 Shared vocabulary for the string-rewriting and noncommutative-polynomial
 engines: alphabets of named generators, words whose letters are one str with
 the character chr(index) for each generator, shortlex and weighted-shortlex
-orderings, the redex index both engines search (the first match of one
-regular expression is the redex, at the leftmost start the lowest index),
-and the four configurations in which two left-hand sides can share ground
-on one word. One walk of an engine's redex index yields every match of
-every pair of its left sides, as letter strings; there is no subword search
-and no search of one pair at a time, and a walk can skip the pairs of
-patterns all below a given index.
+orderings, the redex index whose walk takes every reduction step of both
+engines (the first match of one regular expression is the redex, at the
+leftmost start the lowest index), and the four configurations in which two
+left-hand sides can share ground on one word. One trie walk of an engine's
+redex index, overlaps, yields every match of every pair of its left sides,
+as letter strings; there is no subword search and no search of one pair at
+a time, and overlaps can skip the pairs of patterns all below a given index.
 """
 
 from __future__ import annotations
@@ -337,8 +337,8 @@ class RedexIndex:
     def find(self, letters):
         """(pos, index, end) of the leftmost pattern occurrence, with the
         lowest index among the patterns occurring there: letters[pos:end] is
-        pattern number index. None if nothing occurs. Every reduction in
-        both engines picks its redex here."""
+        pattern number index. None if nothing occurs. A walk calls it only
+        on a path cut after _DEPTH letters."""
         search, lowest = self._search, self._lowest
         start = search(letters)
         while start is not None:
@@ -359,6 +359,33 @@ class RedexIndex:
                 return pos, best, end
             start = search(letters, pos + 1)
         return None
+
+    def walk(self, letters, swaps, known, path, limit):
+        """Reduce letters at the redexes find picks, appending each word it
+        searches to path; a step splices swaps[index] over pattern index. It
+        returns the value known (a memo of no str, tuple or None) holds for a
+        word a step reaches, an irreducible word's letters, (pos, index, end)
+        at a redex whose swap is None, or None once path holds limit words."""
+        search, lowest = self._search, self._lowest
+        while len(path) < limit:
+            path.append(letters)
+            match = search(letters)
+            if match is None:
+                return letters
+            pos, end = match.span()
+            index = lowest[match.group()]
+            if index is None:  # a cut path: find's trie walk decides
+                hit = self.find(letters)
+                if hit is None:
+                    return letters
+                pos, index, end = hit
+            swap = swaps[index]
+            if swap is None:
+                return pos, index, end
+            letters = letters[:pos] + swap + letters[end:]
+            found = known.get(letters)
+            if found is not None:
+                return found
 
     def overlaps(self, since=0):
         """Every match of every ordered pair (i, j) of patterns with i or j

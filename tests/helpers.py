@@ -276,8 +276,36 @@ def twins(records):
 
 
 def record_searches(monkeypatch):
-    """The arguments of every RedexIndex.find call from now on, as a list
-    that fills as the calls happen."""
+    """Every word searched from now on, each as a 1-tuple of its letters, as
+    a list that fills as the searches go: the words each RedexIndex.walk
+    appends to its path, once it returns, and the argument of every
+    RedexIndex.find call made outside a walk. A walk calls find only on a
+    path cut after _DEPTH letters, for a word already on its path."""
+    searched, walking = [], []
+    real_find, real_walk = RedexIndex.find, RedexIndex.walk
+
+    def find(index, letters):
+        if not walking:
+            searched.append((letters,))
+        return real_find(index, letters)
+
+    def walk(index, letters, swaps, known, path, limit):
+        walking.append(index)
+        before = len(path)
+        try:
+            return real_walk(index, letters, swaps, known, path, limit)
+        finally:
+            walking.pop()
+            searched.extend((word,) for word in path[before:])
+
+    monkeypatch.setattr(RedexIndex, "find", find)
+    monkeypatch.setattr(RedexIndex, "walk", walk)
+    return searched
+
+
+def record_finds(monkeypatch):
+    """The arguments of every RedexIndex.find call from now on, within a
+    walk or not, as a list that fills as the calls happen."""
     calls = []
     real = RedexIndex.find
     monkeypatch.setattr(RedexIndex, "find",
@@ -288,23 +316,32 @@ def record_searches(monkeypatch):
 def record_starts(monkeypatch):
     """The start of every trie walk that RedexIndex.find runs, in every index
     built from now on, as a list that fills as the searches go: find walks
-    the trie where its search matches a path cut after _DEPTH letters."""
-    starts = []
-    real = RedexIndex.__init__
+    the trie where its search matches a path cut after _DEPTH letters. The
+    matches of RedexIndex.walk's own searches are not counted."""
+    starts, finding = [], []
+    real_init, real_find = RedexIndex.__init__, RedexIndex.find
 
     def init(index, *args):
-        real(index, *args)
+        real_init(index, *args)
         search = index._search
 
         def counted(*args):
             found = search(*args)
-            if found is not None and index._lowest[found.group()] is None:
+            if finding and found is not None and index._lowest[found.group()] is None:
                 starts.append(found.start())
             return found
 
         index._search = counted
 
+    def find(index, letters):
+        finding.append(index)
+        try:
+            return real_find(index, letters)
+        finally:
+            finding.pop()
+
     monkeypatch.setattr(RedexIndex, "__init__", init)
+    monkeypatch.setattr(RedexIndex, "find", find)
     return starts
 
 

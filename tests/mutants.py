@@ -256,9 +256,26 @@ MUTANTS = {
         ("correspondence.py", "sets_ok = len(polys) == len(kb.state.rules) and all(",
          "sets_ok = all("),
     ),
+    # the walk's splice keeps the last letter of the redex, in both engines
     "rewrite-keeps-last-letter": (
-        ("rewriting.py", "system.rules[index].rhs.letters + wl[end:]",
-         "system.rules[index].rhs.letters + wl[end - 1:]"),
+        ("words.py", "letters = letters[:pos] + swap + letters[end:]",
+         "letters = letters[:pos] + swap + letters[end - 1:]"),
+    ),
+    # a walk stops one word before its limit, so a reduction raises at a
+    # budget one step larger than it needs
+    "walk-one-word-short": (
+        ("words.py", "while len(path) < limit:", "while len(path) < limit - 1:"),
+    ),
+    # a walk never asks the memo, so it searches every word down to an
+    # irreducible one
+    "walk-skips-known": (
+        ("words.py", "found = known.get(letters)", "found = None"),
+    ),
+    # a memo keeps the form of the first word of a walk only, so a later
+    # call on a word the walk passed through searches it again
+    "memo-keeps-first-word": (
+        ("rewriting.py", "            for letters in path:", "            for letters in path[:1]:"),
+        ("ncpoly.py", "            for letters in path:", "            for letters in path[:1]:"),
     ),
     # equal answers DISTINCT from unequal forms at a cap, as if complete
     "equal-distinct-at-cap": (

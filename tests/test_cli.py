@@ -29,6 +29,7 @@ from kbgb.completion import PassRecord
 from helpers import (
     ROOT,
     child_env,
+    record_finds,
     record_inserted,
     record_kept,
     record_renders,
@@ -630,18 +631,21 @@ class TestStreaming:
 
 
 class TestSearchCounts:
-    # RedexIndex.find calls of one in-process run. Before both engines
-    # memoized every word a reduction passes through, they were 2,742 and
-    # 1,564; a memo of each call's first word alone brings them back up.
-    # Before a carried resolved record could be re-emitted as it was, the
-    # explode and chain lockstep rows were 1,144 and 23,180. The last row
-    # counts the matches RedexIndex.overlaps yields instead: 316 per
-    # engine, where passes that are handed no carry walk every overlap of
-    # every pass, 6,400 per engine. The starts rows count find's trie walks,
-    # one per search that matches a path cut after _DEPTH letters: none on
-    # explode, 762 on chain's long left sides. Walking the trie from every
-    # start the search found took 846 and 2,122 walks, and from every start
-    # of the word 5,330 and 35,884
+    # Words searched in one in-process run, by RedexIndex.walk or by a find
+    # call outside one. Before both engines memoized every word a reduction
+    # passes through, they were 2,742 and 1,564; a memo of each call's
+    # first word alone brings them back up. Before a carried resolved
+    # record could be re-emitted as it was, the explode and chain lockstep
+    # rows were 1,144 and 23,180. The walk row counts the matches
+    # RedexIndex.overlaps yields instead: 316 per engine, where passes that
+    # are handed no carry walk every overlap of every pass, 6,400 per
+    # engine. The starts rows count find's trie walks, one per search that
+    # matches a path cut after _DEPTH letters: none on explode, 762 on
+    # chain's long left sides. Walking the trie from every start the search
+    # found took 846 and 2,122 walks, and from every start of the word
+    # 5,330 and 35,884. The finds rows count find calls: a reduction calls
+    # find only where its walk meets a cut path, 656 times on chain, where
+    # every word searched was one call before the walk moved into the index
     @pytest.mark.parametrize("text, argv, exit_code, record, count", [
         (COMMUTING3, ["iso-check", "-L", "5"], 0, record_searches, 736),
         (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_searches, 1134),
@@ -649,8 +653,12 @@ class TestSearchCounts:
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_walk, 632),
         (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_starts, 0),
         (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_starts, 762),
+        (COMMUTING3, ["iso-check", "-L", "5"], 0, record_finds, 0),
+        (EXPLODE, ["lockstep", "--max-passes", "4"], 2, record_finds, 0),
+        (CHAIN, ["lockstep", "--max-passes", "40"], 2, record_finds, 656),
     ], ids=["iso-commuting3", "lockstep-explode", "lockstep-chain", "walk-lockstep-chain",
-            "starts-lockstep-explode", "starts-lockstep-chain"])
+            "starts-lockstep-explode", "starts-lockstep-chain", "finds-iso-commuting3",
+            "finds-lockstep-explode", "finds-lockstep-chain"])
     def test_pinned(self, pres, monkeypatch, text, argv, exit_code, record, count):
         path = pres(text)
         calls = record(monkeypatch)

@@ -2,11 +2,12 @@
 
 The CLI runs in process under ``sys.setprofile``: all five subcommands on
 the corpus files at both golden flag sets, the golden inline presentations,
-the wtlex lengthening at ``-L 2`` (a Fail verdict), one usage error and one
-parse error. Every public function and method defined in ``src/kbgb`` must
-be entered, except the few in ``KEPT``, each kept for the reason it names.
-Code objects are compared, not line numbers, so a decorated classmethod
-counts like any other method. A second test pins the names ``kbgb``
+a left side longer than the redex index's cut depth, the wtlex lengthening
+at ``-L 2`` (a Fail verdict), one usage error and one parse error. Every
+public function and method defined in ``src/kbgb`` must be entered, except
+the few in ``KEPT``, each kept for the reason it names. Code objects are
+compared, not line numbers, so a decorated classmethod counts like any
+other method. A second test pins the names ``kbgb``
 re-exports to those the README's "Library" section names or a test
 imports from ``kbgb``.
 """
@@ -77,6 +78,12 @@ def cli_runs(workdir):
         for command in commands:
             for flags in FLAG_SETS.values():
                 runs.append([command[0], str(path), *command[1:], *flags])
+    # a left side longer than the redex index's cut depth, so a reduction
+    # reaches RedexIndex.find
+    long_lhs = workdir / "long_lhs.pres"
+    long_lhs.write_text("mode: sgp\nalphabet: a b\norder: shortlex a < b\n"
+                        f"rules:\n  {'.'.join('a' * 25)} -> b\n")
+    runs.append(["nf", str(long_lhs), ".".join("a" * 27) + ".b"])
     lengthening = workdir / "lengthening.pres"
     lengthening.write_text(LENGTHENING)
     runs.append(["iso-check", str(lengthening), "-L", "2"])

@@ -246,6 +246,49 @@ def reference_find(patterns, letters):
     return hit and (hit[0], hit[1], hit[0] + len(patterns[hit[1]]))
 
 
+def reference_walk(patterns, swaps, letters):
+    """The words RedexIndex.walk searches from letters with no memo and no
+    limit, and the redex with no swap it stops at (None at an irreducible
+    word), by the oracle's scan."""
+    chain = [letters]
+    while True:
+        hit = reference_find(patterns, letters)
+        if hit is None or swaps[hit[1]] is None:
+            return chain, hit
+        pos, index, end = hit
+        letters = letters[:pos] + swaps[index] + letters[end:]
+        chain.append(letters)
+
+
+def walk_cases(seed):
+    """(index, patterns, swaps, words): 30 random_redex_systems, each with
+    its words of up to 5 letters, and 30 sets of patterns over a and b up
+    to 4 letters past the depth cut, each with a shorter swap, with random
+    words that have patterns spliced in. Every swap is shorter than its
+    pattern, so every walk ends."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        system = random_redex_system(rng)
+        patterns = [rule.lhs.letters for rule in system.rules]
+        swaps = [rule.rhs.letters for rule in system.rules]
+        texts = [word.letters for word in all_words(system.alphabet, 5, min_len=0)]
+        yield system._index, patterns, swaps, texts
+    longest = words._DEPTH + 4
+    for _ in range(30):
+        patterns = ["".join(chr(rng.randrange(2)) for _ in range(rng.randint(1, longest)))
+                    for _ in range(rng.randint(1, 5))]
+        swaps = ["".join(chr(rng.randrange(2)) for _ in range(rng.randrange(len(p))))
+                 for p in patterns]
+        found = []
+        for _ in range(20):
+            word = "".join(chr(rng.randrange(2)) for _ in range(rng.randint(0, 8)))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(word))
+                word = word[:at] + rng.choice(patterns) + word[at:]
+            found.append(word)
+        yield RedexIndex(patterns), patterns, swaps, found
+
+
 class TestRedexIndex:
     def test_leftmost_start_then_lowest_index(self):
         index = RedexIndex(["\1\0", "\1", "\1\0"])  # ba, b, ba
@@ -375,6 +418,59 @@ class TestRedexIndex:
         assert unary.find("\0" * 2000) == (0, 0, 2000)
         assert unary.find("\0" * 1999 + "\1") == (0, 1, 2000)
         assert unary.find("\1" + "\0" * 1999) == (1, 2, 2)
+
+    def test_walk_follows_the_reference_chain(self):
+        # every word the walk searches is on its path, and an irreducible
+        # last word is what it returns; some searches match a cut path,
+        # where find's trie walk picks the redex or rejects the start
+        steps = cut = 0
+        for index, patterns, swaps, found in walk_cases(37):
+            for letters in found:
+                chain, _ = reference_walk(patterns, swaps, letters)
+                path = []
+                end = index.walk(letters, swaps, {}, path, len(chain) + 1)
+                assert path == chain and end is path[-1]
+                steps += len(chain) - 1
+                matches = filter(None, map(index._search, chain))
+                cut += sum(index._lowest[match.group()] is None for match in matches)
+        assert (steps, cut) == (9374, 109)
+
+    def test_walk_stops_at_the_first_known_word(self):
+        # the first word is searched whether known holds it or not
+        for index, patterns, swaps, found in walk_cases(41):
+            for letters in found:
+                chain, _ = reference_walk(patterns, swaps, letters)
+                for k in range(1, len(chain)):
+                    known = {word: j for j, word in enumerate(chain) if j == 0 or j >= k}
+                    path = []
+                    assert index.walk(letters, swaps, known, path, len(chain)) == k
+                    assert path == chain[:k]
+
+    def test_walk_stops_at_a_member_without_a_swap(self):
+        rng = random.Random(43)
+        stopped = 0
+        for index, patterns, swaps, found in walk_cases(43):
+            swaps = [None if rng.random() < 0.4 else swap for swap in swaps]
+            for letters in found:
+                chain, hit = reference_walk(patterns, swaps, letters)
+                path = []
+                end = index.walk(letters, swaps, {}, path, len(chain))
+                assert path == chain
+                assert end == (hit if hit is not None else chain[-1])
+                stopped += hit is not None
+        assert stopped == 2301  # of 7,908 walks
+
+    def test_walk_stops_with_exactly_limit_words(self):
+        # a k-step walk needs k + 1 words: with fewer, the last word's
+        # successor is neither searched nor known
+        for index, patterns, swaps, found in walk_cases(47):
+            for letters in found[::3]:
+                chain, _ = reference_walk(patterns, swaps, letters)
+                for limit in range(len(chain) + 2):
+                    path = []
+                    end = index.walk(letters, swaps, {}, path, limit)
+                    assert path == chain[:limit]
+                    assert end is (path[-1] if limit >= len(chain) else None)
 
     def test_overlap_candidates(self):
         def pairs(patterns):
