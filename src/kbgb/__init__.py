@@ -57,7 +57,6 @@ from .rewriting import (
 from .words import (
     Alphabet,
     AlphabetMismatch,
-    MatchKind,
     MonomialOrder,
     Word,
 )

@@ -21,7 +21,6 @@ import functools
 import gc
 import os
 import sys
-from pathlib import Path
 
 from . import completion, correspondence, ncpoly, rewriting
 from .completion import CompletionLimits, ReductionBudgetExceeded
@@ -102,7 +101,8 @@ def _limits(args) -> CompletionLimits:
 
 def _load(args):
     """The parsed file; args.field becomes the file's field unless --field set it."""
-    pf = parse_presentation(Path(args.file).read_text())
+    with open(args.file) as source:
+        pf = parse_presentation(source.read())
     if args.field is None:
         args.field = pf.field
     return pf

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from heapq import merge
 from operator import itemgetter
 
-from .words import OverlapMatch
-
 # words or monomials one call of a reduction memo may search; each memo
 # (rewriting.normal_forms, ncpoly.monomial_forms) reads it when it is made
 STEP_BUDGET = 1_000_000
@@ -80,7 +78,7 @@ class PairRecord:
 
     first: int
     second: int
-    match: OverlapMatch
+    match: tuple  # (u1, v1, u2, v2), letter strings
     raw: object
     reduced: object
     new: object
@@ -92,19 +90,20 @@ def pair_records(state, carry, examine):
     None. In each row come the carried records, then the walk's pairs that
     touch members from since, the carry's input size, on. examine(first,
     second, match, raw) builds and reduces one pair's record, handed the
-    carried raw pair, or None for a walk pair; a match's witnesses are
-    letter strings. A carried record is re-emitted as the same object when
-    it resolved at a superposition u1.l1.v1 lighter than every member from
-    since on. Its reduction holds: the order compares weight first, so each
-    word it reached, each target lo.t.hi too, weighs no more than u1.l1.v1;
-    a word weighs at least its left sides; members are only appended; so no
-    new member occurs and find picks the same redexes."""
+    carried raw pair, or None for a walk pair; a match is its witnesses
+    (u1, v1, u2, v2), letter strings. A carried record is re-emitted as the
+    same object when it resolved at a superposition u1.l1.v1 lighter than
+    every member from since on. Its reduction holds: the order compares
+    weight first, so each word it reached, each target lo.t.hi too, weighs
+    no more than u1.l1.v1; a word weighs at least its left sides; members
+    are only appended; so no new member occurs and find picks the same
+    redexes."""
     weight, patterns = state.order.weight, state._index._patterns
     since, carried = (len(carry[0]._index._patterns), carry[1]) if carry else (0, ())
     light = min(map(weight, patterns[since:]), default=float("inf"))
     old = ((r.first, r.second, r.match, r.raw, r) for r in carried)
     walk = ((i, j, m, None, None) for i, j, m in state._index.overlaps(since))
-    return [rec if rec is not None and rec.new is None and weight(m.u1 + patterns[i] + m.v1) < light
+    return [rec if rec is not None and rec.new is None and weight(m[0] + patterns[i] + m[1]) < light
             else examine(i, j, m, raw)
             for i, j, m, raw, rec in merge(old, walk, key=itemgetter(0))]
 

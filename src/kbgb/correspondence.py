@@ -47,6 +47,7 @@ from .rewriting import (
     normal_forms,
     pair_line,
 )
+from .words import match_kind
 
 VERDICT_CORRESPONDS = "Corresponds"
 VERDICT_DIVERGENCE = "Divergence"
@@ -110,7 +111,7 @@ class LockstepPass:
 
 
 def _source_key(rec) -> tuple:
-    return (rec.first, rec.second, rec.match.kind.value, tuple(map(len, rec.match[1:])))
+    return (rec.first, rec.second, match_kind(rec.match), tuple(map(len, rec.match)))
 
 
 def _check_pass(kb, gb, field) -> LockstepPass:
@@ -127,7 +128,7 @@ def _check_pass(kb, gb, field) -> LockstepPass:
             if disposition_ok and (cp.new is None or rec.new == rule_binomial(cp.new, field)):
                 continue
             pairs_ok = False
-            where = f"rules=({cp.first},{cp.second}) kind={cp.match.kind.value}"
+            where = f"rules=({cp.first},{cp.second}) kind={match_kind(cp.match)}"
             detail = (f"disposition mismatch at {where}" if not disposition_ok
                       else f"content mismatch at {where}: rule {cp.new.render()}")
             break

@@ -48,6 +48,7 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
+    match_kind,
     word_table,
 )
 
@@ -418,11 +419,12 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     carry, the last pass's (input basis, records), goes to
     completion.pair_records as it is.
 
-    A match is one monomial u1.lm(f1).v1 = u2.lm(f2).v2, its witnesses
-    letter strings, and the raw S-polynomial is u1.f1.v1 - u2.f2.v2: both
-    members are monic, so that monomial cancels, and the raw S-polynomial
-    is the sum of -c . u1.t.v1 over the tail terms -c . t of f1 and of
-    c . u2.t.v2 over those of f2. The monomial that cancels is never built.
+    A match, the letter strings (u1, v1, u2, v2), is one monomial
+    u1.lm(f1).v1 = u2.lm(f2).v2, and the raw S-polynomial is
+    u1.f1.v1 - u2.f2.v2: both members are monic, so that monomial cancels,
+    and the raw S-polynomial is the sum of -c . u1.t.v1 over the tail terms
+    -c . t of f1 and of c . u2.t.v2 over those of f2. The monomial that
+    cancels is never built.
 
     The reduced S-polynomial is the sum of c . N(m) over the raw terms
     c . m, for one monomial_forms memo N of the call, each under its budget.
@@ -441,10 +443,11 @@ def s_polynomials(basis: Basis, carry=None) -> list:
     def examine(i, j, m, raw):
         if raw is None:
             data = {}
+            u1, v1, u2, v2 = m
             for tail, c in neg_tails[i]:
-                _add_term(field, data, word(m.u1 + tail + m.v1), field.neg(c))
+                _add_term(field, data, word(u1 + tail + v1), field.neg(c))
             for tail, c in neg_tails[j]:
-                _add_term(field, data, word(m.u2 + tail + m.v2), c)
+                _add_term(field, data, word(u2 + tail + v2), c)
             raw = NcPolynomial._raw(field, data)
         reduced = _sum_forms(reduce, field, raw.terms.items())
         for poly in (raw, reduced) if closed else ():
@@ -514,6 +517,6 @@ def record_line(pass_index: int, rec: PairRecord, order: MonomialOrder) -> str:
     disp = "ReducedToZero" if rec.new is None else (
         f"Added:({reduced if rec.new is rec.reduced else render_poly(rec.new, order)})")
     return (
-        f"pass={pass_index} polys=({rec.first},{rec.second}) kind={rec.match.kind.value} "
+        f"pass={pass_index} polys=({rec.first},{rec.second}) kind={match_kind(rec.match)} "
         f"raw=({render_poly(rec.raw, order)}) reduced=({reduced}) disp={disp}"
     )

@@ -39,6 +39,7 @@ from .words import (
     MonomialOrder,
     RedexIndex,
     Word,
+    match_kind,
     word_table,
 )
 
@@ -148,8 +149,8 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
     """A PairRecord for every critical pair of every ordered rule pair,
     reduced against the system, in the examination order of
     RedexIndex.overlaps; carry, the last pass's (input system, pairs), goes
-    to completion.pair_records as it is. A match is one word
-    u1.l1.v1 = u2.l2.v2, its witnesses letter strings, and its raw critical
+    to completion.pair_records as it is. A match, the letter strings
+    (u1, v1, u2, v2), is one word u1.l1.v1 = u2.l2.v2, and its raw critical
     pair is (u1.r1.v1, u2.r2.v2), one Word each from one word_table of the
     call, so equal raw words of the call are one Word.
 
@@ -160,8 +161,9 @@ def critical_pairs(system: RewriteSystem, carry=None) -> list:
 
     def examine(i, j, m, raw):
         if raw is None:
-            raw = (word(m.u1 + rules[i].rhs.letters + m.v1),
-                   word(m.u2 + rules[j].rhs.letters + m.v2))
+            u1, v1, u2, v2 = m
+            raw = (word(u1 + rules[i].rhs.letters + v1),
+                   word(u2 + rules[j].rhs.letters + v2))
         c1, c2 = reduce(raw[0]), reduce(raw[1])
         new = None if c1 == c2 else Rule(c1, c2) if order.key(c1) > order.key(c2) else Rule(c2, c1)
         return PairRecord(i, j, m, raw, (c1, c2), new)
@@ -211,6 +213,6 @@ def pair_line(pass_index: int, cp: PairRecord) -> str:
     reduced = f"({cp.reduced[0].dotted()},{cp.reduced[1].dotted()})"
     disp = "Resolved" if cp.new is None else f"Added:{cp.new.render()}"
     return (
-        f"pass={pass_index} rules=({cp.first},{cp.second}) kind={cp.match.kind.value} "
+        f"pass={pass_index} rules=({cp.first},{cp.second}) kind={match_kind(cp.match)} "
         f"raw={raw} reduced={reduced} disp={disp}"
     )

@@ -5,19 +5,19 @@ engines: alphabets of named generators, words whose letters are one str with
 the character chr(index) for each generator, shortlex and weighted-shortlex
 orderings, the redex index whose walk takes every reduction step of both
 engines (the first match of one regular expression is the redex, at the
-leftmost start the lowest index), and the four configurations in which two
-left-hand sides can share ground on one word. One trie walk of an engine's
-redex index, overlaps, yields every match of every pair of its left sides,
-as letter strings; there is no subword search and no search of one pair at
-a time, and overlaps can skip the pairs of patterns all below a given index.
+leftmost start the lowest index), and the matches of two left-hand sides.
+A match is its four witnesses (u1, v1, u2, v2), letter strings with
+u1.l1.v1 = u2.l2.v2, and match_kind names its configuration from which of
+them are empty. One trie walk of an engine's redex index, overlaps, yields
+every match of every pair of its left sides; there is no subword search and
+no search of one pair at a time, and overlaps can skip the pairs of
+patterns all below a given index.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import re
-from typing import NamedTuple
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a generator name, as the file grammar has it
 _DOTTED_MEMO = 1 << 16  # word texts an alphabet keeps; a full memo starts over
@@ -389,10 +389,12 @@ class RedexIndex:
 
     def overlaps(self, since=0):
         """Every match of every ordered pair (i, j) of patterns with i or j
-        at least since (every pair by default), as (i, j, match); it builds no Word.
+        at least since (every pair by default), as (i, j, (u1, v1, u2, v2));
+        it builds no Word.
 
         This is the examination order of a completion pass in both engines:
-        first index, then second index, then match kind, then witness
+        first index, then second index, then match kind (its place in
+        match_kind's table, written at each emission), then witness
         lengths. Two distinct patterns that coincide meet in the identity
         containment, every witness empty; a pattern never forms it with
         itself. The walks from the starts of pattern p meet every pattern q
@@ -419,16 +421,13 @@ class RedexIndex:
                         # every pattern ending here is p or a duplicate of it
                         for j in ends:
                             if j != i:
-                                found.append((i, j, 0, 0, 0, 0, 0, OverlapMatch(
-                                    MatchKind.CONTAINMENT_12, "", "", "", "")))
+                                found.append((i, j, 0, 0, 0, 0, 0, ("", "", "", "")))
                     elif ends is not None:
                         u, v = letters[:start], letters[at:]
                         u, v = keep(u, u), keep(v, v)
                         for j in ends:
-                            found.append((i, j, 0, 0, 0, start, n - at, OverlapMatch(
-                                MatchKind.CONTAINMENT_12, "", "", u, v)))
-                            found.append((j, i, 1, start, n - at, 0, 0, OverlapMatch(
-                                MatchKind.CONTAINMENT_21, u, v, "", "")))
+                            found.append((i, j, 0, 0, 0, start, n - at, ("", "", u, v)))
+                            found.append((j, i, 1, start, n - at, 0, 0, (u, v, "", "")))
                     if at == n:
                         if start:
                             u, shared = letters[:start], n - start
@@ -437,10 +436,8 @@ class RedexIndex:
                                 v = patterns[j][shared:]
                                 if v:
                                     v = keep(v, v)
-                                    found.append((i, j, 2, 0, len(v), start, 0, OverlapMatch(
-                                        MatchKind.SUFFIX_PREFIX, "", v, u, "")))
-                                    found.append((j, i, 3, start, 0, 0, len(v), OverlapMatch(
-                                        MatchKind.PREFIX_SUFFIX, u, "", "", v)))
+                                    found.append((i, j, 2, 0, len(v), start, 0, ("", v, u, "")))
+                                    found.append((j, i, 3, start, 0, 0, len(v), (u, "", "", v)))
                         break
                     node = node.get(letters[at])
                     at += 1
@@ -449,26 +446,14 @@ class RedexIndex:
         return [(entry[0], entry[1], entry[7]) for entry in found]
 
 
-class MatchKind(enum.Enum):
-    """How two left-hand sides can occupy one superposition word."""
-
-    CONTAINMENT_12 = "Containment12"  # l1 = u2.l2.v2
-    CONTAINMENT_21 = "Containment21"  # u1.l1.v1 = l2
-    SUFFIX_PREFIX = "SuffixPrefix"    # l1.v1 = u2.l2
-    PREFIX_SUFFIX = "PrefixSuffix"    # u1.l1 = l2.v2
-
-
-class OverlapMatch(NamedTuple):
-    """One configuration of two left-hand sides, with its letter-string witnesses.
-
-    In every configuration u1.l1.v1 = u2.l2.v2, the smallest word on which
-    both sides apply; the witnesses a configuration does not use are empty,
-    so the kind only labels which ones are empty.
-    """
-
-    kind: MatchKind
-    u1: str
-    v1: str
-    u2: str
-    v2: str
-
+def match_kind(match):
+    """The configuration of a match (u1, v1, u2, v2), read off which of its
+    witnesses are empty; overlaps sorts a row's matches in this order."""
+    u1, v1, u2, v2 = match
+    if not u1 and not v1:
+        return "Containment12"  # l1 = u2.l2.v2, the identity containment too
+    if not u2 and not v2:
+        return "Containment21"  # u1.l1.v1 = l2
+    if not u1:
+        return "SuffixPrefix"  # l1.v1 = u2.l2
+    return "PrefixSuffix"  # u1.l1 = l2.v2

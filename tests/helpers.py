@@ -12,7 +12,6 @@ from kbgb import (
     QQ,
     Alphabet,
     Basis,
-    MatchKind,
     MonomialOrder,
     NcPolynomial,
     RewriteSystem,
@@ -24,7 +23,7 @@ from kbgb import (
 )
 from kbgb import completion, correspondence, ncpoly, rewriting, words
 from kbgb.cli import main as cli_main
-from kbgb.words import OverlapMatch, RedexIndex
+from kbgb.words import RedexIndex
 
 from oracles import interreduce, letter_key, reference_completion
 
@@ -242,9 +241,13 @@ def reference_systems(initial, final):
     return interreduce(letters(final), key), reference_completion(letters(initial), key, REFERENCE_CAPS)
 
 
+# the names match_kind gives, in the order of its table and of a row of overlaps
+MATCH_KINDS = ("Containment12", "Containment21", "SuffixPrefix", "PrefixSuffix")
+
+
 def witness_lengths(match):
     """The lengths of a match's witnesses u1, v1, u2, v2."""
-    return tuple(map(len, match[1:]))
+    return tuple(map(len, match))
 
 
 def pair_matches(l1, l2, include_identity=False):
@@ -255,24 +258,16 @@ def pair_matches(l1, l2, include_identity=False):
             if (i, j) == (0, 1) and (include_identity or any(witness_lengths(m)))]
 
 
-_TWIN_KIND = {
-    MatchKind.CONTAINMENT_12: MatchKind.CONTAINMENT_21,
-    MatchKind.CONTAINMENT_21: MatchKind.CONTAINMENT_12,
-    MatchKind.SUFFIX_PREFIX: MatchKind.PREFIX_SUFFIX,
-    MatchKind.PREFIX_SUFFIX: MatchKind.SUFFIX_PREFIX,
-}
-
-
 def twins(records):
     """(record, twin) for every pair record of one pass: the twin is the
     record of pair (second, first) at the same meeting, its match the
-    record's with the witnesses of the two sides swapped. The identity
-    containment, every witness empty, is its own kind's twin."""
+    record's with the witnesses of the two sides swapped: the twin of
+    (u1, v1, u2, v2) is (u2, v2, u1, v1). The identity containment, every
+    witness empty, is its own twin."""
     by_key = {(rec.first, rec.second, rec.match): rec for rec in records}
     for rec in records:
-        m = rec.match
-        kind = _TWIN_KIND[m.kind] if any(witness_lengths(m)) else m.kind
-        yield rec, by_key[(rec.second, rec.first, OverlapMatch(kind, m.u2, m.v2, m.u1, m.v1))]
+        u1, v1, u2, v2 = rec.match
+        yield rec, by_key[(rec.second, rec.first, (u2, v2, u1, v1))]
 
 
 def record_searches(monkeypatch):

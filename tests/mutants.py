@@ -154,11 +154,9 @@ MUTANTS = {
     ),
     # the (j, i) twin of each (i, j) row is dropped
     "overlaps-no-symmetry-closure": (
-        ("words.py", """                            found.append((j, i, 1, start, n - at, 0, 0, OverlapMatch(
-                                MatchKind.CONTAINMENT_21, u, v, "", "")))
+        ("words.py", """                            found.append((j, i, 1, start, n - at, 0, 0, (u, v, "", "")))
 """, ""),
-        ("words.py", """                                    found.append((j, i, 3, start, 0, 0, len(v), OverlapMatch(
-                                        MatchKind.PREFIX_SUFFIX, u, "", "", v)))
+        ("words.py", """                                    found.append((j, i, 3, start, 0, 0, len(v), (u, "", "", v)))
 """, ""),
     ),
     # a row's matches in witness-length order before kind order
@@ -170,6 +168,24 @@ MUTANTS = {
     # each equal word once per occurrence
     "raw-words-fresh": (
         ("words.py", "found = table.get(letters)", "found = None"),
+    ),
+    # the two overlaps print each other's kind
+    "match-kind-swaps-overlaps": (
+        ("words.py", 'return "SuffixPrefix"  # l1.v1 = u2.l2', 'return "PrefixSuffix"  # l1.v1 = u2.l2'),
+        ("words.py", 'return "PrefixSuffix"  # u1.l1 = l2.v2', 'return "SuffixPrefix"  # u1.l1 = l2.v2'),
+    ),
+    # u2 = v2 = "" is tested first, so the identity containment, every
+    # witness empty, is labelled Containment21
+    "match-kind-identity-as-c21": (
+        ("words.py", """    if not u1 and not v1:
+        return "Containment12"  # l1 = u2.l2.v2, the identity containment too
+    if not u2 and not v2:
+        return "Containment21"  # u1.l1.v1 = l2
+""", """    if not u2 and not v2:
+        return "Containment21"  # u1.l1.v1 = l2
+    if not u1 and not v1:
+        return "Containment12"  # l1 = u2.l2.v2, the identity containment too
+"""),
     ),
     "shortlex-reversed-lex": (
         ("words.py", "return (len(word.letters), word.letters)",
@@ -193,12 +209,12 @@ MUTANTS = {
     # every carried resolved record is re-emitted as it is, however heavy
     # its superposition
     "carry-reuses-every-resolved": (
-        ("completion.py", " and weight(m.u1 + patterns[i] + m.v1) < light", ""),
+        ("completion.py", " and weight(m[0] + patterns[i] + m[1]) < light", ""),
     ),
     # a record whose superposition weighs as much as a new member is
     # re-emitted too, though that member may be a word of its walk
     "carry-reuse-at-equal-weight": (
-        ("completion.py", "+ m.v1) < light", "+ m.v1) <= light"),
+        ("completion.py", "+ m[1]) < light", "+ m[1]) <= light"),
     ),
     # an extension appends to the index lists of the base's trie in place,
     # so the base index finds and walks the new patterns too
@@ -249,7 +265,7 @@ MUTANTS = {
     ),
     # member j's tail terms enter the raw S-polynomial with the wrong sign
     "s-poly-tail-sign": (
-        ("ncpoly.py", "word(m.u2 + tail + m.v2), c)", "word(m.u2 + tail + m.v2), field.neg(c))"),
+        ("ncpoly.py", "word(u2 + tail + v2), c)", "word(u2 + tail + v2), field.neg(c))"),
     ),
     # the sets check only asks that every translated rule is in the basis
     "sets-check-no-length": (

@@ -9,6 +9,7 @@ import itertools
 import math
 
 from kbgb import MONOID, NcPolynomial, Word
+from kbgb.words import match_kind
 
 
 def all_words(alpha, max_len, min_len=1):
@@ -20,7 +21,7 @@ def all_words(alpha, max_len, min_len=1):
 
 def match_set(matches):
     """(kind name, u1, v1, u2, v2), the witnesses as letter strings, of each match."""
-    return {(m.kind.value, m.u1, m.v1, m.u2, m.v2) for m in matches}
+    return {(match_kind(m), *m) for m in matches}
 
 
 def _containments(l1, l2):

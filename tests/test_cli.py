@@ -349,7 +349,7 @@ class TestErrorsAndExitCodes:
 
     def test_missing_file(self):
         code, _, err = run_cli(["complete", "/nonexistent/x.pres"])
-        assert code == 1
+        assert (code, err) == (1, "error: [Errno 2] No such file or directory: '/nonexistent/x.pres'\n")
 
     def test_usage_error_is_exit_one(self):
         code, _, _ = run_cli(["frobnicate"])
@@ -504,6 +504,20 @@ class TestDeterminism:
                 for seed in ("0", "1")]
         assert runs[0].returncode == runs[1].returncode in (0, 2)
         assert runs[0].stdout == runs[1].stdout
+
+
+def test_import_loads_neither_typing_nor_pathlib():
+    # a launch pays only for the modules it runs: a fresh interpreter
+    # without site imports kbgb.cli, and the modules that adds are counted
+    code = ("import sys; before = set(sys.modules); import kbgb.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    loaded = proc.stdout.split()
+    assert "kbgb.cli" in loaded
+    assert "typing" not in loaded and "pathlib" not in loaded
+    if sys.version_info[:2] == (3, 11):  # 64 on Python 3.11.7; other versions load others
+        assert len(loaded) <= 64
 
 
 class TestStreaming:

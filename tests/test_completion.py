@@ -209,7 +209,7 @@ def test_pair_records_reemits_light_resolved_records_and_examines_the_rest():
     records = pair_records(state, (middle, carried), examine)
     examined, counts = iter(zip(calls, made)), {"kept": 0, "carried": 0, "walk": 0}
     for got, (i, j, m, raw, rec) in zip(records, expected, strict=True):
-        if rec is not None and rec.new is None and weight(m.u1 + state.rules[i].lhs.letters + m.v1) < light:
+        if rec is not None and rec.new is None and weight(m[0] + state.rules[i].lhs.letters + m[1]) < light:
             assert got is rec
             counts["kept"] += 1
         else:

@@ -30,7 +30,6 @@ from kbgb import (
     verify_algebra_iso,
 )
 from kbgb.correspondence import iso_header, iso_report_lines, pass_lines, verdict_lines
-from kbgb.words import OverlapMatch
 
 from helpers import make_system, random_system
 from oracles import (
@@ -283,8 +282,8 @@ class TestLockstep:
         # every witness with a and b swapped: each record keeps its pair,
         # its kind and its witness lengths, but not its match
         swap = str.maketrans("\x00\x01", "\x01\x00")
-        return nxt, [dataclasses.replace(rec, match=OverlapMatch(
-            rec.match.kind, *(w.translate(swap) for w in rec.match[1:]))) for rec in records]
+        return nxt, [dataclasses.replace(rec, match=tuple(w.translate(swap) for w in rec.match))
+                     for rec in records]
 
     @staticmethod
     def _nothing_installed(state, nxt, records):

@@ -145,4 +145,4 @@ def test_reexports_are_named_or_imported():
     unused = [name for name in exported
               if name not in imported and not re.search(rf"\b{name}\b", library)]
     assert unused == []
-    assert len(exported) == 41
+    assert len(exported) == 40

@@ -13,7 +13,6 @@ from kbgb import (
     Alphabet,
     AlphabetMismatch,
     Basis,
-    MatchKind,
     MonomialOrder,
     NcPolynomial,
     RewriteSystem,
@@ -21,9 +20,10 @@ from kbgb import (
 )
 from kbgb import words
 from kbgb.ncpoly import monomial_forms
-from kbgb.words import RedexIndex
+from kbgb.words import RedexIndex, match_kind
 
 from helpers import (
+    MATCH_KINDS,
     make_system,
     pair_matches,
     random_redex_system,
@@ -43,6 +43,8 @@ from oracles import (
 
 AB = Alphabet("ab")
 SHORTLEX = MonomialOrder(AB)
+# the kind of a match's twin, for every match but the identity containment
+TWIN_KIND = dict(zip(MATCH_KINDS, ("Containment21", "Containment12", "PrefixSuffix", "SuffixPrefix")))
 
 
 def w(text, alpha=AB):
@@ -561,20 +563,19 @@ class TestFindMatches:
         matches = pair_matches(w("abba"), w("bb"))
         assert len(matches) == 1
         m = matches[0]
-        assert m.kind is MatchKind.CONTAINMENT_12
-        assert (m.u2, m.v2) == (w("a").letters, w("a").letters)
-        assert m.u2 + w("bb").letters + m.v2 == w("abba").letters
+        assert match_kind(m) == "Containment12"
+        assert m == ("", "", w("a").letters, w("a").letters)
+        assert m[2] + w("bb").letters + m[3] == w("abba").letters
 
     def test_self_overlap_example(self):
         matches = pair_matches(w("aba"), w("aba"))
         aba = w("aba").letters
-        kinds = [(m.kind, m.u1 + aba + m.v1, m.u2 + aba + m.v2) for m in matches]
+        kinds = [(match_kind(m), m[0] + aba + m[1], m[2] + aba + m[3]) for m in matches]
         assert kinds == [
-            (MatchKind.SUFFIX_PREFIX, w("ababa").letters, w("ababa").letters),
-            (MatchKind.PREFIX_SUFFIX, w("ababa").letters, w("ababa").letters),
+            ("SuffixPrefix", w("ababa").letters, w("ababa").letters),
+            ("PrefixSuffix", w("ababa").letters, w("ababa").letters),
         ]
-        sp = matches[0]
-        assert (sp.v1, sp.u2) == (w("ba").letters, w("ab").letters)
+        assert matches[0] == ("", w("ba").letters, w("ab").letters, "")
 
     def test_no_self_overlap(self):
         assert pair_matches(w("ba"), w("ba")) == []
@@ -582,7 +583,7 @@ class TestFindMatches:
     def test_identity_containment_is_opt_in(self):
         assert pair_matches(w("ab"), w("ab")) == []
         matches = pair_matches(w("ab"), w("ab"), include_identity=True)
-        assert [m.kind for m in matches] == [MatchKind.CONTAINMENT_12]
+        assert [match_kind(m) for m in matches] == ["Containment12"]
         assert witness_lengths(matches[0]) == (0, 0, 0, 0)
 
     def test_superposition_equations(self):
@@ -592,16 +593,18 @@ class TestFindMatches:
             l2 = Word(AB, [rng.randrange(2) for _ in range(rng.randint(1, 4))])
             a, b = l1.letters, l2.letters
             for m in pair_matches(l1, l2):
-                assert m.u1 + a + m.v1 == m.u2 + b + m.v2
-                if m.kind is MatchKind.CONTAINMENT_12:
-                    assert m.u2 + b + m.v2 == a
-                elif m.kind is MatchKind.CONTAINMENT_21:
-                    assert m.u1 + a + m.v1 == b
-                elif m.kind is MatchKind.SUFFIX_PREFIX:
-                    assert a + m.v1 == m.u2 + b
-                    assert 1 <= len(a) - len(m.u2) < min(len(a), len(b)) + 1
+                u1, v1, u2, v2 = m
+                kind = match_kind(m)
+                assert u1 + a + v1 == u2 + b + v2
+                if kind == "Containment12":
+                    assert u2 + b + v2 == a
+                elif kind == "Containment21":
+                    assert u1 + a + v1 == b
+                elif kind == "SuffixPrefix":
+                    assert a + v1 == u2 + b
+                    assert 1 <= len(a) - len(u2) < min(len(a), len(b)) + 1
                 else:
-                    assert m.u1 + a == b + m.v2
+                    assert u1 + a == b + v2
 
     @given(nonempty_ab, nonempty_ab)
     @settings(max_examples=250, deadline=None)
@@ -613,16 +616,8 @@ class TestFindMatches:
     def test_suffix_prefix_mirrors(self, l1, l2):
         # l1.v1 = u2.l2 read with the arguments swapped is u1.l2 = l1.v2
         # with u1 = u2 and v2 = v1
-        forward = {
-            (m.v1, m.u2)
-            for m in pair_matches(l1, l2)
-            if m.kind is MatchKind.SUFFIX_PREFIX
-        }
-        mirrored = {
-            (m.v2, m.u1)
-            for m in pair_matches(l2, l1)
-            if m.kind is MatchKind.PREFIX_SUFFIX
-        }
+        forward = {(m[1], m[2]) for m in pair_matches(l1, l2) if match_kind(m) == "SuffixPrefix"}
+        mirrored = {(m[3], m[0]) for m in pair_matches(l2, l1) if match_kind(m) == "PrefixSuffix"}
         assert forward == mirrored
 
 
@@ -646,6 +641,13 @@ class TestOverlaps:
             expected = reference_overlaps(lhss)
             assert list(got) == list(expected)  # no pair with a match is missing
             assert {key: match_set(found) for key, found in got.items()} == expected
+            for i, j, m in stream:
+                # the twin swaps the sides' witnesses, and with them the
+                # kind; the identity containment is its own twin
+                u1, v1, u2, v2 = m
+                twin = (u2, v2, u1, v1)
+                assert twin in got[(j, i)]
+                assert match_kind(twin) == (match_kind(m) if twin == m else TWIN_KIND[match_kind(m)])
             identity = {key for key, found in got.items()
                         if any(witness_lengths(m) == (0, 0, 0, 0) for m in found)}
             assert identity == {(i, j) for i, l1 in enumerate(lhss)
@@ -683,18 +685,20 @@ class TestOverlaps:
     def test_a_row_lists_kind_before_witness_lengths(self):
         # in row (0, 1) of b.a and a.b.a, the containment a.(b.a) = a.b.a
         # has u1 = a, the overlap (b.a).b.a = b.(a.b.a) has u1 empty: kind
-        # first puts the containment first, witness lengths first would not
-        rows = [pair_matches(w("ba"), w("aba"))]
-        assert [(m.kind, witness_lengths(m)) for m in rows[0]] == [
-            (MatchKind.CONTAINMENT_21, (1, 0, 0, 0)), (MatchKind.SUFFIX_PREFIX, (0, 2, 1, 0))]
+        # first puts the containment first, witness lengths first would
+        # not; so in row (0, 1) of a.b and b.a.b
+        rows = [pair_matches(w("ba"), w("aba")), pair_matches(w("ab"), w("bab"))]
+        assert [(match_kind(m), witness_lengths(m)) for m in rows[0]] == [
+            ("Containment21", (1, 0, 0, 0)), ("SuffixPrefix", (0, 2, 1, 0))]
+        assert rows[1] == [(w("b").letters, "", "", ""), ("", w("ab").letters, w("a").letters, "")]
+        assert [match_kind(m) for m in rows[1]] == ["Containment21", "SuffixPrefix"]
         rng = random.Random(53)
         for _ in range(60):
             lhss = [rule.lhs for rule in random_redex_system(rng).rules]
             for l1 in lhss:
                 rows += [pair_matches(l1, l2, include_identity=True) for l2 in lhss]
-        kinds = list(MatchKind)
         for row in rows:
-            keys = [(kinds.index(m.kind), witness_lengths(m)) for m in row]
+            keys = [(MATCH_KINDS.index(match_kind(m)), witness_lengths(m)) for m in row]
             assert keys == sorted(keys)
 
     def test_equal_witnesses_of_a_call_are_one_tuple(self):
@@ -703,7 +707,7 @@ class TestOverlaps:
         for _ in range(60):
             index = RedexIndex([rule.lhs.letters for rule in random_redex_system(rng).rules])
             for since in (0, 1):
-                witnesses = [t for _, _, m in index.overlaps(since) for t in m[1:] if t]
+                witnesses = [t for _, _, m in index.overlaps(since) for t in m if t]
                 one = {}
                 assert all(one.setdefault(t, t) is t for t in witnesses)
                 repeats += len(witnesses) - len({id(t) for t in witnesses})
