@@ -130,14 +130,15 @@ def _blocks(lines):
 
 
 def _emit(lines, args) -> None:
-    """Write an iterable of lines to stdout and the --trace file (made by the
-    first line written), one block at a time, then flush stdout."""
+    """Write an iterable of lines to the --trace file (made by the first
+    line written) and then to stdout, one block at a time, then flush
+    stdout: a trace path that cannot be written fails before any output."""
     for block in _blocks(lines):
-        sys.stdout.write(block)
         if args.trace:
             with open(args.trace, "a" if args.traced else "w") as trace:
                 trace.write(block)
             args.traced = True
+        sys.stdout.write(block)
     sys.stdout.flush()
 
 

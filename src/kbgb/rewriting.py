@@ -97,10 +97,11 @@ class RewriteSystem:
 
 
 def is_irreducible(system: RewriteSystem, word: Word) -> bool:
-    """True when no left side of the system occurs in the word."""
+    """True when no left side of the system occurs in the word: a walk that
+    swaps no redex returns the letters of such a word, and stops at a redex."""
     if word.alphabet != system.alphabet:
         raise AlphabetMismatch("word over a different alphabet")
-    return system._index.find(word.letters) is None
+    return type(system._index.walk(word.letters, [None] * len(system.rules), {}, [], 1)) is str
 
 
 def normal_form(system: RewriteSystem, word: Word) -> Word:

@@ -232,12 +232,12 @@ class MonomialOrder:
 
 # trie node keys besides the letters (one-character strings), holding ascending
 # pattern indices: of the patterns ending at the node; passing through or ending
-# at it. Not -2: hash(-2) == hash(-1), and the collision slows every lookup of
-# _END in find.
+# at it. Not -2: hash(-2) == hash(-1), and the collision would slow every lookup
+# of _END.
 _END, _BELOW = -1, -3
 # letters of a trie path that _starts spells, each nesting one group at most:
 # re.compile raises RecursionError somewhere between 400 and 800 nested
-# groups. On a path cut here find's trie walk picks the redex, if any
+# groups. On a path cut here the walk's own trie walk picks the redex, if any
 _DEPTH = 24
 _escape = functools.cache(re.escape)  # a letter as the expression spells it
 
@@ -304,13 +304,14 @@ class RedexIndex:
     automaton in Sims, Computation with Finitely Presented Groups (CUP 1994),
     without failure transitions. The trie compiles into one expression
     (_starts) whose search finds in C the leftmost start of a path and, on
-    it, the pattern of lowest index: the text matched names it. Only on a
-    path cut after _DEPTH letters does a walk of the trie pick the index,
-    or reject the start and the search resume one letter on. So the redex
-    policy "leftmost start, then lowest index" holds exactly even when one
-    pattern contains another. Members are only appended, so an engine's
-    next state extends its index: the two share every node off the new
-    patterns' paths, and the old index answers as before.
+    it, the pattern of lowest index: the text matched names it. walk, the
+    one loop that searches, reads the trie only on a path cut after _DEPTH
+    letters, from that start: the trie picks the index, or rejects the
+    start and the search resumes one letter on. So the redex policy
+    "leftmost start, then lowest index" holds exactly even when one pattern
+    contains another. Members are only appended, so an engine's next state
+    extends its index: the two share every node off the new patterns'
+    paths, and the old index answers as before.
     """
 
     __slots__ = ("_root", "_patterns", "_search", "_lowest")
@@ -334,38 +335,13 @@ class RedexIndex:
             if any(members[j] == members[k] for j in node[_END] if j < k):
                 return members[k]
 
-    def find(self, letters):
-        """(pos, index, end) of the leftmost pattern occurrence, with the
-        lowest index among the patterns occurring there: letters[pos:end] is
-        pattern number index. None if nothing occurs. A walk calls it only
-        on a path cut after _DEPTH letters."""
-        search, lowest = self._search, self._lowest
-        start = search(letters)
-        while start is not None:
-            pos, end = start.span()
-            best = lowest[start.group()]
-            if best is None:  # a cut path: the walk from pos decides
-                node = self._root[letters[pos]]
-                at, n = pos, len(letters)
-                while node is not None:
-                    at += 1
-                    ends = node.get(_END)
-                    if ends is not None and (best is None or ends[0] < best):
-                        best, end = ends[0], at
-                    if at == n:
-                        break
-                    node = node.get(letters[at])
-            if best is not None:
-                return pos, best, end
-            start = search(letters, pos + 1)
-        return None
-
     def walk(self, letters, swaps, known, path, limit):
-        """Reduce letters at the redexes find picks, appending each word it
-        searches to path; a step splices swaps[index] over pattern index. It
-        returns the value known (a memo of no str, tuple or None) holds for a
-        word a step reaches, an irreducible word's letters, (pos, index, end)
-        at a redex whose swap is None, or None once path holds limit words."""
+        """Reduce letters, each step at the leftmost redex and at the lowest
+        pattern index there, appending each word it searches to path; a step
+        splices swaps[index] over pattern index. It returns the value known
+        (a memo of no str, tuple or None) holds for a word a step reaches, an
+        irreducible word's letters, (pos, index, end) at a redex whose swap
+        is None, or None once path holds limit words."""
         search, lowest = self._search, self._lowest
         while len(path) < limit:
             path.append(letters)
@@ -374,11 +350,22 @@ class RedexIndex:
                 return letters
             pos, end = match.span()
             index = lowest[match.group()]
-            if index is None:  # a cut path: find's trie walk decides
-                hit = self.find(letters)
-                if hit is None:
-                    return letters
-                pos, index, end = hit
+            while index is None:  # a cut path: the trie walk from pos decides
+                node, at, n = self._root[letters[pos]], pos, len(letters)
+                while node is not None:
+                    at += 1
+                    ends = node.get(_END)
+                    if ends is not None and (index is None or ends[0] < index):
+                        index, end = ends[0], at
+                    if at == n:
+                        break
+                    node = node.get(letters[at])
+                if index is None:  # no pattern starts at pos
+                    match = search(letters, pos + 1)
+                    if match is None:
+                        return letters
+                    pos, end = match.span()
+                    index = lowest[match.group()]
             swap = swaps[index]
             if swap is None:
                 return pos, index, end

@@ -270,74 +270,61 @@ def twins(records):
         yield rec, by_key[(rec.second, rec.first, (u2, v2, u1, v1))]
 
 
+def first_redex(index, letters):
+    """(pos, index, end) of the leftmost pattern occurrence in letters, at
+    the lowest index among the patterns occurring there, by RedexIndex.walk
+    with no swap and a limit of one word: letters[pos:end] is pattern number
+    index. None if nothing occurs."""
+    found = index.walk(letters, [None] * len(index._patterns), {}, [], 1)
+    return None if type(found) is str else found
+
+
 def record_searches(monkeypatch):
     """Every word searched from now on, each as a 1-tuple of its letters, as
     a list that fills as the searches go: the words each RedexIndex.walk
-    appends to its path, once it returns, and the argument of every
-    RedexIndex.find call made outside a walk. A walk calls find only on a
-    path cut after _DEPTH letters, for a word already on its path."""
-    searched, walking = [], []
-    real_find, real_walk = RedexIndex.find, RedexIndex.walk
-
-    def find(index, letters):
-        if not walking:
-            searched.append((letters,))
-        return real_find(index, letters)
+    appends to its path, once it returns. No search runs outside a walk."""
+    searched, real = [], RedexIndex.walk
 
     def walk(index, letters, swaps, known, path, limit):
-        walking.append(index)
         before = len(path)
         try:
-            return real_walk(index, letters, swaps, known, path, limit)
+            return real(index, letters, swaps, known, path, limit)
         finally:
-            walking.pop()
             searched.extend((word,) for word in path[before:])
 
-    monkeypatch.setattr(RedexIndex, "find", find)
     monkeypatch.setattr(RedexIndex, "walk", walk)
     return searched
 
 
-def record_finds(monkeypatch):
-    """The arguments of every RedexIndex.find call from now on, within a
-    walk or not, as a list that fills as the calls happen."""
-    calls = []
-    real = RedexIndex.find
-    monkeypatch.setattr(RedexIndex, "find",
-                        lambda index, *args: calls.append(args) or real(index, *args))
-    return calls
-
-
-def record_starts(monkeypatch):
-    """The start of every trie walk that RedexIndex.find runs, in every index
-    built from now on, as a list that fills as the searches go: find walks
-    the trie where its search matches a path cut after _DEPTH letters. The
-    matches of RedexIndex.walk's own searches are not counted."""
-    starts, finding = [], []
-    real_init, real_find = RedexIndex.__init__, RedexIndex.find
+def record_search_calls(monkeypatch, cut=False):
+    """The match (None where there is none) of every search of its
+    expression that an index built from now on runs, as a list that fills as
+    the searches go; with cut, only the starts of the matches on a path cut
+    after _DEPTH letters, each of which the walk reads the trie from."""
+    found, real_init = [], RedexIndex.__init__
 
     def init(index, *args):
         real_init(index, *args)
         search = index._search
 
         def counted(*args):
-            found = search(*args)
-            if finding and found is not None and index._lowest[found.group()] is None:
-                starts.append(found.start())
-            return found
+            match = search(*args)
+            if not cut:
+                found.append(match)
+            elif match is not None and index._lowest[match.group()] is None:
+                found.append(match.start())
+            return match
 
         index._search = counted
 
-    def find(index, letters):
-        finding.append(index)
-        try:
-            return real_find(index, letters)
-        finally:
-            finding.pop()
-
     monkeypatch.setattr(RedexIndex, "__init__", init)
-    monkeypatch.setattr(RedexIndex, "find", find)
-    return starts
+    return found
+
+
+def record_starts(monkeypatch):
+    """The start of every trie walk that RedexIndex.walk runs from now on,
+    one per search that matches a path cut after _DEPTH letters."""
+    return record_search_calls(monkeypatch, cut=True)
 
 
 def record_walk(monkeypatch):

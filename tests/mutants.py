@@ -108,11 +108,11 @@ def pytest_sessionfinish(session):
 
 # name -> ((file under src/kbgb, old text, new text), ...)
 MUTANTS = {
-    # the tie policy of find's walk on a path cut after _DEPTH letters: the
-    # shortest left side wins, not the lowest index
-    "find-shortest-wins": (
-        ("words.py", "if ends is not None and (best is None or ends[0] < best):",
-         "if ends is not None and best is None:"),
+    # the tie policy of the walk's trie walk on a path cut after _DEPTH
+    # letters: the shortest left side wins, not the lowest index
+    "cut-shortest-wins": (
+        ("words.py", "if ends is not None and (index is None or ends[0] < index):",
+         "if ends is not None and index is None:"),
     ),
     # the start expression tries an end before the patterns below it, so
     # the shortest left side at the leftmost start wins
@@ -127,17 +127,17 @@ MUTANTS = {
     ),
     # a match on a cut path is taken as the table says, no redex there, and
     # the search goes on from the next letter
-    "find-trusts-cut": (
-        ("words.py", "if best is None:  # a cut path", "if False:  # a cut path"),
+    "cut-trusts-cut": (
+        ("words.py", "node, at, n = self._root[letters[pos]], pos, len(letters)",
+         "node, at, n = None, pos, len(letters)"),
     ),
     # a start the trie walk rejects (a cut path with no left side on it)
     # ends the search, or the search resumes a letter too far on
-    "find-no-retry": (
-        ("words.py", "            start = search(letters, pos + 1)\n", "            start = None\n"),
+    "cut-no-retry": (
+        ("words.py", "match = search(letters, pos + 1)", "match = None"),
     ),
-    "find-retry-skips-a-start": (
-        ("words.py", "            start = search(letters, pos + 1)\n",
-         "            start = search(letters, pos + 2)\n"),
+    "cut-retry-skips-a-start": (
+        ("words.py", "match = search(letters, pos + 1)", "match = search(letters, pos + 2)"),
     ),
     # the start expression spells letters that are expression syntax as is
     "starts-unescaped": (

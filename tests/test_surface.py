@@ -79,7 +79,7 @@ def cli_runs(workdir):
             for flags in FLAG_SETS.values():
                 runs.append([command[0], str(path), *command[1:], *flags])
     # a left side longer than the redex index's cut depth, so a reduction
-    # reaches RedexIndex.find
+    # reaches the walk's own trie walk
     long_lhs = workdir / "long_lhs.pres"
     long_lhs.write_text("mode: sgp\nalphabet: a b\norder: shortlex a < b\n"
                         f"rules:\n  {'.'.join('a' * 25)} -> b\n")

@@ -24,6 +24,7 @@ from kbgb.words import RedexIndex, match_kind
 
 from helpers import (
     MATCH_KINDS,
+    first_redex,
     make_system,
     pair_matches,
     random_redex_system,
@@ -243,7 +244,7 @@ class TestCompare:
 
 
 def reference_find(patterns, letters):
-    """RedexIndex.find's answer by the oracle's plain scan."""
+    """first_redex's answer by the oracle's plain scan."""
     hit = leftmost_redex(patterns, letters)
     return hit and (hit[0], hit[1], hit[0] + len(patterns[hit[1]]))
 
@@ -294,20 +295,20 @@ def walk_cases(seed):
 class TestRedexIndex:
     def test_leftmost_start_then_lowest_index(self):
         index = RedexIndex(["\1\0", "\1", "\1\0"])  # ba, b, ba
-        assert index.find("\0\1\0") == (1, 0, 3)
-        assert index.find("\0\1\1") == (1, 1, 2)
-        assert index.find("\1\0") == (0, 0, 2)  # equal patterns: the lower index
-        assert index.find("\0") is None
-        assert index.find("") is None
+        assert first_redex(index, "\0\1\0") == (1, 0, 3)
+        assert first_redex(index, "\0\1\1") == (1, 1, 2)
+        assert first_redex(index, "\1\0") == (0, 0, 2)  # equal patterns: the lower index
+        assert first_redex(index, "\0") is None
+        assert first_redex(index, "") is None
 
     def test_one_pattern_inside_another(self):
         # the start expression tries a longer pattern of lower index before
         # the end inside it
-        assert RedexIndex(["\0\1\0", "\0\1"]).find("\1\0\1\0") == (1, 0, 4)
-        assert RedexIndex(["\0\1", "\0\1\0"]).find("\1\0\1\0") == (1, 0, 3)
+        assert first_redex(RedexIndex(["\0\1\0", "\0\1"]), "\1\0\1\0") == (1, 0, 4)
+        assert first_redex(RedexIndex(["\0\1", "\0\1\0"]), "\1\0\1\0") == (1, 0, 3)
         # a pattern inside another starts later than it
-        assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\0") == (0, 1, 3)
-        assert RedexIndex(["\1", "\0\1\0"]).find("\0\1\1") == (1, 0, 2)
+        assert first_redex(RedexIndex(["\1", "\0\1\0"]), "\0\1\0") == (0, 1, 3)
+        assert first_redex(RedexIndex(["\1", "\0\1\0"]), "\0\1\1") == (1, 0, 2)
 
     @pytest.mark.parametrize("length", [6, words._DEPTH + 8], ids=["short", "past-the-cut"])
     @pytest.mark.parametrize("falling", [True, False], ids=["falling", "rising"])
@@ -321,20 +322,20 @@ class TestRedexIndex:
         index = RedexIndex(prefixes)
         for k in range(1, length + 1):
             found = (1, length - k, k + 1) if falling else (1, 0, 2)
-            assert index.find("\2" + whole[:k]) == found
+            assert first_redex(index, "\2" + whole[:k]) == found
         rng = random.Random(29)
         for _ in range(400):
             word = "".join(chr(rng.randrange(3)) for _ in range(rng.randint(0, 8)))
             at, cut = rng.randint(0, len(word)), rng.randint(0, length)
             word = word[:at] + whole[:cut] + word[at:]
-            assert index.find(word) == reference_find(prefixes, word)
+            assert first_redex(index, word) == reference_find(prefixes, word)
 
     def test_an_end_drops_the_higher_patterns_below_it(self):
         # a (1) ends inside abc (0) and ab (2): ab is never a redex
         index = RedexIndex(["\0\1\2", "\0", "\0\1"])
-        assert index.find("\0\1") == (0, 1, 1)
-        assert index.find("\2\0\1\2") == (1, 0, 4)
-        assert index.find("\1\0\1\1") == (1, 1, 2)
+        assert first_redex(index, "\0\1") == (0, 1, 1)
+        assert first_redex(index, "\2\0\1\2") == (1, 0, 4)
+        assert first_redex(index, "\1\0\1\1") == (1, 1, 2)
         assert "\0\1" not in index._lowest
 
     @pytest.mark.parametrize("members, bab, babb", [
@@ -343,15 +344,16 @@ class TestRedexIndex:
     ], ids=["ahead-of-abb", "behind-abb"])
     def test_equal_patterns_the_lower_index_wins(self, members, bab, babb):
         # two basis members with one leading monomial ab: the lower index
-        # wins, in find and in every reduction
+        # wins, in the first redex and in every reduction
         polys = [NcPolynomial(QQ, [(w(lm), QQ.one), (w(tail), QQ.neg(QQ.one))])
                  for lm, tail in members]
         basis = Basis(SHORTLEX, QQ, polys)
         lms = [w(lm).letters for lm, _ in members]
-        assert (basis._index.find("\1\0\1"), basis._index.find("\1\0\1\1")) == (bab, babb)
+        assert first_redex(basis._index, "\1\0\1") == bab
+        assert first_redex(basis._index, "\1\0\1\1") == babb
         form = monomial_forms(basis)
         for word in all_words(AB, 6, min_len=0):
-            assert basis._index.find(word.letters) == reference_find(lms, word.letters)
+            assert first_redex(basis._index, word.letters) == reference_find(lms, word.letters)
             assert form(word) == NcPolynomial(QQ, reference_reduce_on(basis, {word: QQ.one})[1])
 
     def test_extension_by_patterns_that_extend_or_contain_old_ones(self):
@@ -369,24 +371,26 @@ class TestRedexIndex:
             base = RedexIndex(old)
             extended = RedexIndex(new, base)
             for word in all_words(AB, 6, min_len=0):
-                assert extended.find(word.letters) == reference_find(old + new, word.letters)
-                assert base.find(word.letters) == reference_find(old, word.letters)
+                found = first_redex(extended, word.letters)
+                assert found == reference_find(old + new, word.letters)
+                assert first_redex(base, word.letters) == reference_find(old, word.letters)
 
     def test_no_patterns(self):
         empty = RedexIndex([])
-        assert empty.find("") is None and empty.find("\0\1") is None
-        assert RedexIndex(["\0"], empty).find("\1\0") == (1, 0, 2)
+        assert first_redex(empty, "") is None and first_redex(empty, "\0\1") is None
+        assert first_redex(RedexIndex(["\0"], empty), "\1\0") == (1, 0, 2)
 
     def test_patterns_longer_than_the_depth_cut(self):
         # a path cut at _DEPTH letters is a start the walk rejects: the
         # search goes on from the next letter, and from there only
         long = "\0" * (words._DEPTH + 6)
         index = RedexIndex([long + "\1", "\2"])
-        assert index.find("\0" + long + "\1") == (1, 0, len(long) + 2)
-        assert index.find("\0\0" + long + "\1") == (2, 0, len(long) + 3)
-        assert index.find(long + "\2") == (len(long), 1, len(long) + 1)
-        assert index.find(long + "\0") is None
-        assert RedexIndex([long]).find(long[1:] + "\1" + long) == (len(long), 0, 2 * len(long))
+        assert first_redex(index, "\0" + long + "\1") == (1, 0, len(long) + 2)
+        assert first_redex(index, "\0\0" + long + "\1") == (2, 0, len(long) + 3)
+        assert first_redex(index, long + "\2") == (len(long), 1, len(long) + 1)
+        assert first_redex(index, long + "\0") is None
+        found = first_redex(RedexIndex([long]), long[1:] + "\1" + long)
+        assert found == (len(long), 0, 2 * len(long))
 
     def test_letters_that_expressions_treat_as_syntax(self):
         # over 128 generators the letters are the ASCII characters, among
@@ -403,7 +407,7 @@ class TestRedexIndex:
             index = RedexIndex(patterns)
             for _ in range(20):
                 word = "".join(rng.choice(special) for _ in range(rng.randint(0, 8)))
-                found = index.find(word)
+                found = first_redex(index, word)
                 assert found == reference_find(patterns, word)
                 hits += found is not None
         assert hits == 1843  # of 6,000 searches
@@ -411,20 +415,20 @@ class TestRedexIndex:
     def test_a_trie_deeper_than_the_expression_nests(self):
         # 900 branch levels, more than re.compile can nest as groups
         index = RedexIndex(["\0" * k + "\1" for k in range(900)])
-        assert index.find("\2" + "\0" * 850 + "\1") == (1, 850, 852)
-        assert index.find("\0" * 1000) is None
-        assert index.find("\0" * 899 + "\1") == (0, 899, 900)
-        assert RedexIndex(["\0" * 2000]).find("\1" + "\0" * 2000) == (1, 0, 2001)
+        assert first_redex(index, "\2" + "\0" * 850 + "\1") == (1, 850, 852)
+        assert first_redex(index, "\0" * 1000) is None
+        assert first_redex(index, "\0" * 899 + "\1") == (0, 899, 900)
+        assert first_redex(RedexIndex(["\0" * 2000]), "\1" + "\0" * 2000) == (1, 0, 2001)
         # a 2,000-letter unary left side below a one-letter end of higher index
         unary = RedexIndex(["\0" * 2000, "\0" * 1999 + "\1", "\0"])
-        assert unary.find("\0" * 2000) == (0, 0, 2000)
-        assert unary.find("\0" * 1999 + "\1") == (0, 1, 2000)
-        assert unary.find("\1" + "\0" * 1999) == (1, 2, 2)
+        assert first_redex(unary, "\0" * 2000) == (0, 0, 2000)
+        assert first_redex(unary, "\0" * 1999 + "\1") == (0, 1, 2000)
+        assert first_redex(unary, "\1" + "\0" * 1999) == (1, 2, 2)
 
     def test_walk_follows_the_reference_chain(self):
         # every word the walk searches is on its path, and an irreducible
         # last word is what it returns; some searches match a cut path,
-        # where find's trie walk picks the redex or rejects the start
+        # where the walk's trie walk picks the redex or rejects the start
         steps = cut = 0
         for index, patterns, swaps, found in walk_cases(37):
             for letters in found:
@@ -499,7 +503,7 @@ class TestRedexIndex:
             # a scan from a later start is the scan of a suffix, itself one
             # of the words
             for word in all_words(AB, 6, min_len=0):
-                found = index.find(word.letters)
+                found = first_redex(index, word.letters)
                 assert found == reference_find(lhss, word.letters)
                 hits += found is not None
         assert hits == 20718  # of 25,400 searches
@@ -519,7 +523,7 @@ class TestRedexIndex:
                 lhs, at = rng.choice(lhss), rng.randint(0, len(word))
                 cut = rng.randint(0, len(lhs))
                 word = word[:at] + (lhs[:cut] if rng.random() < 0.5 else lhs[cut:]) + word[at:]
-                found = index.find(word)
+                found = first_redex(index, word)
                 assert found == reference_find(lhss, word)
                 hits += found is not None
         assert hits == 5677  # of 12,000 searches
@@ -540,12 +544,13 @@ class TestRedexIndex:
                 whole = RewriteSystem(system.order, base.rules + extra, system.mode)
                 assert extended == whole
                 for word in all_words(system.alphabet, 6, min_len=0):
-                    assert extended._index.find(word.letters) == whole._index.find(word.letters)
+                    found = first_redex(extended._index, word.letters)
+                    assert found == first_redex(whole._index, word.letters)
                 for since in (0, cut, len(whole.rules)):
                     assert extended._index.overlaps(since) == whole._index.overlaps(since)
             assert base._index._root == trie
             fresh = RedexIndex(rule.lhs.letters for rule in base.rules)
-            assert all(base._index.find(word.letters) == fresh.find(word.letters)
+            assert all(first_redex(base._index, word.letters) == first_redex(fresh, word.letters)
                        for word in all_words(system.alphabet, 6, min_len=0))
 
     def test_extension_copies_only_the_new_paths(self):
@@ -555,7 +560,7 @@ class TestRedexIndex:
         assert extended._root["\1"] is base._root["\1"]
         assert extended._root["\0"]["\0"] is base._root["\0"]["\0"]
         assert extended._root["\0"] is not base._root["\0"]
-        assert extended.find("\1\0\1") == (1, 2, 3) and base.find("\1\0\1") is None
+        assert first_redex(extended, "\1\0\1") == (1, 2, 3) and first_redex(base, "\1\0\1") is None
 
 
 class TestFindMatches:
